@@ -27,7 +27,6 @@ from .partitions import (
     SkewShape,
     enumerate_partitions,
     specht_dimension,
-    transpose,
 )
 
 # ---------------------------------------------------------------------------
@@ -148,12 +147,6 @@ class ClassFunction:
     def scale(self, c) -> "ClassFunction":
         c = Fraction(c)
         return ClassFunction(self.degree, {ct: c * v for ct, v in self.values.items()})
-
-    def sign_twist(self) -> "ClassFunction":
-        return ClassFunction(
-            self.degree,
-            {ct: sign_of_class(ct) * v for ct, v in self.values.items()},
-        )
 
     def _check(self, other: "ClassFunction"):
         if self.degree != other.degree:

@@ -14,7 +14,6 @@ import os
 import sys
 import tempfile
 
-from . import __version__
 from .errors import InvalidArgs, SizeBudgetExceeded, StableRepError
 from .partitions import Partition, enumerate_partitions, specht_dimension
 from .characters import cycle_types, irreducible_character, lr_coefficient
@@ -150,33 +149,42 @@ def _cmd_hom_dim(args) -> tuple[str, int]:
     return str(dim), EXIT_OK
 
 
+VERIFY_USAGE = {
+    "rw-prop": "P Q D",
+    "splitting": "P Q D",
+    "extension": "LAMBDA DA DC",
+    "induction": "P Q",
+    "step1": "P Q D",
+}
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgs(f"expected an integer, got {text!r}") from None
+
+
 def _cmd_verify(args) -> tuple[str, int]:
     which = args.what
     params = args.params
-    def need(n, usage):
-        if len(params) != n:
-            raise InvalidArgs(f"verify {which} expects {usage}")
-    if which == "rw-prop":
-        need(3, "P Q D")
-        rep = verify_rw_prop(int(params[0]), int(params[1]), int(params[2]), args.budget)
-    elif which == "splitting":
-        need(3, "P Q D")
-        rep = verify_splitting_lemma(
-            int(params[0]), int(params[1]), int(params[2]), args.budget
-        )
-    elif which == "extension":
-        need(3, "LAMBDA DA DC")
+    usage = VERIFY_USAGE[which]
+    if len(params) != len(usage.split()):
+        raise InvalidArgs(f"verify {which} expects {usage}")
+    if which == "extension":
         rep = split_extension_filtration_check(
-            Partition.parse(params[0]), int(params[1]), int(params[2]), args.budget
+            Partition.parse(params[0]), _int(params[1]), _int(params[2]), args.budget
         )
-    elif which == "induction":
-        need(2, "P Q")
-        rep = theorem_a_induction_check(int(params[0]), int(params[1]), args.budget)
-    elif which == "step1":
-        need(3, "P Q D")
-        rep = step1_dimension_identity(int(params[0]), int(params[1]), int(params[2]))
     else:
-        raise InvalidArgs(f"unknown verification {which!r}")
+        ints = [_int(x) for x in params]
+        if which == "rw-prop":
+            rep = verify_rw_prop(*ints, args.budget)
+        elif which == "splitting":
+            rep = verify_splitting_lemma(*ints, args.budget)
+        elif which == "induction":
+            rep = theorem_a_induction_check(*ints, args.budget)
+        else:
+            rep = step1_dimension_identity(*ints)
     return _render_report(rep, args.json)
 
 
@@ -233,7 +241,7 @@ def _cache_lookup(cache_dir: str, key: str) -> tuple[str, int] | None:
 
 def _cache_store(cache_dir: str, key: str, output: str, code: int) -> None:
     os.makedirs(cache_dir, exist_ok=True)
-    payload = json.dumps({"version": __version__, "output": output, "exit": code})
+    payload = json.dumps({"output": output, "exit": code})
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -246,9 +254,19 @@ def _cache_store(cache_dir: str, key: str, output: str, code: int) -> None:
             pass
 
 
-def _cache_key(argv: list[str]) -> str:
-    blob = json.dumps([__version__] + argv)
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _cache_key(args: argparse.Namespace) -> str:
+    """Hash of the package's .py sources and of every parsed argument,
+    including the effective budget, so that a hit returns only what this
+    code would print for this command."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                h.update(name.encode() + hashlib.sha256(fh.read()).digest())
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "cache")}
+    h.update(json.dumps(params, sort_keys=True).encode())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify", help="run a structural verification")
     p.add_argument(
         "what",
-        choices=["rw-prop", "splitting", "extension", "induction", "step1"],
+        choices=list(VERIFY_USAGE),
     )
     p.add_argument("params", nargs="*")
     p.set_defaults(func=_cmd_verify)
@@ -346,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
 
     key = None
     if args.cache:
-        key = _cache_key(argv)
+        key = _cache_key(args)
         hit = _cache_lookup(args.cache, key)
         if hit is not None:
             output, code = hit

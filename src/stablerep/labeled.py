@@ -28,10 +28,11 @@ from .characters import (
 from .modules import (
     Perm,
     Report,
+    _tensor_weight,
     check_budget,
     class_representative,
 )
-from .partitions import Partition, enumerate_partitions, specht_dimension
+from .partitions import enumerate_partitions, specht_dimension
 
 UNLABELED = 0
 
@@ -117,7 +118,7 @@ class GeneralLabeledPartition:
         if tau is not None:
             labs = [(tau[l - 1] + 1) if l > 0 else 0 for l in labs]
         order = sorted(range(len(moved)), key=lambda i: moved[i][0])
-        return GeneralLabeledPartition(
+        return type(self)(
             tuple(moved[i] for i in order), tuple(labs[i] for i in order)
         )
 
@@ -136,48 +137,19 @@ class GeneralLabeledPartition:
 
 
 @dataclass(frozen=True)
-class QLabeledPartition:
+class QLabeledPartition(GeneralLabeledPartition):
     """A set partition with at least q parts, of which q carry the labels
     1..q injectively; the rest are unlabeled (label 0)."""
 
-    parts: SetPartition
-    labels: tuple[int, ...]
-
     def __post_init__(self):
+        super().__post_init__()
         used = [l for l in self.labels if l > 0]
         if sorted(used) != list(range(1, len(used) + 1)):
             raise InvalidArgs(f"labels must be exactly 1..q, got {self.labels}")
 
     @property
-    def p(self) -> int:
-        return sum(len(x) for x in self.parts)
-
-    @property
     def q(self) -> int:
         return sum(1 for l in self.labels if l > 0)
-
-    def act(self, sigma: Perm, tau: Perm | None = None) -> "QLabeledPartition":
-        moved = [tuple(sorted(sigma[x] for x in part)) for part in self.parts]
-        labs = list(self.labels)
-        if tau is not None:
-            labs = [(tau[l - 1] + 1) if l > 0 else 0 for l in labs]
-        order = sorted(range(len(moved)), key=lambda i: moved[i][0])
-        return QLabeledPartition(
-            tuple(moved[i] for i in order), tuple(labs[i] for i in order)
-        )
-
-    def __str__(self) -> str:
-        body = "|".join(",".join(str(x + 1) for x in part) for part in self.parts)
-        labs = ",".join("*" if l == 0 else str(l) for l in self.labels)
-        return "{" + body + "}:labels=" + labs
-
-    def to_json(self) -> dict:
-        return {
-            "parts": [
-                {"elements": [x + 1 for x in part], "label": None if l == 0 else l}
-                for part, l in zip(self.parts, self.labels)
-            ]
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +316,7 @@ class FWGradedPiece:
         return sorted(out)
 
     def weight(self, mono: Monomial) -> tuple[int, ...]:
-        w = [0] * self.d
-        for _, vars_ in mono:
-            for v in vars_:
-                w[v] += 1
-        return tuple(w)
+        return _tensor_weight([v for _, vars_ in mono for v in vars_], self.d)
 
     def weight_counter(self) -> Counter:
         return Counter(self.weight(m) for m in self.basis)
@@ -366,14 +334,6 @@ class FWGradedPiece:
             newmono = tuple(sorted(mono[:pos] + (newsym,) + mono[pos + 1 :]))
             out[newmono] = out.get(newmono, 0) + nb
         return {m: c for m, c in out.items() if c}
-
-    def gl_matrix(self, a: int, b: int) -> ExactMatrix:
-        n = self.dimension
-        m = ExactMatrix.zero(n, n)
-        for col, mono in enumerate(self.basis):
-            for tgt, c in self.gl_apply(a, b, mono).items():
-                m.data[self.index[tgt]][col] += c
-        return m
 
     def label_action(self, tau: Perm, mono: Monomial) -> Monomial:
         """Sigma_q permuting the singleton labels 1..q."""
@@ -477,23 +437,21 @@ def fw_multiplicities(p: int, q: int, d: int, budget: int | None = None):
     return decompose_weight_multiset(piece.weight_counter(), d), piece
 
 
-def hom_space_dimension_gl(
-    p: int,
-    q: int,
-    d: int,
-    budget: int | None = None,
-    solve_unknown_cap: int = 900,
-) -> int:
+# Largest intertwiner system (unknown count) that is also solved directly.
+SOLVE_UNKNOWN_CAP = 900
+
+
+def hom_space_dimension_gl(p: int, q: int, d: int, budget: int | None = None) -> int:
     """dim Hom_GL((Q^d)^{⊗p}, FW piece), computed by the character method
     (always) and by directly solving for intertwiners (when the unknown
-    count fits under solve_unknown_cap); the two must agree."""
+    count fits under SOLVE_UNKNOWN_CAP); the two must agree."""
     dec, piece = fw_multiplicities(p, q, d, budget)
     char_dim = sum(
         mult * specht_dimension(lam)
         for lam, mult in dec.mults.items()
         if lam.weight == p
     )
-    solve_dim = _intertwiner_solve_dimension(p, d, piece, solve_unknown_cap)
+    solve_dim = _intertwiner_solve_dimension(p, d, piece)
     if solve_dim is not None and solve_dim != char_dim:
         raise OracleDisagreement(
             f"intertwiner solve gives {solve_dim}, characters give {char_dim}"
@@ -501,11 +459,9 @@ def hom_space_dimension_gl(
     return char_dim
 
 
-def _intertwiner_solve_dimension(
-    p: int, d: int, piece: FWGradedPiece, cap: int
-) -> int | None:
+def _intertwiner_solve_dimension(p: int, d: int, piece: FWGradedPiece) -> int | None:
     """Kernel dimension of the 'commutes with every adjacent gl generator
-    and preserves torus weight' system; None if over the cap."""
+    and preserves torus weight' system; None if over SOLVE_UNKNOWN_CAP."""
     src = list(itertools.product(range(d), repeat=p))
     src_weight = {J: _tensor_weight(J, d) for J in src}
     tgt_by_weight: dict[tuple[int, ...], list[int]] = {}
@@ -516,7 +472,7 @@ def _intertwiner_solve_dimension(
     for J in src:
         for t in tgt_by_weight.get(src_weight[J], []):
             unknowns.append((J, t))
-    if len(unknowns) > cap:
+    if len(unknowns) > SOLVE_UNKNOWN_CAP:
         return None
     uindex = {u: i for i, u in enumerate(unknowns)}
 
@@ -544,13 +500,6 @@ def _intertwiner_solve_dimension(
                     rows.append(row)
     rank = sparse_rank(rows)
     return len(unknowns) - rank
-
-
-def _tensor_weight(J: tuple[int, ...], d: int) -> tuple[int, ...]:
-    w = [0] * d
-    for v in J:
-        w[v] += 1
-    return tuple(w)
 
 
 def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClassFunction:

@@ -1,15 +1,15 @@
 """Exact rational linear algebra: dense matrices over Fraction and a sparse
 row-reduction used for the large stacked-map rank computations.
 
-No floating point anywhere.  Dense elimination is fraction-free where the
-input is integral (Bareiss-style pivoting keeps entries integral); the sparse
-path works directly over Fraction since its rows are short.
+No floating point anywhere.  Both paths are plain elimination over
+Fraction: the dense one is Gauss-Jordan on lists of rows, the sparse one is
+forward elimination on {column_key: value} dicts, whose rows are short.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Number = int | Fraction
 
@@ -50,9 +50,6 @@ class ExactMatrix:
     def column(self, j: int) -> list[Fraction]:
         return [self.data[i][j] for i in range(self.rows)]
 
-    def columns(self) -> list[list[Fraction]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
@@ -60,9 +57,6 @@ class ExactMatrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -85,10 +79,6 @@ class ExactMatrix:
             ]
         )
 
-    def scale(self, c: Number) -> "ExactMatrix":
-        c = Fraction(c)
-        return ExactMatrix([[c * x for x in row] for row in self.data])
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         assert self.cols == other.rows, (self.cols, other.rows)
         ot = list(zip(*other.data))
@@ -102,186 +92,114 @@ class ExactMatrix:
             )
         return ExactMatrix(out)
 
-    def apply(self, vec: Sequence[Number]) -> list[Fraction]:
-        assert self.cols == len(vec)
-        return [
-            sum(a * b for a, b in zip(row, vec) if a and b) for row in self.data
-        ]
-
     def trace(self) -> Fraction:
         assert self.rows == self.cols
         return sum(self.data[i][i] for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
     def rank(self) -> int:
         return len(self.pivot_columns())
 
     def pivot_columns(self) -> list[int]:
         """Column indices of pivots in a row echelon form."""
-        m = [row[:] for row in self.data]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return pivots
-
-    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form together with the pivot columns."""
-        m = [row[:] for row in self.data]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
-
-    def nullspace(self) -> list[list[Fraction]]:
-        """Basis of the right kernel."""
-        m, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(v)
-        return basis
-
-    def solve(self, rhs: Sequence[Number]) -> list[Fraction] | None:
-        """One solution of self @ x = rhs, or None if inconsistent."""
-        return self.solve_many([list(rhs)])[0]
+        return _gauss_jordan([row[:] for row in self.data], self.cols)
 
     def solve_many(
         self, rhs_list: Sequence[Sequence[Number]]
     ) -> list[list[Fraction] | None]:
         """Solve self @ x = rhs for several right-hand sides with a single
-        elimination pass."""
-        k = len(rhs_list)
+        elimination pass; None for an inconsistent right-hand side."""
+        n = self.cols
         aug = [
-            self.data[i][:] + [Fraction(rhs[i]) for rhs in rhs_list]
+            self.data[i] + [Fraction(rhs[i]) for rhs in rhs_list]
             for i in range(self.rows)
         ]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if aug[i][c]), None)
-            if pr is None:
-                continue
-            aug[r], aug[pr] = aug[pr], aug[r]
-            inv = 1 / aug[r][c]
-            aug[r] = [x * inv for x in aug[r]]
-            for i in range(self.rows):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
+        pivots = _gauss_jordan(aug, n)
         out: list[list[Fraction] | None] = []
-        for j in range(k):
-            col = self.cols + j
-            # Inconsistent if a zero row has nonzero rhs.
-            bad = any(
-                aug[i][col] != 0
-                and all(aug[i][c] == 0 for c in range(self.cols))
-                for i in range(len(pivots), self.rows)
-            )
-            if bad:
+        for col in range(n, n + len(rhs_list)):
+            # Rows past the rank are zero on the first n columns, so a
+            # nonzero right-hand side there is inconsistent.
+            if any(aug[i][col] for i in range(len(pivots), self.rows)):
                 out.append(None)
                 continue
-            x = [Fraction(0)] * self.cols
-            for rr, pc in enumerate(pivots):
-                x[pc] = aug[rr][col]
+            x = [Fraction(0)] * n
+            for r, c in enumerate(pivots):
+                x[c] = aug[r][col]
             out.append(x)
         return out
 
 
-def sparse_rank(rows: Iterable[dict], max_rank: int | None = None) -> int:
+def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Bring the rows of m, in place, to reduced row echelon form on the
+    first ncols columns; later columns ride along.  Returns the pivot
+    columns."""
+    nrows = len(m)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def sparse_rank(rows: Iterable[dict]) -> int:
     """Rank of a sparse matrix given as an iterable of {column_key: value}
     rows.  Column keys must be mutually comparable (e.g. int tuples); values
     are exact rationals."""
-    echelon: dict = {}  # leading column key -> reduced row dict
-    rank = 0
-    for row in rows:
-        row = {k: Fraction(v) for k, v in row.items() if v}
-        while row:
-            lead = min(row)
-            if lead in echelon:
-                piv = echelon[lead]
-                f = row[lead]
-                for k, v in piv.items():
-                    nv = row.get(k, Fraction(0)) - f * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-            else:
-                inv = 1 / row[lead]
-                echelon[lead] = {k: v * inv for k, v in row.items()}
-                rank += 1
-                break
-        if max_rank is not None and rank >= max_rank:
-            break
-    return rank
+    return sum(1 for rest in _reduce_rows(rows) if rest)
 
 
 def sparse_nullity_witness(rows: list[dict]) -> list[Fraction] | None:
     """If the given sparse rows are linearly dependent, return coefficients
-    of a non-trivial vanishing combination; otherwise None."""
-    echelon: dict = {}  # lead -> (reduced row, combination over input rows)
-    n = len(rows)
-    for idx, row in enumerate(rows):
-        row = {k: Fraction(v) for k, v in row.items() if v}
-        combo = [Fraction(0)] * n
-        combo[idx] = Fraction(1)
-        while row:
-            lead = min(row)
-            if lead in echelon:
-                piv, pcombo = echelon[lead]
-                f = row[lead]
-                for k, v in piv.items():
-                    nv = row.get(k, Fraction(0)) - f * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-                combo = [a - f * b for a, b in zip(combo, pcombo)]
-            else:
-                inv = 1 / row[lead]
-                echelon[lead] = (
-                    {k: v * inv for k, v in row.items()},
-                    [c * inv for c in combo],
-                )
-                break
-        else:
+    of a non-trivial vanishing combination; otherwise None.
+
+    Row i gets a tag column (1, i) sorting after its real columns (0, k).
+    The first row whose remainder leads with a tag has no real part left,
+    and its tag entries are the combination."""
+    tagged = (
+        {**{(0, k): v for k, v in row.items()}, (1, i): 1}
+        for i, row in enumerate(rows)
+    )
+    for rest in _reduce_rows(tagged):
+        if min(rest)[0] == 1:
+            combo = [Fraction(0)] * len(rows)
+            for (_, i), c in rest.items():
+                combo[i] = c
             return combo
     return None
+
+
+def _reduce_rows(rows: Iterable[dict]) -> Iterator[dict]:
+    """Forward elimination over Fraction on sparse rows, one row at a time:
+    each row is reduced against the pivot rows kept so far, smallest column
+    key first.  Yields each row's remainder, which leads with a new
+    pivot (kept, scaled to lead with 1) or is empty for a dependent row."""
+    echelon: dict = {}  # leading column key -> reduced row dict
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items() if v}
+        while row:
+            lead = min(row)
+            piv = echelon.get(lead)
+            if piv is None:
+                inv = 1 / row[lead]
+                echelon[lead] = {k: v * inv for k, v in row.items()}
+                break
+            f = row[lead]
+            for k, v in piv.items():
+                nv = row.get(k, 0) - f * v
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+        yield row

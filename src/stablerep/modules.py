@@ -26,7 +26,7 @@ from .characters import (
     cycle_types,
     irreducible_character,
     kostka,
-    sym_dimension,
+    sign_of_class,
 )
 from .partitions import (
     Partition,
@@ -51,10 +51,6 @@ def check_budget(needed: int, budget: int | None, what: str = "ambient dimension
 Perm = tuple[int, ...]
 
 
-def perm_identity(r: int) -> Perm:
-    return tuple(range(r))
-
-
 def perm_compose(a: Perm, b: Perm) -> Perm:
     """(a b)(x) = a(b(x))."""
     return tuple(a[b[x]] for x in range(len(a)))
@@ -68,19 +64,7 @@ def perm_inverse(a: Perm) -> Perm:
 
 
 def perm_sign(a: Perm) -> int:
-    seen = [False] * len(a)
-    sign = 1
-    for i in range(len(a)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            ln += 1
-        sign *= (-1) ** (ln - 1)
-    return sign
+    return sign_of_class(perm_cycle_type(a))
 
 
 def perm_cycle_type(a: Perm) -> Partition:
@@ -165,15 +149,6 @@ class ExplicitModule:
     grading: int | None = None
     weights: list[tuple[int, ...]] | None = None  # per-basis torus weights
 
-    def sym_action(self, g: Perm) -> ExactMatrix:
-        """Matrix of an arbitrary permutation, composed from the adjacent
-        transposition generators along a bubble-sort word."""
-        m = ExactMatrix.identity(self.dimension)
-        word = _transposition_word(g)
-        for i in word:
-            m = self.sym_generators[i] @ m
-        return m
-
     def check_coxeter_relations(self) -> bool:
         gens = self.sym_generators
         eye = ExactMatrix.identity(self.dimension)
@@ -206,31 +181,6 @@ class ExplicitModule:
                 if comm != want:
                     return False
         return True
-
-    def check_actions_commute(self) -> bool:
-        for s in self.sym_generators:
-            for e in self.gl_generators.values():
-                if s @ e != e @ s:
-                    return False
-        return True
-
-
-def _transposition_word(g: Perm) -> list[int]:
-    """Indices i such that g = s_{i1} ... s_{ik} (adjacent transpositions,
-    s_i swapping positions i and i+1)."""
-    arr = list(g)
-    word: list[int] = []
-    # Sort arr back to identity with adjacent swaps, recording them.
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1, i, -1):
-            if arr[j - 1] > arr[j]:
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                word.append(j - 1)
-    # Each swap right-multiplies by the transposition, so sorting gives
-    # g s_{i1} ... s_{ik} = id, i.e. g = s_{ik} ... s_{i1}; applying the
-    # generator matrices left-to-right over the recorded word composes
-    # them in exactly that order.
-    return word
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +229,7 @@ def tensor_power_module(d: int, r: int, budget: int | None = None) -> ExplicitMo
                         m.data[index[J2]][col] += 1
             gl[(a, b)] = m
 
-    weights = [_weight_of_index(J, d) for J in basis]
+    weights = [_tensor_weight(J, d) for J in basis]
     return ExplicitModule(
         dimension=dim,
         sym_generators=sym,
@@ -289,7 +239,9 @@ def tensor_power_module(d: int, r: int, budget: int | None = None) -> ExplicitMo
     )
 
 
-def _weight_of_index(J: tuple[int, ...], d: int) -> tuple[int, ...]:
+def _tensor_weight(J, d: int) -> tuple[int, ...]:
+    """Torus weight of the basis tensor with indices J: how often each of
+    the d indices occurs."""
     w = [0] * d
     for v in J:
         w[v] += 1
@@ -355,7 +307,6 @@ def specht_character_traces(lam: Partition, budget: int | None = None) -> dict[P
     out = {}
     for rho in cycle_types(r):
         g = class_representative(rho)
-        ginv = perm_inverse(g)
         # tr(L_g R_c) = sum over x, (coeff, h) with g x h = x.
         total = 0
         for coeff, h in c:
@@ -394,7 +345,7 @@ def schur_apply(lam: Partition, d: int, budget: int | None = None) -> ExplicitMo
     if dim == 0:
         return ExplicitModule(dimension=0, grading=r, weights=[])
     B = ExactMatrix.from_columns(bcols)
-    weights = [_weight_of_index(basis[j], d) for j in pivots]
+    weights = [_tensor_weight(basis[j], d) for j in pivots]
 
     gl = {}
     for a in range(d):
@@ -420,23 +371,24 @@ def schur_apply(lam: Partition, d: int, budget: int | None = None) -> ExplicitMo
 
 
 def module_weight_multiset(m: ExplicitModule) -> Counter:
-    """Multiset of torus weights of a polynomial gl_d module."""
+    """Multiset of torus weights of a polynomial gl_d module whose torus
+    generators E_aa are diagonal in its basis (every constructor here gives
+    such a basis); anything else raises NonPolynomialAction."""
     if m.dimension == 0:
         return Counter()
     d = max(k[0] for k in m.gl_generators) + 1 if m.gl_generators else 0
     if d == 0:
         raise InvalidArgs("module carries no gl action")
     diag = [m.gl_generators[(a, a)] for a in range(d)]
-    if all(_is_diagonal(t) for t in diag):
-        weights = []
-        for i in range(m.dimension):
-            w = tuple(int(t.data[i][i]) for t in diag)
-            if any(t.data[i][i] != w[a] for a, t in enumerate(diag)):
-                raise NonPolynomialAction("non-integral torus eigenvalue")
-            weights.append(w)
-        cnt = Counter(weights)
-    else:
-        cnt = _weight_multiset_by_kernels(m, diag, d)
+    if not all(_is_diagonal(t) for t in diag):
+        raise NonPolynomialAction("torus generators are not diagonal")
+    weights = []
+    for i in range(m.dimension):
+        w = tuple(int(t.data[i][i]) for t in diag)
+        if any(t.data[i][i] != w[a] for a, t in enumerate(diag)):
+            raise NonPolynomialAction("non-integral torus eigenvalue")
+        weights.append(w)
+    cnt = Counter(weights)
     for w in cnt:
         if any(x < 0 for x in w):
             raise NonPolynomialAction(f"negative weight {w}")
@@ -450,33 +402,6 @@ def _is_diagonal(m: ExactMatrix) -> bool:
         for j in range(m.cols)
         if i != j
     )
-
-
-def _weight_multiset_by_kernels(m: ExplicitModule, diag, d: int) -> Counter:
-    deg = m.grading
-    if deg is None:
-        td = sum(t.trace() for t in diag)
-        if td.denominator != 1 or int(td) % m.dimension:
-            raise NonPolynomialAction("cannot infer a uniform total degree")
-        deg = int(td) // m.dimension
-    cnt: Counter = Counter()
-    found = 0
-    for w in itertools.product(range(deg + 1), repeat=d):
-        if sum(w) != deg:
-            continue
-        stacked = []
-        for a in range(d):
-            shifted = diag[a] - ExactMatrix.identity(m.dimension).scale(w[a])
-            stacked.extend(shifted.data)
-        k = m.dimension - ExactMatrix(stacked).rank()
-        if k:
-            cnt[w] = k
-            found += k
-    if found != m.dimension:
-        raise NonPolynomialAction(
-            f"weight spaces cover {found} of {m.dimension} dimensions"
-        )
-    return cnt
 
 
 def decompose_weight_multiset(cnt: Counter, d: int):

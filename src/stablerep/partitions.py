@@ -77,7 +77,10 @@ class Partition:
         text = text.strip()
         if text in ("0", "", "[]", "()"):
             return cls(())
-        return cls(int(x) for x in text.split(","))
+        try:
+            return cls(int(x) for x in text.split(","))
+        except ValueError as e:
+            raise InvalidArgs(f"not a partition: {text!r} ({e})") from None
 
     def contains(self, other: "Partition") -> bool:
         """Cell-wise containment: other ⊆ self."""
@@ -86,12 +89,6 @@ class Partition:
     def cells(self) -> list[tuple[int, int]]:
         """All (row, col) cells of the Young diagram, 0-indexed."""
         return [(i, j) for i, r in enumerate(self.parts) for j in range(r)]
-
-    def remove_cell(self, row: int) -> "Partition":
-        """Partition with one box removed from the given row."""
-        ps = list(self.parts)
-        ps[row] -= 1
-        return Partition(ps)
 
 
 def transpose(lam: Partition) -> Partition:
@@ -196,8 +193,3 @@ def schur_gl_dimension(lam: Partition, d: int) -> int:
         den *= h
     assert num % den == 0
     return num // den
-
-
-def arm_sorted_contents(lam: Partition, d: int) -> list[int]:
-    """Contents d + j - i of the cells, sorted; used in a few sanity checks."""
-    return sorted(d + j - i for (i, j) in lam.cells())

@@ -103,6 +103,20 @@ class TestExitCodes:
         monkeypatch.setenv("STABLEREP_BUDGET", "junk")
         assert main(["partitions", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["char", "x"],
+            ["char", "1,2"],
+            ["lr", "2,1", "1", "q"],
+            ["verify", "rw-prop", "a", "1", "1"],
+            ["verify", "extension", "2,x", "1", "1"],
+            ["verify", "extension", "2,1", "1", "b"],
+        ],
+    )
+    def test_malformed_input_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+
 
 class TestCache:
     def test_byte_identical_with_and_without_cache(self, capsys, tmp_path):
@@ -125,3 +139,14 @@ class TestCache:
         run(capsys, "--cache", cache, "partitions", "3")
         run(capsys, "--cache", cache, "partitions", "4")
         assert len(list(tmp_path.joinpath("cache").iterdir())) == 2
+
+    def test_budget_is_part_of_the_key(self, capsys, tmp_path, monkeypatch):
+        args = ["--cache", str(tmp_path / "cache"), "hom-dim", "3", "1", "3"]
+        monkeypatch.setenv("STABLEREP_BUDGET", "1")
+        assert main(args) == 3
+        monkeypatch.delenv("STABLEREP_BUDGET")
+        assert main(args) == 0
+        monkeypatch.setenv("STABLEREP_BUDGET", "1")
+        assert main(args) == 3
+        monkeypatch.delenv("STABLEREP_BUDGET")
+        assert main(["--budget", "1"] + args) == 3

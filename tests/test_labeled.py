@@ -186,7 +186,7 @@ class TestHomSpace:
     def test_solve_path_agrees_with_characters(self):
         for p, q, d in [(1, 0, 1), (2, 0, 2), (2, 1, 2), (2, 2, 2), (3, 0, 2), (3, 1, 2)]:
             piece = build_fw_piece(p, q, d)
-            solved = _intertwiner_solve_dimension(p, d, piece, 900)
+            solved = _intertwiner_solve_dimension(p, d, piece)
             assert solved is not None
             assert solved == hom_space_dimension_gl(p, q, d)
 

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablerep.characters import cycle_types, irreducible_character
-from stablerep.errors import SizeBudgetExceeded
-from stablerep.linalg import ExactMatrix, sparse_rank
+from stablerep.errors import NonPolynomialAction, SizeBudgetExceeded
+from stablerep.linalg import ExactMatrix, sparse_nullity_witness, sparse_rank
 from stablerep.modules import (
+    ExplicitModule,
     all_perms,
     gl_decompose,
     perm_compose,
@@ -28,24 +30,60 @@ from stablerep.partitions import (
     specht_dimension,
 )
 
+small_ints = st.integers(min_value=-3, max_value=3)
+small_int_matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda cols: st.lists(
+        st.lists(small_ints, min_size=cols, max_size=cols), min_size=1, max_size=5
+    )
+)
+
 
 class TestExactMatrix:
     def test_rank_and_nullspace(self):
         m = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert m.rank() == 2
-        for v in m.nullspace():
-            assert all(x == 0 for x in m.apply(v))
+        assert m.pivot_columns() == [0, 1]
+        # The free column in terms of the pivot columns gives the kernel
+        # vector (x0, x1, -1).
+        pivots = ExactMatrix.from_columns([m.column(0), m.column(1)])
+        [x] = pivots.solve_many([m.column(2)])
+        v = x + [-1]
+        assert v == [1, 1, -1]
+        assert m @ ExactMatrix.from_columns([v]) == ExactMatrix.zero(3, 1)
 
     def test_solve(self):
         m = ExactMatrix([[2, 0], [0, 3]])
-        assert m.solve([1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+        assert m.solve_many([[1, 1]]) == [[Fraction(1, 2), Fraction(1, 3)]]
         inconsistent = ExactMatrix([[1, 0], [1, 0]])
-        assert inconsistent.solve([0, 1]) is None
+        assert inconsistent.solve_many([[0, 1], [2, 2]]) == [None, [2, 0]]
 
-    def test_sparse_rank_matches_dense(self):
-        rows = [{0: 1, 2: 1}, {1: 1}, {0: 1, 1: 1, 2: 1}]
-        dense = ExactMatrix([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
-        assert sparse_rank(rows) == dense.rank()
+    @settings(max_examples=150, deadline=None)
+    @given(small_int_matrices, st.data())
+    def test_sparse_rank_matches_dense(self, entries, data):
+        """sparse_rank equals the dense rank; a dependency witness exists
+        exactly when the rows are dependent and is a nonzero vanishing
+        combination; solve_many returns None exactly for right-hand sides
+        outside the column space."""
+        m = ExactMatrix(entries)
+        rows = [{j: v for j, v in enumerate(r) if v} for r in entries]
+        rank = m.rank()
+        assert sparse_rank(rows) == rank
+
+        combo = sparse_nullity_witness(rows)
+        assert (combo is not None) == (rank < m.rows)
+        if combo is not None:
+            assert any(combo)
+            for j in range(m.cols):
+                assert sum(c * r[j] for c, r in zip(combo, entries)) == 0
+
+        rhs_list = data.draw(
+            st.lists(st.lists(small_ints, min_size=m.rows, max_size=m.rows), max_size=3)
+        )
+        for rhs, x in zip(rhs_list, m.solve_many(rhs_list)):
+            consistent = ExactMatrix([r + [b] for r, b in zip(entries, rhs)]).rank() == rank
+            assert (x is not None) == consistent
+            if x is not None:
+                assert m @ ExactMatrix.from_columns([x]) == ExactMatrix.from_columns([rhs])
 
 
 def test_perm_helpers():
@@ -78,7 +116,7 @@ def test_specht_module_dimensions_and_relations():
         for lam in enumerate_partitions(n):
             mod = specht_module(lam)
             assert mod.dimension == specht_dimension(lam)
-            mod.check_coxeter_relations()
+            assert mod.check_coxeter_relations()
 
 
 def test_specht_traces_match_murnaghan_nakayama():
@@ -102,8 +140,15 @@ def test_schur_apply_dimensions_and_decomposition():
                 mod = schur_apply(lam, d)
                 assert mod.dimension == schur_gl_dimension(lam, d)
                 if mod.dimension:
-                    mod.check_gl_relations()
+                    assert mod.check_gl_relations()
                     assert gl_decompose(mod).mults == {lam: 1}
+
+
+def test_gl_decompose_rejects_non_diagonal_torus():
+    swap = ExactMatrix([[0, 1], [1, 0]])
+    mod = ExplicitModule(dimension=2, gl_generators={(0, 0): swap}, grading=1)
+    with pytest.raises(NonPolynomialAction):
+        gl_decompose(mod)
 
 
 def test_verify_cauchy_grid():
