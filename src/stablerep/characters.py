@@ -33,8 +33,9 @@ from .partitions import (
 # Cycle-type combinatorics
 
 
-def cycle_types(r: int) -> list[Partition]:
-    return enumerate_partitions(r)
+@lru_cache(maxsize=None)
+def cycle_types(r: int) -> tuple[Partition, ...]:
+    return tuple(enumerate_partitions(r))
 
 
 def centralizer_order(rho: Partition) -> int:
@@ -406,12 +407,23 @@ def decompose(
             m = inner_product(f, irreducible_character(lam))
             _store(mults, lam, m, virtual)
     else:
+        # <f, chi^lam x chi^mu> = sum over class pairs (s, t) of
+        # |s|·|t|·f(s, t)·chi^lam(s)·chi^mu(t) / (p!·q!); the sum over s is
+        # taken once per lam, not once per (lam, mu).
         p, q = f.degrees
+        ps, qs = cycle_types(p), cycle_types(q)
+        order = factorial(p) * factorial(q)
+        mu_chars = [
+            (mu, irreducible_character(mu).values) for mu in enumerate_partitions(q)
+        ]
         for lam in enumerate_partitions(p):
-            chl = irreducible_character(lam)
-            for mu in enumerate_partitions(q):
-                chm = irreducible_character(mu)
-                m = inner_product_bi(f, external_product(chl, chm))
+            chl = irreducible_character(lam).values
+            by_t = {
+                t: sum(class_size(s) * chl[s] * f.values[(s, t)] for s in ps)
+                for t in qs
+            }
+            for mu, chm in mu_chars:
+                m = sum(class_size(t) * chm[t] * by_t[t] for t in qs) / order
                 _store(mults, (lam, mu), m, virtual)
     return IrredDecomposition(mults)
 

@@ -125,7 +125,7 @@ def _cmd_schur_weyl(args) -> tuple[str, int]:
 
 
 def _cmd_labeled_partitions(args) -> tuple[str, int]:
-    objs = enumerate_pq(args.p, args.q)
+    objs = enumerate_pq(args.p, args.q, args.budget)
     if args.json:
         return (
             json.dumps(
@@ -204,7 +204,7 @@ def _cmd_stable_cohomology(args) -> tuple[str, int]:
     if args.p is None or args.q is None:
         raise InvalidArgs("stable-cohomology requires P Q (or --table PMAX QMAX)")
     degree = args.degree if args.degree is not None else args.p - args.q
-    res = stable_cohomology(args.p, args.q, degree, args.budget)
+    res = stable_cohomology(args.p, args.q, degree)
     if args.json:
         return json.dumps(res.to_json(), indent=2), EXIT_OK
     lines = [

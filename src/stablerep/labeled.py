@@ -15,11 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, perm
 
 from .errors import InvalidArgs, OracleDisagreement
 from .linalg import ExactMatrix, sparse_rank, sparse_nullity_witness
 from .characters import (
     BiClassFunction,
+    centralizer_order,
     cycle_types,
     induce,
     irreducible_character,
@@ -118,9 +120,12 @@ class GeneralLabeledPartition:
         if tau is not None:
             labs = [(tau[l - 1] + 1) if l > 0 else 0 for l in labs]
         order = sorted(range(len(moved)), key=lambda i: moved[i][0])
-        return type(self)(
-            tuple(moved[i] for i in order), tuple(labs[i] for i in order)
-        )
+        # A permutation action keeps one label per part and keeps the labels
+        # injective, so the image skips the validating __post_init__.
+        image = object.__new__(type(self))
+        object.__setattr__(image, "parts", tuple(moved[i] for i in order))
+        object.__setattr__(image, "labels", tuple(labs[i] for i in order))
+        return image
 
     def __str__(self) -> str:
         body = "|".join(",".join(str(x + 1) for x in part) for part in self.parts)
@@ -159,8 +164,6 @@ class QLabeledPartition(GeneralLabeledPartition):
 def count_general(p: int, alphabet: LabelAlphabet) -> int:
     """Number of labeled set partitions, without enumerating: sum over
     part-size profiles of the multinomial count times label choices."""
-    from math import factorial
-
     total = 0
     for lam in enumerate_partitions(p):
         mult: dict[int, int] = {}
@@ -190,13 +193,31 @@ def enumerate_general(
     return out
 
 
-def enumerate_pq(p: int, q: int) -> list[QLabeledPartition]:
+def count_pq(p: int, q: int) -> int:
+    """Number of injectively q-labeled partitions of {1..p}, without
+    enumerating: sum over the part count k of S(p, k)·k!/(k-q)!, with S the
+    Stirling numbers of the second kind."""
+    if q < 0 or p < 0:
+        raise InvalidArgs("p, q must be non-negative")
+    stirling = [1]  # S(n, k) for k = 0..n, starting at n = 0
+    for n in range(1, p + 1):
+        stirling = [0] + [
+            k * (stirling[k] if k < n else 0) + stirling[k - 1]
+            for k in range(1, n + 1)
+        ]
+    return sum(s * perm(k, q) for k, s in enumerate(stirling))
+
+
+def enumerate_pq(
+    p: int, q: int, budget: int | None = None
+) -> list[QLabeledPartition]:
     """All partitions of {1..p} with at least q parts, q of them labeled
     bijectively by 1..q."""
     if q < 0 or p < 0:
         raise InvalidArgs("p, q must be non-negative")
     if q > p:
         raise InvalidArgs(f"q={q} exceeds p={p}; no partition has enough parts")
+    check_budget(count_pq(p, q), budget, "labeled partitions")
     out = []
     for sp in set_partitions(p):
         k = len(sp)
@@ -246,7 +267,7 @@ def permutation_bicharacter(
     if source == "general":
         objs = enumerate_general(p, LabelAlphabet(q), budget)
     elif source == "pq":
-        objs = enumerate_pq(p, q)
+        objs = enumerate_pq(p, q, budget)
     else:
         raise InvalidArgs(f"unknown source {source!r}")
     vals = {}
@@ -256,6 +277,95 @@ def permutation_bicharacter(
             tau = class_representative(t)
             vals[(s, t)] = _fixed_points(objs, sig, tau)
     return BiClassFunction((p, q), vals)
+
+
+# ---------------------------------------------------------------------------
+# Closed form: the cycle index of the injectively labeled family
+#
+# The family is the two-sort species F(X, Y) = E(E+(X)) * E(Y * E+(X)): a set
+# of unlabeled blocks and a set of blocks each paired with one label.  Its
+# cycle index is
+#     Z_F = exp(sum_k (1/k)(1 + y_k)(exp(sum_i x_{ik}/i) - 1)),
+# and (sigma, tau) of cycle types (rho, pi) fixes z_rho*z_pi*[x^rho y^pi] Z_F
+# objects.  A monomial x^rho y^pi is keyed by (rho.parts, pi.parts).
+
+CycleMonomial = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _merge_parts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _cycle_index_log(j: int, q_max: int) -> dict[CycleMonomial, Fraction]:
+    """x-weight j part of the exponent of Z_F, dropping y_k for k > q_max."""
+    out: dict[CycleMonomial, Fraction] = {}
+    for k in range(1, j + 1):
+        if j % k:
+            continue
+        for lam in enumerate_partitions(j // k):
+            c = Fraction(1, k * centralizer_order(lam))
+            xs = tuple(k * s for s in lam)
+            keys = [(xs, ())] + ([(xs, (k,))] if k <= q_max else [])
+            for key in keys:
+                out[key] = out.get(key, 0) + c
+    return out
+
+
+def _cycle_index(p_max: int, q_max: int) -> list[dict[CycleMonomial, Fraction]]:
+    """Pieces of x-weight 0..p_max of Z_F, truncated at y-weight q_max.
+
+    Z = exp(A) is built by the degree recurrence n*Z_n = sum_j j*A_j*Z_{n-j}."""
+    logs = [[]]
+    for j in range(1, p_max + 1):
+        a = _cycle_index_log(j, q_max)
+        logs.append([(m, sum(m[1]), j * c) for m, c in a.items()])
+    z: list[dict[CycleMonomial, Fraction]] = [{((), ()): Fraction(1)}]
+    for n in range(1, p_max + 1):
+        acc: dict[CycleMonomial, Fraction] = {}
+        for j in range(1, n + 1):
+            for (ax, ay), ay_weight, a in logs[j]:
+                for (bx, by), b in z[n - j].items():
+                    if ay_weight + sum(by) > q_max:
+                        continue
+                    key = (_merge_parts(ax, bx), _merge_parts(ay, by))
+                    acc[key] = acc.get(key, 0) + a * b
+        z.append({m: c / n for m, c in acc.items()})
+    return z
+
+
+def pq_bicharacter(p: int, q: int) -> BiClassFunction:
+    """Fixed-point character of Sigma_p x Sigma_q on the injectively labeled
+    family, read off the cycle index Z_F without enumerating; equal to
+    permutation_bicharacter(p, q, source="pq")."""
+    if q < 0 or p < 0:
+        raise InvalidArgs("p, q must be non-negative")
+    if q > p:
+        raise InvalidArgs(f"q={q} exceeds p={p}; no partition has enough parts")
+    top = _cycle_index(p, q)[p]
+    return BiClassFunction(
+        (p, q),
+        {
+            (s, t): top.get((s.parts, t.parts), 0)
+            * centralizer_order(s)
+            * centralizer_order(t)
+            for s in cycle_types(p)
+            for t in cycle_types(q)
+        },
+    )
+
+
+def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], Fraction]:
+    """|injectively q-labeled partitions of {1..p}| for q <= p <= p_max and
+    q <= q_max, as the identity-class coefficients of Z_F:
+    p!·q!·[x^p y^q] exp((1 + y)(e^x - 1))."""
+    if p_max < 0 or q_max < 0:
+        raise InvalidArgs("bounds must be non-negative")
+    z = _cycle_index(p_max, q_max)
+    return {
+        (p, q): z[p].get(((1,) * p, (1,) * q), 0) * factorial(p) * factorial(q)
+        for p in range(p_max + 1)
+        for q in range(min(p, q_max) + 1)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +672,13 @@ def verify_rw_prop(p: int, q: int, d: int, budget: int | None = None) -> Report:
     )
 
 
-def induced_pq_bicharacter(p: int, i: int, q: int) -> BiClassFunction:
+def induced_pq_bicharacter(
+    p: int, i: int, q: int, budget: int | None = None
+) -> BiClassFunction:
     """Character of Ind over the label factor from Sigma_i x Sigma_{q-i}
     up to Sigma_q of the injectively labeled family, with Sigma_{q-i}
     acting trivially; a Sigma_p x Sigma_q character."""
-    base = permutation_bicharacter(p, i, source="pq")
+    base = permutation_bicharacter(p, i, source="pq", budget=budget)
     vals = {}
     for s in cycle_types(p):
         f = BiClassFunction(
@@ -590,7 +702,7 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     lhs = permutation_bicharacter(p, q, source="general", budget=budget)
     rhs = BiClassFunction((p, q), {})
     for i in range(q + 1):
-        rhs = rhs + induced_pq_bicharacter(p, i, q)
+        rhs = rhs + induced_pq_bicharacter(p, i, q, budget)
     hom = hom_bicharacter(p, q, d, budget)
     chars_equal = lhs == rhs
     hom_equal = hom == rhs

@@ -94,6 +94,43 @@ def test_decompose_rejects_non_characters():
         decompose(half)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bi_decompose_matches_external_product_inner_products(data):
+    """Multiplicities and the first error raised, against the inner product
+    with each external product chi^lam x chi^mu, in (lam, mu) order."""
+    p, q = data.draw(st.sampled_from([(2, 1), (3, 2), (4, 2)]))
+    irreps = [(lam, mu) for lam in enumerate_partitions(p) for mu in enumerate_partitions(q)]
+    mults = data.draw(
+        st.lists(st.integers(-2, 3), min_size=len(irreps), max_size=len(irreps))
+    )
+    scale = data.draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    base = reconstruct(IrredDecomposition(dict(zip(irreps, mults))), (p, q))
+    f = BiClassFunction((p, q), {k: scale * v for k, v in base.values.items()})
+    expected = {
+        key: inner_product_bi(
+            f, external_product(irreducible_character(key[0]), irreducible_character(key[1]))
+        )
+        for key in irreps
+    }
+    for virtual in (True, False):
+        error = None
+        for m in expected.values():
+            if m.denominator != 1:
+                error = NonIntegralMultiplicity
+            elif m < 0 and not virtual:
+                error = NegativeMultiplicity
+            if error:
+                break
+        if error:
+            with pytest.raises(error):
+                decompose(f, virtual=virtual)
+        else:
+            assert decompose(f, virtual=virtual).mults == {
+                k: int(m) for k, m in expected.items() if m
+            }
+
+
 def test_induction_frobenius_reciprocity():
     """<Ind f, chi> = <f, Res chi> for all irreducibles, small ranks."""
     for i, j in [(1, 1), (2, 1), (2, 2), (3, 1)]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,24 @@ class TestStableCohomologyCommand:
         code = main(["stable-cohomology"])
         assert code == 2
 
+    # stdout sha256 recorded with the enumeration-based calculator; the
+    # closed form must print the same bytes.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("stable-cohomology 7 2",
+             "9e31f8324ec470c1155dd43bf8ed5e6482a68429ca3418e9282e3afd9b592e3b"),
+            ("--json stable-cohomology 6 3",
+             "0594892de1c22025725c94ce33eba371693cf11923c03e6b2a8c576a895ef0d6"),
+            ("stable-cohomology --table 6 6",
+             "3239f4ee3b46dfb9483dff7f41c155b3559669231806fc763c20369b2b94d199"),
+        ],
+    )
+    def test_output_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):
@@ -96,6 +115,14 @@ class TestExitCodes:
 
     def test_budget_exceeded(self, capsys):
         assert main(["--budget", "2", "verify", "rw-prop", "4", "4", "4"]) == 3
+
+    def test_budget_bounds_labeled_partitions(self, capsys):
+        assert main(["--budget", "1", "labeled-partitions", "5", "2"]) == 3
+
+    def test_budget_does_not_bound_closed_form(self, capsys):
+        _, plain = run(capsys, "stable-cohomology", "7", "2")
+        code, budgeted = run(capsys, "--budget", "1", "stable-cohomology", "7", "2")
+        assert code == 0 and budgeted == plain
 
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("STABLEREP_BUDGET", "2")

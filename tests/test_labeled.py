@@ -16,13 +16,17 @@ from stablerep.labeled import (
     build_fw_piece,
     check_phi_equivariance,
     count_general,
+    count_pq,
     enumerate_general,
     enumerate_pq,
     fw_dimension_by_series,
     hom_bicharacter,
     hom_space_dimension_gl,
+    induced_pq_bicharacter,
     permutation_bicharacter,
     phi_matrix,
+    pq_bicharacter,
+    pq_identity_counts,
     set_partitions,
     splitting_map,
     verify_rw_prop,
@@ -73,10 +77,31 @@ class TestEnumeration:
     def test_pq_rejects_q_above_p(self):
         with pytest.raises(InvalidArgs):
             enumerate_pq(1, 2)
+        with pytest.raises(InvalidArgs):
+            pq_bicharacter(1, 2)
+
+    def test_count_pq_matches_enumeration(self):
+        for p in range(7):
+            for q in range(p + 1):
+                assert count_pq(p, q) == len(enumerate_pq(p, q))
+        assert count_pq(1, 2) == 0
+
+    def test_identity_counts_match_count_pq(self):
+        counts = pq_identity_counts(8, 3)
+        assert set(counts) == {(p, q) for p in range(9) for q in range(min(p, 3) + 1)}
+        assert all(v == count_pq(p, q) for (p, q), v in counts.items())
 
     def test_budget(self):
         with pytest.raises(SizeBudgetExceeded):
             enumerate_general(4, LabelAlphabet(4), budget=10)
+        # count_pq(5, 2) = 320
+        with pytest.raises(SizeBudgetExceeded):
+            enumerate_pq(5, 2, budget=319)
+        with pytest.raises(SizeBudgetExceeded):
+            permutation_bicharacter(5, 2, source="pq", budget=319)
+        with pytest.raises(SizeBudgetExceeded):
+            induced_pq_bicharacter(5, 2, 3, budget=319)
+        assert len(enumerate_pq(5, 2, budget=320)) == 320
 
     def test_general_count_from_pq_layers(self):
         # repeated-label bookkeeping: choosing which labels appear (with
@@ -104,6 +129,21 @@ class TestActionsAndSplitting:
                 perm_compose(s2, s1), perm_compose(t2, t1)
             )
 
+    def test_act_image_equals_validated_construction(self):
+        for x in enumerate_pq(4, 2):
+            for sigma in all_perms(4):
+                for tau in all_perms(2):
+                    moved = sorted(
+                        (tuple(sorted(sigma[e] for e in part)), tau[l - 1] + 1 if l else 0)
+                        for part, l in zip(x.parts, x.labels)
+                    )
+                    built = QLabeledPartition(
+                        tuple(part for part, _ in moved), tuple(l for _, l in moved)
+                    )
+                    image = x.act(sigma, tau)
+                    assert type(image) is QLabeledPartition
+                    assert image == built and hash(image) == hash(built)
+
     def test_splitting_map_injective_and_label_multiset(self):
         for p, q in [(2, 1), (3, 1), (3, 2), (4, 2)]:
             objs = enumerate_pq(p, q)
@@ -115,6 +155,15 @@ class TestActionsAndSplitting:
                 )
                 assert sorted(l for l in y.labels if l) == expected
                 assert all(len(part) == 1 for part, l in zip(y.parts, y.labels) if l)
+
+    def test_closed_form_bicharacter_matches_enumeration(self):
+        cells = [(p, q) for p in range(6) for q in range(p + 1)] + [(6, 2), (6, 3)]
+        for p, q in cells:
+            closed = pq_bicharacter(p, q)
+            enumerated = permutation_bicharacter(p, q, source="pq")
+            for pair, value in enumerated.values.items():
+                assert closed.values[pair] == value, (p, q, pair)
+            assert closed == enumerated
 
     def test_bicharacter_values_class_independent(self):
         p, q = 3, 2

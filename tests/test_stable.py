@@ -3,8 +3,9 @@ from math import factorial
 import pytest
 
 from stablerep.characters import cycle_types, decompose, identity_type
-from stablerep.errors import InvalidArgs
-from stablerep.labeled import enumerate_pq, permutation_bicharacter
+from stablerep import stable
+from stablerep.errors import InvalidArgs, OracleDisagreement
+from stablerep.labeled import count_pq, enumerate_pq, permutation_bicharacter
 from stablerep.partitions import Partition, transpose
 from stablerep.stable import (
     SymbolicCoefficient,
@@ -79,6 +80,13 @@ class TestStableCohomology:
         assert stable_cohomology(2, 1, 1).min_n == 8
         assert stable_cohomology(1, 1, 0).min_n == 5
 
+    def test_dimension_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(stable, "count_pq", lambda p, q: count_pq(p, q) + 1)
+        with pytest.raises(OracleDisagreement):
+            stable_cohomology(3, 1, 2)
+        with pytest.raises(OracleDisagreement):
+            dimension_table(3, 1)
+
 
 class TestPipeline:
     def test_hom_side_total_trivial_values(self):
@@ -131,6 +139,13 @@ class TestTable:
         assert rows[(1, 1)]["dimension"] == 1 and rows[(1, 1)]["degree"] == 0
         assert rows[(2, 1)] == {"p": 2, "q": 1, "degree": 1, "dimension": 3, "min_n": 8}
         assert rows[(3, 0)]["dimension"] == bell_oracle(3)
+
+    def test_rows_equal_count_pq(self):
+        rows = dimension_table(7, 7)
+        assert len(rows) == sum(p + 1 for p in range(8))
+        for r in rows:
+            assert r["dimension"] == count_pq(r["p"], r["q"])
+            assert r["min_n"] == stable_cohomology(r["p"], r["q"], r["degree"]).min_n
 
     def test_grid_shape(self):
         rows = dimension_table(4, 2)
