@@ -482,15 +482,25 @@ def phi_columns(
     """The map (Q^d)^{⊗p} -> F_W(V) of a labeled partition, on the standard
     basis.  Each basis tensor goes to a single monomial with coefficient 1:
     multiply the slots of each part into one symbol carrying its label."""
-    p = x.p
-    out = {}
-    for J in itertools.product(range(d), repeat=p):
-        syms = [
-            (lab, tuple(sorted(J[e] for e in part)))
-            for part, lab in zip(x.parts, x.labels)
-        ]
-        out[J] = tuple(sorted(syms))
-    return out
+    return {
+        J: tuple(sorted(zip(x.labels, part_vars)))
+        for J, part_vars in _part_variables(x.parts, d)
+    }
+
+
+# enumerate_general lists the labelings of a set partition together, so
+# one entry serves all of them.
+@lru_cache(maxsize=1)
+def _part_variables(
+    parts: SetPartition, d: int
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """For each basis tensor J of (Q^d)^{⊗p}, the sorted slot values of
+    each part; shared by every labeling of the set partition."""
+    p = sum(len(part) for part in parts)
+    return tuple(
+        (J, tuple(tuple(sorted(J[e] for e in part)) for part in parts))
+        for J in itertools.product(range(d), repeat=p)
+    )
 
 
 def phi_matrix(
@@ -646,12 +656,17 @@ def verify_rw_prop(p: int, q: int, d: int, budget: int | None = None) -> Report:
     the GL-equivariant Hom space (requires d >= p for a pass)."""
     objs = enumerate_general(p, LabelAlphabet(q), budget)
     n = len(objs)
-    rows = []
-    for x in objs:
-        row = {}
-        for J, mono in phi_columns(x, d).items():
-            row[(J, mono)] = 1
-        rows.append(row)
+    # Dense integer ids for the (J, mono) columns, dropped once the rows
+    # are built.
+    column_id: dict[tuple[tuple[int, ...], Monomial], int] = {}
+    rows = [
+        {
+            column_id.setdefault(col, len(column_id)): 1
+            for col in phi_columns(x, d).items()
+        }
+        for x in objs
+    ]
+    del column_id
     rank = sparse_rank(rows)
     hom_dim = hom_space_dimension_gl(p, q, d, budget)
     injective = rank == n

@@ -1,14 +1,20 @@
 """Exact rational linear algebra: dense matrices over Fraction and a sparse
 row-reduction used for the large stacked-map rank computations.
 
-No floating point anywhere.  Both paths are plain elimination over
-Fraction: the dense one is Gauss-Jordan on lists of rows, the sparse one is
-forward elimination on {column_key: value} dicts, whose rows are short.
+No floating point anywhere.  The dense path is Gauss-Jordan over Fraction on
+lists of rows.  The sparse path is forward elimination on {column_key: value}
+dicts, whose rows are short.  ``sparse_rank`` runs it mod the prime
+P = 2^61 - 1 first and returns that rank only when it equals
+min(rows, nonzero columns): the rank mod P never exceeds the rank over Q,
+which never exceeds that minimum, so the two agree.  Otherwise it runs the
+same elimination over Fraction.  Every rank is exact, with no probabilistic
+answer.  ``sparse_nullity_witness`` always eliminates over Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 Number = int | Fraction
@@ -153,11 +159,32 @@ def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-def sparse_rank(rows: Iterable[dict]) -> int:
-    """Rank of a sparse matrix given as an iterable of {column_key: value}
-    rows.  Column keys must be mutually comparable (e.g. int tuples); values
-    are exact rationals."""
-    return sum(1 for rest in _reduce_rows(rows) if rest)
+# The Mersenne prime 2^61 - 1.  The rank drops mod P only where P divides
+# every maximal minor, and a drop costs only the rational fallback.
+MODULAR_PRIME = (1 << 61) - 1
+
+
+def sparse_rank(rows: list[dict]) -> int:
+    """Exact rank of a sparse matrix given as a list of {column_key: value}
+    rows.  Column keys must be mutually comparable (e.g. ints or int
+    tuples); values are exact rationals.
+
+    Each row is scaled by the lcm of its denominators, which keeps the rank,
+    and reduced mod MODULAR_PRIME.  The rank r mod the prime is a lower bound
+    for the rank over Q (a nonzero minor mod the prime is a nonzero integer),
+    and min(rows, nonzero columns) is an upper bound.  r is returned when it
+    meets the upper bound; otherwise the rows are eliminated again over
+    Fraction, which decides."""
+    rank = _count_pivots(rows, MODULAR_PRIME)
+    if rank == len(rows):
+        return rank
+    if rank == len({k for row in rows for k, v in row.items() if v}):
+        return rank
+    return _count_pivots(rows)
+
+
+def _count_pivots(rows: Iterable[dict], prime: int | None = None) -> int:
+    return sum(1 for rest in _reduce_rows(rows, prime) if rest)
 
 
 def sparse_nullity_witness(rows: list[dict]) -> list[Fraction] | None:
@@ -180,24 +207,41 @@ def sparse_nullity_witness(rows: list[dict]) -> list[Fraction] | None:
     return None
 
 
-def _reduce_rows(rows: Iterable[dict]) -> Iterator[dict]:
-    """Forward elimination over Fraction on sparse rows, one row at a time:
-    each row is reduced against the pivot rows kept so far, smallest column
-    key first.  Yields each row's remainder, which leads with a new
-    pivot (kept, scaled to lead with 1) or is empty for a dependent row."""
+def _reduce_rows(rows: Iterable[dict], prime: int | None = None) -> Iterator[dict]:
+    """Forward elimination on sparse rows, one row at a time: each row is
+    reduced against the pivot rows kept so far, smallest column key first.
+    Yields each row's remainder, which leads with a new pivot (kept, scaled
+    to lead with 1) or is empty for a dependent row.
+
+    Over Fraction by default; with a prime, over the integers mod it, each
+    row first scaled by the lcm of its denominators."""
     echelon: dict = {}  # leading column key -> reduced row dict
     for row in rows:
-        row = {k: Fraction(v) for k, v in row.items() if v}
+        if prime is None:
+            row = {k: Fraction(v) for k, v in row.items() if v}
+        else:
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {
+                k: r
+                for k, v in row.items()
+                if (r := v.numerator * (den // v.denominator) % prime)
+            }
         while row:
             lead = min(row)
             piv = echelon.get(lead)
             if piv is None:
-                inv = 1 / row[lead]
-                echelon[lead] = {k: v * inv for k, v in row.items()}
+                if prime is None:
+                    inv = 1 / row[lead]
+                    echelon[lead] = {k: v * inv for k, v in row.items()}
+                else:
+                    inv = pow(row[lead], -1, prime)
+                    echelon[lead] = {k: v * inv % prime for k, v in row.items()}
                 break
             f = row[lead]
             for k, v in piv.items():
                 nv = row.get(k, 0) - f * v
+                if prime is not None:
+                    nv %= prime
                 if nv:
                     row[k] = nv
                 else:

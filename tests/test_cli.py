@@ -90,22 +90,31 @@ class TestStableCohomologyCommand:
         code = main(["stable-cohomology"])
         assert code == 2
 
-    # stdout sha256 recorded with the enumeration-based calculator; the
-    # closed form must print the same bytes.
+    # Exit code and stdout sha256, equal to the entries of
+    # perfbench/golden.json.  The stable-cohomology digests were recorded
+    # with the enumeration-based calculator, and the verify/hom-dim ones
+    # with the rational-only sparse rank; the closed form and the modular
+    # rank must print the same bytes.
     @pytest.mark.parametrize(
-        "argv, digest",
+        "argv, digest, exit_code",
         [
             ("stable-cohomology 7 2",
-             "9e31f8324ec470c1155dd43bf8ed5e6482a68429ca3418e9282e3afd9b592e3b"),
+             "9e31f8324ec470c1155dd43bf8ed5e6482a68429ca3418e9282e3afd9b592e3b", 0),
             ("--json stable-cohomology 6 3",
-             "0594892de1c22025725c94ce33eba371693cf11923c03e6b2a8c576a895ef0d6"),
+             "0594892de1c22025725c94ce33eba371693cf11923c03e6b2a8c576a895ef0d6", 0),
             ("stable-cohomology --table 6 6",
-             "3239f4ee3b46dfb9483dff7f41c155b3559669231806fc763c20369b2b94d199"),
+             "3239f4ee3b46dfb9483dff7f41c155b3559669231806fc763c20369b2b94d199", 0),
+            ("verify rw-prop 4 2 4",
+             "abad8e7fa41b2704cd990bc22e4b6bd091c0a0ce70b600618e45920b5217ca26", 0),
+            ("--json verify rw-prop 2 1 1",
+             "62aab77fa9cb883ec745d9f5e03c7affc41cc01ef3883b7816f3bea3bd897960", 1),
+            ("hom-dim 4 4 4",
+             "dcd29fcba35ffc953808262baffb971b9ceae5b1d54958c95bee9f8845e8434c", 0),
         ],
     )
-    def test_output_pinned(self, capsys, argv, digest):
+    def test_output_pinned(self, capsys, argv, digest, exit_code):
         code, out = run(capsys, *argv.split())
-        assert code == 0
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,11 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stablerep.characters import cycle_types, irreducible_character
 from stablerep.errors import NonPolynomialAction, SizeBudgetExceeded
-from stablerep.linalg import ExactMatrix, sparse_nullity_witness, sparse_rank
+from stablerep.linalg import (
+    MODULAR_PRIME as P,
+    ExactMatrix,
+    sparse_nullity_witness,
+    sparse_rank,
+)
 from stablerep.modules import (
     ExplicitModule,
     all_perms,
@@ -31,9 +36,16 @@ from stablerep.partitions import (
 )
 
 small_ints = st.integers(min_value=-3, max_value=3)
-small_int_matrices = st.integers(min_value=1, max_value=5).flatmap(
+# Entries shifted by a multiple of sparse_rank's prime, and fractions: they
+# reach its rational fallback and its denominator scaling.
+wide_entries = st.one_of(
+    small_ints,
+    st.builds(lambda a, b: a + b * P, small_ints, st.integers(min_value=-1, max_value=1)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+wide_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda cols: st.lists(
-        st.lists(small_ints, min_size=cols, max_size=cols), min_size=1, max_size=5
+        st.lists(wide_entries, min_size=cols, max_size=cols), min_size=1, max_size=5
     )
 )
 
@@ -58,14 +70,29 @@ class TestExactMatrix:
         assert inconsistent.solve_many([[0, 1], [2, 2]]) == [None, [2, 0]]
 
     @settings(max_examples=150, deadline=None)
-    @given(small_int_matrices, st.data())
-    def test_sparse_rank_matches_dense(self, entries, data):
-        """sparse_rank equals the dense rank; a dependency witness exists
-        exactly when the rows are dependent and is a nonzero vanishing
-        combination; solve_many returns None exactly for right-hand sides
-        outside the column space."""
+    @given(
+        wide_matrices,
+        st.booleans(),
+        st.lists(st.lists(small_ints, min_size=5, max_size=5), max_size=3),
+    )
+    # Each example but the last has a lower rank mod P than over Q.  The
+    # last has rank 1, but rank 2 if each entry is replaced by its
+    # numerator instead of scaling the row by its common denominator.
+    @example([[P]], False, [])
+    @example([[1, 1], [1, 1 + P]], False, [])
+    @example(
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(1 + P, 3)]], False, []
+    )
+    @example([[P, 0], [0, 1]], True, [])
+    @example([[Fraction(1, 2), 1], [1, 2]], False, [])
+    def test_sparse_rank_matches_dense(self, entries, tuple_keys, rhs_rows):
+        """sparse_rank equals the dense rank, with int or tuple column keys;
+        a dependency witness exists exactly when the rows are dependent and
+        is a nonzero vanishing combination; solve_many returns None exactly
+        for right-hand sides outside the column space."""
         m = ExactMatrix(entries)
-        rows = [{j: v for j, v in enumerate(r) if v} for r in entries]
+        key = (lambda j: (j % 2, -j)) if tuple_keys else (lambda j: j)
+        rows = [{key(j): v for j, v in enumerate(r) if v} for r in entries]
         rank = m.rank()
         assert sparse_rank(rows) == rank
 
@@ -76,9 +103,7 @@ class TestExactMatrix:
             for j in range(m.cols):
                 assert sum(c * r[j] for c, r in zip(combo, entries)) == 0
 
-        rhs_list = data.draw(
-            st.lists(st.lists(small_ints, min_size=m.rows, max_size=m.rows), max_size=3)
-        )
+        rhs_list = [rhs[: m.rows] for rhs in rhs_rows]
         for rhs, x in zip(rhs_list, m.solve_many(rhs_list)):
             consistent = ExactMatrix([r + [b] for r, b in zip(entries, rhs)]).rank() == rank
             assert (x is not None) == consistent
