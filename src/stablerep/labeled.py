@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial, perm
 
 from .errors import InvalidArgs, OracleDisagreement
-from .linalg import ExactMatrix, sparse_rank, sparse_nullity_witness
+from .linalg import ExactMatrix, sparse_rank, sparse_rank_and_witness
 from .characters import (
     BiClassFunction,
     centralizer_order,
@@ -667,17 +667,15 @@ def verify_rw_prop(p: int, q: int, d: int, budget: int | None = None) -> Report:
         for x in objs
     ]
     del column_id
-    rank = sparse_rank(rows)
+    rank, combo = sparse_rank_and_witness(rows)
     hom_dim = hom_space_dimension_gl(p, q, d, budget)
     injective = rank == n
     surjective = rank == hom_dim
     witnesses: dict = {"num_labeled_partitions": n, "rank": rank, "hom_dim": hom_dim}
-    if not injective:
-        combo = sparse_nullity_witness(rows)
-        if combo is not None:
-            witnesses["dependent_combination"] = {
-                str(objs[i]): str(c) for i, c in enumerate(combo) if c
-            }
+    if combo is not None:
+        witnesses["dependent_combination"] = {
+            str(objs[i]): str(c) for i, c in enumerate(combo) if c
+        }
     return Report(
         claim=f"labeled-partition maps give an isomorphism, p={p}, q={q}, d={d}",
         left=rank,

@@ -8,7 +8,9 @@ P = 2^61 - 1 first and returns that rank only when it equals
 min(rows, nonzero columns): the rank mod P never exceeds the rank over Q,
 which never exceeds that minimum, so the two agree.  Otherwise it runs the
 same elimination over Fraction.  Every rank is exact, with no probabilistic
-answer.  ``sparse_nullity_witness`` always eliminates over Fraction.
+answer.  ``sparse_rank_and_witness`` adds a dependency witness: it keeps a
+full row rank mod P, and otherwise runs one elimination over Fraction with
+a tag column per row, which gives both the rank and the witness.
 """
 
 from __future__ import annotations
@@ -187,24 +189,31 @@ def _count_pivots(rows: Iterable[dict], prime: int | None = None) -> int:
     return sum(1 for rest in _reduce_rows(rows, prime) if rest)
 
 
-def sparse_nullity_witness(rows: list[dict]) -> list[Fraction] | None:
-    """If the given sparse rows are linearly dependent, return coefficients
-    of a non-trivial vanishing combination; otherwise None.
+def sparse_rank_and_witness(rows: list[dict]) -> tuple[int, list[Fraction] | None]:
+    """Exact rank of sparse rows as in sparse_rank and, if they are
+    linearly dependent, the coefficients of a non-trivial vanishing
+    combination (else None), with at most one elimination over Fraction.
 
-    Row i gets a tag column (1, i) sorting after its real columns (0, k).
-    The first row whose remainder leads with a tag has no real part left,
-    and its tag entries are the combination."""
+    A full row rank mod MODULAR_PRIME certifies itself.  Otherwise row i
+    gets a tag column (1, i) sorting after its real columns (0, k), and one
+    pass over all rows decides: the rank is the number of remainders that
+    lead with a real column, and the first remainder that leads with a tag
+    has no real part left, so its tag entries are the combination."""
+    if _count_pivots(rows, MODULAR_PRIME) == len(rows):
+        return len(rows), None
     tagged = (
         {**{(0, k): v for k, v in row.items()}, (1, i): 1}
         for i, row in enumerate(rows)
     )
+    rank, combo = 0, None
     for rest in _reduce_rows(tagged):
-        if min(rest)[0] == 1:
+        if min(rest)[0] == 0:
+            rank += 1
+        elif combo is None:
             combo = [Fraction(0)] * len(rows)
             for (_, i), c in rest.items():
                 combo[i] = c
-            return combo
-    return None
+    return rank, combo
 
 
 def _reduce_rows(rows: Iterable[dict], prime: int | None = None) -> Iterator[dict]:

@@ -1,10 +1,13 @@
 """Explicit finite-dimensional rational modules with exact matrix actions.
 
-This is the brute-force oracle layer: Specht modules as left ideals cut out
-by Young symmetrizers, Schur functors as symmetrizer images on tensor space,
-weight-space decomposition of polynomial gl_d actions, and the dimension /
-trace verifications for Cauchy's lemma, Schur-Weyl duality and the split
-extension filtration.
+This is the explicit oracle layer: Specht modules as left ideals spun from
+the Young symmetrizer under s_1..s_{r-1}, Schur functors as symmetrizer
+images on tensor space with their basis picked by sparse elimination,
+Specht characters from the symmetrizer's coefficients by a centralizer
+count, weight-space decomposition of polynomial gl_d actions, and the
+dimension / trace verifications for Cauchy's lemma, Schur-Weyl duality and
+the split extension filtration.  No r! x r! or d^r x d^r matrix is built
+outside tensor_power_module.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from .errors import (
     OracleDisagreement,
     SizeBudgetExceeded,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _reduce_rows
 from .characters import (
+    centralizer_order,
     cycle_types,
     irreducible_character,
     kostka,
@@ -93,6 +97,12 @@ def class_representative(rho: Partition) -> Perm:
     return tuple(img)
 
 
+def _adjacent_transposition(i: int, r: int) -> Perm:
+    g = list(range(r))
+    g[i], g[i + 1] = g[i + 1], g[i]
+    return tuple(g)
+
+
 def all_perms(r: int) -> list[Perm]:
     return [tuple(p) for p in itertools.permutations(range(r))]
 
@@ -124,11 +134,20 @@ def young_symmetrizer(lam: Partition) -> list[tuple[int, Perm]]:
     width = lam[0] if lam.length else 0
     for j in range(width):
         cols.append([rows[i][j] for i in range(lam.length) if lam[i] > j])
-    terms: Counter = Counter()
-    for p in perms_of_blocks(rows, r):
-        for q in perms_of_blocks(cols, r):
-            terms[perm_compose(p, q)] += perm_sign(q)
-    return [(c, g) for g, c in terms.items() if c]
+    terms = _sparse(
+        (perm_compose(p, q), perm_sign(q))
+        for p in perms_of_blocks(rows, r)
+        for q in perms_of_blocks(cols, r)
+    )
+    return [(c, g) for g, c in terms.items()]
+
+
+def _sparse(terms) -> dict:
+    """Sum (key, value) terms into a {key: value} vector without zeros."""
+    out: dict = {}
+    for k, v in terms:
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +230,10 @@ def tensor_power_module(d: int, r: int, budget: int | None = None) -> ExplicitMo
 
     sym = []
     for i in range(r - 1):
-        g = list(range(r))
-        g[i], g[i + 1] = g[i + 1], g[i]
+        g = _adjacent_transposition(i, r)
         m = ExactMatrix.zero(dim, dim)
         for J, col in index.items():
-            m.data[index[perm_on_index(tuple(g), J)]][col] = Fraction(1)
+            m.data[index[perm_on_index(g, J)]][col] = Fraction(1)
         sym.append(m)
 
     gl = {}
@@ -249,121 +267,111 @@ def _tensor_weight(J, d: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Spun bases and generator matrices
+
+
+def _spin(vectors: list[dict], maps: list, spin: bool):
+    """Pick a basis from sparse vectors, in order: a vector with a nonzero
+    remainder in the sparse elimination joins it.  With spin, its images
+    under the maps join the queue, so the basis spans the smallest
+    map-stable subspace containing the first vector.  Each basis image is
+    solved for on the lead keys of the basis remainders, where the basis is
+    invertible because the remainders are triangular there, and checked on
+    every key.  Returns the basis positions and each map's matrix."""
+    picked, leads, images = [], [], []
+    for pos, rest in enumerate(_reduce_rows(vectors)):
+        if rest:
+            picked.append(pos)
+            leads.append(min(rest))
+            images.append([m(vectors[pos]) for m in maps])
+            if spin:
+                vectors.extend(images[-1])
+    basis = [vectors[pos] for pos in picked]
+    square = ExactMatrix([[b.get(k, 0) for b in basis] for k in leads])
+    mats = []
+    for i in range(len(maps)):
+        targets = [imgs[i] for imgs in images]
+        sols = square.solve_many([[t.get(k, 0) for k in leads] for t in targets])
+        for t, x in zip(targets, sols):
+            if x is None or t != _sparse(
+                (k, xj * v) for xj, b in zip(x, basis) if xj for k, v in b.items()
+            ):
+                raise OracleDisagreement("a generator image leaves the span of the basis")
+        mats.append(ExactMatrix.from_columns(sols))
+    return picked, mats
+
+
+# ---------------------------------------------------------------------------
 # Specht modules
 
 
 def specht_module(lam: Partition, budget: int | None = None) -> ExplicitModule:
     """The left ideal Q[Sigma_r] c_lam, with Sigma_r acting by left
-    multiplication."""
+    multiplication, spun from c_lam: the smallest subspace containing c_lam
+    and stable under s_1..s_{r-1} is the ideal.  So closure certifies the
+    dimension, and the hook formula checks it independently."""
     r = lam.weight
     check_budget(factorial(r), budget, "group algebra dimension")
-    perms = all_perms(r)
-    index = {g: i for i, g in enumerate(perms)}
-    n = len(perms)
-    c = young_symmetrizer(lam)
-
-    # Right multiplication by c: e_g -> sum coeff e_{g h}.
-    rmul = ExactMatrix.zero(n, n)
-    for g, col in index.items():
-        for coeff, h in c:
-            rmul.data[index[perm_compose(g, h)]][col] += coeff
-
-    pivots = rmul.pivot_columns()
-    bcols = [rmul.column(j) for j in pivots]
-    dim = len(bcols)
-    assert dim == specht_dimension(lam), (lam, dim)
-    B = ExactMatrix.from_columns(bcols) if dim else ExactMatrix.zero(n, 0)
-
-    sym = []
-    for i in range(r - 1):
-        g = list(range(r))
-        g[i], g[i + 1] = g[i + 1], g[i]
-        g = tuple(g)
-        # Left multiplication by the transposition, expressed on the ideal.
-        imgs = []
-        for col in bcols:
-            img = [Fraction(0)] * n
-            for row, v in enumerate(col):
-                if v:
-                    img[index[perm_compose(g, perms[row])]] += v
-            imgs.append(img)
-        sols = B.solve_many(imgs)
-        assert all(s is not None for s in sols)
-        sym.append(ExactMatrix.from_columns(sols))
-    return ExplicitModule(dimension=dim, sym_generators=sym)
+    maps = [
+        lambda v, s=_adjacent_transposition(i, r): {perm_compose(s, x): a for x, a in v.items()}
+        for i in range(r - 1)
+    ]
+    picked, sym = _spin([{g: c for c, g in young_symmetrizer(lam)}], maps, spin=True)
+    if len(picked) != specht_dimension(lam):
+        raise OracleDisagreement(
+            f"spun Specht module of {lam} has dimension {len(picked)}, "
+            f"hook formula {specht_dimension(lam)}"
+        )
+    return ExplicitModule(dimension=len(picked), sym_generators=sym)
 
 
 def specht_character_traces(lam: Partition, budget: int | None = None) -> dict[Partition, Fraction]:
-    """Traces of class representatives acting on the explicitly constructed
-    Specht module; the independent oracle against Murnaghan-Nakayama.
-
-    Uses the idempotent trick: with c^2 = (r!/f) c, the trace of g on the
-    ideal equals (f/r!) tr(L_g R_c) on the whole group algebra."""
+    """Traces of class representatives on the Specht module; the oracle
+    against Murnaghan-Nakayama.  With c^2 = (r!/f) c the trace of g is
+    (f/r!) tr(L_g R_c), the sum of coeff_h over the x with g x h = x, i.e.
+    h = x^-1 g^-1 x: z_rho such x when h has the cycle type rho of g, else
+    none.  So it is f z_rho / r! times the sum of c's coefficients on rho."""
     r = lam.weight
     check_budget(factorial(r), budget, "group algebra dimension")
     f = specht_dimension(lam)
-    c = young_symmetrizer(lam)
-    perms = all_perms(r)
-    out = {}
-    for rho in cycle_types(r):
-        g = class_representative(rho)
-        # tr(L_g R_c) = sum over x, (coeff, h) with g x h = x.
-        total = 0
-        for coeff, h in c:
-            for x in perms:
-                if perm_compose(perm_compose(g, x), h) == x:
-                    total += coeff
-        out[rho] = Fraction(f * total, factorial(r))
-    return out
+    on_class = _sparse((perm_cycle_type(h), c) for c, h in young_symmetrizer(lam))
+    return {
+        rho: Fraction(f * centralizer_order(rho) * on_class.get(rho, 0), factorial(r))
+        for rho in cycle_types(r)
+    }
 
 
 # ---------------------------------------------------------------------------
 # Schur functors on tensor space
 
 
+def _gl_generator(a: int, b: int):
+    """E_ab on sparse tensors: each index b in turn becomes a."""
+    return lambda v: _sparse(
+        (J[:t] + (a,) + J[t + 1 :], c) for J, c in v.items() for t, x in enumerate(J) if x == b
+    )
+
+
 def schur_apply(lam: Partition, d: int, budget: int | None = None) -> ExplicitModule:
     """S_lam(Q^d) realized as the image of the Young symmetrizer on
-    (Q^d)^{⊗r}; carries the restricted gl_d action."""
+    (Q^d)^{⊗r}; carries the restricted gl_d action.  Its basis is the sparse
+    images c e_J, in the order of J, independent of the earlier ones: the
+    pivot columns of the image matrix."""
     r = lam.weight
-    dim_amb = d**r
-    check_budget(dim_amb, budget)
+    check_budget(d**r, budget)
     basis = _tensor_basis(d, r)
-    index = {J: i for i, J in enumerate(basis)}
     c = young_symmetrizer(lam)
-
-    cols = []
-    for J in basis:
-        col = [Fraction(0)] * dim_amb
-        for coeff, g in c:
-            col[index[perm_on_index(g, J)]] += coeff
-        cols.append(col)
-    M = ExactMatrix.from_columns(cols)
-    pivots = M.pivot_columns()
-    bcols = [M.column(j) for j in pivots]
-    dim = len(bcols)
-    assert dim == schur_gl_dimension(lam, d), (lam, d, dim)
-    if dim == 0:
-        return ExplicitModule(dimension=0, grading=r, weights=[])
-    B = ExactMatrix.from_columns(bcols)
-    weights = [_tensor_weight(basis[j], d) for j in pivots]
-
-    gl = {}
-    for a in range(d):
-        for b in range(d):
-            imgs = []
-            for col in bcols:
-                img = [Fraction(0)] * dim_amb
-                for row, v in enumerate(col):
-                    if v:
-                        J = basis[row]
-                        for t, x in enumerate(J):
-                            if x == b:
-                                img[index[J[:t] + (a,) + J[t + 1 :]]] += v
-                imgs.append(img)
-            sols = B.solve_many(imgs)
-            assert all(s is not None for s in sols)
-            gl[(a, b)] = ExactMatrix.from_columns(sols)
-    return ExplicitModule(dimension=dim, gl_generators=gl, grading=r, weights=weights)
+    images = [_sparse((perm_on_index(g, J), coeff) for coeff, g in c) for J in basis]
+    pairs = [(a, b) for a in range(d) for b in range(d)]
+    picked, mats = _spin(images, [_gl_generator(a, b) for a, b in pairs], spin=False)
+    if len(picked) != schur_gl_dimension(lam, d):
+        raise OracleDisagreement(
+            f"symmetrizer image S_{lam}(Q^{d}) has dimension {len(picked)}, "
+            f"formula {schur_gl_dimension(lam, d)}"
+        )
+    gl = dict(zip(pairs, mats)) if picked else {}
+    weights = [_tensor_weight(basis[j], d) for j in picked]
+    return ExplicitModule(len(picked), gl_generators=gl, grading=r, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -576,21 +584,13 @@ def verify_schur_weyl(r: int, d: int, budget: int | None = None) -> Report:
         per_class[str(rho)] = ok
         all_ok = all_ok and ok
 
-    dims_ok = d**r == sum(
-        schur_gl_dimension(lam, d) * specht_dimension(lam) for lam in chars
-    )
-    recovered = {
-        lam: 1
-        for lam in chars
-        if schur_gl_dimension(lam, d) > 0
-    }
+    right = sum(schur_gl_dimension(lam, d) * specht_dimension(lam) for lam in chars)
+    recovered = {lam: 1 for lam in chars if schur_gl_dimension(lam, d) > 0}
     return Report(
         claim=f"tensor power decomposes under commuting actions, r={r}, d={d}",
         left=d**r,
-        right=sum(
-            schur_gl_dimension(lam, d) * specht_dimension(lam) for lam in chars
-        ),
-        passed=all_ok and dims_ok,
+        right=right,
+        passed=all_ok and d**r == right,
         witnesses={
             "trace_identity_by_class": per_class,
             "constituents": {str(lam): m for lam, m in recovered.items()},

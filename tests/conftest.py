@@ -102,3 +102,19 @@ def series_coefficient_oracle(factors: list[tuple[int, int]], n: int) -> int:
             coeffs = new
     assert coeffs[n].denominator == 1
     return int(coeffs[n])
+
+
+def specht_trace_oracle(c: list[tuple[int, tuple[int, ...]]], g: tuple[int, ...]) -> int:
+    """tr(L_g R_c) on the group algebra Q[Sigma_r], by counting fixed
+    points: the sum of coeff over the terms (coeff, h) of c and the
+    permutations x with g x h = x.  Permutations are image tuples composed
+    as (a b)(i) = a(b(i))."""
+    def compose(a, b):
+        return tuple(a[i] for i in b)
+
+    return sum(
+        coeff
+        for coeff, h in c
+        for x in itertools.permutations(range(len(g)))
+        if compose(compose(g, x), h) == x
+    )

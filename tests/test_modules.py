@@ -1,19 +1,24 @@
+import hashlib
+import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import specht_trace_oracle
+from stablerep import modules
 from stablerep.characters import cycle_types, irreducible_character
-from stablerep.errors import NonPolynomialAction, SizeBudgetExceeded
+from stablerep.errors import NonPolynomialAction, OracleDisagreement, SizeBudgetExceeded
 from stablerep.linalg import (
     MODULAR_PRIME as P,
     ExactMatrix,
-    sparse_nullity_witness,
     sparse_rank,
+    sparse_rank_and_witness,
 )
 from stablerep.modules import (
     ExplicitModule,
-    all_perms,
+    class_representative,
     gl_decompose,
     perm_compose,
     perm_cycle_type,
@@ -86,17 +91,19 @@ class TestExactMatrix:
     @example([[P, 0], [0, 1]], True, [])
     @example([[Fraction(1, 2), 1], [1, 2]], False, [])
     def test_sparse_rank_matches_dense(self, entries, tuple_keys, rhs_rows):
-        """sparse_rank equals the dense rank, with int or tuple column keys;
-        a dependency witness exists exactly when the rows are dependent and
-        is a nonzero vanishing combination; solve_many returns None exactly
-        for right-hand sides outside the column space."""
+        """sparse_rank and sparse_rank_and_witness equal the dense rank, with
+        int or tuple column keys; a dependency witness exists exactly when
+        the rows are dependent and is a nonzero vanishing combination;
+        solve_many returns None exactly for right-hand sides outside the
+        column space."""
         m = ExactMatrix(entries)
         key = (lambda j: (j % 2, -j)) if tuple_keys else (lambda j: j)
         rows = [{key(j): v for j, v in enumerate(r) if v} for r in entries]
         rank = m.rank()
         assert sparse_rank(rows) == rank
 
-        combo = sparse_nullity_witness(rows)
+        rank_with_witness, combo = sparse_rank_and_witness(rows)
+        assert rank_with_witness == rank
         assert (combo is not None) == (rank < m.rows)
         if combo is not None:
             assert any(combo)
@@ -130,27 +137,78 @@ def test_young_symmetrizer_quasi_idempotent():
             for b, cb in c.items():
                 ab = perm_compose(a, b)
                 square[ab] = square.get(ab, 0) + ca * cb
-        from math import factorial
         scale = Fraction(factorial(r), specht_dimension(lam))
         for g in c:
             assert square.get(g, 0) == scale * c[g]
 
 
 def test_specht_module_dimensions_and_relations():
-    for n in range(1, 5):
+    """Every generator s_i is a transposition, so its trace is the
+    character value on the class (2, 1^(n-2))."""
+    for n in range(1, 7):
+        transposition = Partition([2] + [1] * (n - 2)) if n > 1 else None
         for lam in enumerate_partitions(n):
             mod = specht_module(lam)
             assert mod.dimension == specht_dimension(lam)
             assert mod.check_coxeter_relations()
+            assert len(mod.sym_generators) == n - 1
+            if transposition is not None:
+                chi = irreducible_character(lam).values[transposition]
+                assert all(s.trace() == chi for s in mod.sym_generators)
 
 
 def test_specht_traces_match_murnaghan_nakayama():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for lam in enumerate_partitions(n):
             traces = specht_character_traces(lam)
             chi = irreducible_character(lam)
             for rho in cycle_types(n):
                 assert traces[rho] == chi.values[rho]
+
+
+def test_specht_traces_match_fixed_point_count():
+    """The centralizer count equals (f/r!) tr(L_g R_c) counted by
+    enumerating the group."""
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n):
+            traces = specht_character_traces(lam)
+            c = young_symmetrizer(lam)
+            for rho in cycle_types(n):
+                count = specht_trace_oracle(c, class_representative(rho))
+                assert traces[rho] == Fraction(specht_dimension(lam) * count, factorial(n))
+
+
+def test_constructors_raise_on_dimension_mismatch(monkeypatch):
+    monkeypatch.setattr(modules, "specht_dimension", lambda lam: specht_dimension(lam) + 1)
+    monkeypatch.setattr(
+        modules, "schur_gl_dimension", lambda lam, d: schur_gl_dimension(lam, d) + 1
+    )
+    with pytest.raises(OracleDisagreement):
+        specht_module(Partition([2, 1]))
+    with pytest.raises(OracleDisagreement):
+        schur_apply(Partition([2, 1]), 2)
+
+
+def test_spin_checks_images_against_the_span():
+    """Without spin a map may leave the span of the picked vectors, and the
+    full-image check refuses it; with spin the span closes under the map."""
+    cycle = lambda v: {(k + 1) % 3: x for k, x in v.items()}
+    with pytest.raises(OracleDisagreement):
+        modules._spin([{0: 1}, {0: 2}], [cycle], spin=False)
+    picked, [m] = modules._spin([{0: 1}], [cycle], spin=True)
+    assert picked == [0, 1, 2]
+    assert m == ExactMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+
+
+def test_constructor_budgets():
+    lam = Partition([2, 1, 1])
+    for build in (specht_module, specht_character_traces):
+        with pytest.raises(SizeBudgetExceeded):
+            build(lam, budget=factorial(4) - 1)
+        build(lam, budget=factorial(4))
+    with pytest.raises(SizeBudgetExceeded):
+        schur_apply(lam, 3, budget=3**4 - 1)
+    assert schur_apply(lam, 3, budget=3**4).dimension == schur_gl_dimension(lam, 3)
 
 
 def test_tensor_power_module_budget():
@@ -159,7 +217,7 @@ def test_tensor_power_module_budget():
 
 
 def test_schur_apply_dimensions_and_decomposition():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for lam in enumerate_partitions(n):
             for d in range(1, 4):
                 mod = schur_apply(lam, d)
@@ -167,6 +225,50 @@ def test_schur_apply_dimensions_and_decomposition():
                 if mod.dimension:
                     assert mod.check_gl_relations()
                     assert gl_decompose(mod).mults == {lam: 1}
+
+
+def _specht_summary():
+    m = specht_module(Partition([3, 3]))
+    return {
+        "dimension": m.dimension,
+        "generator_traces": [str(g.trace()) for g in m.sym_generators],
+    }
+
+
+def _schur_summary():
+    m = schur_apply(Partition([2, 2]), 4)
+    dec = gl_decompose(m)
+    return {"dimension": m.dimension, "decomposition": {str(k): v for k, v in dec.items()}}
+
+
+def _traces_summary():
+    traces = specht_character_traces(Partition([4, 1, 1]))
+    return {"traces": {str(rho): str(v) for rho, v in traces.items()}}
+
+
+def _character_table_summary():
+    rows = [
+        [str(lam), [int(v) for v in irreducible_character(lam).values.values()]]
+        for lam in enumerate_partitions(14)
+    ]
+    return {"classes": [str(c) for c in cycle_types(14)], "rows": rows}
+
+
+@pytest.mark.parametrize(
+    "summary, digest",
+    [
+        (_specht_summary, "217b3445b1652134593ae827ae5ba4060fe6f72483e9959294d7cacb86ea9f70"),
+        (_schur_summary, "b0f943b25ba1e473846578b3a6455b9121ab2f656dd55579165e59c44cfb790d"),
+        (_traces_summary, "b4c99a6fbb9f8e6fe397e8f27de24e8fec1a408d6cc7c41cb9f70dacfe241a1e"),
+        (_character_table_summary, "facb19be5177d60f4baff1469a8e78280718d4c911529083f600cff5c494f7c3"),
+    ],
+    ids=["specht_module 3,3", "schur_gl 2,2 4", "specht_character_traces 4,1,1", "character_table 14"],
+)
+def test_api_summaries_pinned(summary, digest):
+    """The benchmark's API summaries: sorted-key compact JSON plus a
+    newline, as printed by the benchmark's child process."""
+    text = json.dumps(summary(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gl_decompose_rejects_non_diagonal_torus():
