@@ -58,7 +58,6 @@ from .labeled import (
     enumerate_pq,
     hom_bicharacter,
     hom_space_dimension_gl,
-    permutation_bicharacter,
     splitting_map,
     verify_rw_prop,
     verify_splitting_lemma,

@@ -1,7 +1,7 @@
 """Labeled set partitions, the receiving symmetric algebra F_W(V), the
-equivariant maps attached to each labeled partition, and brute-force
-verification that stacking those maps gives an isomorphism onto the
-GL-equivariant Hom space (with its product-group character).
+equivariant maps attached to each labeled partition, the cycle-index
+characters of both labeled families, and exact checks that stacking those
+maps gives an isomorphism onto the GL-equivariant Hom space.
 
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
 distinguishable labels.  Set partitions are canonicalized with parts sorted
@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm
+from math import factorial, perm, prod
 
 from .errors import InvalidArgs, OracleDisagreement
 from .linalg import ExactMatrix, sparse_rank, sparse_rank_and_witness
@@ -251,43 +251,20 @@ def splitting_map(x: QLabeledPartition) -> GeneralLabeledPartition:
 
 
 # ---------------------------------------------------------------------------
-# Permutation bicharacters (fixed-point counting)
-
-
-def _fixed_points(objs, sigma: Perm, tau: Perm | None) -> int:
-    return sum(1 for x in objs if x.act(sigma, tau) == x)
-
-
-def permutation_bicharacter(
-    p: int, q: int, source: str = "general", budget: int | None = None
-) -> BiClassFunction:
-    """Fixed-point character of Sigma_p x Sigma_q on the chosen family:
-    'general' for labeled partitions with repeatable labels, 'pq' for the
-    injectively labeled family."""
-    if source == "general":
-        objs = enumerate_general(p, LabelAlphabet(q), budget)
-    elif source == "pq":
-        objs = enumerate_pq(p, q, budget)
-    else:
-        raise InvalidArgs(f"unknown source {source!r}")
-    vals = {}
-    for s in cycle_types(p):
-        sig = class_representative(s)
-        for t in cycle_types(q):
-            tau = class_representative(t)
-            vals[(s, t)] = _fixed_points(objs, sig, tau)
-    return BiClassFunction((p, q), vals)
-
-
-# ---------------------------------------------------------------------------
-# Closed form: the cycle index of the injectively labeled family
+# Closed forms: the cycle indices of the two labeled families
 #
-# The family is the two-sort species F(X, Y) = E(E+(X)) * E(Y * E+(X)): a set
-# of unlabeled blocks and a set of blocks each paired with one label.  Its
-# cycle index is
+# The injectively labeled family is the two-sort species
+# F(X, Y) = E(E+(X)) * E(Y * E+(X)): a set of unlabeled blocks and a set of
+# blocks each paired with one label.  Its cycle index is
 #     Z_F = exp(sum_k (1/k)(1 + y_k)(exp(sum_i x_{ik}/i) - 1)),
 # and (sigma, tau) of cycle types (rho, pi) fixes z_rho*z_pi*[x^rho y^pi] Z_F
 # objects.  A monomial x^rho y^pi is keyed by (rho.parts, pi.parts).
+#
+# The family with repeatable labels (LabelAlphabet(q)) is a set of blocks,
+# each unlabeled or a singleton with one of the q labels.  For tau fixing f_k
+# labels under tau^k, its one-sort cycle index is
+#     Z_tau = exp(sum_k (1/k)(exp(sum_i x_{ik}/i) - 1 + f_k x_k)),
+# and (sigma, tau) fixes z_rho*[x^rho] Z_tau objects.
 
 CycleMonomial = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -311,19 +288,19 @@ def _cycle_index_log(j: int, q_max: int) -> dict[CycleMonomial, Fraction]:
     return out
 
 
-def _cycle_index(p_max: int, q_max: int) -> list[dict[CycleMonomial, Fraction]]:
-    """Pieces of x-weight 0..p_max of Z_F, truncated at y-weight q_max.
+def _exp_series(
+    logs: list[dict[CycleMonomial, Fraction]], q_max: int
+) -> list[dict[CycleMonomial, Fraction]]:
+    """Pieces of x-weight 0..len(logs)-1 of Z = exp(A), given the x-weight
+    pieces A_j = logs[j] (logs[0] is ignored), truncated at y-weight q_max.
 
-    Z = exp(A) is built by the degree recurrence n*Z_n = sum_j j*A_j*Z_{n-j}."""
-    logs = [[]]
-    for j in range(1, p_max + 1):
-        a = _cycle_index_log(j, q_max)
-        logs.append([(m, sum(m[1]), j * c) for m, c in a.items()])
+    Built by the degree recurrence n*Z_n = sum_j j*A_j*Z_{n-j}."""
+    terms = [[(m, sum(m[1]), j * c) for m, c in a.items()] for j, a in enumerate(logs)]
     z: list[dict[CycleMonomial, Fraction]] = [{((), ()): Fraction(1)}]
-    for n in range(1, p_max + 1):
+    for n in range(1, len(logs)):
         acc: dict[CycleMonomial, Fraction] = {}
         for j in range(1, n + 1):
-            for (ax, ay), ay_weight, a in logs[j]:
+            for (ax, ay), ay_weight, a in terms[j]:
                 for (bx, by), b in z[n - j].items():
                     if ay_weight + sum(by) > q_max:
                         continue
@@ -333,10 +310,15 @@ def _cycle_index(p_max: int, q_max: int) -> list[dict[CycleMonomial, Fraction]]:
     return z
 
 
+def _cycle_index(p_max: int, q_max: int) -> list[dict[CycleMonomial, Fraction]]:
+    """Pieces of x-weight 0..p_max of Z_F, truncated at y-weight q_max."""
+    return _exp_series([_cycle_index_log(j, q_max) for j in range(p_max + 1)], q_max)
+
+
 def pq_bicharacter(p: int, q: int) -> BiClassFunction:
     """Fixed-point character of Sigma_p x Sigma_q on the injectively labeled
-    family, read off the cycle index Z_F without enumerating; equal to
-    permutation_bicharacter(p, q, source="pq")."""
+    family, read off the cycle index Z_F without enumerating (the tests
+    check it against fixed-point counts over enumerate_pq)."""
     if q < 0 or p < 0:
         raise InvalidArgs("p, q must be non-negative")
     if q > p:
@@ -352,6 +334,25 @@ def pq_bicharacter(p: int, q: int) -> BiClassFunction:
             for t in cycle_types(q)
         },
     )
+
+
+def general_bicharacter(p: int, q: int) -> BiClassFunction:
+    """Fixed-point character of Sigma_p x Sigma_q on the labeled partitions
+    with repeatable labels, read off one Z_tau per class of tau without
+    enumerating (the tests check it against counts over enumerate_general)."""
+    if q < 0 or p < 0:
+        raise InvalidArgs("p, q must be non-negative")
+    unlabeled = [_cycle_index_log(j, 0) for j in range(p + 1)]
+    vals = {}
+    for t in cycle_types(q):
+        logs = [dict(a) for a in unlabeled]
+        for k in range(1, p + 1):
+            f_k = sum(c for c in t.parts if k % c == 0)
+            logs[k][((k,), ())] += Fraction(f_k, k)
+        top = _exp_series(logs, 0)[p]
+        for s in cycle_types(p):
+            vals[(s, t)] = top.get((s.parts, ()), 0) * centralizer_order(s)
+    return BiClassFunction((p, q), vals)
 
 
 def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], Fraction]:
@@ -549,12 +550,13 @@ def check_phi_equivariance(
 
 
 def fw_multiplicities(p: int, q: int, d: int, budget: int | None = None):
-    """Schur-functor multiplicities of the degree-p FW piece, from its
-    weight multiset by greedy Kostka subtraction."""
+    """Schur-functor multiplicities of the degree-p FW piece by greedy Kostka
+    subtraction, with the piece and the weight multiset they come from."""
     from .modules import decompose_weight_multiset
 
     piece = build_fw_piece(p, q, d, budget)
-    return decompose_weight_multiset(piece.weight_counter(), d), piece
+    weights = piece.weight_counter()
+    return decompose_weight_multiset(weights, d), piece, weights
 
 
 # Largest intertwiner system (unknown count) that is also solved directly.
@@ -565,13 +567,13 @@ def hom_space_dimension_gl(p: int, q: int, d: int, budget: int | None = None) ->
     """dim Hom_GL((Q^d)^{⊗p}, FW piece), computed by the character method
     (always) and by directly solving for intertwiners (when the unknown
     count fits under SOLVE_UNKNOWN_CAP); the two must agree."""
-    dec, piece = fw_multiplicities(p, q, d, budget)
+    dec, piece, weights = fw_multiplicities(p, q, d, budget)
     char_dim = sum(
         mult * specht_dimension(lam)
         for lam, mult in dec.mults.items()
         if lam.weight == p
     )
-    solve_dim = _intertwiner_solve_dimension(p, d, piece)
+    solve_dim = _intertwiner_solve_dimension(p, d, piece, weights)
     if solve_dim is not None and solve_dim != char_dim:
         raise OracleDisagreement(
             f"intertwiner solve gives {solve_dim}, characters give {char_dim}"
@@ -579,21 +581,23 @@ def hom_space_dimension_gl(p: int, q: int, d: int, budget: int | None = None) ->
     return char_dim
 
 
-def _intertwiner_solve_dimension(p: int, d: int, piece: FWGradedPiece) -> int | None:
+def _intertwiner_solve_dimension(
+    p: int, d: int, piece: FWGradedPiece, weights: Counter
+) -> int | None:
     """Kernel dimension of the 'commutes with every adjacent gl generator
-    and preserves torus weight' system; None if over SOLVE_UNKNOWN_CAP."""
+    and preserves torus weight' system; None if it has more unknowns (pairs
+    of a tensor J and an FW monomial of weight(J)) than SOLVE_UNKNOWN_CAP,
+    counted from the weight multiset before anything is built."""
+    count = sum(factorial(p) // prod(map(factorial, w)) * n for w, n in weights.items())
+    if count > SOLVE_UNKNOWN_CAP:
+        return None
     src = list(itertools.product(range(d), repeat=p))
     src_weight = {J: _tensor_weight(J, d) for J in src}
     tgt_by_weight: dict[tuple[int, ...], list[int]] = {}
     for i, mono in enumerate(piece.basis):
         tgt_by_weight.setdefault(piece.weight(mono), []).append(i)
 
-    unknowns = []
-    for J in src:
-        for t in tgt_by_weight.get(src_weight[J], []):
-            unknowns.append((J, t))
-    if len(unknowns) > SOLVE_UNKNOWN_CAP:
-        return None
+    unknowns = [(J, t) for J in src for t in tgt_by_weight.get(src_weight[J], [])]
     uindex = {u: i for i, u in enumerate(unknowns)}
 
     gens = [(a, a + 1) for a in range(d - 1)] + [(a + 1, a) for a in range(d - 1)]
@@ -689,9 +693,11 @@ def induced_pq_bicharacter(
     p: int, i: int, q: int, budget: int | None = None
 ) -> BiClassFunction:
     """Character of Ind over the label factor from Sigma_i x Sigma_{q-i}
-    up to Sigma_q of the injectively labeled family, with Sigma_{q-i}
-    acting trivially; a Sigma_p x Sigma_q character."""
-    base = permutation_bicharacter(p, i, source="pq", budget=budget)
+    up to Sigma_q of the injectively labeled family (its character from
+    pq_bicharacter), with Sigma_{q-i} acting trivially; a Sigma_p x Sigma_q
+    character.  The budget bounds its table of class pairs."""
+    check_budget(len(cycle_types(p)) * len(cycle_types(q)), budget, "class pairs")
+    base = pq_bicharacter(p, i)
     vals = {}
     for s in cycle_types(p):
         f = BiClassFunction(
@@ -710,9 +716,10 @@ def induced_pq_bicharacter(
 
 def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) -> Report:
     """Classwise equality of three Sigma_p x Sigma_q characters: the
-    labeled-partition permutation module, the sum of induced injectively
-    labeled modules, and the GL-equivariant Hom space."""
-    lhs = permutation_bicharacter(p, q, source="general", budget=budget)
+    labeled-partition permutation module (general_bicharacter), the sum of
+    induced injectively labeled modules, and the GL-equivariant Hom space
+    (traced through the FW piece, which the budget bounds)."""
+    lhs = general_bicharacter(p, q)
     rhs = BiClassFunction((p, q), {})
     for i in range(q + 1):
         rhs = rhs + induced_pq_bicharacter(p, i, q, budget)

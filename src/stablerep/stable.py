@@ -33,12 +33,12 @@ from .labeled import (
     count_pq,
     enumerate_pq,
     fw_dimension_by_series,
+    general_bicharacter,
     induced_pq_bicharacter,
-    permutation_bicharacter,
     pq_bicharacter,
     pq_identity_counts,
 )
-from .modules import Report
+from .modules import Report, check_budget
 
 
 @dataclass(frozen=True)
@@ -205,15 +205,17 @@ def three_way_dimension_agreement(p: int, q: int, budget: int | None = None) -> 
 def theorem_a_induction_check(p: int, q: int, budget: int | None = None) -> Report:
     """Replay the inductive step at character level: subtract the induced
     contributions of the already-known i < q layers from the full labeled
-    partition character; the residue must be the directly enumerated
-    injectively q-labeled character."""
+    partition character (``general_bicharacter``); the residue must be the
+    injectively q-labeled character (``pq_bicharacter``).  The two come from
+    different cycle indices, and no labeled partition is built: the budget
+    bounds the table of class pairs."""
     if not (0 <= q <= p):
         raise InvalidArgs(f"need 0 <= q <= p, got p={p}, q={q}")
-    total = permutation_bicharacter(p, q, source="general", budget=budget)
-    residue = total
+    check_budget(len(cycle_types(p)) * len(cycle_types(q)), budget, "class pairs")
+    residue = general_bicharacter(p, q)
     for i in range(q):
         residue = residue - induced_pq_bicharacter(p, i, q, budget)
-    direct = permutation_bicharacter(p, q, source="pq", budget=budget)
+    direct = pq_bicharacter(p, q)
     mismatches = [
         {"sigma_class": str(s), "tau_class": str(t),
          "residue": int(residue.values[(s, t)]), "direct": int(direct.values[(s, t)])}

@@ -118,3 +118,29 @@ def specht_trace_oracle(c: list[tuple[int, tuple[int, ...]]], g: tuple[int, ...]
         for x in itertools.permutations(range(len(g)))
         if compose(compose(g, x), h) == x
     )
+
+
+def _fixed_points(objs, sigma, tau) -> int:
+    return sum(1 for x in objs if x.act(sigma, tau) == x)
+
+
+def permutation_bicharacter(p: int, q: int, source: str = "general", budget: int | None = None):
+    """Fixed-point character of Sigma_p x Sigma_q by enumeration: 'general'
+    for labeled partitions with repeatable labels, 'pq' for the injectively
+    labeled family.  The oracle for the cycle-index closed forms."""
+    from stablerep.characters import BiClassFunction, cycle_types
+    from stablerep.labeled import LabelAlphabet, enumerate_general, enumerate_pq
+    from stablerep.modules import class_representative
+
+    if source == "general":
+        objs = enumerate_general(p, LabelAlphabet(q), budget)
+    elif source == "pq":
+        objs = enumerate_pq(p, q, budget)
+    else:
+        raise ValueError(f"unknown source {source!r}")
+    vals = {}
+    for s in cycle_types(p):
+        sig = class_representative(s)
+        for t in cycle_types(q):
+            vals[(s, t)] = _fixed_points(objs, sig, class_representative(t))
+    return BiClassFunction((p, q), vals)

@@ -110,6 +110,14 @@ class TestStableCohomologyCommand:
              "62aab77fa9cb883ec745d9f5e03c7affc41cc01ef3883b7816f3bea3bd897960", 1),
             ("hom-dim 4 4 4",
              "dcd29fcba35ffc953808262baffb971b9ceae5b1d54958c95bee9f8845e8434c", 0),
+            # Not in golden.json: recorded with the enumerated characters,
+            # 7 3 under a lifted budget (it enumerated 60,814 labeled
+            # partitions); the cycle indices must print the same bytes
+            # within the default budget.
+            ("verify induction 7 2",
+             "e35ab6519ad2c6aa0aad20bbcc443412250adf4a8e3e20df9c3175f64811b7b1", 0),
+            ("--json verify induction 7 3",
+             "0a207ecd15c3d64f2ca3058bc458c3fd4afc037de27945063ebf354475804317", 0),
         ],
     )
     def test_output_pinned(self, capsys, argv, digest, exit_code):

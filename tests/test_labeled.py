@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -20,10 +21,11 @@ from stablerep.labeled import (
     enumerate_general,
     enumerate_pq,
     fw_dimension_by_series,
+    fw_multiplicities,
+    general_bicharacter,
     hom_bicharacter,
     hom_space_dimension_gl,
     induced_pq_bicharacter,
-    permutation_bicharacter,
     phi_matrix,
     pq_bicharacter,
     pq_identity_counts,
@@ -32,10 +34,16 @@ from stablerep.labeled import (
     verify_rw_prop,
     verify_splitting_lemma,
     _intertwiner_solve_dimension,
+    SOLVE_UNKNOWN_CAP,
 )
-from stablerep.modules import all_perms, class_representative, perm_cycle_type
+from stablerep import labeled
+from stablerep import stable
+from stablerep.characters import BiClassFunction
+from stablerep.modules import _tensor_weight, all_perms, class_representative, perm_cycle_type
+from stablerep.partitions import specht_dimension
+from stablerep.stable import theorem_a_induction_check
 
-from conftest import bell_oracle, set_partitions_brute
+from conftest import bell_oracle, permutation_bicharacter, set_partitions_brute
 
 
 class TestEnumeration:
@@ -99,9 +107,12 @@ class TestEnumeration:
             enumerate_pq(5, 2, budget=319)
         with pytest.raises(SizeBudgetExceeded):
             permutation_bicharacter(5, 2, source="pq", budget=319)
-        with pytest.raises(SizeBudgetExceeded):
-            induced_pq_bicharacter(5, 2, 3, budget=319)
         assert len(enumerate_pq(5, 2, budget=320)) == 320
+        # The induced character builds only its table of class pairs:
+        # p(5) * p(3) = 7 * 3 = 21.
+        with pytest.raises(SizeBudgetExceeded):
+            induced_pq_bicharacter(5, 2, 3, budget=20)
+        assert induced_pq_bicharacter(5, 2, 3, budget=21).dimension == 3 * 320
 
     def test_general_count_from_pq_layers(self):
         # repeated-label bookkeeping: choosing which labels appear (with
@@ -158,12 +169,32 @@ class TestActionsAndSplitting:
 
     def test_closed_form_bicharacter_matches_enumeration(self):
         cells = [(p, q) for p in range(6) for q in range(p + 1)] + [(6, 2), (6, 3)]
-        for p, q in cells:
-            closed = pq_bicharacter(p, q)
-            enumerated = permutation_bicharacter(p, q, source="pq")
+        families = [("pq", pq_bicharacter), ("general", general_bicharacter)]
+        for (p, q), (source, closed_form) in itertools.product(cells, families):
+            closed = closed_form(p, q)
+            enumerated = permutation_bicharacter(p, q, source=source)
             for pair, value in enumerated.values.items():
-                assert closed.values[pair] == value, (p, q, pair)
+                assert closed.values[pair] == value, (source, p, q, pair)
             assert closed == enumerated
+
+    @pytest.mark.parametrize("p, q", [(3, 2), (4, 1)])
+    def test_checks_fail_on_shifted_general_character(self, monkeypatch, p, q):
+        # One class pair off by one: both checks must report exactly it.
+        sigma, tau = cycle_types(p)[1], cycle_types(q)[-1]
+
+        def shifted(p_, q_):
+            chi = general_bicharacter(p_, q_)
+            values = dict(chi.values)
+            values[(sigma, tau)] += 1
+            return BiClassFunction((p_, q_), values)
+
+        monkeypatch.setattr(labeled, "general_bicharacter", shifted)
+        monkeypatch.setattr(stable, "general_bicharacter", shifted)
+        pair = (str(sigma), str(tau))
+        for rep in (theorem_a_induction_check(p, q), verify_splitting_lemma(p, q, p)):
+            assert not rep.passed
+            found = [(m["sigma_class"], m["tau_class"]) for m in rep.witnesses["mismatches"]]
+            assert found == [pair]
 
     def test_bicharacter_values_class_independent(self):
         p, q = 3, 2
@@ -235,9 +266,31 @@ class TestHomSpace:
     def test_solve_path_agrees_with_characters(self):
         for p, q, d in [(1, 0, 1), (2, 0, 2), (2, 1, 2), (2, 2, 2), (3, 0, 2), (3, 1, 2)]:
             piece = build_fw_piece(p, q, d)
-            solved = _intertwiner_solve_dimension(p, d, piece)
+            solved = _intertwiner_solve_dimension(p, d, piece, piece.weight_counter())
             assert solved is not None
             assert solved == hom_space_dimension_gl(p, q, d)
+
+    def test_solve_cap_decided_from_weight_counts(self):
+        # Cells on both sides of the cap: the unknowns are the pairs (J, m)
+        # of a tensor J and an FW monomial m of the same weight.
+        sides = set()
+        for p, q, d in itertools.product((3, 4), range(4), (2, 3)):
+            dec, piece, weights = fw_multiplicities(p, q, d)
+            by_weight = Counter(piece.weight(m) for m in piece.basis)
+            unknowns = sum(
+                by_weight[_tensor_weight(J, d)]
+                for J in itertools.product(range(d), repeat=p)
+            )
+            solved = _intertwiner_solve_dimension(p, d, piece, weights)
+            sides.add(unknowns > SOLVE_UNKNOWN_CAP)
+            if unknowns > SOLVE_UNKNOWN_CAP:
+                assert solved is None, (p, q, d)
+            else:
+                char_dim = sum(
+                    m * specht_dimension(lam) for lam, m in dec.mults.items() if lam.weight == p
+                )
+                assert solved == char_dim, (p, q, d)
+        assert sides == {True, False}
 
     def test_hom_bicharacter_identity_value(self):
         chi = hom_bicharacter(2, 1, 2)

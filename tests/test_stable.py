@@ -4,8 +4,8 @@ import pytest
 
 from stablerep.characters import cycle_types, decompose, identity_type
 from stablerep import stable
-from stablerep.errors import InvalidArgs, OracleDisagreement
-from stablerep.labeled import count_pq, enumerate_pq, permutation_bicharacter
+from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
+from stablerep.labeled import count_pq, enumerate_pq
 from stablerep.partitions import Partition, transpose
 from stablerep.stable import (
     SymbolicCoefficient,
@@ -17,7 +17,7 @@ from stablerep.stable import (
     three_way_dimension_agreement,
 )
 
-from conftest import bell_oracle, series_coefficient_oracle
+from conftest import bell_oracle, permutation_bicharacter, series_coefficient_oracle
 
 
 class TestStableCohomology:
@@ -121,6 +121,12 @@ class TestPipeline:
     def test_induction_example(self):
         rep = theorem_a_induction_check(2, 1)
         assert rep.left == 5 - 2 == 3
+
+    def test_induction_budget_counts_class_pairs(self):
+        # p(7) * p(3) = 15 * 3 = 45 class pairs; no labeled partition is built.
+        with pytest.raises(SizeBudgetExceeded):
+            theorem_a_induction_check(7, 3, budget=44)
+        assert theorem_a_induction_check(7, 3, budget=45).passed
 
     def test_induction_rejects_bad_range(self):
         with pytest.raises(InvalidArgs):
