@@ -36,8 +36,7 @@ from stablerep.labeled import (
     _intertwiner_solve_dimension,
     SOLVE_UNKNOWN_CAP,
 )
-from stablerep import labeled
-from stablerep import stable
+from stablerep import labeled, stable
 from stablerep.characters import BiClassFunction
 from stablerep.modules import _tensor_weight, all_perms, class_representative, perm_cycle_type
 from stablerep.partitions import specht_dimension
