@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial, perm, prod
 
 from .errors import InvalidArgs, OracleDisagreement
-from .linalg import ExactMatrix, sparse_rank, sparse_rank_and_witness
+from .linalg import ExactMatrix, _count_pivots, sparse_rank_and_witness
 from .characters import (
     BiClassFunction,
     centralizer_order,
@@ -483,10 +483,13 @@ def phi_columns(
     """The map (Q^d)^{⊗p} -> F_W(V) of a labeled partition, on the standard
     basis.  Each basis tensor goes to a single monomial with coefficient 1:
     multiply the slots of each part into one symbol carrying its label."""
-    return {
-        J: tuple(sorted(zip(x.labels, part_vars)))
-        for J, part_vars in _part_variables(x.parts, d)
-    }
+    return {J: _phi_image(x, part_vars) for J, part_vars in _part_variables(x.parts, d)}
+
+
+def _phi_image(x: GeneralLabeledPartition, part_vars=None) -> Monomial:
+    """phi_x on a tensor taking the sorted values part_vars on x's parts, by
+    default on J0 = (0, 1, ..., p-1), where each part takes its own elements."""
+    return tuple(sorted(zip(x.labels, x.parts if part_vars is None else part_vars)))
 
 
 # enumerate_general lists the labelings of a set partition together, so
@@ -549,12 +552,12 @@ def check_phi_equivariance(
 # Hom-space dimension and character
 
 
-def fw_multiplicities(p: int, q: int, d: int, budget: int | None = None):
-    """Schur-functor multiplicities of the degree-p FW piece by greedy Kostka
-    subtraction, with the piece and the weight multiset they come from."""
+def fw_multiplicities(p: int, q: int, d: int, budget: int | None = None, piece=None):
+    """Schur-functor multiplicities of the degree-p FW piece (built unless
+    given) by greedy Kostka subtraction, with the piece and weight multiset."""
     from .modules import decompose_weight_multiset
 
-    piece = build_fw_piece(p, q, d, budget)
+    piece = piece or build_fw_piece(p, q, d, budget)
     weights = piece.weight_counter()
     return decompose_weight_multiset(weights, d), piece, weights
 
@@ -563,11 +566,13 @@ def fw_multiplicities(p: int, q: int, d: int, budget: int | None = None):
 SOLVE_UNKNOWN_CAP = 900
 
 
-def hom_space_dimension_gl(p: int, q: int, d: int, budget: int | None = None) -> int:
+def hom_space_dimension_gl(
+    p: int, q: int, d: int, budget: int | None = None, piece: FWGradedPiece | None = None
+) -> int:
     """dim Hom_GL((Q^d)^{⊗p}, FW piece), computed by the character method
     (always) and by directly solving for intertwiners (when the unknown
     count fits under SOLVE_UNKNOWN_CAP); the two must agree."""
-    dec, piece, weights = fw_multiplicities(p, q, d, budget)
+    dec, piece, weights = fw_multiplicities(p, q, d, budget, piece)
     char_dim = sum(
         mult * specht_dimension(lam)
         for lam, mult in dec.mults.items()
@@ -587,7 +592,8 @@ def _intertwiner_solve_dimension(
     """Kernel dimension of the 'commutes with every adjacent gl generator
     and preserves torus weight' system; None if it has more unknowns (pairs
     of a tensor J and an FW monomial of weight(J)) than SOLVE_UNKNOWN_CAP,
-    counted from the weight multiset before anything is built."""
+    counted from the weight multiset before anything is built.  Rank-deficient
+    by design, so no rank mod a prime certifies it: it runs over Fraction."""
     count = sum(factorial(p) // prod(map(factorial, w)) * n for w, n in weights.items())
     if count > SOLVE_UNKNOWN_CAP:
         return None
@@ -622,25 +628,28 @@ def _intertwiner_solve_dimension(
                 row = {k: v for k, v in coeffs.items() if v}
                 if row:
                     rows.append(row)
-    rank = sparse_rank(rows)
-    return len(unknowns) - rank
+    return len(unknowns) - _count_pivots(rows)
 
 
-def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClassFunction:
+def hom_bicharacter(
+    p: int, q: int, d: int, budget: int | None = None, piece: FWGradedPiece | None = None
+) -> BiClassFunction:
     """Sigma_p x Sigma_q character of Hom_GL(V^{⊗p}, FW piece): the label
     action is traced through the weight-graded fixed-monomial counts and the
     tensor-slot action through Schur-Weyl multiplicities."""
-    piece = build_fw_piece(p, q, d, budget)
+    piece = piece or build_fw_piece(p, q, d, budget)
     from .modules import decompose_weight_multiset
 
     lam_chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(p)}
+    weights = [piece.weight(mono) for mono in piece.basis]
     vals = {}
     for t in cycle_types(q):
         tau = class_representative(t)
-        twisted = Counter()
-        for mono in piece.basis:
-            if piece.label_action(tau, mono) == mono:
-                twisted[piece.weight(mono)] += 1
+        fixes_all = tau == tuple(range(q))
+        twisted = Counter(
+            w for mono, w in zip(piece.basis, weights)
+            if fixes_all or piece.label_action(tau, mono) == mono
+        )
         dec = decompose_weight_multiset(twisted, d)
         for s in cycle_types(p):
             vals[(s, t)] = sum(
@@ -657,24 +666,28 @@ def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClas
 
 def verify_rw_prop(p: int, q: int, d: int, budget: int | None = None) -> Report:
     """The stacked family of labeled-partition maps is injective and spans
-    the GL-equivariant Hom space (requires d >= p for a pass)."""
+    the GL-equivariant Hom space (requires d >= p for a pass).  When d >= p
+    the rank is certified from J0 = (0, 1, ..., p-1): each row has one 1 on
+    the columns (J0, .), at phi_x(J0), and distinct images make that minor
+    a permutation matrix.  Otherwise the rows are eliminated, which also
+    gives a dependency witness.  Surjectivity compares rank and Hom dim."""
     objs = enumerate_general(p, LabelAlphabet(q), budget)
     n = len(objs)
-    # Dense integer ids for the (J, mono) columns, dropped once the rows
-    # are built.
-    column_id: dict[tuple[tuple[int, ...], Monomial], int] = {}
-    rows = [
-        {
-            column_id.setdefault(col, len(column_id)): 1
-            for col in phi_columns(x, d).items()
-        }
-        for x in objs
-    ]
-    del column_id
-    rank, combo = sparse_rank_and_witness(rows)
+    if d >= p and len({_phi_image(x) for x in objs}) == n:
+        rank, combo = n, None
+    else:
+        # Integer ids for the (J, mono) columns, dropped once rows are built.
+        column_id: dict[tuple[tuple[int, ...], Monomial], int] = {}
+        rows = [
+            {
+                column_id.setdefault(col, len(column_id)): 1
+                for col in phi_columns(x, d).items()
+            }
+            for x in objs
+        ]
+        del column_id
+        rank, combo = sparse_rank_and_witness(rows)
     hom_dim = hom_space_dimension_gl(p, q, d, budget)
-    injective = rank == n
-    surjective = rank == hom_dim
     witnesses: dict = {"num_labeled_partitions": n, "rank": rank, "hom_dim": hom_dim}
     if combo is not None:
         witnesses["dependent_combination"] = {
@@ -684,7 +697,7 @@ def verify_rw_prop(p: int, q: int, d: int, budget: int | None = None) -> Report:
         claim=f"labeled-partition maps give an isomorphism, p={p}, q={q}, d={d}",
         left=rank,
         right=hom_dim,
-        passed=injective and surjective,
+        passed=rank == n == hom_dim,
         witnesses=witnesses,
     )
 
@@ -723,10 +736,11 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     rhs = BiClassFunction((p, q), {})
     for i in range(q + 1):
         rhs = rhs + induced_pq_bicharacter(p, i, q, budget)
-    hom = hom_bicharacter(p, q, d, budget)
+    piece = build_fw_piece(p, q, d, budget)
+    hom = hom_bicharacter(p, q, d, piece=piece)
     chars_equal = lhs == rhs
     hom_equal = hom == rhs
-    hom_dim = hom_space_dimension_gl(p, q, d, budget)
+    hom_dim = hom_space_dimension_gl(p, q, d, piece=piece)
     dim_ok = lhs.dimension == hom_dim
     mismatches = [
         {"sigma_class": str(s), "tau_class": str(t), "left": int(lhs.values[(s, t)]),

@@ -1,16 +1,16 @@
 """Exact rational linear algebra: dense matrices over Fraction and a sparse
-row-reduction used for the large stacked-map rank computations.
+row-reduction for the intertwiner systems and the stacked-map ranks that no
+certificate decides: from d = p on, labeled.verify_rw_prop certifies its rank
+from the generic tensor J0 and builds no rows, so elimination decides the rest.
 
 No floating point anywhere.  The dense path is Gauss-Jordan over Fraction on
 lists of rows.  The sparse path is forward elimination on {column_key: value}
 dicts, whose rows are short.  ``sparse_rank`` runs it mod the prime
-P = 2^61 - 1 first and returns that rank only when it equals
-min(rows, nonzero columns): the rank mod P never exceeds the rank over Q,
-which never exceeds that minimum, so the two agree.  Otherwise it runs the
-same elimination over Fraction.  Every rank is exact, with no probabilistic
-answer.  ``sparse_rank_and_witness`` adds a dependency witness: it keeps a
-full row rank mod P, and otherwise runs one elimination over Fraction with
-a tag column per row, which gives both the rank and the witness.
+P = 2^61 - 1 first and keeps that rank only when it equals min(rows, nonzero
+columns): the rank over Q lies between the two.  Otherwise it runs the same
+elimination over Fraction.  ``sparse_rank_and_witness`` adds a dependency
+witness: it keeps a full row rank mod P, and otherwise runs one elimination
+over Fraction with a tag column per row.  Every rank is exact.
 """
 
 from __future__ import annotations

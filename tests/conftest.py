@@ -144,3 +144,20 @@ def permutation_bicharacter(p: int, q: int, source: str = "general", budget: int
         for t in cycle_types(q):
             vals[(s, t)] = _fixed_points(objs, sig, class_representative(t))
     return BiClassFunction((p, q), vals)
+
+
+def rw_prop_rank_oracle(p: int, q: int, d: int) -> tuple[int, dict | None]:
+    """Rank of the stacked maps phi_x of the labeled partitions of {1..p}
+    over q repeatable labels, by building one sparse row per x, keyed by
+    the (tensor, monomial) pairs themselves, and eliminating; with the
+    dependency witness keyed as verify_rw_prop prints it (None if the rows
+    are independent)."""
+    from stablerep.labeled import LabelAlphabet, enumerate_general, phi_columns
+    from stablerep.linalg import sparse_rank_and_witness
+
+    objs = enumerate_general(p, LabelAlphabet(q))
+    rows = [{col: 1 for col in phi_columns(x, d).items()} for x in objs]
+    rank, combo = sparse_rank_and_witness(rows)
+    if combo is None:
+        return rank, None
+    return rank, {str(objs[i]): str(c) for i, c in enumerate(combo) if c}

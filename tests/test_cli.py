@@ -110,6 +110,10 @@ class TestStableCohomologyCommand:
              "62aab77fa9cb883ec745d9f5e03c7affc41cc01ef3883b7816f3bea3bd897960", 1),
             ("hom-dim 4 4 4",
              "dcd29fcba35ffc953808262baffb971b9ceae5b1d54958c95bee9f8845e8434c", 0),
+            ("verify rw-prop 4 4 4",
+             "301d6946389be53ce5e0717a37f9ab3bb62a195825a52a23f469db4b06396b9b", 0),
+            ("verify splitting 4 4 4",
+             "ed1ef43fd6cfa01e60547ada0a92100fac84d96d7defea5f9f52ea966a506215", 0),
             # Not in golden.json: recorded with the enumerated characters,
             # 7 3 under a lifted budget (it enumerated 60,814 labeled
             # partitions); the cycle indices must print the same bytes

@@ -26,6 +26,7 @@ from stablerep.labeled import (
     hom_bicharacter,
     hom_space_dimension_gl,
     induced_pq_bicharacter,
+    phi_columns,
     phi_matrix,
     pq_bicharacter,
     pq_identity_counts,
@@ -42,7 +43,12 @@ from stablerep.modules import _tensor_weight, all_perms, class_representative, p
 from stablerep.partitions import specht_dimension
 from stablerep.stable import theorem_a_induction_check
 
-from conftest import bell_oracle, permutation_bicharacter, set_partitions_brute
+from conftest import (
+    bell_oracle,
+    permutation_bicharacter,
+    rw_prop_rank_oracle,
+    set_partitions_brute,
+)
 
 
 class TestEnumeration:
@@ -318,6 +324,49 @@ class TestRWProp:
         # monomial images stay independent
         rep = verify_rw_prop(2, 0, 1)
         assert rep.passed
+
+    @pytest.mark.parametrize(
+        "p, q, d",
+        [(p, q, d) for p in range(1, 5) for q in range(p + 1) for d in (p, p + 1)]
+        + [(2, 1, 1), (3, 0, 1), (4, 4, 3)],
+    )
+    def test_rank_and_witness_match_elimination_oracle(self, p, q, d):
+        # From d = p on the rank is certified from one tensor, below it the
+        # rows are eliminated; either way the report is the oracle's.  The
+        # budget admits the FW piece of (4, 4, 5), 26,415 monomials.
+        rank, combo = rw_prop_rank_oracle(p, q, d)
+        rep = verify_rw_prop(p, q, d, budget=10**5)
+        assert rep.left == rep.witnesses["rank"] == rank
+        assert rep.witnesses.get("dependent_combination") == combo
+
+    def test_generic_image_is_phi_at_j0(self):
+        for p, q in [(3, 2), (4, 2)]:
+            objs = enumerate_general(p, LabelAlphabet(q))
+            images = [labeled._phi_image(x) for x in objs]
+            assert images == [phi_columns(x, p)[tuple(range(p))] for x in objs]
+            assert len(set(images)) == len(objs)
+
+    def test_colliding_generic_images_fall_back_to_elimination(self, monkeypatch):
+        eliminated = []
+        real_rank = labeled.sparse_rank_and_witness
+        monkeypatch.setattr(
+            labeled,
+            "sparse_rank_and_witness",
+            lambda rows: eliminated.append(len(rows)) or real_rank(rows),
+        )
+        plain = verify_rw_prop(3, 2, 3)
+        assert eliminated == []
+        objs = enumerate_general(3, LabelAlphabet(2))
+        real_image = labeled._phi_image
+
+        def collide_at_j0(x, part_vars=None):  # phi_columns passes part_vars
+            if part_vars is None and x == objs[1]:
+                x = objs[0]
+            return real_image(x, part_vars)
+
+        monkeypatch.setattr(labeled, "_phi_image", collide_at_j0)
+        assert verify_rw_prop(3, 2, 3) == plain
+        assert eliminated == [len(objs)]
 
 
 class TestSplittingLemma:
