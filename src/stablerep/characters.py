@@ -194,16 +194,20 @@ class BiClassFunction:
         )
 
     def __add__(self, other: "BiClassFunction") -> "BiClassFunction":
-        assert self.degrees == other.degrees
+        self._check(other)
         return BiClassFunction(
             self.degrees, {k: v + other.values[k] for k, v in self.values.items()}
         )
 
     def __sub__(self, other: "BiClassFunction") -> "BiClassFunction":
-        assert self.degrees == other.degrees
+        self._check(other)
         return BiClassFunction(
             self.degrees, {k: v - other.values[k] for k, v in self.values.items()}
         )
+
+    def _check(self, other: "BiClassFunction"):
+        if self.degrees != other.degrees:
+            raise InvalidArgs(f"degree mismatch: {self.degrees} vs {other.degrees}")
 
     def sign_twist_first(self) -> "BiClassFunction":
         """Multiply by the sign of the Sigma_p component."""

@@ -6,7 +6,9 @@ class StableRepError(Exception):
 
 
 class SizeBudgetExceeded(StableRepError):
-    """A construction would exceed the configured ambient-dimension budget."""
+    """A construction would exceed the configured size budget, counted in
+    what it would build: ambient dimensions, labeled partitions, class pairs
+    or weights."""
 
     def __init__(self, needed: int, budget: int, what: str = "ambient dimension"):
         self.needed = needed
@@ -29,8 +31,9 @@ class NegativeMultiplicity(StableRepError):
 
 
 class NonPolynomialAction(StableRepError):
-    """A module claimed to carry a polynomial gl action has a torus weight
-    with a negative entry."""
+    """A module claimed to carry a polynomial gl action has torus generators
+    that are not diagonal, a non-integral eigenvalue, or a weight with a
+    negative entry."""
 
 
 class OracleDisagreement(StableRepError):

@@ -3,6 +3,11 @@ equivariant maps attached to each labeled partition, the cycle-index
 characters of both labeled families, and exact checks that stacking those
 maps gives an isomorphism onto the GL-equivariant Hom space.
 
+The Hom side is read off weight generating functions (fixed_weights): the
+torus weights of the FW monomials fixed by a label permutation, decomposed
+into Schur-Weyl multiplicities.  The FW basis itself (FWGradedPiece) is
+built only for the direct intertwiner solve and as the tests' oracle.
+
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
 distinguishable labels.  Set partitions are canonicalized with parts sorted
 by minimum element, so enumeration is duplicate-free and values hash.
@@ -15,24 +20,26 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
+from operator import add
 
 from .errors import InvalidArgs, OracleDisagreement
-from .linalg import ExactMatrix, _count_pivots, sparse_rank_and_witness
+from .linalg import _count_pivots, sparse_rank_and_witness
 from .characters import (
     BiClassFunction,
     centralizer_order,
     cycle_types,
+    graded_sym_algebra_dimension,
     induce,
     irreducible_character,
-    sym_dimension,
 )
 from .modules import (
     Perm,
     Report,
+    _compositions,
     _tensor_weight,
     check_budget,
-    class_representative,
+    decompose_weight_multiset,
 )
 from .partitions import enumerate_partitions, specht_dimension
 
@@ -387,10 +394,15 @@ class FWGradedPiece:
         if p < 0 or q < 0 or d < 1:
             raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
         self.p, self.q, self.d = p, q, d
-        est = fw_dimension_by_series(p, q, d)
+        # The univariate series refuses an oversized piece in O(p^2) steps;
+        # the weight generating function would first fill C(p+d, d) weights.
+        est = graded_sym_algebra_dimension(d, q, p)
         check_budget(est, budget)
         self.basis: list[Monomial] = self._enumerate()
-        assert len(self.basis) == est, (len(self.basis), est)
+        if len(self.basis) != est:
+            raise OracleDisagreement(
+                f"enumerated {len(self.basis)} FW monomials, series gives {est}"
+            )
         self.index = {m: i for i, m in enumerate(self.basis)}
 
     @property
@@ -429,9 +441,6 @@ class FWGradedPiece:
     def weight(self, mono: Monomial) -> tuple[int, ...]:
         return _tensor_weight([v for _, vars_ in mono for v in vars_], self.d)
 
-    def weight_counter(self) -> Counter:
-        return Counter(self.weight(m) for m in self.basis)
-
     def gl_apply(self, a: int, b: int, mono: Monomial) -> dict[Monomial, int]:
         """E_{ab} acting by derivation across symbol factors."""
         out: dict[Monomial, int] = {}
@@ -446,27 +455,34 @@ class FWGradedPiece:
             out[newmono] = out.get(newmono, 0) + nb
         return {m: c for m, c in out.items() if c}
 
-    def label_action(self, tau: Perm, mono: Monomial) -> Monomial:
-        """Sigma_q permuting the singleton labels 1..q."""
-        return tuple(
-            sorted(
-                ((tau[lab - 1] + 1) if lab > 0 else 0, vars_)
-                for lab, vars_ in mono
-            )
-        )
 
+def fixed_weights(p: int, d: int, cycles: tuple[int, ...]) -> Counter:
+    """Torus-weight multiset of the degree-p FW monomials fixed by a label
+    permutation tau with the given cycle lengths, without building the piece.
 
-def fw_dimension_by_series(p: int, q: int, d: int) -> int:
-    """dim of the degree-p piece by generating series: product over i of
-    (1-u^i)^{-dim(W_i ⊗ Sym^i)} with dim W_1 = q+1 and dim W_i = 1 after."""
-    from .characters import series_geom_power, series_mul
-
-    out = [0] * (p + 1)
-    out[0] = 1
-    for i in range(1, p + 1):
-        w = (q + 1) if i == 1 else 1
-        out = series_mul(out, series_geom_power(i, w * sym_dimension(d, i), p), p)
-    return out[p]
+    A monomial fixed by tau is a multiset of tau-orbits of symbols.  An
+    unlabeled symbol (0, m) is its own orbit, of weight m, for every
+    monomial m of degree 1..p; a c-cycle of labels moves the c symbols
+    (l, x_a) together, an orbit of weight c*e_a.  So the counts are the
+    degree-p part of prod 1/(1 - x^w) over those orbit weights w.  The
+    identity (1,)*q of Sigma_q gives the whole piece."""
+    if p < 0 or d < 1 or any(c < 1 for c in cycles):
+        raise InvalidArgs(f"bad parameters p={p}, d={d}, cycles={cycles}")
+    # All weights of total <= p, by total; those of total n start at start[n].
+    weights, start = [], []
+    for n in range(p + 1):
+        start.append(len(weights))
+        weights.extend(_compositions(n, d))
+    orbits = weights[1:] + [
+        tuple(c * (b == a) for b in range(d)) for c in cycles if c <= p for a in range(d)
+    ]
+    series = dict.fromkeys(weights, 0)
+    series[weights[0]] = 1
+    for w in orbits:
+        # Times 1/(1 - x^w): g[u + w] += g[u], low totals first.
+        for u in weights[: start[p - sum(w) + 1]]:
+            series[tuple(map(add, u, w))] += series[u]
+    return Counter({w: series[w] for w in weights[start[p] :] if series[w]})
 
 
 def build_fw_piece(p: int, q: int, d: int, budget: int | None = None) -> FWGradedPiece:
@@ -507,24 +523,6 @@ def _part_variables(
     )
 
 
-def phi_matrix(
-    x: GeneralLabeledPartition, d: int, piece: FWGradedPiece | None = None
-) -> ExactMatrix:
-    """Dense matrix of the map, rows indexed by the FW piece basis."""
-    if piece is None:
-        piece = build_fw_piece(x.p, _max_label(x), d)
-    cols = phi_columns(x, d)
-    src = list(itertools.product(range(d), repeat=x.p))
-    m = ExactMatrix.zero(piece.dimension, len(src))
-    for col, J in enumerate(src):
-        m.data[piece.index[cols[J]]][col] = Fraction(1)
-    return m
-
-
-def _max_label(x: GeneralLabeledPartition) -> int:
-    return max([0] + [l for l in x.labels])
-
-
 def check_phi_equivariance(
     x: GeneralLabeledPartition, d: int, piece: FWGradedPiece
 ) -> bool:
@@ -552,33 +550,28 @@ def check_phi_equivariance(
 # Hom-space dimension and character
 
 
-def fw_multiplicities(p: int, q: int, d: int, budget: int | None = None, piece=None):
-    """Schur-functor multiplicities of the degree-p FW piece (built unless
-    given) by greedy Kostka subtraction, with the piece and weight multiset."""
-    from .modules import decompose_weight_multiset
-
-    piece = piece or build_fw_piece(p, q, d, budget)
-    weights = piece.weight_counter()
-    return decompose_weight_multiset(weights, d), piece, weights
-
-
 # Largest intertwiner system (unknown count) that is also solved directly.
 SOLVE_UNKNOWN_CAP = 900
 
 
-def hom_space_dimension_gl(
-    p: int, q: int, d: int, budget: int | None = None, piece: FWGradedPiece | None = None
-) -> int:
+def _check_weight_table(p: int, q: int, d: int, budget: int | None):
+    """The Hom side's arguments, and its weight table of C(p+d, d) entries
+    (every weight of total <= p) against the budget."""
+    if p < 0 or q < 0 or d < 1:
+        raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
+    check_budget(comb(p + d, d), budget, "weights")
+
+
+def hom_space_dimension_gl(p: int, q: int, d: int, budget: int | None = None) -> int:
     """dim Hom_GL((Q^d)^{⊗p}, FW piece), computed by the character method
-    (always) and by directly solving for intertwiners (when the unknown
-    count fits under SOLVE_UNKNOWN_CAP); the two must agree."""
-    dec, piece, weights = fw_multiplicities(p, q, d, budget, piece)
-    char_dim = sum(
-        mult * specht_dimension(lam)
-        for lam, mult in dec.mults.items()
-        if lam.weight == p
-    )
-    solve_dim = _intertwiner_solve_dimension(p, d, piece, weights)
+    (always: Schur-Weyl multiplicities of the weights from fixed_weights,
+    with no basis built) and by directly solving for intertwiners (when the
+    unknown count fits under SOLVE_UNKNOWN_CAP); the two must agree."""
+    _check_weight_table(p, q, d, budget)
+    weights = fixed_weights(p, d, (1,) * q)
+    dec = decompose_weight_multiset(weights, d)
+    char_dim = sum(m * specht_dimension(lam) for lam, m in dec.mults.items())
+    solve_dim = _intertwiner_solve_dimension(p, q, d, weights, budget)
     if solve_dim is not None and solve_dim != char_dim:
         raise OracleDisagreement(
             f"intertwiner solve gives {solve_dim}, characters give {char_dim}"
@@ -587,16 +580,18 @@ def hom_space_dimension_gl(
 
 
 def _intertwiner_solve_dimension(
-    p: int, d: int, piece: FWGradedPiece, weights: Counter
+    p: int, q: int, d: int, weights: Counter, budget: int | None = None
 ) -> int | None:
     """Kernel dimension of the 'commutes with every adjacent gl generator
     and preserves torus weight' system; None if it has more unknowns (pairs
     of a tensor J and an FW monomial of weight(J)) than SOLVE_UNKNOWN_CAP,
-    counted from the weight multiset before anything is built.  Rank-deficient
-    by design, so no rank mod a prime certifies it: it runs over Fraction."""
+    counted from the FW weights; only a system under the cap builds the FW
+    piece (under the budget).  Rank-deficient by design, so no rank mod a
+    prime certifies it: it runs over Fraction."""
     count = sum(factorial(p) // prod(map(factorial, w)) * n for w, n in weights.items())
     if count > SOLVE_UNKNOWN_CAP:
         return None
+    piece = build_fw_piece(p, q, d, budget)
     src = list(itertools.product(range(d), repeat=p))
     src_weight = {J: _tensor_weight(J, d) for J in src}
     tgt_by_weight: dict[tuple[int, ...], list[int]] = {}
@@ -631,31 +626,20 @@ def _intertwiner_solve_dimension(
     return len(unknowns) - _count_pivots(rows)
 
 
-def hom_bicharacter(
-    p: int, q: int, d: int, budget: int | None = None, piece: FWGradedPiece | None = None
-) -> BiClassFunction:
-    """Sigma_p x Sigma_q character of Hom_GL(V^{⊗p}, FW piece): the label
-    action is traced through the weight-graded fixed-monomial counts and the
-    tensor-slot action through Schur-Weyl multiplicities."""
-    piece = piece or build_fw_piece(p, q, d, budget)
-    from .modules import decompose_weight_multiset
-
+def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClassFunction:
+    """Sigma_p x Sigma_q character of Hom_GL(V^{⊗p}, FW piece): for each
+    class of tau the weights of the tau-fixed FW monomials (fixed_weights,
+    no basis built) give the trace of tau, and Schur-Weyl multiplicities
+    carry it to the tensor-slot action.  The budget bounds the weight
+    table, C(p+d, d) entries."""
+    _check_weight_table(p, q, d, budget)
     lam_chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(p)}
-    weights = [piece.weight(mono) for mono in piece.basis]
     vals = {}
     for t in cycle_types(q):
-        tau = class_representative(t)
-        fixes_all = tau == tuple(range(q))
-        twisted = Counter(
-            w for mono, w in zip(piece.basis, weights)
-            if fixes_all or piece.label_action(tau, mono) == mono
-        )
-        dec = decompose_weight_multiset(twisted, d)
+        dec = decompose_weight_multiset(fixed_weights(p, d, t.parts), d)
         for s in cycle_types(p):
             vals[(s, t)] = sum(
-                mult * lam_chars[lam].values[s]
-                for lam, mult in dec.mults.items()
-                if lam.weight == p
+                m * lam_chars[lam].values[s] for lam, m in dec.mults.items()
             )
     return BiClassFunction((p, q), vals)
 
@@ -731,16 +715,17 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     """Classwise equality of three Sigma_p x Sigma_q characters: the
     labeled-partition permutation module (general_bicharacter), the sum of
     induced injectively labeled modules, and the GL-equivariant Hom space
-    (traced through the FW piece, which the budget bounds)."""
+    (hom_bicharacter, read off weight generating functions).  The budget
+    bounds the class-pair and weight tables, and the FW piece that
+    hom_space_dimension_gl builds only to solve a small intertwiner system."""
     lhs = general_bicharacter(p, q)
     rhs = BiClassFunction((p, q), {})
     for i in range(q + 1):
         rhs = rhs + induced_pq_bicharacter(p, i, q, budget)
-    piece = build_fw_piece(p, q, d, budget)
-    hom = hom_bicharacter(p, q, d, piece=piece)
+    hom = hom_bicharacter(p, q, d, budget)
     chars_equal = lhs == rhs
     hom_equal = hom == rhs
-    hom_dim = hom_space_dimension_gl(p, q, d, piece=piece)
+    hom_dim = hom_space_dimension_gl(p, q, d, budget)
     dim_ok = lhs.dimension == hom_dim
     mismatches = [
         {"sigma_class": str(s), "tau_class": str(t), "left": int(lhs.values[(s, t)]),

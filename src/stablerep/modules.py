@@ -412,6 +412,18 @@ def _is_diagonal(m: ExactMatrix) -> bool:
     )
 
 
+def _compositions(n: int, d: int):
+    """The weights of total n in d variables (stars and bars), in
+    lexicographic order; one empty weight at d = 0 when n = 0."""
+    if d == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, d - 1):
+            yield (first,) + rest
+
+
 def decompose_weight_multiset(cnt: Counter, d: int):
     """Greedy subtraction of Schur weight multisets (Kostka vectors) from a
     symmetric weight multiset; returns {Partition: multiplicity} with signed
@@ -430,10 +442,7 @@ def decompose_weight_multiset(cnt: Counter, d: int):
         lam = Partition(top)
         mult = rem[top]
         mults[lam] = mults.get(lam, 0) + mult
-        n = lam.weight
-        for w in itertools.product(range(n + 1), repeat=d):
-            if sum(w) != n:
-                continue
+        for w in _compositions(lam.weight, d):
             k = kostka(lam.parts, w)
             if k:
                 nv = rem.get(w, 0) - mult * k
@@ -543,11 +552,8 @@ def verify_cauchy(r: int, dV: int, dW: int, budget: int | None = None) -> Report
 
 
 def _schur_weight_counter(lam: Partition, d: int) -> Counter:
-    n = lam.weight
     out: Counter = Counter()
-    for w in itertools.product(range(n + 1), repeat=d):
-        if sum(w) != n:
-            continue
+    for w in _compositions(lam.weight, d):
         k = kostka(lam.parts, w)
         if k:
             out[w] = k

@@ -32,11 +32,12 @@ from .labeled import (
     count_general,
     count_pq,
     enumerate_pq,
-    fw_dimension_by_series,
+    fixed_weights,
     general_bicharacter,
     induced_pq_bicharacter,
     pq_bicharacter,
     pq_identity_counts,
+    _check_weight_table,
 )
 from .modules import Report, check_budget
 
@@ -140,23 +141,21 @@ def stable_cohomology(p: int, q: int, degree: int) -> StableCohomologyResult:
 def hom_side_total(p: int, q: int, d: int, budget: int | None = None) -> int:
     """Dimension of the degree-2p graded piece of the symmetric algebra on
     q+1 shifted copies of V plus the higher symmetric powers of V, computed
-    by series coefficient and cross-checked by direct basis enumeration."""
-    if p < 0 or q < 0 or d < 1:
-        raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
-    by_series = graded_sym_algebra_dimension(d, q, p)
-    by_fw_series = fw_dimension_by_series(p, q, d)
-    if by_series != by_fw_series:
-        raise OracleDisagreement(
-            f"series forms disagree: {by_series} vs {by_fw_series}"
-        )
+    by univariate series coefficient and cross-checked, as far as the budget
+    admits their weight table (C(p+d, d) entries) and basis, by the total of
+    its torus-weight generating function (fixed_weights at the identity)
+    and by direct basis enumeration."""
+    others = {}
     try:
-        by_enum = build_fw_piece(p, q, d, budget).dimension
+        _check_weight_table(p, q, d, budget)
+        others["weight generating function"] = sum(fixed_weights(p, d, (1,) * q).values())
+        others["enumeration"] = build_fw_piece(p, q, d, budget).dimension
     except SizeBudgetExceeded:
-        by_enum = None
-    if by_enum is not None and by_enum != by_series:
-        raise OracleDisagreement(
-            f"enumeration gives {by_enum}, series gives {by_series}"
-        )
+        pass
+    by_series = graded_sym_algebra_dimension(d, q, p)
+    for what, total in others.items():
+        if total != by_series:
+            raise OracleDisagreement(f"{what} gives {total}, series gives {by_series}")
     return by_series
 
 

@@ -161,3 +161,21 @@ def rw_prop_rank_oracle(p: int, q: int, d: int) -> tuple[int, dict | None]:
     if combo is None:
         return rank, None
     return rank, {str(objs[i]): str(c) for i, c in enumerate(combo) if c}
+
+
+def label_action(tau: tuple[int, ...], mono):
+    """Sigma_q permuting the singleton labels 1..q of an FW monomial, by
+    relabeling every symbol and sorting."""
+    return tuple(
+        sorted(((tau[lab - 1] + 1) if lab > 0 else 0, vars_) for lab, vars_ in mono)
+    )
+
+
+def fixed_weights_oracle(piece, tau: tuple[int, ...]):
+    """Torus-weight multiset of the FW monomials fixed by tau, by scanning
+    the enumerated basis.  The oracle for labeled.fixed_weights."""
+    from collections import Counter
+
+    return Counter(
+        piece.weight(mono) for mono in piece.basis if label_action(tau, mono) == mono
+    )

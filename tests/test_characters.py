@@ -25,7 +25,7 @@ from stablerep.characters import (
     skew_schur_decompose,
     trivial_character,
 )
-from stablerep.errors import NegativeMultiplicity, NonIntegralMultiplicity
+from stablerep.errors import InvalidArgs, NegativeMultiplicity, NonIntegralMultiplicity
 from stablerep.partitions import Partition, SkewShape, enumerate_partitions, specht_dimension
 
 from conftest import series_coefficient_oracle
@@ -129,6 +129,16 @@ def test_bi_decompose_matches_external_product_inner_products(data):
             assert decompose(f, virtual=virtual).mults == {
                 k: int(m) for k, m in expected.items() if m
             }
+
+
+def test_bi_class_function_sum_needs_equal_degrees():
+    f = BiClassFunction((2, 1), {})
+    g = BiClassFunction((2, 2), {})
+    assert (f + f).degrees == (f - f).degrees == (2, 1)
+    with pytest.raises(InvalidArgs):
+        f + g
+    with pytest.raises(InvalidArgs):
+        f - g
 
 
 def test_induction_frobenius_reciprocity():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from stablerep.cli import main
+from stablerep.labeled import LabelAlphabet, count_general
 
 
 def run(capsys, *argv):
@@ -42,6 +43,12 @@ class TestBasicCommands:
     def test_hom_dim(self, capsys):
         code, out = run(capsys, "hom-dim", "2", "1", "2")
         assert code == 0 and out.strip() == "5"
+
+    def test_hom_dim_builds_no_fw_piece(self, capsys):
+        # The FW piece of (5, 5, 5) has 375,282 monomials; the Hom side reads
+        # 252 weights instead and fits the default budget.
+        code, out = run(capsys, "hom-dim", "5", "5", "5")
+        assert code == 0 and out.strip() == str(count_general(5, LabelAlphabet(5)))
 
 
 class TestVerify:
@@ -114,6 +121,11 @@ class TestStableCohomologyCommand:
              "301d6946389be53ce5e0717a37f9ab3bb62a195825a52a23f469db4b06396b9b", 0),
             ("verify splitting 4 4 4",
              "ed1ef43fd6cfa01e60547ada0a92100fac84d96d7defea5f9f52ea966a506215", 0),
+            # Recorded with the enumerated FW piece under --budget 100000
+            # (77,405 monomials); the weight generating functions print the
+            # same bytes within the default budget.
+            ("verify splitting 5 3 5",
+             "ece86e7589b01e86f8d502bc876375c3b6033b9d5e7c5f77838efa8387510eeb", 0),
             # Not in golden.json: recorded with the enumerated characters,
             # 7 3 under a lifted budget (it enumerated 60,814 labeled
             # partitions); the cycle indices must print the same bytes
@@ -139,6 +151,9 @@ class TestExitCodes:
 
     def test_budget_bounds_labeled_partitions(self, capsys):
         assert main(["--budget", "1", "labeled-partitions", "5", "2"]) == 3
+
+    def test_budget_bounds_hom_weight_table(self, capsys):
+        assert main(["--budget", "1", "hom-dim", "4", "4", "4"]) == 3
 
     def test_budget_does_not_bound_closed_form(self, capsys):
         _, plain = run(capsys, "stable-cohomology", "7", "2")

@@ -6,8 +6,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablerep.characters import cycle_types
-from stablerep.errors import InvalidArgs, SizeBudgetExceeded
+from stablerep.characters import cycle_types, graded_sym_algebra_dimension
+from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.labeled import (
     FWGradedPiece,
     GeneralLabeledPartition,
@@ -20,14 +20,12 @@ from stablerep.labeled import (
     count_pq,
     enumerate_general,
     enumerate_pq,
-    fw_dimension_by_series,
-    fw_multiplicities,
+    fixed_weights,
     general_bicharacter,
     hom_bicharacter,
     hom_space_dimension_gl,
     induced_pq_bicharacter,
     phi_columns,
-    phi_matrix,
     pq_bicharacter,
     pq_identity_counts,
     set_partitions,
@@ -39,12 +37,19 @@ from stablerep.labeled import (
 )
 from stablerep import labeled, stable
 from stablerep.characters import BiClassFunction
-from stablerep.modules import _tensor_weight, all_perms, class_representative, perm_cycle_type
+from stablerep.modules import (
+    _tensor_weight,
+    all_perms,
+    class_representative,
+    decompose_weight_multiset,
+    perm_cycle_type,
+)
 from stablerep.partitions import specht_dimension
 from stablerep.stable import theorem_a_induction_check
 
 from conftest import (
     bell_oracle,
+    fixed_weights_oracle,
     permutation_bicharacter,
     rw_prop_rank_oracle,
     set_partitions_brute,
@@ -224,7 +229,30 @@ class TestFWPiece:
             for q in range(3):
                 for d in (1, 2):
                     piece = build_fw_piece(p, q, d)
-                    assert piece.dimension == fw_dimension_by_series(p, q, d)
+                    assert piece.dimension == graded_sym_algebra_dimension(d, q, p)
+                    assert piece.dimension == sum(fixed_weights(p, d, (1,) * q).values())
+
+    def test_fixed_weights_match_basis_scan(self):
+        # 250 (cell, tau-class) pairs; (5, 2, 5) has 29,529 monomials.
+        cells = [(p, q, d) for p in range(5) for q in range(5) for d in range(1, 5)]
+        for p, q, d in cells + [(5, 3, 3), (5, 2, 5), (5, 4, 2)]:
+            piece = build_fw_piece(p, q, d, budget=10**5)
+            for t in cycle_types(q):
+                oracle = fixed_weights_oracle(piece, class_representative(t))
+                assert fixed_weights(p, d, t.parts) == oracle, (p, q, d, t)
+
+    def test_fixed_weights_rejects_bad_arguments(self):
+        for args in [(-1, 2, ()), (2, 0, ()), (2, 2, (1, 0))]:
+            with pytest.raises(InvalidArgs):
+                fixed_weights(*args)
+
+    def test_enumeration_checked_against_estimate(self, monkeypatch):
+        real = labeled.graded_sym_algebra_dimension
+        monkeypatch.setattr(
+            labeled, "graded_sym_algebra_dimension", lambda d, q, p: real(d, q, p) + 1
+        )
+        with pytest.raises(OracleDisagreement):
+            build_fw_piece(2, 1, 2)
 
     def test_known_dimension(self):
         assert build_fw_piece(2, 1, 2).dimension == 13
@@ -248,16 +276,9 @@ class TestPhi:
         for p, q, d in [(2, 0, 2), (2, 1, 2), (3, 0, 3), (3, 2, 2), (4, 1, 3)]:
             piece = build_fw_piece(p, q, d)
             for x in enumerate_general(p, LabelAlphabet(q)):
+                # Each basis tensor goes to one basis monomial of the piece.
+                assert all(m in piece.index for m in phi_columns(x, d).values())
                 assert check_phi_equivariance(x, d, piece)
-
-    def test_phi_matrix_columns_are_unit_vectors(self):
-        objs = enumerate_general(2, LabelAlphabet(1))
-        piece = build_fw_piece(2, 1, 2)
-        for x in objs:
-            m = phi_matrix(x, 2, piece)
-            for j in range(m.cols):
-                col = m.column(j)
-                assert sum(col) == 1 and all(v in (0, 1) for v in col)
 
 
 class TestHomSpace:
@@ -270,8 +291,8 @@ class TestHomSpace:
 
     def test_solve_path_agrees_with_characters(self):
         for p, q, d in [(1, 0, 1), (2, 0, 2), (2, 1, 2), (2, 2, 2), (3, 0, 2), (3, 1, 2)]:
-            piece = build_fw_piece(p, q, d)
-            solved = _intertwiner_solve_dimension(p, d, piece, piece.weight_counter())
+            weights = fixed_weights(p, d, (1,) * q)
+            solved = _intertwiner_solve_dimension(p, q, d, weights)
             assert solved is not None
             assert solved == hom_space_dimension_gl(p, q, d)
 
@@ -280,13 +301,15 @@ class TestHomSpace:
         # of a tensor J and an FW monomial m of the same weight.
         sides = set()
         for p, q, d in itertools.product((3, 4), range(4), (2, 3)):
-            dec, piece, weights = fw_multiplicities(p, q, d)
+            piece = build_fw_piece(p, q, d)
+            weights = fixed_weights(p, d, (1,) * q)
+            dec = decompose_weight_multiset(weights, d)
             by_weight = Counter(piece.weight(m) for m in piece.basis)
             unknowns = sum(
                 by_weight[_tensor_weight(J, d)]
                 for J in itertools.product(range(d), repeat=p)
             )
-            solved = _intertwiner_solve_dimension(p, d, piece, weights)
+            solved = _intertwiner_solve_dimension(p, q, d, weights)
             sides.add(unknowns > SOLVE_UNKNOWN_CAP)
             if unknowns > SOLVE_UNKNOWN_CAP:
                 assert solved is None, (p, q, d)
@@ -300,6 +323,25 @@ class TestHomSpace:
     def test_hom_bicharacter_identity_value(self):
         chi = hom_bicharacter(2, 1, 2)
         assert chi.dimension == 5
+
+    def test_hom_side_builds_no_piece_above_the_solve_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("FW piece built")
+
+        monkeypatch.setattr(labeled, "build_fw_piece", refuse)
+        assert hom_space_dimension_gl(4, 4, 4) == count_general(4, LabelAlphabet(4))
+        assert verify_rw_prop(4, 4, 4).passed
+        assert verify_splitting_lemma(4, 4, 4).passed
+
+    def test_budget_bounds_weight_table_and_solve_piece(self):
+        # (4, 4, 4) reads 70 weights and builds no piece; (2, 1, 2) reads 6
+        # weights and builds its 13-monomial piece for the solve.
+        with pytest.raises(SizeBudgetExceeded, match="weights 70"):
+            hom_bicharacter(4, 4, 4, budget=69)
+        assert hom_space_dimension_gl(4, 4, 4, budget=70) == 799
+        with pytest.raises(SizeBudgetExceeded, match="ambient dimension 13"):
+            hom_space_dimension_gl(2, 1, 2, budget=12)
+        assert hom_space_dimension_gl(2, 1, 2, budget=13) == 5
 
 
 class TestRWProp:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from math import factorial
@@ -276,6 +277,13 @@ def test_gl_decompose_rejects_non_diagonal_torus():
     mod = ExplicitModule(dimension=2, gl_generators={(0, 0): swap}, grading=1)
     with pytest.raises(NonPolynomialAction):
         gl_decompose(mod)
+
+
+def test_compositions_are_the_filtered_product():
+    for n in range(7):
+        for d in range(5):
+            product = [w for w in itertools.product(range(n + 1), repeat=d) if sum(w) == n]
+            assert sorted(modules._compositions(n, d)) == product
 
 
 def test_verify_cauchy_grid():

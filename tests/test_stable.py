@@ -105,6 +105,15 @@ class TestPipeline:
                         factors, p
                     )
 
+    def test_hom_side_total_checks_the_weight_total_within_budget(self, monkeypatch):
+        monkeypatch.setattr(
+            stable, "fixed_weights", lambda p, d, cycles: {(p,) + (0,) * (d - 1): 1}
+        )
+        with pytest.raises(OracleDisagreement, match="weight generating function"):
+            hom_side_total(3, 1, 2)
+        # Its weight table has C(5, 2) = 10 entries: over budget, no check runs.
+        assert hom_side_total(3, 1, 2, budget=9) == 36
+
     def test_step1_identity_grid(self):
         for p in range(5):
             for q in range(4):
