@@ -7,8 +7,8 @@ class StableRepError(Exception):
 
 class SizeBudgetExceeded(StableRepError):
     """A construction would exceed the configured size budget, counted in
-    what it would build: ambient dimensions, labeled partitions, class pairs
-    or weights."""
+    what it would build or do: ambient dimensions, labeled partitions, class
+    pairs or weight-table steps."""
 
     def __init__(self, needed: int, budget: int, what: str = "ambient dimension"):
         self.needed = needed

@@ -16,7 +16,7 @@ by minimum element, so enumeration is duplicate-free and values hash.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -395,7 +395,7 @@ class FWGradedPiece:
             raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
         self.p, self.q, self.d = p, q, d
         # The univariate series refuses an oversized piece in O(p^2) steps;
-        # the weight generating function would first fill C(p+d, d) weights.
+        # the weight generating function would first fill its weight table.
         est = graded_sym_algebra_dimension(d, q, p)
         check_budget(est, budget)
         self.basis: list[Monomial] = self._enumerate()
@@ -555,11 +555,21 @@ SOLVE_UNKNOWN_CAP = 900
 
 
 def _check_weight_table(p: int, q: int, d: int, budget: int | None):
-    """The Hom side's arguments, and its weight table of C(p+d, d) entries
-    (every weight of total <= p) against the budget."""
+    """The Hom side's arguments, and the steps of one fixed_weights call
+    against the budget: its C(p+d, d) table plus one per orbit weight w and
+    entry of total <= p - |w|.  That is C(p+2d, 2d) with the unlabeled orbits
+    and d*C(p-c+d, d) per c-cycle, most at the identity's q unit cycles."""
     if p < 0 or q < 0 or d < 1:
         raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
-    check_budget(comb(p + d, d), budget, "weights")
+    steps = comb(p + 2 * d, 2 * d) + q * d * comb(p - 1 + d, d)
+    check_budget(steps, budget, "weight-table steps")
+
+
+def _piece_weights(p: int, q: int, d: int, budget: int | None = None) -> Counter:
+    """Weights of the whole FW piece (fixed_weights at the identity), within
+    the budget; unit cycles are orbits only when p >= 1, so none at p = 0."""
+    _check_weight_table(p, q, d, budget)
+    return fixed_weights(p, d, (1,) * q if p else ())
 
 
 def hom_space_dimension_gl(p: int, q: int, d: int, budget: int | None = None) -> int:
@@ -567,8 +577,7 @@ def hom_space_dimension_gl(p: int, q: int, d: int, budget: int | None = None) ->
     (always: Schur-Weyl multiplicities of the weights from fixed_weights,
     with no basis built) and by directly solving for intertwiners (when the
     unknown count fits under SOLVE_UNKNOWN_CAP); the two must agree."""
-    _check_weight_table(p, q, d, budget)
-    weights = fixed_weights(p, d, (1,) * q)
+    weights = _piece_weights(p, q, d, budget)
     dec = decompose_weight_multiset(weights, d)
     char_dim = sum(m * specht_dimension(lam) for lam, m in dec.mults.items())
     solve_dim = _intertwiner_solve_dimension(p, q, d, weights, budget)
@@ -606,23 +615,16 @@ def _intertwiner_solve_dimension(
     for (a, b) in gens:
         for J in src:
             # T(E.J) - E.T(J) = 0, one equation per target coordinate.
-            eqs: dict[int, dict[int, int]] = {}
+            eqs: dict[int, Counter] = defaultdict(Counter)
             for t, v in enumerate(J):
                 if v == b:
                     J2 = J[:t] + (a,) + J[t + 1 :]
                     for tgt in tgt_by_weight.get(src_weight[J2], []):
-                        eqs.setdefault(tgt, {})[uindex[(J2, tgt)]] = (
-                            eqs.setdefault(tgt, {}).get(uindex[(J2, tgt)], 0) + 1
-                        )
+                        eqs[tgt][uindex[(J2, tgt)]] += 1
             for tgt in tgt_by_weight.get(src_weight[J], []):
                 for m2, c in piece.gl_apply(a, b, piece.basis[tgt]).items():
-                    i2 = piece.index[m2]
-                    key = uindex[(J, tgt)]
-                    eqs.setdefault(i2, {})[key] = eqs.setdefault(i2, {}).get(key, 0) - c
-            for coeffs in eqs.values():
-                row = {k: v for k, v in coeffs.items() if v}
-                if row:
-                    rows.append(row)
+                    eqs[piece.index[m2]][uindex[(J, tgt)]] -= c
+            rows.extend(eqs.values())  # _count_pivots drops zero entries
     return len(unknowns) - _count_pivots(rows)
 
 
@@ -630,8 +632,8 @@ def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClas
     """Sigma_p x Sigma_q character of Hom_GL(V^{⊗p}, FW piece): for each
     class of tau the weights of the tau-fixed FW monomials (fixed_weights,
     no basis built) give the trace of tau, and Schur-Weyl multiplicities
-    carry it to the tensor-slot action.  The budget bounds the weight
-    table, C(p+d, d) entries."""
+    carry it to the tensor-slot action.  The budget bounds the steps of
+    each fixed_weights call (_check_weight_table)."""
     _check_weight_table(p, q, d, budget)
     lam_chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(p)}
     vals = {}

@@ -32,12 +32,11 @@ from .labeled import (
     count_general,
     count_pq,
     enumerate_pq,
-    fixed_weights,
     general_bicharacter,
     induced_pq_bicharacter,
     pq_bicharacter,
     pq_identity_counts,
-    _check_weight_table,
+    _piece_weights,
 )
 from .modules import Report, check_budget
 
@@ -142,13 +141,12 @@ def hom_side_total(p: int, q: int, d: int, budget: int | None = None) -> int:
     """Dimension of the degree-2p graded piece of the symmetric algebra on
     q+1 shifted copies of V plus the higher symmetric powers of V, computed
     by univariate series coefficient and cross-checked, as far as the budget
-    admits their weight table (C(p+d, d) entries) and basis, by the total of
-    its torus-weight generating function (fixed_weights at the identity)
-    and by direct basis enumeration."""
+    admits their weight-table steps and basis, by the total of its
+    torus-weight generating function (fixed_weights at the identity) and by
+    direct basis enumeration."""
     others = {}
     try:
-        _check_weight_table(p, q, d, budget)
-        others["weight generating function"] = sum(fixed_weights(p, d, (1,) * q).values())
+        others["weight generating function"] = sum(_piece_weights(p, q, d, budget).values())
         others["enumeration"] = build_fw_piece(p, q, d, budget).dimension
     except SizeBudgetExceeded:
         pass

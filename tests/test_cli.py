@@ -155,6 +155,11 @@ class TestExitCodes:
     def test_budget_bounds_hom_weight_table(self, capsys):
         assert main(["--budget", "1", "hom-dim", "4", "4", "4"]) == 3
 
+    @pytest.mark.parametrize("cell", ["1 100000 1", "19999 0 1"])
+    def test_default_budget_bounds_hom_weight_table_steps(self, capsys, cell):
+        # Cheap weight tables, but q unit cycles or a quadratic fill.
+        assert main(["hom-dim", *cell.split()]) == 3
+
     def test_budget_does_not_bound_closed_form(self, capsys):
         _, plain = run(capsys, "stable-cohomology", "7", "2")
         code, budgeted = run(capsys, "--budget", "1", "stable-cohomology", "7", "2")

@@ -334,14 +334,24 @@ class TestHomSpace:
         assert verify_splitting_lemma(4, 4, 4).passed
 
     def test_budget_bounds_weight_table_and_solve_piece(self):
-        # (4, 4, 4) reads 70 weights and builds no piece; (2, 1, 2) reads 6
-        # weights and builds its 13-monomial piece for the solve.
-        with pytest.raises(SizeBudgetExceeded, match="weights 70"):
-            hom_bicharacter(4, 4, 4, budget=69)
-        assert hom_space_dimension_gl(4, 4, 4, budget=70) == 799
-        with pytest.raises(SizeBudgetExceeded, match="ambient dimension 13"):
-            hom_space_dimension_gl(2, 1, 2, budget=12)
-        assert hom_space_dimension_gl(2, 1, 2, budget=13) == 5
+        # (4, 4, 4) takes C(12, 8) + 16 * C(7, 4) = 1055 weight-table steps
+        # and builds no piece; (3, 3, 1) takes 19 steps and builds its
+        # 25-monomial piece for the solve.
+        with pytest.raises(SizeBudgetExceeded, match="weight-table steps 1055"):
+            hom_bicharacter(4, 4, 4, budget=1054)
+        assert hom_space_dimension_gl(4, 4, 4, budget=1055) == 799
+        with pytest.raises(SizeBudgetExceeded, match="ambient dimension 25"):
+            hom_space_dimension_gl(3, 3, 1, budget=24)
+        assert hom_space_dimension_gl(3, 3, 1, budget=25) == 25
+
+    def test_weight_table_steps_grow_with_q_and_the_fill(self):
+        # Unit cycles cost steps only when p >= 1; at d = 1 the fill grows
+        # quadratically in p.
+        assert hom_space_dimension_gl(0, 10**6, 1, budget=1) == 1
+        with pytest.raises(SizeBudgetExceeded, match="steps 100003 "):
+            hom_space_dimension_gl(1, 10**5, 1)
+        with pytest.raises(SizeBudgetExceeded, match="steps 200010000 "):
+            hom_space_dimension_gl(19999, 0, 1)
 
 
 class TestRWProp:

@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 from stablerep.characters import cycle_types, decompose, identity_type
-from stablerep import stable
+from stablerep import labeled, stable
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.labeled import count_pq, enumerate_pq
 from stablerep.partitions import Partition, transpose
@@ -107,12 +107,13 @@ class TestPipeline:
 
     def test_hom_side_total_checks_the_weight_total_within_budget(self, monkeypatch):
         monkeypatch.setattr(
-            stable, "fixed_weights", lambda p, d, cycles: {(p,) + (0,) * (d - 1): 1}
+            labeled, "fixed_weights", lambda p, d, cycles: {(p,) + (0,) * (d - 1): 1}
         )
         with pytest.raises(OracleDisagreement, match="weight generating function"):
             hom_side_total(3, 1, 2)
-        # Its weight table has C(5, 2) = 10 entries: over budget, no check runs.
-        assert hom_side_total(3, 1, 2, budget=9) == 36
+        # C(7, 4) + 2 * C(4, 2) = 47 weight-table steps: over budget, no
+        # check runs.
+        assert hom_side_total(3, 1, 2, budget=46) == 36
 
     def test_step1_identity_grid(self):
         for p in range(5):
