@@ -1,78 +1,103 @@
 """Exact-arithmetic toolkit for symmetric-group and general-linear
 representation theory around labeled set partitions, Schur functors, and the
-stable cohomology calculator built on them."""
+stable cohomology calculator built on them.
 
-from .errors import (
-    InvalidArgs,
-    NegativeMultiplicity,
-    NonIntegralMultiplicity,
-    NonPolynomialAction,
-    OracleDisagreement,
-    SizeBudgetExceeded,
-    StableRepError,
-)
-from .partitions import (
-    Partition,
-    SkewShape,
-    enumerate_partitions,
-    hook_lengths,
-    schur_gl_dimension,
-    specht_dimension,
-    transpose,
-)
-from .characters import (
-    BiClassFunction,
-    ClassFunction,
-    IrredDecomposition,
-    cycle_types,
-    decompose,
-    external_product,
-    graded_sym_algebra_dimension,
-    induce,
-    inner_product,
-    irreducible_character,
-    kostka,
-    lr_coefficient,
-    restrict,
-    sign_character,
-    skew_schur_decompose,
-    trivial_character,
-)
-from .modules import (
-    Report,
-    gl_decompose,
-    schur_apply,
-    specht_module,
-    split_extension_filtration_check,
-    tensor_power_module,
-    verify_cauchy,
-    verify_schur_weyl,
-    young_symmetrizer,
-)
-from .labeled import (
-    GeneralLabeledPartition,
-    LabelAlphabet,
-    QLabeledPartition,
-    build_fw_piece,
-    enumerate_general,
-    enumerate_pq,
-    hom_bicharacter,
-    hom_space_dimension_gl,
-    splitting_map,
-    verify_rw_prop,
-    verify_splitting_lemma,
-)
-from .stable import (
-    StableCohomologyResult,
-    SymbolicCoefficient,
-    dimension_table,
-    hom_side_total,
-    stable_cohomology,
-    step1_dimension_identity,
-    theorem_a_induction_check,
-    three_way_dimension_agreement,
-)
+The exports load lazily (PEP 562): ``import stablerep`` imports no
+submodule, and the first use of a name imports only the module defining it,
+so a command pays for the modules it runs and no others."""
+
+from importlib import import_module as _import_module
+
+_EXPORTS = {
+    "errors": (
+        "InvalidArgs",
+        "NegativeMultiplicity",
+        "NonIntegralMultiplicity",
+        "NonPolynomialAction",
+        "OracleDisagreement",
+        "SizeBudgetExceeded",
+        "StableRepError",
+    ),
+    "partitions": (
+        "Partition",
+        "SkewShape",
+        "enumerate_partitions",
+        "hook_lengths",
+        "schur_gl_dimension",
+        "specht_dimension",
+        "transpose",
+    ),
+    "characters": (
+        "BiClassFunction",
+        "ClassFunction",
+        "IrredDecomposition",
+        "cycle_types",
+        "decompose",
+        "external_product",
+        "graded_sym_algebra_dimension",
+        "induce",
+        "inner_product",
+        "irreducible_character",
+        "kostka",
+        "lr_coefficient",
+        "restrict",
+        "sign_character",
+        "skew_schur_decompose",
+        "trivial_character",
+    ),
+    "modules": (
+        "Report",
+        "gl_decompose",
+        "schur_apply",
+        "specht_module",
+        "split_extension_filtration_check",
+        "tensor_power_module",
+        "verify_cauchy",
+        "verify_schur_weyl",
+        "young_symmetrizer",
+    ),
+    "labeled": (
+        "GeneralLabeledPartition",
+        "LabelAlphabet",
+        "QLabeledPartition",
+        "build_fw_piece",
+        "enumerate_general",
+        "enumerate_pq",
+        "hom_bicharacter",
+        "hom_space_dimension_gl",
+        "splitting_map",
+        "verify_rw_prop",
+        "verify_splitting_lemma",
+    ),
+    "stable": (
+        "StableCohomologyResult",
+        "SymbolicCoefficient",
+        "dimension_table",
+        "hom_side_total",
+        "stable_cohomology",
+        "step1_dimension_identity",
+        "theorem_a_induction_check",
+        "three_way_dimension_agreement",
+    ),
+}
+
+# Exported name -> defining submodule; the submodules themselves are exported
+# under their own names (cli, the entry point, is not).
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULE_OF.update((module, module) for module in ("linalg", *_EXPORTS))
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = _import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

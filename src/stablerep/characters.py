@@ -5,6 +5,11 @@ Littlewood-Richardson coefficients by counting lattice skew tableaux, and
 induction by the classical cycle-type splitting formula.  Everything is
 exact rational arithmetic.
 
+The closed forms of the labeled families live here too, so the stable answer
+needs no labeled-partition code: the Stirling count ``count_pq`` and the
+cycle-index characters ``pq_bicharacter``, ``general_bicharacter`` and
+``pq_identity_counts``.
+
 Characters are stored densely over all cycle types; with weights at desk
 scale the class lists are tiny.  The Murnaghan-Nakayama memo cache is a
 plain ``lru_cache`` on immutable arguments, safe for concurrent readers.
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -651,3 +656,140 @@ def graded_sym_algebra_dimension(d: int, q: int, p: int) -> int:
     if p < 0:
         return 0
     return graded_sym_algebra_series(d, q, p)[p]
+
+
+# ---------------------------------------------------------------------------
+# Closed forms: the Stirling count and the cycle indices of the two labeled
+# families of labeled.py, which the stable answer and the verify characters
+# are read off; enumeration over those families is the tests' oracle.
+#
+# The injectively labeled family is the two-sort species
+# F(X, Y) = E(E+(X)) * E(Y * E+(X)): a set of unlabeled blocks and a set of
+# blocks each paired with one label.  Its cycle index is
+#     Z_F = exp(sum_k (1/k)(1 + y_k)(exp(sum_i x_{ik}/i) - 1)),
+# and (sigma, tau) of cycle types (rho, pi) fixes z_rho*z_pi*[x^rho y^pi] Z_F
+# objects.  A monomial x^rho y^pi is keyed by (rho.parts, pi.parts).
+#
+# The family with repeatable labels (labeled.LabelAlphabet(q)) is a set of blocks,
+# each unlabeled or a singleton with one of the q labels.  For tau fixing f_k
+# labels under tau^k, its one-sort cycle index is
+#     Z_tau = exp(sum_k (1/k)(exp(sum_i x_{ik}/i) - 1 + f_k x_k)),
+# and (sigma, tau) fixes z_rho*[x^rho] Z_tau objects.
+
+
+def count_pq(p: int, q: int) -> int:
+    """Number of injectively q-labeled partitions of {1..p}, without
+    enumerating: sum over the part count k of S(p, k)·k!/(k-q)!, with S the
+    Stirling numbers of the second kind."""
+    if q < 0 or p < 0:
+        raise InvalidArgs("p, q must be non-negative")
+    stirling = [1]  # S(n, k) for k = 0..n, starting at n = 0
+    for n in range(1, p + 1):
+        stirling = [0] + [
+            k * (stirling[k] if k < n else 0) + stirling[k - 1]
+            for k in range(1, n + 1)
+        ]
+    return sum(s * perm(k, q) for k, s in enumerate(stirling))
+
+
+CycleMonomial = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _merge_parts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _cycle_index_log(j: int, q_max: int) -> dict[CycleMonomial, Fraction]:
+    """x-weight j part of the exponent of Z_F, dropping y_k for k > q_max."""
+    out: dict[CycleMonomial, Fraction] = {}
+    for k in range(1, j + 1):
+        if j % k:
+            continue
+        for lam in enumerate_partitions(j // k):
+            c = Fraction(1, k * centralizer_order(lam))
+            xs = tuple(k * s for s in lam)
+            keys = [(xs, ())] + ([(xs, (k,))] if k <= q_max else [])
+            for key in keys:
+                out[key] = out.get(key, 0) + c
+    return out
+
+
+def _exp_series(
+    logs: list[dict[CycleMonomial, Fraction]], q_max: int
+) -> list[dict[CycleMonomial, Fraction]]:
+    """Pieces of x-weight 0..len(logs)-1 of Z = exp(A), given the x-weight
+    pieces A_j = logs[j] (logs[0] is ignored), truncated at y-weight q_max.
+
+    Built by the degree recurrence n*Z_n = sum_j j*A_j*Z_{n-j}."""
+    terms = [[(m, sum(m[1]), j * c) for m, c in a.items()] for j, a in enumerate(logs)]
+    z: list[dict[CycleMonomial, Fraction]] = [{((), ()): Fraction(1)}]
+    for n in range(1, len(logs)):
+        acc: dict[CycleMonomial, Fraction] = {}
+        for j in range(1, n + 1):
+            for (ax, ay), ay_weight, a in terms[j]:
+                for (bx, by), b in z[n - j].items():
+                    if ay_weight + sum(by) > q_max:
+                        continue
+                    key = (_merge_parts(ax, bx), _merge_parts(ay, by))
+                    acc[key] = acc.get(key, 0) + a * b
+        z.append({m: c / n for m, c in acc.items()})
+    return z
+
+
+def _cycle_index(p_max: int, q_max: int) -> list[dict[CycleMonomial, Fraction]]:
+    """Pieces of x-weight 0..p_max of Z_F, truncated at y-weight q_max."""
+    return _exp_series([_cycle_index_log(j, q_max) for j in range(p_max + 1)], q_max)
+
+
+def pq_bicharacter(p: int, q: int) -> BiClassFunction:
+    """Fixed-point character of Sigma_p x Sigma_q on the injectively labeled
+    family, read off the cycle index Z_F without enumerating (the tests
+    check it against fixed-point counts over enumerate_pq)."""
+    if q < 0 or p < 0:
+        raise InvalidArgs("p, q must be non-negative")
+    if q > p:
+        raise InvalidArgs(f"q={q} exceeds p={p}; no partition has enough parts")
+    top = _cycle_index(p, q)[p]
+    return BiClassFunction(
+        (p, q),
+        {
+            (s, t): top.get((s.parts, t.parts), 0)
+            * centralizer_order(s)
+            * centralizer_order(t)
+            for s in cycle_types(p)
+            for t in cycle_types(q)
+        },
+    )
+
+
+def general_bicharacter(p: int, q: int) -> BiClassFunction:
+    """Fixed-point character of Sigma_p x Sigma_q on the labeled partitions
+    with repeatable labels, read off one Z_tau per class of tau without
+    enumerating (the tests check it against counts over enumerate_general)."""
+    if q < 0 or p < 0:
+        raise InvalidArgs("p, q must be non-negative")
+    unlabeled = [_cycle_index_log(j, 0) for j in range(p + 1)]
+    vals = {}
+    for t in cycle_types(q):
+        logs = [dict(a) for a in unlabeled]
+        for k in range(1, p + 1):
+            f_k = sum(c for c in t.parts if k % c == 0)
+            logs[k][((k,), ())] += Fraction(f_k, k)
+        top = _exp_series(logs, 0)[p]
+        for s in cycle_types(p):
+            vals[(s, t)] = top.get((s.parts, ()), 0) * centralizer_order(s)
+    return BiClassFunction((p, q), vals)
+
+
+def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], Fraction]:
+    """|injectively q-labeled partitions of {1..p}| for q <= p <= p_max and
+    q <= q_max, as the identity-class coefficients of Z_F:
+    p!·q!·[x^p y^q] exp((1 + y)(e^x - 1))."""
+    if p_max < 0 or q_max < 0:
+        raise InvalidArgs("bounds must be non-negative")
+    z = _cycle_index(p_max, q_max)
+    return {
+        (p, q): z[p].get(((1,) * p, (1,) * q), 0) * factorial(p) * factorial(q)
+        for p in range(p_max + 1)
+        for q in range(min(p, q_max) + 1)
+    }

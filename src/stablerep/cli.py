@@ -3,33 +3,20 @@ suite runner, and an optional on-disk result cache.
 
 Exit codes: 0 success or verification pass, 1 verification failure,
 2 usage error, 3 size budget exceeded.
+
+Each subcommand imports the modules it runs when it runs, so a command loads
+only those (``partitions`` loads ``partitions`` alone, ``stable-cohomology``
+no labeled-partition or linear-algebra code, a cache hit no compute module).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 
 from .errors import InvalidArgs, SizeBudgetExceeded, StableRepError
-from .partitions import Partition, enumerate_partitions, specht_dimension
-from .characters import cycle_types, irreducible_character, lr_coefficient
-from .modules import verify_cauchy, verify_schur_weyl, split_extension_filtration_check
-from .labeled import (
-    enumerate_pq,
-    hom_space_dimension_gl,
-    verify_rw_prop,
-    verify_splitting_lemma,
-)
-from .stable import (
-    dimension_table,
-    stable_cohomology,
-    step1_dimension_identity,
-    theorem_a_induction_check,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -72,6 +59,8 @@ def _render_report(rep, as_json: bool) -> tuple[str, int]:
 
 
 def _cmd_partitions(args) -> tuple[str, int]:
+    from .partitions import enumerate_partitions, specht_dimension
+
     parts = enumerate_partitions(args.n)
     if args.json:
         return json.dumps([str(p) for p in parts], indent=2), EXIT_OK
@@ -80,6 +69,9 @@ def _cmd_partitions(args) -> tuple[str, int]:
 
 
 def _cmd_char(args) -> tuple[str, int]:
+    from .characters import cycle_types, irreducible_character
+    from .partitions import Partition
+
     lam = Partition.parse(args.lam)
     chi = irreducible_character(lam)
     classes = cycle_types(lam.weight)
@@ -102,6 +94,9 @@ def _cmd_char(args) -> tuple[str, int]:
 
 
 def _cmd_lr(args) -> tuple[str, int]:
+    from .characters import lr_coefficient
+    from .partitions import Partition
+
     lam, mu, nu = (Partition.parse(x) for x in (args.lam, args.mu, args.nu))
     c = lr_coefficient(lam, mu, nu)
     if args.json:
@@ -115,16 +110,22 @@ def _cmd_lr(args) -> tuple[str, int]:
 
 
 def _cmd_cauchy(args) -> tuple[str, int]:
+    from .modules import verify_cauchy
+
     return _render_report(
         verify_cauchy(args.r, args.dv, args.dw, args.budget), args.json
     )
 
 
 def _cmd_schur_weyl(args) -> tuple[str, int]:
+    from .modules import verify_schur_weyl
+
     return _render_report(verify_schur_weyl(args.r, args.d, args.budget), args.json)
 
 
 def _cmd_labeled_partitions(args) -> tuple[str, int]:
+    from .labeled import enumerate_pq
+
     objs = enumerate_pq(args.p, args.q, args.budget)
     if args.json:
         return (
@@ -140,6 +141,8 @@ def _cmd_labeled_partitions(args) -> tuple[str, int]:
 
 
 def _cmd_hom_dim(args) -> tuple[str, int]:
+    from .labeled import hom_space_dimension_gl
+
     dim = hom_space_dimension_gl(args.p, args.q, args.d, args.budget)
     if args.json:
         return (
@@ -172,23 +175,36 @@ def _cmd_verify(args) -> tuple[str, int]:
     if len(params) != len(usage.split()):
         raise InvalidArgs(f"verify {which} expects {usage}")
     if which == "extension":
+        from .modules import split_extension_filtration_check
+        from .partitions import Partition
+
         rep = split_extension_filtration_check(
             Partition.parse(params[0]), _int(params[1]), _int(params[2]), args.budget
         )
     else:
         ints = [_int(x) for x in params]
         if which == "rw-prop":
+            from .labeled import verify_rw_prop
+
             rep = verify_rw_prop(*ints, args.budget)
         elif which == "splitting":
+            from .labeled import verify_splitting_lemma
+
             rep = verify_splitting_lemma(*ints, args.budget)
         elif which == "induction":
+            from .stable import theorem_a_induction_check
+
             rep = theorem_a_induction_check(*ints, args.budget)
         else:
+            from .stable import step1_dimension_identity
+
             rep = step1_dimension_identity(*ints)
     return _render_report(rep, args.json)
 
 
 def _cmd_stable_cohomology(args) -> tuple[str, int]:
+    from .stable import dimension_table, stable_cohomology
+
     if args.table is not None:
         pmax, qmax = args.table
         rows = dimension_table(pmax, qmax)
@@ -240,6 +256,8 @@ def _cache_lookup(cache_dir: str, key: str) -> tuple[str, int] | None:
 
 
 def _cache_store(cache_dir: str, key: str, output: str, code: int) -> None:
+    import tempfile
+
     os.makedirs(cache_dir, exist_ok=True)
     payload = json.dumps({"output": output, "exit": code})
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -258,6 +276,8 @@ def _cache_key(args: argparse.Namespace) -> str:
     """Hash of the package's .py sources and of every parsed argument,
     including the effective budget, so that a hit returns only what this
     code would print for this command."""
+    import hashlib
+
     h = hashlib.sha256()
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):

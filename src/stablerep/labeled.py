@@ -1,7 +1,11 @@
 """Labeled set partitions, the receiving symmetric algebra F_W(V), the
-equivariant maps attached to each labeled partition, the cycle-index
-characters of both labeled families, and exact checks that stacking those
-maps gives an isomorphism onto the GL-equivariant Hom space.
+equivariant maps attached to each labeled partition, and exact checks that
+stacking those maps gives an isomorphism onto the GL-equivariant Hom space.
+
+The closed forms of both labeled families (the Stirling count ``count_pq``
+and the cycle-index characters ``pq_bicharacter`` and
+``general_bicharacter``) live in ``characters``, so the stable answer loads
+none of this module; enumeration here is their tests' oracle.
 
 The Hom side is read off weight generating functions (fixed_weights): the
 torus weights of the FW monomials fixed by a label permutation, decomposed
@@ -18,20 +22,21 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm, prod
+from math import comb, factorial, prod
 from operator import add
 
 from .errors import InvalidArgs, OracleDisagreement
 from .linalg import _count_pivots, sparse_rank_and_witness
 from .characters import (
     BiClassFunction,
-    centralizer_order,
+    count_pq,
     cycle_types,
+    general_bicharacter,
     graded_sym_algebra_dimension,
     induce,
     irreducible_character,
+    pq_bicharacter,
 )
 from .modules import (
     Perm,
@@ -41,7 +46,7 @@ from .modules import (
     check_budget,
     decompose_weight_multiset,
 )
-from .partitions import enumerate_partitions, specht_dimension
+from .partitions import enumerate_partitions, partition_count, specht_dimension
 
 UNLABELED = 0
 
@@ -200,21 +205,6 @@ def enumerate_general(
     return out
 
 
-def count_pq(p: int, q: int) -> int:
-    """Number of injectively q-labeled partitions of {1..p}, without
-    enumerating: sum over the part count k of S(p, k)·k!/(k-q)!, with S the
-    Stirling numbers of the second kind."""
-    if q < 0 or p < 0:
-        raise InvalidArgs("p, q must be non-negative")
-    stirling = [1]  # S(n, k) for k = 0..n, starting at n = 0
-    for n in range(1, p + 1):
-        stirling = [0] + [
-            k * (stirling[k] if k < n else 0) + stirling[k - 1]
-            for k in range(1, n + 1)
-        ]
-    return sum(s * perm(k, q) for k, s in enumerate(stirling))
-
-
 def enumerate_pq(
     p: int, q: int, budget: int | None = None
 ) -> list[QLabeledPartition]:
@@ -255,125 +245,6 @@ def splitting_map(x: QLabeledPartition) -> GeneralLabeledPartition:
     return GeneralLabeledPartition(
         tuple(parts[i] for i in order), tuple(labels[i] for i in order)
     )
-
-
-# ---------------------------------------------------------------------------
-# Closed forms: the cycle indices of the two labeled families
-#
-# The injectively labeled family is the two-sort species
-# F(X, Y) = E(E+(X)) * E(Y * E+(X)): a set of unlabeled blocks and a set of
-# blocks each paired with one label.  Its cycle index is
-#     Z_F = exp(sum_k (1/k)(1 + y_k)(exp(sum_i x_{ik}/i) - 1)),
-# and (sigma, tau) of cycle types (rho, pi) fixes z_rho*z_pi*[x^rho y^pi] Z_F
-# objects.  A monomial x^rho y^pi is keyed by (rho.parts, pi.parts).
-#
-# The family with repeatable labels (LabelAlphabet(q)) is a set of blocks,
-# each unlabeled or a singleton with one of the q labels.  For tau fixing f_k
-# labels under tau^k, its one-sort cycle index is
-#     Z_tau = exp(sum_k (1/k)(exp(sum_i x_{ik}/i) - 1 + f_k x_k)),
-# and (sigma, tau) fixes z_rho*[x^rho] Z_tau objects.
-
-CycleMonomial = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _merge_parts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b, reverse=True))
-
-
-def _cycle_index_log(j: int, q_max: int) -> dict[CycleMonomial, Fraction]:
-    """x-weight j part of the exponent of Z_F, dropping y_k for k > q_max."""
-    out: dict[CycleMonomial, Fraction] = {}
-    for k in range(1, j + 1):
-        if j % k:
-            continue
-        for lam in enumerate_partitions(j // k):
-            c = Fraction(1, k * centralizer_order(lam))
-            xs = tuple(k * s for s in lam)
-            keys = [(xs, ())] + ([(xs, (k,))] if k <= q_max else [])
-            for key in keys:
-                out[key] = out.get(key, 0) + c
-    return out
-
-
-def _exp_series(
-    logs: list[dict[CycleMonomial, Fraction]], q_max: int
-) -> list[dict[CycleMonomial, Fraction]]:
-    """Pieces of x-weight 0..len(logs)-1 of Z = exp(A), given the x-weight
-    pieces A_j = logs[j] (logs[0] is ignored), truncated at y-weight q_max.
-
-    Built by the degree recurrence n*Z_n = sum_j j*A_j*Z_{n-j}."""
-    terms = [[(m, sum(m[1]), j * c) for m, c in a.items()] for j, a in enumerate(logs)]
-    z: list[dict[CycleMonomial, Fraction]] = [{((), ()): Fraction(1)}]
-    for n in range(1, len(logs)):
-        acc: dict[CycleMonomial, Fraction] = {}
-        for j in range(1, n + 1):
-            for (ax, ay), ay_weight, a in terms[j]:
-                for (bx, by), b in z[n - j].items():
-                    if ay_weight + sum(by) > q_max:
-                        continue
-                    key = (_merge_parts(ax, bx), _merge_parts(ay, by))
-                    acc[key] = acc.get(key, 0) + a * b
-        z.append({m: c / n for m, c in acc.items()})
-    return z
-
-
-def _cycle_index(p_max: int, q_max: int) -> list[dict[CycleMonomial, Fraction]]:
-    """Pieces of x-weight 0..p_max of Z_F, truncated at y-weight q_max."""
-    return _exp_series([_cycle_index_log(j, q_max) for j in range(p_max + 1)], q_max)
-
-
-def pq_bicharacter(p: int, q: int) -> BiClassFunction:
-    """Fixed-point character of Sigma_p x Sigma_q on the injectively labeled
-    family, read off the cycle index Z_F without enumerating (the tests
-    check it against fixed-point counts over enumerate_pq)."""
-    if q < 0 or p < 0:
-        raise InvalidArgs("p, q must be non-negative")
-    if q > p:
-        raise InvalidArgs(f"q={q} exceeds p={p}; no partition has enough parts")
-    top = _cycle_index(p, q)[p]
-    return BiClassFunction(
-        (p, q),
-        {
-            (s, t): top.get((s.parts, t.parts), 0)
-            * centralizer_order(s)
-            * centralizer_order(t)
-            for s in cycle_types(p)
-            for t in cycle_types(q)
-        },
-    )
-
-
-def general_bicharacter(p: int, q: int) -> BiClassFunction:
-    """Fixed-point character of Sigma_p x Sigma_q on the labeled partitions
-    with repeatable labels, read off one Z_tau per class of tau without
-    enumerating (the tests check it against counts over enumerate_general)."""
-    if q < 0 or p < 0:
-        raise InvalidArgs("p, q must be non-negative")
-    unlabeled = [_cycle_index_log(j, 0) for j in range(p + 1)]
-    vals = {}
-    for t in cycle_types(q):
-        logs = [dict(a) for a in unlabeled]
-        for k in range(1, p + 1):
-            f_k = sum(c for c in t.parts if k % c == 0)
-            logs[k][((k,), ())] += Fraction(f_k, k)
-        top = _exp_series(logs, 0)[p]
-        for s in cycle_types(p):
-            vals[(s, t)] = top.get((s.parts, ()), 0) * centralizer_order(s)
-    return BiClassFunction((p, q), vals)
-
-
-def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], Fraction]:
-    """|injectively q-labeled partitions of {1..p}| for q <= p <= p_max and
-    q <= q_max, as the identity-class coefficients of Z_F:
-    p!·q!·[x^p y^q] exp((1 + y)(e^x - 1))."""
-    if p_max < 0 or q_max < 0:
-        raise InvalidArgs("bounds must be non-negative")
-    z = _cycle_index(p_max, q_max)
-    return {
-        (p, q): z[p].get(((1,) * p, (1,) * q), 0) * factorial(p) * factorial(q)
-        for p in range(p_max + 1)
-        for q in range(min(p, q_max) + 1)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +565,9 @@ def induced_pq_bicharacter(
     """Character of Ind over the label factor from Sigma_i x Sigma_{q-i}
     up to Sigma_q of the injectively labeled family (its character from
     pq_bicharacter), with Sigma_{q-i} acting trivially; a Sigma_p x Sigma_q
-    character.  The budget bounds its table of class pairs."""
-    check_budget(len(cycle_types(p)) * len(cycle_types(q)), budget, "class pairs")
+    character.  The budget bounds its table of class pairs, counted before
+    any is listed."""
+    check_budget(partition_count(p) * partition_count(q), budget, "class pairs")
     base = pq_bicharacter(p, i)
     vals = {}
     for s in cycle_types(p):
@@ -720,6 +592,7 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     (hom_bicharacter, read off weight generating functions).  The budget
     bounds the class-pair and weight tables, and the FW piece that
     hom_space_dimension_gl builds only to solve a small intertwiner system."""
+    check_budget(partition_count(p) * partition_count(q), budget, "class pairs")
     lhs = general_bicharacter(p, q)
     rhs = BiClassFunction((p, q), {})
     for i in range(q + 1):

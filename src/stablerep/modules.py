@@ -443,7 +443,9 @@ def decompose_weight_multiset(cnt: Counter, d: int):
         mult = rem[top]
         mults[lam] = mults.get(lam, 0) + mult
         for w in _compositions(lam.weight, d):
-            k = kostka(lam.parts, w)
+            # Kostka numbers are symmetric in the content, so the cache
+            # serves every permutation of w from its sorted form.
+            k = kostka(lam.parts, tuple(sorted(w, reverse=True)))
             if k:
                 nv = rem.get(w, 0) - mult * k
                 if nv:

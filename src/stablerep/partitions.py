@@ -160,6 +160,26 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return [Partition(ps) for ps in _partitions_rec(n, n if n else 1)]
 
 
+@lru_cache(maxsize=None)
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n, without enumerating them: Euler's
+    pentagonal-number recurrence p(m) = sum_k (-1)^(k+1) (p(m - k(3k-1)/2)
+    + p(m - k(3k+1)/2)), filled bottom-up over m = 1..n in integers."""
+    if n < 0:
+        raise InvalidArgs(f"n must be non-negative, got {n}")
+    counts = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            term = counts[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                term += counts[m - k * (3 * k + 1) // 2]
+            total += term if k % 2 else -term
+            k += 1
+        counts.append(total)
+    return counts[n]
+
+
 def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     """Hook length of every cell of the diagram."""
     t = transpose(lam)

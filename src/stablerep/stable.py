@@ -4,8 +4,10 @@ identities behind it, and a character-level replay of the induction that
 pins the answer down.
 
 The answer and the dimension table come from closed forms (the cycle index
-of the labeled-partition species and a Stirling count); enumeration is the
-test oracle.
+of the labeled-partition species and a Stirling count, both in
+``characters``); enumeration is the test oracle.  Only the verification
+functions import ``labeled`` and ``modules``, when they run, so the
+answer loads neither.
 
 The automorphism groups themselves are never represented; the coefficient
 system appears only as symbolic (p, q, n) bookkeeping, because the stable
@@ -16,29 +18,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from .characters import (
     BiClassFunction,
     IrredDecomposition,
+    count_pq,
     cycle_types,
     decompose,
-    graded_sym_algebra_dimension,
-    sym_dimension,
-)
-from .labeled import (
-    LabelAlphabet,
-    build_fw_piece,
-    count_general,
-    count_pq,
-    enumerate_pq,
     general_bicharacter,
-    induced_pq_bicharacter,
+    graded_sym_algebra_dimension,
     pq_bicharacter,
     pq_identity_counts,
-    _piece_weights,
+    sym_dimension,
 )
-from .modules import Report, check_budget
+from .partitions import partition_count
+
+if TYPE_CHECKING:
+    from .modules import Report
 
 
 @dataclass(frozen=True)
@@ -144,6 +142,8 @@ def hom_side_total(p: int, q: int, d: int, budget: int | None = None) -> int:
     admits their weight-table steps and basis, by the total of its
     torus-weight generating function (fixed_weights at the identity) and by
     direct basis enumeration."""
+    from .labeled import _piece_weights, build_fw_piece
+
     others = {}
     try:
         others["weight generating function"] = sum(_piece_weights(p, q, d, budget).values())
@@ -161,6 +161,8 @@ def step1_dimension_identity(p: int, q: int, d: int) -> Report:
     """Collapsing-spectral-sequence identity: the q-fold linear summands can
     be split off, so the graded piece equals the convolution of the q=0
     series with the symmetric powers of the q*d linear generators."""
+    from .modules import Report
+
     direct = graded_sym_algebra_dimension(d, q, p)
     convolved = sum(
         graded_sym_algebra_dimension(d, 0, p - k) * sym_dimension(q * d, k)
@@ -178,7 +180,8 @@ def step1_dimension_identity(p: int, q: int, d: int) -> Report:
 def three_way_dimension_agreement(p: int, q: int, budget: int | None = None) -> Report:
     """|labeled partitions| by enumeration equals the Hom-space dimension
     at d=p equals the binomial-weighted sum of injectively labeled counts."""
-    from .labeled import hom_space_dimension_gl
+    from .labeled import LabelAlphabet, count_general, enumerate_pq, hom_space_dimension_gl
+    from .modules import Report
 
     by_enum = count_general(p, LabelAlphabet(q))
     by_hom = hom_space_dimension_gl(p, q, p, budget)
@@ -205,10 +208,13 @@ def theorem_a_induction_check(p: int, q: int, budget: int | None = None) -> Repo
     partition character (``general_bicharacter``); the residue must be the
     injectively q-labeled character (``pq_bicharacter``).  The two come from
     different cycle indices, and no labeled partition is built: the budget
-    bounds the table of class pairs."""
+    bounds the table of class pairs, counted before any is listed."""
+    from .labeled import induced_pq_bicharacter
+    from .modules import Report, check_budget
+
     if not (0 <= q <= p):
         raise InvalidArgs(f"need 0 <= q <= p, got p={p}, q={q}")
-    check_budget(len(cycle_types(p)) * len(cycle_types(q)), budget, "class pairs")
+    check_budget(partition_count(p) * partition_count(q), budget, "class pairs")
     residue = general_bicharacter(p, q)
     for i in range(q):
         residue = residue - induced_pq_bicharacter(p, i, q, budget)

@@ -207,6 +207,19 @@ def test_kostka_basics():
     assert kostka((3,), (1, 1, 1)) == 1
 
 
+def test_kostka_is_symmetric_in_the_content():
+    # decompose_weight_multiset looks every weight up by its sorted form.
+    from stablerep.modules import _compositions
+
+    for n in range(7):
+        for lam in enumerate_partitions(n):
+            for d in range(1, 5):
+                for w in _compositions(n, d):
+                    assert kostka(lam.parts, w) == kostka(
+                        lam.parts, tuple(sorted(w, reverse=True))
+                    ), (lam, w)
+
+
 def test_kostka_row_sums_give_tensor_dimension():
     # sum over weights of K_{lam,w} = dim S_lam(Q^d) for weights with d parts
     import itertools

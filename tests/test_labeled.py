@@ -6,7 +6,14 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablerep.characters import cycle_types, graded_sym_algebra_dimension
+from stablerep.characters import (
+    count_pq,
+    cycle_types,
+    general_bicharacter,
+    graded_sym_algebra_dimension,
+    pq_bicharacter,
+    pq_identity_counts,
+)
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.labeled import (
     FWGradedPiece,
@@ -17,17 +24,13 @@ from stablerep.labeled import (
     build_fw_piece,
     check_phi_equivariance,
     count_general,
-    count_pq,
     enumerate_general,
     enumerate_pq,
     fixed_weights,
-    general_bicharacter,
     hom_bicharacter,
     hom_space_dimension_gl,
     induced_pq_bicharacter,
     phi_columns,
-    pq_bicharacter,
-    pq_identity_counts,
     set_partitions,
     splitting_map,
     verify_rw_prop,
@@ -123,6 +126,29 @@ class TestEnumeration:
         with pytest.raises(SizeBudgetExceeded):
             induced_pq_bicharacter(5, 2, 3, budget=20)
         assert induced_pq_bicharacter(5, 2, 3, budget=21).dimension == 3 * 320
+
+    def test_class_pair_budget_refuses_without_enumerating(self, monkeypatch, capsys):
+        # p(50) * p(1) = 204,226 class pairs: refused from the partition
+        # count, before any class list of weight 50 is built.
+        from stablerep import characters, cli, modules, partitions
+
+        def refuse_at_50(fn):
+            def guarded(n):
+                assert n != 50, "partitions of 50 enumerated"
+                return fn(n)
+            return guarded
+
+        for mod in (partitions, characters, modules, labeled, stable):
+            for name in ("cycle_types", "enumerate_partitions"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse_at_50(getattr(mod, name)))
+        with pytest.raises(SizeBudgetExceeded, match="class pairs 204226"):
+            verify_splitting_lemma(1, 50, 1)
+        with pytest.raises(SizeBudgetExceeded, match="class pairs 204226"):
+            theorem_a_induction_check(50, 1)
+        assert cli.main(["verify", "splitting", "1", "50", "1"]) == 3
+        assert cli.main(["verify", "induction", "50", "1"]) == 3
+        assert "class pairs 204226" in capsys.readouterr().err
 
     def test_general_count_from_pq_layers(self):
         # repeated-label bookkeeping: choosing which labels appear (with
@@ -288,6 +314,12 @@ class TestHomSpace:
                 assert hom_space_dimension_gl(p, q, p) == count_general(
                     p, LabelAlphabet(q)
                 )
+
+    def test_large_cells_pinned(self):
+        # Values of the eager Kostka lookup, before weights were looked up
+        # by their sorted form; both cells exceed the default budget.
+        assert hom_space_dimension_gl(6, 6, 6, budget=200_000) == 163967
+        assert hom_space_dimension_gl(7, 5, 7, budget=200_000) == 529032
 
     def test_solve_path_agrees_with_characters(self):
         for p, q, d in [(1, 0, 1), (2, 0, 2), (2, 1, 2), (2, 2, 2), (3, 0, 2), (3, 1, 2)]:

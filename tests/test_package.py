@@ -1,0 +1,148 @@
+"""The package's lazy exports and the modules each command imports.
+
+``stablerep`` resolves its exports on first use (PEP 562) and the CLI imports
+each subcommand's modules when it runs, so a command loads only what it
+computes with.  The import sets are read in fresh interpreters, because this
+test process has long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stablerep
+
+SRC = Path(stablerep.__file__).resolve().parents[1]
+PERFBENCH = SRC.parent / "perfbench"
+
+# The exports of the eagerly importing package this replaced, submodules
+# included; the lazy package must keep exactly these.
+EXPORTS = [
+    "BiClassFunction", "ClassFunction", "GeneralLabeledPartition", "InvalidArgs",
+    "IrredDecomposition", "LabelAlphabet", "NegativeMultiplicity",
+    "NonIntegralMultiplicity", "NonPolynomialAction", "OracleDisagreement",
+    "Partition", "QLabeledPartition", "Report", "SizeBudgetExceeded", "SkewShape",
+    "StableCohomologyResult", "StableRepError", "SymbolicCoefficient",
+    "build_fw_piece", "characters", "cycle_types", "decompose", "dimension_table",
+    "enumerate_general", "enumerate_partitions", "enumerate_pq", "errors",
+    "external_product", "gl_decompose", "graded_sym_algebra_dimension",
+    "hom_bicharacter", "hom_side_total", "hom_space_dimension_gl", "hook_lengths",
+    "induce", "inner_product", "irreducible_character", "kostka", "labeled",
+    "linalg", "lr_coefficient", "modules", "partitions", "restrict", "schur_apply",
+    "schur_gl_dimension", "sign_character", "skew_schur_decompose",
+    "specht_dimension", "specht_module", "split_extension_filtration_check",
+    "splitting_map", "stable", "stable_cohomology", "step1_dimension_identity",
+    "tensor_power_module", "theorem_a_induction_check",
+    "three_way_dimension_agreement", "transpose", "trivial_character",
+    "verify_cauchy", "verify_rw_prop", "verify_schur_weyl",
+    "verify_splitting_lemma", "young_symmetrizer",
+]
+SUBMODULES = {
+    "characters", "errors", "labeled", "linalg", "modules", "partitions", "stable",
+}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The stablerep modules a fresh interpreter holds after running code."""
+    script = (
+        "import sys\n"
+        + code
+        + "\nprint('LOADED ' + ' '.join(m for m in sys.modules if m.startswith('stablerep')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("STABLEREP_BUDGET", None)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    line = [x for x in out.splitlines() if x.startswith("LOADED ")][-1]
+    return set(line.split()[1:])
+
+
+def loaded_by_command(*argv: str) -> set[str]:
+    return loaded_after(f"from stablerep.cli import main\nmain({list(argv)!r})")
+
+
+def qualified(*names: str) -> set[str]:
+    return {"stablerep"} | {f"stablerep.{n}" for n in names}
+
+
+class TestImportSets:
+    def test_bare_import_loads_no_submodule(self):
+        assert loaded_after("import stablerep") == {"stablerep"}
+
+    def test_partitions_loads_partitions_alone(self):
+        assert loaded_by_command("partitions", "1") == qualified("cli", "errors", "partitions")
+
+    @pytest.mark.parametrize(
+        "argv", [("stable-cohomology", "7", "2"), ("stable-cohomology", "--table", "6", "6")]
+    )
+    def test_stable_answer_loads_no_labeled_or_linear_algebra(self, argv):
+        assert loaded_by_command(*argv) == qualified(
+            "cli", "errors", "partitions", "characters", "stable"
+        )
+
+    def test_cache_hit_loads_no_compute_module(self, tmp_path):
+        argv = ("--cache", str(tmp_path), "stable-cohomology", "4", "2")
+        assert "stablerep.stable" in loaded_by_command(*argv)  # miss: computes
+        assert loaded_by_command(*argv) == qualified("cli", "errors")  # hit
+
+
+class TestLazyExports:
+    def test_all_is_unchanged(self):
+        assert stablerep.__all__ == EXPORTS
+
+    def test_each_name_is_the_defining_modules_object(self):
+        for name in EXPORTS:
+            obj = getattr(stablerep, name)
+            if name in SUBMODULES:
+                assert obj is sys.modules[f"stablerep.{name}"], name
+            else:
+                assert obj.__module__.startswith("stablerep."), name
+                assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+    def test_star_import_binds_every_export(self):
+        namespace: dict = {}
+        exec("from stablerep import *", namespace)
+        assert set(EXPORTS) <= set(namespace)
+        assert all(namespace[n] is getattr(stablerep, n) for n in EXPORTS)
+
+    def test_dir_lists_every_export(self):
+        assert set(EXPORTS) <= set(dir(stablerep))
+        assert "__version__" in dir(stablerep)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            stablerep.no_such_name
+        assert not hasattr(stablerep, "cycle_index")
+
+    def test_first_use_imports_only_the_defining_module(self):
+        assert loaded_after("import stablerep\nstablerep.Partition") == qualified(
+            "errors", "partitions"
+        )
+
+    def test_benchmark_api_ops_and_checker_resolve_through_the_package(self):
+        # The benchmark's API ops (child.py) and their independent checks
+        # (run.py's Checker) use stablerep.<name>; each must still pass.
+        ops = [
+            ("specht_module", "2,1"),
+            ("schur_gl", "2,1", "2"),
+            ("specht_character_traces", "2,1"),
+            ("character_table", "4"),
+        ]
+        code = (
+            "import contextlib, io, json\n"
+            f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+            "import child, run, workloads\n"
+            "checker = run.Checker({})\n"
+            f"for args in {ops!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = child.main(['api', json.dumps({'kind': 'api', 'args': list(args)})])\n"
+            "    assert code == 0, args\n"
+            "    assert checker._api_ok(workloads.api(*args), json.loads(out.getvalue())), args\n"
+        )
+        assert "stablerep.modules" in loaded_after(code)

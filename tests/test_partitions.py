@@ -7,6 +7,7 @@ from stablerep.partitions import (
     SkewShape,
     enumerate_partitions,
     hook_lengths,
+    partition_count,
     schur_gl_dimension,
     specht_dimension,
     transpose,
@@ -103,3 +104,12 @@ def test_skew_shape_cells():
     assert set(shape.cells()) == {(0, 1), (0, 2), (1, 0), (1, 1)}
     with pytest.raises(ValueError):
         SkewShape(Partition([1]), Partition([2]))
+
+
+def test_partition_count_matches_enumeration():
+    assert [partition_count(n) for n in range(31)] == [
+        len(enumerate_partitions(n)) for n in range(31)
+    ]
+    assert partition_count(50) == partition_count_oracle(50) == 204226
+    with pytest.raises(InvalidArgs):
+        partition_count(-1)

@@ -2,10 +2,10 @@ from math import factorial
 
 import pytest
 
-from stablerep.characters import cycle_types, decompose, identity_type
+from stablerep.characters import count_pq, cycle_types, decompose, identity_type
 from stablerep import labeled, stable
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
-from stablerep.labeled import count_pq, enumerate_pq
+from stablerep.labeled import enumerate_pq
 from stablerep.partitions import Partition, transpose
 from stablerep.stable import (
     SymbolicCoefficient,
