@@ -86,24 +86,14 @@ def bell_number(p: int) -> int:
 
 class LabelAlphabet:
     """Per-part-size label alphabets: size-1 parts draw from the unlabeled
-    marker plus q distinguishable labels; larger parts are always unlabeled.
-    Arbitrary finite alphabets are accepted via ``custom``."""
+    marker plus q distinguishable labels; larger parts are always unlabeled."""
 
     def __init__(self, q: int):
         if q < 0:
             raise InvalidArgs(f"q must be non-negative, got {q}")
         self.q = q
-        self._custom: dict[int, tuple[int, ...]] | None = None
-
-    @classmethod
-    def custom(cls, alphabets: dict[int, tuple[int, ...]]) -> "LabelAlphabet":
-        a = cls(0)
-        a._custom = dict(alphabets)
-        return a
 
     def labels_for_size(self, i: int) -> tuple[int, ...]:
-        if self._custom is not None:
-            return self._custom.get(i, (UNLABELED,))
         if i == 1:
             return tuple(range(self.q + 1))
         return (UNLABELED,)

@@ -1,16 +1,18 @@
-"""Exact rational linear algebra: dense matrices over Fraction and a sparse
-row-reduction for the intertwiner systems and the stacked-map ranks that no
-certificate decides: from d = p on, labeled.verify_rw_prop certifies its rank
-from the generic tensor J0 and builds no rows, so elimination decides the rest.
+"""Exact rational linear algebra: one sparse elimination, and dense
+matrices that hold generator actions.
 
-No floating point anywhere.  The dense path is Gauss-Jordan over Fraction on
-lists of rows.  The sparse path is forward elimination on {column_key: value}
-dicts, whose rows are short.  ``sparse_rank`` runs it mod the prime
-P = 2^61 - 1 first and keeps that rank only when it equals min(rows, nonzero
-columns): the rank over Q lies between the two.  Otherwise it runs the same
-elimination over Fraction.  ``sparse_rank_and_witness`` adds a dependency
-witness: it keeps a full row rank mod P, and otherwise runs one elimination
-over Fraction with a tag column per row.  Every rank is exact.
+No floating point anywhere.  ``_reduce_rows`` is the only elimination loop:
+forward elimination on {column_key: value} dicts, whose rows are short, over
+Fraction or over the integers mod the prime P = 2^61 - 1.  It decides the
+intertwiner systems and the stacked-map ranks that no certificate decides
+(from d = p on, labeled.verify_rw_prop certifies its rank from the generic
+tensor J0 and builds no rows), and modules._spin picks a module basis and
+writes every generator image in it in one pass.  ``sparse_rank_and_witness``
+keeps a full row rank mod P, which certifies itself, and otherwise runs one
+elimination over Fraction with a tag column per row, which gives the rank
+and a dependency witness.  ``ExactMatrix`` only holds the generator matrices
+of explicit modules, and adds, multiplies and traces them.  Every rank is
+exact.
 """
 
 from __future__ import annotations
@@ -47,16 +49,6 @@ class ExactMatrix:
         for i in range(n):
             m.data[i][i] = Fraction(1)
         return m
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[Number]]) -> "ExactMatrix":
-        if not cols:
-            return cls.zero(0, 0)
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
-    def column(self, j: int) -> list[Fraction]:
-        return [self.data[i][j] for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -104,85 +96,10 @@ class ExactMatrix:
         assert self.rows == self.cols
         return sum(self.data[i][i] for i in range(self.rows))
 
-    def rank(self) -> int:
-        return len(self.pivot_columns())
-
-    def pivot_columns(self) -> list[int]:
-        """Column indices of pivots in a row echelon form."""
-        return _gauss_jordan([row[:] for row in self.data], self.cols)
-
-    def solve_many(
-        self, rhs_list: Sequence[Sequence[Number]]
-    ) -> list[list[Fraction] | None]:
-        """Solve self @ x = rhs for several right-hand sides with a single
-        elimination pass; None for an inconsistent right-hand side."""
-        n = self.cols
-        aug = [
-            self.data[i] + [Fraction(rhs[i]) for rhs in rhs_list]
-            for i in range(self.rows)
-        ]
-        pivots = _gauss_jordan(aug, n)
-        out: list[list[Fraction] | None] = []
-        for col in range(n, n + len(rhs_list)):
-            # Rows past the rank are zero on the first n columns, so a
-            # nonzero right-hand side there is inconsistent.
-            if any(aug[i][col] for i in range(len(pivots), self.rows)):
-                out.append(None)
-                continue
-            x = [Fraction(0)] * n
-            for r, c in enumerate(pivots):
-                x[c] = aug[r][col]
-            out.append(x)
-        return out
-
-
-def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Bring the rows of m, in place, to reduced row echelon form on the
-    first ncols columns; later columns ride along.  Returns the pivot
-    columns."""
-    nrows = len(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
 
 # The Mersenne prime 2^61 - 1.  The rank drops mod P only where P divides
 # every maximal minor, and a drop costs only the rational fallback.
 MODULAR_PRIME = (1 << 61) - 1
-
-
-def sparse_rank(rows: list[dict]) -> int:
-    """Exact rank of a sparse matrix given as a list of {column_key: value}
-    rows.  Column keys must be mutually comparable (e.g. ints or int
-    tuples); values are exact rationals.
-
-    Each row is scaled by the lcm of its denominators, which keeps the rank,
-    and reduced mod MODULAR_PRIME.  The rank r mod the prime is a lower bound
-    for the rank over Q (a nonzero minor mod the prime is a nonzero integer),
-    and min(rows, nonzero columns) is an upper bound.  r is returned when it
-    meets the upper bound; otherwise the rows are eliminated again over
-    Fraction, which decides."""
-    rank = _count_pivots(rows, MODULAR_PRIME)
-    if rank == len(rows):
-        return rank
-    if rank == len({k for row in rows for k, v in row.items() if v}):
-        return rank
-    return _count_pivots(rows)
 
 
 def _count_pivots(rows: Iterable[dict], prime: int | None = None) -> int:
@@ -190,15 +107,19 @@ def _count_pivots(rows: Iterable[dict], prime: int | None = None) -> int:
 
 
 def sparse_rank_and_witness(rows: list[dict]) -> tuple[int, list[Fraction] | None]:
-    """Exact rank of sparse rows as in sparse_rank and, if they are
+    """Exact rank of sparse rows given as {column_key: value} dicts (keys
+    mutually comparable, values exact rationals) and, if they are
     linearly dependent, the coefficients of a non-trivial vanishing
     combination (else None), with at most one elimination over Fraction.
 
-    A full row rank mod MODULAR_PRIME certifies itself.  Otherwise row i
-    gets a tag column (1, i) sorting after its real columns (0, k), and one
-    pass over all rows decides: the rank is the number of remainders that
-    lead with a real column, and the first remainder that leads with a tag
-    has no real part left, so its tag entries are the combination."""
+    Each row is scaled by the lcm of its denominators and reduced mod
+    MODULAR_PRIME.  A rank mod the prime is a lower bound for the rank over
+    Q (a nonzero minor mod the prime is a nonzero integer), so a full row
+    rank certifies itself.  Otherwise row i gets a tag column (1, i)
+    sorting after its real columns (0, k), and one pass over all rows
+    decides: the rank is the number of remainders that lead with a real
+    column, and the first remainder that leads with a tag has no real part
+    left, so its tag entries are the combination."""
     if _count_pivots(rows, MODULAR_PRIME) == len(rows):
         return len(rows), None
     tagged = (

@@ -1,12 +1,13 @@
 """Explicit finite-dimensional rational modules with exact matrix actions.
 
 This is the explicit oracle layer: Specht modules as left ideals spun from
-the Young symmetrizer under s_1..s_{r-1}, Schur functors as symmetrizer
-images on tensor space with their basis picked by sparse elimination,
-Specht characters from the symmetrizer's coefficients by a centralizer
-count, weight-space decomposition of polynomial gl_d actions, and the
-dimension / trace verifications for Cauchy's lemma, Schur-Weyl duality and
-the split extension filtration.  No r! x r! or d^r x d^r matrix is built
+the Young symmetrizer under s_1..s_{r-1} and Schur functors as symmetrizer
+images on tensor space, each with its basis and generator matrices read
+off one sparse elimination (_spin); Specht characters from the
+symmetrizer's coefficients by a centralizer count; weight-space
+decomposition of polynomial gl_d actions; and the dimension / trace
+verifications for Cauchy's lemma, Schur-Weyl duality and the split
+extension filtration.  No r! x r! or d^r x d^r matrix is built
 outside tensor_power_module.
 """
 
@@ -220,11 +221,12 @@ def perm_on_index(g: Perm, J: tuple[int, ...]) -> tuple[int, ...]:
 
 def tensor_power_module(d: int, r: int, budget: int | None = None) -> ExplicitModule:
     """V^{⊗r} for V = Q^d, with Sigma_r permuting factors and gl_d acting
-    by derivations."""
+    by derivations.  It builds d^2 + max(r-1, 0) dense d^r x d^r generator
+    matrices, and the budget counts their entries."""
     if d < 1 or r < 0:
         raise InvalidArgs(f"bad tensor power parameters d={d}, r={r}")
     dim = d**r
-    check_budget(dim, budget)
+    check_budget((d * d + max(r - 1, 0)) * dim * dim, budget, "matrix entries")
     basis = _tensor_basis(d, r)
     index = {J: i for i, J in enumerate(basis)}
 
@@ -271,33 +273,52 @@ def _tensor_weight(J, d: int) -> tuple[int, ...]:
 
 
 def _spin(vectors: list[dict], maps: list, spin: bool):
-    """Pick a basis from sparse vectors, in order: a vector with a nonzero
-    remainder in the sparse elimination joins it.  With spin, its images
-    under the maps join the queue, so the basis spans the smallest
-    map-stable subspace containing the first vector.  Each basis image is
-    solved for on the lead keys of the basis remainders, where the basis is
-    invertible because the remainders are triangular there, and checked on
-    every key.  Returns the basis positions and each map's matrix."""
-    picked, leads, images = [], [], []
-    for pos, rest in enumerate(_reduce_rows(vectors)):
-        if rest:
-            picked.append(pos)
-            leads.append(min(rest))
-            images.append([m(vectors[pos]) for m in maps])
-            if spin:
-                vectors.extend(images[-1])
-    basis = [vectors[pos] for pos in picked]
-    square = ExactMatrix([[b.get(k, 0) for b in basis] for k in leads])
-    mats = []
-    for i in range(len(maps)):
-        targets = [imgs[i] for imgs in images]
-        sols = square.solve_many([[t.get(k, 0) for k in leads] for t in targets])
-        for t, x in zip(targets, sols):
-            if x is None or t != _sparse(
-                (k, xj * v) for xj, b in zip(x, basis) if xj for k, v in b.items()
-            ):
+    """Pick a basis from sparse vectors, in order, and write each map's image
+    of every basis vector in that basis, in one sparse elimination.
+
+    The vector at queue position pos is reduced as {(0, k): v, ...,
+    (1, -pos): 1}: its tag sorts after every real key and before the tags
+    of earlier vectors.  A remainder led by a real key makes the vector a
+    new basis vector, and its images under the maps join the queue.  A
+    remainder led by its own tag is the vector plus a vanishing combination
+    of basis vectors, so its entries on the basis tags are minus the
+    vector's coordinates; no pivot sits on a basis tag, so nothing is left
+    to solve.  An image led by a real key leaves the span: with spin it
+    joins the basis, so the basis spans the smallest map-stable subspace
+    containing the first vectors; without spin it raises
+    OracleDisagreement.  Returns the basis positions and each map's
+    matrix."""
+    vectors = list(vectors)
+    picked: list[int] = []
+    slot: dict[int, int] = {}  # queue position of a basis vector -> its index
+    origin: dict[int, tuple[int, int]] = {}  # image position -> (map, basis index)
+    entries = []  # (map, row, column, value)
+
+    def tagged():
+        pos = 0
+        while pos < len(vectors):
+            yield {**{(0, k): v for k, v in vectors[pos].items()}, (1, -pos): 1}
+            pos += 1
+
+    for pos, rest in enumerate(_reduce_rows(tagged())):
+        new = min(rest)[0] == 0
+        if new:
+            if pos in origin and not spin:
                 raise OracleDisagreement("a generator image leaves the span of the basis")
-        mats.append(ExactMatrix.from_columns(sols))
+            slot[pos] = len(picked)
+            for i, m in enumerate(maps):
+                origin[len(vectors)] = (i, len(picked))
+                vectors.append(m(vectors[pos]))
+            picked.append(pos)
+        if pos in origin:
+            i, j = origin[pos]
+            if new:
+                entries.append((i, slot[pos], j, 1))
+            else:
+                entries.extend((i, slot[-t], j, -c) for (_, t), c in rest.items() if t != -pos)
+    mats = [ExactMatrix.zero(len(picked), len(picked)) for _ in maps]
+    for i, k, j, c in entries:
+        mats[i].data[k][j] = Fraction(c)
     return picked, mats
 
 

@@ -104,6 +104,24 @@ def series_coefficient_oracle(factors: list[tuple[int, int]], n: int) -> int:
     return int(coeffs[n])
 
 
+def dense_rank_oracle(entries) -> int:
+    """Rank of a list of rows of rationals by dense elimination over
+    Fraction: clear each column below its first nonzero entry."""
+    rows = [[Fraction(x) for x in row] for row in entries]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1 :]:
+            f = r[c] / pivot[c]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
 def specht_trace_oracle(c: list[tuple[int, tuple[int, ...]]], g: tuple[int, ...]) -> int:
     """tr(L_g R_c) on the group algebra Q[Sigma_r], by counting fixed
     points: the sum of coeff over the terms (coeff, h) of c and the

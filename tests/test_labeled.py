@@ -468,13 +468,6 @@ class TestSplittingLemma:
         assert len(enumerate_pq(2, 0)) + len(enumerate_pq(2, 1)) == 5
 
 
-def test_custom_alphabet():
-    alphabet = LabelAlphabet.custom({1: (0, 1), 2: (0, 1, 2)})
-    objs = enumerate_general(2, alphabet)
-    # {1|2}: 2*2 labelings (one per part), {12}: 3 labelings
-    assert len(objs) == 4 + 3
-
-
 def test_text_rendering():
     x = enumerate_pq(2, 1)[0]
     assert str(x).startswith("{") and "labels=" in str(x)

@@ -7,16 +7,11 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import specht_trace_oracle
+from conftest import dense_rank_oracle, specht_trace_oracle
 from stablerep import modules
 from stablerep.characters import cycle_types, irreducible_character
 from stablerep.errors import NonPolynomialAction, OracleDisagreement, SizeBudgetExceeded
-from stablerep.linalg import (
-    MODULAR_PRIME as P,
-    ExactMatrix,
-    sparse_rank,
-    sparse_rank_and_witness,
-)
+from stablerep.linalg import MODULAR_PRIME as P, ExactMatrix, sparse_rank_and_witness
 from stablerep.modules import (
     ExplicitModule,
     class_representative,
@@ -42,8 +37,8 @@ from stablerep.partitions import (
 )
 
 small_ints = st.integers(min_value=-3, max_value=3)
-# Entries shifted by a multiple of sparse_rank's prime, and fractions: they
-# reach its rational fallback and its denominator scaling.
+# Entries shifted by a multiple of the modular prime, and fractions: they
+# reach sparse_rank_and_witness's rational pass and its denominator scaling.
 wide_entries = st.one_of(
     small_ints,
     st.builds(lambda a, b: a + b * P, small_ints, st.integers(min_value=-1, max_value=1)),
@@ -58,65 +53,38 @@ wide_matrices = st.integers(min_value=1, max_value=5).flatmap(
 
 class TestExactMatrix:
     def test_rank_and_nullspace(self):
-        m = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert m.rank() == 2
-        assert m.pivot_columns() == [0, 1]
-        # The free column in terms of the pivot columns gives the kernel
-        # vector (x0, x1, -1).
-        pivots = ExactMatrix.from_columns([m.column(0), m.column(1)])
-        [x] = pivots.solve_many([m.column(2)])
-        v = x + [-1]
-        assert v == [1, 1, -1]
-        assert m @ ExactMatrix.from_columns([v]) == ExactMatrix.zero(3, 1)
-
-    def test_solve(self):
-        m = ExactMatrix([[2, 0], [0, 3]])
-        assert m.solve_many([[1, 1]]) == [[Fraction(1, 2), Fraction(1, 3)]]
-        inconsistent = ExactMatrix([[1, 0], [1, 0]])
-        assert inconsistent.solve_many([[0, 1], [2, 2]]) == [None, [2, 0]]
+        """The columns of m as sparse rows: their dependency witness is a
+        kernel vector of m."""
+        m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        columns = [{i: m[i][j] for i in range(3) if m[i][j]} for j in range(3)]
+        rank, v = sparse_rank_and_witness(columns)
+        assert rank == 2
+        assert v == [-1, -1, 1]
+        assert ExactMatrix(m) @ ExactMatrix([[x] for x in v]) == ExactMatrix.zero(3, 1)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        wide_matrices,
-        st.booleans(),
-        st.lists(st.lists(small_ints, min_size=5, max_size=5), max_size=3),
-    )
+    @given(wide_matrices, st.booleans())
     # Each example but the last has a lower rank mod P than over Q.  The
     # last has rank 1, but rank 2 if each entry is replaced by its
     # numerator instead of scaling the row by its common denominator.
-    @example([[P]], False, [])
-    @example([[1, 1], [1, 1 + P]], False, [])
-    @example(
-        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(1 + P, 3)]], False, []
-    )
-    @example([[P, 0], [0, 1]], True, [])
-    @example([[Fraction(1, 2), 1], [1, 2]], False, [])
-    def test_sparse_rank_matches_dense(self, entries, tuple_keys, rhs_rows):
-        """sparse_rank and sparse_rank_and_witness equal the dense rank, with
-        int or tuple column keys; a dependency witness exists exactly when
-        the rows are dependent and is a nonzero vanishing combination;
-        solve_many returns None exactly for right-hand sides outside the
-        column space."""
-        m = ExactMatrix(entries)
+    @example([[P]], False)
+    @example([[1, 1], [1, 1 + P]], False)
+    @example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(1 + P, 3)]], False)
+    @example([[P, 0], [0, 1]], True)
+    @example([[Fraction(1, 2), 1], [1, 2]], False)
+    def test_sparse_rank_matches_dense(self, entries, tuple_keys):
+        """sparse_rank_and_witness equals the dense rank, with int or tuple
+        column keys; a dependency witness exists exactly when the rows are
+        dependent and is a nonzero vanishing combination."""
         key = (lambda j: (j % 2, -j)) if tuple_keys else (lambda j: j)
         rows = [{key(j): v for j, v in enumerate(r) if v} for r in entries]
-        rank = m.rank()
-        assert sparse_rank(rows) == rank
-
-        rank_with_witness, combo = sparse_rank_and_witness(rows)
-        assert rank_with_witness == rank
-        assert (combo is not None) == (rank < m.rows)
+        rank, combo = sparse_rank_and_witness(rows)
+        assert rank == dense_rank_oracle(entries)
+        assert (combo is not None) == (rank < len(entries))
         if combo is not None:
             assert any(combo)
-            for j in range(m.cols):
+            for j in range(len(entries[0])):
                 assert sum(c * r[j] for c, r in zip(combo, entries)) == 0
-
-        rhs_list = [rhs[: m.rows] for rhs in rhs_rows]
-        for rhs, x in zip(rhs_list, m.solve_many(rhs_list)):
-            consistent = ExactMatrix([r + [b] for r, b in zip(entries, rhs)]).rank() == rank
-            assert (x is not None) == consistent
-            if x is not None:
-                assert m @ ExactMatrix.from_columns([x]) == ExactMatrix.from_columns([rhs])
 
 
 def test_perm_helpers():
@@ -201,6 +169,86 @@ def test_spin_checks_images_against_the_span():
     assert m == ExactMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
+@st.composite
+def spin_cases(draw):
+    """Sparse integer vectors on the keys 0..n-1 and the maps of small
+    integer n x n matrices."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    vector = st.dictionaries(
+        st.integers(min_value=0, max_value=n - 1), st.sampled_from([-2, -1, 1, 2]), max_size=n
+    )
+    square = st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)
+    vectors = draw(st.lists(vector, min_size=1, max_size=4))
+    return n, vectors, draw(st.lists(square, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spin_cases(), st.booleans())
+def test_spin_writes_every_image_in_its_basis(case, spin):
+    """Every M_i satisfies map_i(b_j) = sum_k M_i[k][j] b_k exactly.  The
+    basis is independent and spans the input vectors.  Without spin it is
+    the inputs independent of the earlier ones, and OracleDisagreement is
+    raised exactly when some image leaves their span (dense rank oracle)."""
+    n, vectors, matrices = case
+    maps = [
+        lambda v, a=a: {i: x for i in range(n) if (x := sum(a[i][k] * c for k, c in v.items()))}
+        for a in matrices
+    ]
+    dense = lambda v: [v.get(k, 0) for k in range(n)]
+    rank = dense_rank_oracle([dense(v) for v in vectors])
+    images = [m(v) for v in vectors for m in maps]
+    leaves = dense_rank_oracle([dense(v) for v in vectors + images]) > rank
+    if leaves and not spin:
+        with pytest.raises(OracleDisagreement):
+            modules._spin(vectors, maps, spin=False)
+        return
+    picked, mats = modules._spin(vectors, maps, spin)
+    queue, basis = list(vectors), []
+    for pos in picked:
+        basis.append(queue[pos])
+        queue.extend(m(queue[pos]) for m in maps)
+    assert dense_rank_oracle([dense(b) for b in basis]) == len(basis)
+    assert dense_rank_oracle([dense(v) for v in basis + vectors]) == len(basis)
+    if not spin:
+        assert picked == [
+            pos
+            for pos in range(len(vectors))
+            if dense_rank_oracle([dense(v) for v in vectors[: pos + 1]])
+            > dense_rank_oracle([dense(v) for v in vectors[:pos]])
+        ]
+    assert len(mats) == len(maps)
+    for m, mat in zip(maps, mats):
+        assert (mat.rows, mat.cols) == (len(basis), len(basis))
+        for j, b in enumerate(basis):
+            column = [row[j] for row in mat.data]
+            combo = [sum(c * bk.get(key, 0) for c, bk in zip(column, basis)) for key in range(n)]
+            assert combo == dense(m(b))
+
+
+def _matrix_entries(m: ExactMatrix) -> list[list[str]]:
+    return [[str(x) for x in row] for row in m.data]
+
+
+def test_generator_matrices_pinned():
+    """One sha256 over every entry of the generator matrices: specht_module
+    for all lam of n <= 6, and schur_apply with its weights for all lam of
+    n <= 5 and d <= 3."""
+    out = []
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            mod = specht_module(lam)
+            out.append([str(lam), [_matrix_entries(s) for s in mod.sym_generators]])
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n):
+            for d in range(1, 4):
+                mod = schur_apply(lam, d)
+                gl = [[list(k), _matrix_entries(m)] for k, m in sorted(mod.gl_generators.items())]
+                out.append([str(lam), d, gl, [list(w) for w in mod.weights]])
+    text = json.dumps(out, separators=(",", ":"))
+    digest = "51e477981235afc4236788f985e2b7a6721a959e9f67476cbb26f79e73cb1842"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_constructor_budgets():
     lam = Partition([2, 1, 1])
     for build in (specht_module, specht_character_traces):
@@ -213,8 +261,16 @@ def test_constructor_budgets():
 
 
 def test_tensor_power_module_budget():
+    """The budget counts the entries of the d^2 + max(r-1, 0) dense
+    d^r x d^r matrices built: (4 + 2) * 8^2 = 384 at (2, 3)."""
     with pytest.raises(SizeBudgetExceeded):
-        tensor_power_module(10, 10)
+        tensor_power_module(2, 3, budget=383)
+    mod = tensor_power_module(2, 3, budget=384)
+    assert mod.dimension == 8
+    assert mod.check_coxeter_relations() and mod.check_gl_relations()
+    for d, r in [(10, 10), (3, 6)]:
+        with pytest.raises(SizeBudgetExceeded):
+            tensor_power_module(d, r)
 
 
 def test_schur_apply_dimensions_and_decomposition():
