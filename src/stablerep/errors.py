@@ -8,7 +8,7 @@ class StableRepError(Exception):
 class SizeBudgetExceeded(StableRepError):
     """A construction would exceed the configured size budget, counted in
     what it would build or do: ambient dimensions, labeled partitions, class
-    pairs, weight-table steps or dense matrix entries."""
+    pairs, weight-table steps or sparse matrix entries."""
 
     def __init__(self, needed: int, budget: int, what: str = "ambient dimension"):
         self.needed = needed

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: one sparse elimination, and dense
+"""Exact rational linear algebra: one sparse elimination, and the sparse
 matrices that hold generator actions.
 
 No floating point anywhere.  ``_reduce_rows`` is the only elimination loop:
@@ -10,91 +10,43 @@ tensor J0 and builds no rows), and modules._spin picks a module basis and
 writes every generator image in it in one pass.  ``sparse_rank_and_witness``
 keeps a full row rank mod P, which certifies itself, and otherwise runs one
 elimination over Fraction with a tag column per row, which gives the rank
-and a dependency witness.  ``ExactMatrix`` only holds the generator matrices
-of explicit modules, and adds, multiplies and traces them.  Every rank is
-exact.
+and a dependency witness.  ``SparseMatrix`` holds the generator matrices of
+explicit modules as {(row, col): value} dicts, and multiplies, subtracts
+and traces them.  Every rank is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
-
-Number = int | Fraction
+from typing import Iterable, Iterator
 
 
-class ExactMatrix:
-    """Dense matrix with exact rational entries."""
+def _sparse(terms) -> dict:
+    """Sum (key, value) terms into a {key: value} vector without zeros."""
+    out: dict = {}
+    for k, v in terms:
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
 
-    __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Sequence[Sequence[Number]]):
-        self.data = [[Fraction(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(r) != self.cols for r in self.data):
-            raise ValueError("ragged rows")
+class SparseMatrix(dict):
+    """A matrix as {(row, col): value} with exact values and no zero stored,
+    so equal matrices are equal dicts.  The dimensions are not stored."""
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        m = cls.__new__(cls)
-        m.data = [[Fraction(0)] * cols for _ in range(rows)]
-        m.rows, m.cols = rows, cols
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        rows: dict = {}  # row of other -> its (col, value) entries
+        for (k, j), b in other.items():
+            rows.setdefault(k, []).append((j, b))
+        return SparseMatrix(
+            _sparse(((i, j), a * b) for (i, k), a in self.items() for j, b in rows.get(k, ()))
         )
 
-    def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols})"
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return SparseMatrix(_sparse([*self.items(), *((k, -v) for k, v in other.items())]))
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.cols == other.rows, (self.cols, other.rows)
-        ot = list(zip(*other.data))
-        out = []
-        for row in self.data:
-            out.append(
-                [
-                    sum(a * b for a, b in zip(row, col) if a and b)
-                    for col in ot
-                ]
-            )
-        return ExactMatrix(out)
-
-    def trace(self) -> Fraction:
-        assert self.rows == self.cols
-        return sum(self.data[i][i] for i in range(self.rows))
+    def trace(self) -> int | Fraction:
+        return sum(v for (i, j), v in self.items() if i == j)
 
 
 # The Mersenne prime 2^61 - 1.  The rank drops mod P only where P divides

@@ -7,8 +7,8 @@ off one sparse elimination (_spin); Specht characters from the
 symmetrizer's coefficients by a centralizer count; weight-space
 decomposition of polynomial gl_d actions; and the dimension / trace
 verifications for Cauchy's lemma, Schur-Weyl duality and the split
-extension filtration.  No r! x r! or d^r x d^r matrix is built
-outside tensor_power_module.
+extension filtration.  Every generator matrix is a sparse
+linalg.SparseMatrix, and no r! x r! or d^r x d^r dense matrix is built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     OracleDisagreement,
     SizeBudgetExceeded,
 )
-from .linalg import ExactMatrix, _reduce_rows
+from .linalg import SparseMatrix, _reduce_rows, _sparse
 from .characters import (
     centralizer_order,
     cycle_types,
@@ -143,14 +143,6 @@ def young_symmetrizer(lam: Partition) -> list[tuple[int, Perm]]:
     return [(c, g) for g, c in terms.items()]
 
 
-def _sparse(terms) -> dict:
-    """Sum (key, value) terms into a {key: value} vector without zeros."""
-    out: dict = {}
-    for k, v in terms:
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
 # ---------------------------------------------------------------------------
 # ExplicitModule
 
@@ -161,17 +153,17 @@ class ExplicitModule:
     actions.  sym_generators are the adjacent transpositions s_1..s_{r-1}
     when a symmetric-group action is present; gl_generators map (a, b) to
     the action of the elementary matrix E_{ab} when a polynomial gl_d
-    action is present."""
+    action is present.  Each generator is a SparseMatrix on basis indices
+    0..dimension-1."""
 
     dimension: int
-    sym_generators: list[ExactMatrix] = field(default_factory=list)
-    gl_generators: dict[tuple[int, int], ExactMatrix] = field(default_factory=dict)
+    sym_generators: list[SparseMatrix] = field(default_factory=list)
+    gl_generators: dict[tuple[int, int], SparseMatrix] = field(default_factory=dict)
     grading: int | None = None
-    weights: list[tuple[int, ...]] | None = None  # per-basis torus weights
 
     def check_coxeter_relations(self) -> bool:
         gens = self.sym_generators
-        eye = ExactMatrix.identity(self.dimension)
+        eye = SparseMatrix({(i, i): 1 for i in range(self.dimension)})
         for i, s in enumerate(gens):
             if s @ s != eye:
                 return False
@@ -189,15 +181,11 @@ class ExplicitModule:
         """[E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
         E = self.gl_generators
         keys = sorted(E)
-        zero = ExactMatrix.zero(self.dimension, self.dimension)
+        zero = SparseMatrix()
         for (a, b) in keys:
             for (c, d) in keys:
                 comm = E[(a, b)] @ E[(c, d)] - E[(c, d)] @ E[(a, b)]
-                want = zero
-                if b == c:
-                    want = want + E[(a, d)]
-                if d == a:
-                    want = want - E[(c, b)]
+                want = (E[(a, d)] if b == c else zero) - (E[(c, b)] if d == a else zero)
                 if comm != want:
                     return False
         return True
@@ -221,42 +209,32 @@ def perm_on_index(g: Perm, J: tuple[int, ...]) -> tuple[int, ...]:
 
 def tensor_power_module(d: int, r: int, budget: int | None = None) -> ExplicitModule:
     """V^{⊗r} for V = Q^d, with Sigma_r permuting factors and gl_d acting
-    by derivations.  It builds d^2 + max(r-1, 0) dense d^r x d^r generator
-    matrices, and the budget counts their entries."""
+    by derivations, on sparse generator matrices.  The budget counts the
+    entries written: d^r for each of the max(r-1, 0) transpositions and
+    r d^(r-1) for each of the d^2 elementary matrices, 64 at d = 2, r = 3;
+    E_aa stores fewer, as its entries merge on the diagonal."""
     if d < 1 or r < 0:
         raise InvalidArgs(f"bad tensor power parameters d={d}, r={r}")
-    dim = d**r
-    check_budget((d * d + max(r - 1, 0)) * dim * dim, budget, "matrix entries")
-    basis = _tensor_basis(d, r)
-    index = {J: i for i, J in enumerate(basis)}
-
-    sym = []
-    for i in range(r - 1):
-        g = _adjacent_transposition(i, r)
-        m = ExactMatrix.zero(dim, dim)
-        for J, col in index.items():
-            m.data[index[perm_on_index(g, J)]][col] = Fraction(1)
-        sym.append(m)
-
-    gl = {}
-    for a in range(d):
-        for b in range(d):
-            m = ExactMatrix.zero(dim, dim)
-            for J, col in index.items():
-                for t, v in enumerate(J):
-                    if v == b:
-                        J2 = J[:t] + (a,) + J[t + 1 :]
-                        m.data[index[J2]][col] += 1
-            gl[(a, b)] = m
-
-    weights = [_tensor_weight(J, d) for J in basis]
-    return ExplicitModule(
-        dimension=dim,
-        sym_generators=sym,
-        gl_generators=gl,
-        grading=r,
-        weights=weights,
-    )
+    check_budget(max(r - 1, 0) * d**r + r * d ** (r + 1), budget, "sparse matrix entries")
+    index = {J: i for i, J in enumerate(_tensor_basis(d, r))}
+    transpositions = [_adjacent_transposition(i, r) for i in range(r - 1)]
+    sym = [
+        SparseMatrix({(index[perm_on_index(g, J)], col): 1 for J, col in index.items()})
+        for g in transpositions
+    ]
+    gl = {
+        (a, b): SparseMatrix(
+            _sparse(
+                ((index[J[:t] + (a,) + J[t + 1 :]], col), 1)
+                for J, col in index.items()
+                for t, v in enumerate(J)
+                if v == b
+            )
+        )
+        for a in range(d)
+        for b in range(d)
+    }
+    return ExplicitModule(dimension=d**r, sym_generators=sym, gl_generators=gl, grading=r)
 
 
 def _tensor_weight(J, d: int) -> tuple[int, ...]:
@@ -287,12 +265,12 @@ def _spin(vectors: list[dict], maps: list, spin: bool):
     joins the basis, so the basis spans the smallest map-stable subspace
     containing the first vectors; without spin it raises
     OracleDisagreement.  Returns the basis positions and each map's
-    matrix."""
+    SparseMatrix."""
     vectors = list(vectors)
     picked: list[int] = []
     slot: dict[int, int] = {}  # queue position of a basis vector -> its index
     origin: dict[int, tuple[int, int]] = {}  # image position -> (map, basis index)
-    entries = []  # (map, row, column, value)
+    mats = [SparseMatrix() for _ in maps]
 
     def tagged():
         pos = 0
@@ -313,12 +291,9 @@ def _spin(vectors: list[dict], maps: list, spin: bool):
         if pos in origin:
             i, j = origin[pos]
             if new:
-                entries.append((i, slot[pos], j, 1))
+                mats[i][slot[pos], j] = 1
             else:
-                entries.extend((i, slot[-t], j, -c) for (_, t), c in rest.items() if t != -pos)
-    mats = [ExactMatrix.zero(len(picked), len(picked)) for _ in maps]
-    for i, k, j, c in entries:
-        mats[i].data[k][j] = Fraction(c)
+                mats[i].update(((slot[-t], j), -c) for (_, t), c in rest.items() if t != -pos)
     return picked, mats
 
 
@@ -380,9 +355,8 @@ def schur_apply(lam: Partition, d: int, budget: int | None = None) -> ExplicitMo
     pivot columns of the image matrix."""
     r = lam.weight
     check_budget(d**r, budget)
-    basis = _tensor_basis(d, r)
     c = young_symmetrizer(lam)
-    images = [_sparse((perm_on_index(g, J), coeff) for coeff, g in c) for J in basis]
+    images = [_sparse((perm_on_index(g, J), coeff) for coeff, g in c) for J in _tensor_basis(d, r)]
     pairs = [(a, b) for a in range(d) for b in range(d)]
     picked, mats = _spin(images, [_gl_generator(a, b) for a, b in pairs], spin=False)
     if len(picked) != schur_gl_dimension(lam, d):
@@ -391,8 +365,7 @@ def schur_apply(lam: Partition, d: int, budget: int | None = None) -> ExplicitMo
             f"formula {schur_gl_dimension(lam, d)}"
         )
     gl = dict(zip(pairs, mats)) if picked else {}
-    weights = [_tensor_weight(basis[j], d) for j in picked]
-    return ExplicitModule(len(picked), gl_generators=gl, grading=r, weights=weights)
+    return ExplicitModule(len(picked), gl_generators=gl, grading=r)
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +382,12 @@ def module_weight_multiset(m: ExplicitModule) -> Counter:
     if d == 0:
         raise InvalidArgs("module carries no gl action")
     diag = [m.gl_generators[(a, a)] for a in range(d)]
-    if not all(_is_diagonal(t) for t in diag):
+    if any(i != j for t in diag for i, j in t):
         raise NonPolynomialAction("torus generators are not diagonal")
     weights = []
     for i in range(m.dimension):
-        w = tuple(int(t.data[i][i]) for t in diag)
-        if any(t.data[i][i] != w[a] for a, t in enumerate(diag)):
+        w = tuple(int(t.get((i, i), 0)) for t in diag)
+        if any(t.get((i, i), 0) != w[a] for a, t in enumerate(diag)):
             raise NonPolynomialAction("non-integral torus eigenvalue")
         weights.append(w)
     cnt = Counter(weights)
@@ -422,15 +395,6 @@ def module_weight_multiset(m: ExplicitModule) -> Counter:
         if any(x < 0 for x in w):
             raise NonPolynomialAction(f"negative weight {w}")
     return cnt
-
-
-def _is_diagonal(m: ExactMatrix) -> bool:
-    return all(
-        m.data[i][j] == 0
-        for i in range(m.rows)
-        for j in range(m.cols)
-        if i != j
-    )
 
 
 def _compositions(n: int, d: int):

@@ -122,6 +122,17 @@ def dense_rank_oracle(entries) -> int:
     return rank
 
 
+def dense_matrix_oracle(m: dict, n: int) -> list[list]:
+    """The n x n dense rows of a sparse {(row, col): value} matrix."""
+    return [[m.get((i, j), 0) for j in range(n)] for i in range(n)]
+
+
+def dense_product_oracle(a: list[list], b: list[list]) -> list[list]:
+    """The product of two dense matrices, each entry the plain sum of row
+    times column."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def specht_trace_oracle(c: list[tuple[int, tuple[int, ...]]], g: tuple[int, ...]) -> int:
     """tr(L_g R_c) on the group algebra Q[Sigma_r], by counting fixed
     points: the sum of coeff over the terms (coeff, h) of c and the

@@ -7,11 +7,16 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dense_rank_oracle, specht_trace_oracle
+from conftest import (
+    dense_matrix_oracle,
+    dense_product_oracle,
+    dense_rank_oracle,
+    specht_trace_oracle,
+)
 from stablerep import modules
 from stablerep.characters import cycle_types, irreducible_character
 from stablerep.errors import NonPolynomialAction, OracleDisagreement, SizeBudgetExceeded
-from stablerep.linalg import MODULAR_PRIME as P, ExactMatrix, sparse_rank_and_witness
+from stablerep.linalg import MODULAR_PRIME as P, SparseMatrix, sparse_rank_and_witness
 from stablerep.modules import (
     ExplicitModule,
     class_representative,
@@ -51,7 +56,7 @@ wide_matrices = st.integers(min_value=1, max_value=5).flatmap(
 )
 
 
-class TestExactMatrix:
+class TestSparseRankAndWitness:
     def test_rank_and_nullspace(self):
         """The columns of m as sparse rows: their dependency witness is a
         kernel vector of m."""
@@ -60,7 +65,8 @@ class TestExactMatrix:
         rank, v = sparse_rank_and_witness(columns)
         assert rank == 2
         assert v == [-1, -1, 1]
-        assert ExactMatrix(m) @ ExactMatrix([[x] for x in v]) == ExactMatrix.zero(3, 1)
+        for row in m:
+            assert sum(x * c for x, c in zip(row, v)) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(wide_matrices, st.booleans())
@@ -85,6 +91,36 @@ class TestExactMatrix:
             assert any(combo)
             for j in range(len(entries[0])):
                 assert sum(c * r[j] for c, r in zip(combo, entries)) == 0
+
+
+@st.composite
+def sparse_matrix_pairs(draw):
+    """Two n x n SparseMatrix values with small nonzero entries, so sums of
+    products often cancel."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    cell = st.tuples(st.integers(min_value=0, max_value=n - 1), st.integers(min_value=0, max_value=n - 1))
+    value = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2)])
+    matrix = st.dictionaries(cell, value, max_size=n * n).map(SparseMatrix)
+    return n, draw(matrix), draw(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrix_pairs())
+# Both entries of the product's (0, 0) cell cancel: 1 * 1 + 1 * -1.
+@example((2, SparseMatrix({(0, 0): 1, (0, 1): 1}), SparseMatrix({(0, 0): 1, (1, 0): -1})))
+def test_sparse_matrix_matches_dense(case):
+    """@, - and trace() equal the naive dense results, and no result stores
+    a 0, so == on the dicts is equality of matrices."""
+    n, a, b = case
+    dense_a, dense_b = dense_matrix_oracle(a, n), dense_matrix_oracle(b, n)
+    difference = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(dense_a, dense_b)]
+    for out, want in [(a @ b, dense_product_oracle(dense_a, dense_b)), (a - b, difference)]:
+        assert isinstance(out, SparseMatrix)
+        assert 0 not in out.values()
+        assert all(0 <= i < n and 0 <= j < n for i, j in out)
+        assert dense_matrix_oracle(out, n) == want
+    assert a.trace() == sum(dense_a[i][i] for i in range(n))
+    assert a - a == {}
 
 
 def test_perm_helpers():
@@ -166,7 +202,7 @@ def test_spin_checks_images_against_the_span():
         modules._spin([{0: 1}, {0: 2}], [cycle], spin=False)
     picked, [m] = modules._spin([{0: 1}], [cycle], spin=True)
     assert picked == [0, 1, 2]
-    assert m == ExactMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert m == {(0, 2): 1, (1, 0): 1, (2, 1): 1}
 
 
 @st.composite
@@ -218,32 +254,36 @@ def test_spin_writes_every_image_in_its_basis(case, spin):
         ]
     assert len(mats) == len(maps)
     for m, mat in zip(maps, mats):
-        assert (mat.rows, mat.cols) == (len(basis), len(basis))
+        assert 0 not in mat.values()
+        assert all(0 <= k < len(basis) and 0 <= j < len(basis) for k, j in mat)
         for j, b in enumerate(basis):
-            column = [row[j] for row in mat.data]
+            column = [mat.get((k, j), 0) for k in range(len(basis))]
             combo = [sum(c * bk.get(key, 0) for c, bk in zip(column, basis)) for key in range(n)]
             assert combo == dense(m(b))
 
 
-def _matrix_entries(m: ExactMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.data]
+def _matrix_entries(m: SparseMatrix, n: int) -> list[list[str]]:
+    """Every entry of the n x n matrix, zeros included, row by row."""
+    return [[str(x) for x in row] for row in dense_matrix_oracle(m, n)]
 
 
 def test_generator_matrices_pinned():
     """One sha256 over every entry of the generator matrices: specht_module
-    for all lam of n <= 6, and schur_apply with its weights for all lam of
-    n <= 5 and d <= 3."""
+    for all lam of n <= 6, and schur_apply with its torus weights (read off
+    the E_aa diagonals) for all lam of n <= 5 and d <= 3."""
     out = []
     for n in range(1, 7):
         for lam in enumerate_partitions(n):
             mod = specht_module(lam)
-            out.append([str(lam), [_matrix_entries(s) for s in mod.sym_generators]])
+            out.append([str(lam), [_matrix_entries(s, mod.dimension) for s in mod.sym_generators]])
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
             for d in range(1, 4):
                 mod = schur_apply(lam, d)
-                gl = [[list(k), _matrix_entries(m)] for k, m in sorted(mod.gl_generators.items())]
-                out.append([str(lam), d, gl, [list(w) for w in mod.weights]])
+                E, dim = mod.gl_generators, mod.dimension
+                gl = [[list(k), _matrix_entries(m, dim)] for k, m in sorted(E.items())]
+                weights = [[int(E[(a, a)].get((i, i), 0)) for a in range(d)] for i in range(dim)]
+                out.append([str(lam), d, gl, weights])
     text = json.dumps(out, separators=(",", ":"))
     digest = "51e477981235afc4236788f985e2b7a6721a959e9f67476cbb26f79e73cb1842"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -261,14 +301,17 @@ def test_constructor_budgets():
 
 
 def test_tensor_power_module_budget():
-    """The budget counts the entries of the d^2 + max(r-1, 0) dense
-    d^r x d^r matrices built: (4 + 2) * 8^2 = 384 at (2, 3)."""
+    """The budget counts the generator entries written, (r-1) d^r for the
+    transpositions and r d^(r+1) for the E_ab: 2 * 8 + 3 * 16 = 64 at
+    (2, 3), of which 54 are stored once the E_aa merge on the diagonal.
+    (3, 7) needs 59,049 > 20,000 under the default cap."""
     with pytest.raises(SizeBudgetExceeded):
-        tensor_power_module(2, 3, budget=383)
-    mod = tensor_power_module(2, 3, budget=384)
+        tensor_power_module(2, 3, budget=63)
+    mod = tensor_power_module(2, 3, budget=64)
     assert mod.dimension == 8
+    assert sum(map(len, mod.sym_generators)) + sum(map(len, mod.gl_generators.values())) == 54
     assert mod.check_coxeter_relations() and mod.check_gl_relations()
-    for d, r in [(10, 10), (3, 6)]:
+    for d, r in [(10, 10), (3, 7)]:
         with pytest.raises(SizeBudgetExceeded):
             tensor_power_module(d, r)
 
@@ -328,8 +371,27 @@ def test_api_summaries_pinned(summary, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_relation_checks_catch_a_perturbed_entry():
+    """Doubling any one stored entry of any generator breaks the Coxeter
+    relations of a Specht module and the gl relations of a Schur module."""
+    specht = specht_module(Partition([3, 1]))
+    schur = schur_apply(Partition([2, 1]), 2)
+    cases = [
+        (specht.sym_generators, specht.check_coxeter_relations),
+        (list(schur.gl_generators.values()), schur.check_gl_relations),
+    ]
+    for gens, check in cases:
+        assert check()
+        for g in gens:
+            for key, value in list(g.items()):
+                g[key] = 2 * value
+                assert not check()
+                g[key] = value
+        assert check()
+
+
 def test_gl_decompose_rejects_non_diagonal_torus():
-    swap = ExactMatrix([[0, 1], [1, 0]])
+    swap = SparseMatrix({(0, 1): 1, (1, 0): 1})
     mod = ExplicitModule(dimension=2, gl_generators={(0, 0): swap}, grading=1)
     with pytest.raises(NonPolynomialAction):
         gl_decompose(mod)
