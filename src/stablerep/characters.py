@@ -1,9 +1,13 @@
 """Class functions on symmetric groups and products of two of them.
 
-Irreducible characters are computed by the Murnaghan-Nakayama recursion,
-Littlewood-Richardson coefficients by counting lattice skew tableaux, and
-induction by the classical cycle-type splitting formula.  Everything is
-exact rational arithmetic.
+Irreducible characters are computed by the Murnaghan-Nakayama recursion:
+the rim hooks of each (shape, hook length) are read off the beta-numbers
+once and cached with their signs (``_rim_hooks``), and the values on the
+remaining cycle parts are memoized (``_mn``), so each character row strips
+its first hook itself and only those tails enter the memo.
+Littlewood-Richardson coefficients are counted as lattice skew tableaux,
+and induction uses the classical cycle-type splitting formula.  Everything
+is exact rational arithmetic.
 
 The closed forms of the labeled families live here too, so the stable answer
 needs no labeled-partition code: the Stirling count ``count_pq`` and the
@@ -11,8 +15,8 @@ cycle-index characters ``pq_bicharacter``, ``general_bicharacter`` and
 ``pq_identity_counts``.
 
 Characters are stored densely over all cycle types; with weights at desk
-scale the class lists are tiny.  The Murnaghan-Nakayama memo cache is a
-plain ``lru_cache`` on immutable arguments, safe for concurrent readers.
+scale the class lists are tiny.  Both Murnaghan-Nakayama caches are plain
+``lru_cache``s on immutable arguments, safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -245,37 +249,49 @@ def external_product(a: ClassFunction, b: ClassFunction) -> BiClassFunction:
 
 
 @lru_cache(maxsize=None)
+def _rim_hooks(lam: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign, lam minus the hook) for every rim hook of length r of lam.
+
+    On the beta-numbers b_i = lam_i + (k-1-i), removing an r-hook moves some
+    b_i to the free value b_i - r >= 0.  If rows i+1..j-1 hold the
+    beta-numbers passed over, those rows lose one cell and shift up, row j-1
+    gets lam_i - r + (j-1-i), and the sign is (-1)^(j-1-i), the hook having
+    j-i rows."""
+    k = len(lam)
+    beta = [x + k - 1 - i for i, x in enumerate(lam)]
+    taken = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        if b < r or b - r in taken:
+            continue
+        j = i + 1
+        while j < k and beta[j] > b - r:
+            j += 1
+        nu = lam[:i] + tuple(x - 1 for x in lam[i + 1 : j])
+        nu += (lam[i] - r + j - 1 - i,) + lam[j:]
+        out.append(((-1) ** (j - 1 - i), tuple(x for x in nu if x)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _mn(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """chi^lam at cycle type rho (weakly decreasing parts): strip a rho[0]-hook."""
     if not rho:
         return 1
-    r = rho[0]
-    rest = rho[1:]
-    k = len(lam)
-    beta = tuple(lam[i] + (k - 1 - i) for i in range(k))
-    total = 0
-    bset = set(beta)
-    for f in beta:
-        g = f - r
-        if g < 0 or g in bset:
-            continue
-        height = sum(1 for x in beta if g < x < f)
-        nb = sorted((x if x != f else g) for x in beta)
-        nb.reverse()
-        new_lam = tuple(
-            nb[i] - (k - 1 - i) for i in range(k)
-        )
-        new_lam = tuple(x for x in new_lam if x > 0)
-        total += (-1) ** height * _mn(new_lam, rest)
-    return total
+    return sum(s * _mn(nu, rho[1:]) for s, nu in _rim_hooks(lam, rho[0]))
 
 
 def irreducible_character(lam: Partition) -> ClassFunction:
-    """The character of the Specht module indexed by lam."""
+    """The character of the Specht module indexed by lam.  Each class strips
+    its first hook here, so only the tails, which rows and classes share,
+    enter the memo; cycle-type parts come largest first, keeping them few."""
     r = lam.weight
+    if not r:
+        return trivial_character(0)
     vals = {}
     for rho in cycle_types(r):
-        # Largest-parts-first recursion keeps the memo small.
-        vals[rho] = _mn(lam.parts, tuple(sorted(rho.parts, reverse=True)))
+        first, rest = rho.parts[0], rho.parts[1:]
+        vals[rho] = sum(s * _mn(nu, rest) for s, nu in _rim_hooks(lam.parts, first))
     return ClassFunction(r, vals)
 
 

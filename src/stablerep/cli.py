@@ -70,9 +70,10 @@ def _cmd_partitions(args) -> tuple[str, int]:
 
 def _cmd_char(args) -> tuple[str, int]:
     from .characters import cycle_types, irreducible_character
-    from .partitions import Partition
+    from .partitions import Partition, check_class_budget
 
     lam = Partition.parse(args.lam)
+    check_class_budget(args.budget, lam.weight, what="classes")
     chi = irreducible_character(lam)
     classes = cycle_types(lam.weight)
     if args.json:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size-budget check."""
 
 
 class StableRepError(Exception):
@@ -7,13 +7,24 @@ class StableRepError(Exception):
 
 class SizeBudgetExceeded(StableRepError):
     """A construction would exceed the configured size budget, counted in
-    what it would build or do: ambient dimensions, labeled partitions, class
-    pairs, weight-table steps or sparse matrix entries."""
+    what it would build or do: ambient dimensions, labeled partitions,
+    classes or class pairs, weight-table steps or sparse matrix entries.
+    ``needed`` is None when the count stopped once it passed the budget."""
 
-    def __init__(self, needed: int, budget: int, what: str = "ambient dimension"):
+    def __init__(self, needed: int | None, budget: int, what: str = "ambient dimension"):
         self.needed = needed
         self.budget = budget
-        super().__init__(f"{what} {needed} exceeds budget {budget}")
+        count = f"more than {budget}" if needed is None else needed
+        super().__init__(f"{what} {count} exceeds budget {budget}")
+
+
+DEFAULT_BUDGET = 20000
+
+
+def check_budget(needed: int, budget: int | None, what: str = "ambient dimension"):
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if needed > cap:
+        raise SizeBudgetExceeded(needed, cap, what)
 
 
 class InvalidArgs(StableRepError, ValueError):

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add
 
-from .errors import InvalidArgs, OracleDisagreement
+from .errors import InvalidArgs, OracleDisagreement, check_budget
 from .linalg import _count_pivots, sparse_rank_and_witness
 from .characters import (
     BiClassFunction,
@@ -43,10 +43,9 @@ from .modules import (
     Report,
     _compositions,
     _tensor_weight,
-    check_budget,
     decompose_weight_multiset,
 )
-from .partitions import enumerate_partitions, partition_count, specht_dimension
+from .partitions import check_class_budget, enumerate_partitions, specht_dimension
 
 UNLABELED = 0
 
@@ -557,7 +556,7 @@ def induced_pq_bicharacter(
     pq_bicharacter), with Sigma_{q-i} acting trivially; a Sigma_p x Sigma_q
     character.  The budget bounds its table of class pairs, counted before
     any is listed."""
-    check_budget(partition_count(p) * partition_count(q), budget, "class pairs")
+    check_class_budget(budget, p, q)
     base = pq_bicharacter(p, i)
     vals = {}
     for s in cycle_types(p):
@@ -582,7 +581,7 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     (hom_bicharacter, read off weight generating functions).  The budget
     bounds the class-pair and weight tables, and the FW piece that
     hom_space_dimension_gl builds only to solve a small intertwiner system."""
-    check_budget(partition_count(p) * partition_count(q), budget, "class pairs")
+    check_class_budget(budget, p, q)
     lhs = general_bicharacter(p, q)
     rhs = BiClassFunction((p, q), {})
     for i in range(q + 1):

@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import (
-    InvalidArgs,
-    NonPolynomialAction,
-    OracleDisagreement,
-    SizeBudgetExceeded,
-)
+from .errors import InvalidArgs, NonPolynomialAction, OracleDisagreement, check_budget
 from .linalg import SparseMatrix, _reduce_rows, _sparse
 from .characters import (
     centralizer_order,
@@ -40,15 +35,6 @@ from .partitions import (
     specht_dimension,
     transpose,
 )
-
-DEFAULT_BUDGET = 20000
-
-
-def check_budget(needed: int, budget: int | None, what: str = "ambient dimension"):
-    cap = DEFAULT_BUDGET if budget is None else budget
-    if needed > cap:
-        raise SizeBudgetExceeded(needed, cap, what)
-
 
 # ---------------------------------------------------------------------------
 # Permutations (tuples of images, 0-indexed)

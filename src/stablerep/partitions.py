@@ -9,16 +9,16 @@ this package is reverse lexicographic, which is also the order in which
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator
 
-from .errors import InvalidArgs
+from .errors import DEFAULT_BUDGET, InvalidArgs, SizeBudgetExceeded, check_budget
 
 
 class Partition:
     """A weakly decreasing sequence of positive integers."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(int(x) for x in parts if int(x) != 0)
@@ -28,6 +28,7 @@ class Partition:
         if ps and ps[-1] < 0:
             raise ValueError(f"negative part in {ps}")
         object.__setattr__(self, "parts", ps)
+        object.__setattr__(self, "_hash", hash(("Partition", ps)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -56,7 +57,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(("Partition", self.parts))
+        return self._hash
 
     def __lt__(self, other: "Partition") -> bool:
         # Reverse lexicographic: (3) < (2,1) < (1,1,1).
@@ -161,23 +162,38 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
 
 @lru_cache(maxsize=None)
-def partition_count(n: int) -> int:
+def partition_count(n: int, cap: int | None = None) -> int | None:
     """p(n), the number of partitions of n, without enumerating them: Euler's
     pentagonal-number recurrence p(m) = sum_k (-1)^(k+1) (p(m - k(3k-1)/2)
-    + p(m - k(3k+1)/2)), filled bottom-up over m = 1..n in integers."""
+    + p(m - k(3k+1)/2)), filled bottom-up over m = 0..n in integers.  With a
+    cap, None as soon as some p(m) exceeds it: p is nondecreasing, so then
+    p(n) > cap, and the fill stops before the numbers grow long."""
     if n < 0:
         raise InvalidArgs(f"n must be non-negative, got {n}")
-    counts = [1]
-    for m in range(1, n + 1):
-        total, k = 0, 1
+    counts: list[int] = []
+    for m in range(n + 1):
+        total, k = int(m == 0), 1  # p(0) = 1, an empty sum
         while k * (3 * k - 1) // 2 <= m:
             term = counts[m - k * (3 * k - 1) // 2]
             if k * (3 * k + 1) // 2 <= m:
                 term += counts[m - k * (3 * k + 1) // 2]
             total += term if k % 2 else -term
             k += 1
+        if cap is not None and total > cap:
+            return None
         counts.append(total)
     return counts[n]
+
+
+def check_class_budget(budget: int | None, *degrees: int, what: str = "class pairs"):
+    """Refuse when the classes of the product of Sigma_n over n in degrees,
+    prod p(n) of them, exceed the budget: counted before any class is listed,
+    each p(n) only up to the cap."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    counts = [partition_count(n, cap) for n in degrees]
+    if None in counts:
+        raise SizeBudgetExceeded(None, cap, what)
+    check_budget(prod(counts), cap, what)
 
 
 def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:

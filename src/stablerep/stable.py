@@ -33,7 +33,7 @@ from .characters import (
     pq_identity_counts,
     sym_dimension,
 )
-from .partitions import partition_count
+from .partitions import check_class_budget
 
 if TYPE_CHECKING:
     from .modules import Report
@@ -210,11 +210,11 @@ def theorem_a_induction_check(p: int, q: int, budget: int | None = None) -> Repo
     different cycle indices, and no labeled partition is built: the budget
     bounds the table of class pairs, counted before any is listed."""
     from .labeled import induced_pq_bicharacter
-    from .modules import Report, check_budget
+    from .modules import Report
 
     if not (0 <= q <= p):
         raise InvalidArgs(f"need 0 <= q <= p, got p={p}, q={q}")
-    check_budget(partition_count(p) * partition_count(q), budget, "class pairs")
+    check_class_budget(budget, p, q)
     residue = general_bicharacter(p, q)
     for i in range(q):
         residue = residue - induced_pq_bicharacter(p, i, q, budget)

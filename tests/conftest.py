@@ -27,6 +27,34 @@ def partition_count_oracle(n: int, maxpart: int | None = None) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def mn_oracle(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """chi^lam(rho), rho weakly decreasing, by Murnaghan-Nakayama on
+    beta-numbers, every rim hook re-derived with a sort on every call: the
+    library's recursion before it cached its rim hooks."""
+    if not rho:
+        return 1
+    r = rho[0]
+    rest = rho[1:]
+    k = len(lam)
+    beta = tuple(lam[i] + (k - 1 - i) for i in range(k))
+    total = 0
+    bset = set(beta)
+    for f in beta:
+        g = f - r
+        if g < 0 or g in bset:
+            continue
+        height = sum(1 for x in beta if g < x < f)
+        nb = sorted((x if x != f else g) for x in beta)
+        nb.reverse()
+        new_lam = tuple(
+            nb[i] - (k - 1 - i) for i in range(k)
+        )
+        new_lam = tuple(x for x in new_lam if x > 0)
+        total += (-1) ** height * mn_oracle(new_lam, rest)
+    return total
+
+
 def syt_count_oracle(lam: tuple[int, ...]) -> int:
     """Standard Young tableaux by brute-force growth: add cells 1..n one at
     a time, keeping the shape a partition at every step."""

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stablerep.characters import (
     BiClassFunction,
     IrredDecomposition,
+    _rim_hooks,
     centralizer_order,
     class_size,
     cycle_types,
@@ -26,9 +28,15 @@ from stablerep.characters import (
     trivial_character,
 )
 from stablerep.errors import InvalidArgs, NegativeMultiplicity, NonIntegralMultiplicity
-from stablerep.partitions import Partition, SkewShape, enumerate_partitions, specht_dimension
+from stablerep.partitions import (
+    Partition,
+    SkewShape,
+    enumerate_partitions,
+    hook_lengths,
+    specht_dimension,
+)
 
-from conftest import series_coefficient_oracle
+from conftest import mn_oracle, series_coefficient_oracle
 
 
 def test_class_sizes_sum_to_group_order():
@@ -48,6 +56,49 @@ def test_known_character_values():
     chi = irreducible_character(Partition([2, 1]))
     vals = {str(c): int(chi.values[c]) for c in cycle_types(3)}
     assert vals == {"1,1,1": 2, "2,1": 0, "3": -1}
+
+
+def test_characters_match_the_uncached_recursion():
+    for n in range(11):
+        for lam in enumerate_partitions(n):
+            chi = irreducible_character(lam)
+            for rho in cycle_types(n):
+                assert chi.values[rho] == mn_oracle(lam.parts, rho.parts)
+    assert irreducible_character(Partition(())).values == {Partition(()): 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 30).flatmap(
+    lambda n: st.tuples(st.sampled_from(enumerate_partitions(n)), st.integers(1, n + 1))
+))
+def test_rim_hooks_are_the_r_hooks(case):
+    lam, r = case
+    hooks = _rim_hooks(lam.parts, r)
+    for sign, nu in hooks:
+        mu = Partition(nu)
+        assert mu.parts == nu and lam.contains(mu)
+        assert lam.weight - mu.weight == r
+        rows = [i for i in range(len(lam)) if lam[i] != mu[i]]
+        assert rows == list(range(rows[0], rows[-1] + 1))
+        # Consecutive rows of a rim hook share exactly one column.
+        assert all(lam[i + 1] - mu[i] == 1 for i in rows[:-1])
+        assert sign == (-1) ** (len(rows) - 1)
+    # r-rim hooks are in bijection with the cells of hook length r.
+    assert len({nu for _, nu in hooks}) == len(hooks)
+    assert len(hooks) == sum(1 for h in hook_lengths(lam).values() if h == r)
+
+
+def test_character_table_14_pinned():
+    # sha256 of "lambda rho value" lines over every (lambda, rho) of S_14, in
+    # enumeration order, recorded with the uncached recursion.
+    h = hashlib.sha256()
+    for lam in enumerate_partitions(14):
+        chi = irreducible_character(lam)
+        for rho in cycle_types(14):
+            h.update(f"{lam} {rho} {int(chi.values[rho])}\n".encode())
+    assert h.hexdigest() == (
+        "759c790e309cc8990a8b50bc9d2245be85bd8f50fd35ba9a6fad3feb325bc5f7"
+    )
 
 
 def test_orthonormality():

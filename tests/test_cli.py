@@ -152,6 +152,32 @@ class TestExitCodes:
     def test_budget_bounds_labeled_partitions(self, capsys):
         assert main(["--budget", "1", "labeled-partitions", "5", "2"]) == 3
 
+    def test_budget_bounds_char_classes(self, capsys, monkeypatch):
+        # char 25 has p(25) = 1,958 classes, refused before any character
+        # value is computed.
+        from stablerep import characters
+
+        def refuse(lam):
+            raise AssertionError(f"character of {lam} computed")
+
+        with monkeypatch.context() as m:
+            m.setattr(characters, "irreducible_character", refuse)
+            assert main(["char", "25", "--budget", "10"]) == 3
+            assert main(["--budget", "1957", "char", "25"]) == 3
+        assert "classes more than 1957" in capsys.readouterr().err
+        code, out = run(capsys, "--budget", "1958", "--json", "char", "25")
+        assert code == 0 and len(json.loads(out)["values"]) == 1958
+        code, out = run(capsys, "--budget", "3", "char", "2,1")
+        assert code == 0
+        assert out == "class  chi^(2,1)\n-----  ---------\n3      -1\n2,1    0\n1,1,1  2\n"
+
+    def test_class_count_refuses_before_it_grows(self, capsys):
+        # p(30000) has 188 digits; the count stops at p(37) > 20,000.
+        assert main(["verify", "induction", "30000", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: class pairs more than 20000 exceeds budget 20000\n"
+        )
+
     def test_budget_bounds_hom_weight_table(self, capsys):
         assert main(["--budget", "1", "hom-dim", "4", "4", "4"]) == 3
 

@@ -28,6 +28,22 @@ class TestPartitionBasics:
         with pytest.raises(ValueError):
             Partition([1, 2])
 
+    def test_hash_is_cached_and_structural(self):
+        built = [
+            Partition.parse("3,1,1"),
+            Partition([3, 1, 1]),
+            Partition([3, 1, 1, 0, 0]),
+            Partition(x for x in (3, 1, 1)),
+        ]
+        assert len({hash(p) for p in built}) == 1
+        table = {built[0]: "found"}
+        assert all(table[p] == "found" for p in built)
+        assert {Partition.parse("0"): 1}[Partition([0, 0])] == 1
+        for name in ("parts", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(built[1], name, (4,))
+        assert built[1].parts == (3, 1, 1) and hash(built[1]) == hash(built[2])
+
     def test_implicit_zero_indexing(self):
         lam = Partition([4, 2])
         assert lam[0] == 4 and lam[1] == 2 and lam[5] == 0
@@ -113,3 +129,18 @@ def test_partition_count_matches_enumeration():
     assert partition_count(50) == partition_count_oracle(50) == 204226
     with pytest.raises(InvalidArgs):
         partition_count(-1)
+
+
+def test_partition_count_stops_past_the_cap():
+    # p(36) = 17,977 and p(37) = 21,637: a capped count is p(n) up to the
+    # cap and None past it, however large n is.
+    assert partition_count(36, 17977) == 17977
+    assert partition_count(36, 17976) is None
+    assert partition_count(37, 21637) == 21637
+    assert partition_count(37, 20000) is None
+    assert partition_count(30000, 20000) is None
+    assert partition_count(0, 1) == 1 and partition_count(0, 0) is None
+    for n in range(20):
+        for cap in (0, 1, 5, 100):
+            exact = partition_count_oracle(n)
+            assert partition_count(n, cap) == (exact if exact <= cap else None)
