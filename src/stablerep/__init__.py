@@ -31,6 +31,7 @@ _EXPORTS = {
         "BiClassFunction",
         "ClassFunction",
         "IrredDecomposition",
+        "Report",
         "cycle_types",
         "decompose",
         "external_product",
@@ -46,7 +47,6 @@ _EXPORTS = {
         "trivial_character",
     ),
     "modules": (
-        "Report",
         "gl_decompose",
         "schur_apply",
         "specht_module",

@@ -12,11 +12,16 @@ is exact rational arithmetic.
 The closed forms of the labeled families live here too, so the stable answer
 needs no labeled-partition code: the Stirling count ``count_pq`` and the
 cycle-index characters ``pq_bicharacter``, ``general_bicharacter`` and
-``pq_identity_counts``.
+``pq_identity_counts``.  So do what both ``modules`` and ``labeled`` use:
+the torus-weight helpers beside ``kostka`` (``_compositions``,
+``_tensor_weight``, ``decompose_weight_multiset``) and the ``Report`` that
+every verification returns, so ``labeled`` never loads ``modules``.
 
 Characters are stored densely over all cycle types; with weights at desk
-scale the class lists are tiny.  Both Murnaghan-Nakayama caches are plain
-``lru_cache``s on immutable arguments, safe for concurrent readers.
+scale the class lists are tiny.  Irreducible, trivial and sign characters
+keep their exact int values; other class functions hold Fractions.  Both
+Murnaghan-Nakayama caches are plain ``lru_cache``s on immutable arguments,
+safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ from .errors import (
     InvalidArgs,
     NegativeMultiplicity,
     NonIntegralMultiplicity,
+    OracleDisagreement,
 )
 from .partitions import (
     Partition,
+    Record,
     SkewShape,
     enumerate_partitions,
     specht_dimension,
@@ -40,6 +47,9 @@ from .partitions import (
 
 # ---------------------------------------------------------------------------
 # Cycle-type combinatorics
+
+# A permutation of {0..r-1} as the tuple of its images.
+Perm = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +116,9 @@ def splittings(rho: Partition, a: int) -> Iterator[tuple[Partition, Partition]]:
 
 
 class ClassFunction:
-    """A rational-valued function on the conjugacy classes of Sigma_r."""
+    """A rational-valued function on the conjugacy classes of Sigma_r.
+    Values built from a mapping are Fractions; a character row from
+    ``_of_classes`` keeps its exact ints."""
 
     __slots__ = ("degree", "values")
 
@@ -118,11 +130,21 @@ class ClassFunction:
         if extra:
             raise InvalidArgs(f"cycle types of wrong weight: {extra}")
 
-    def __call__(self, rho: Partition) -> Fraction:
+    @classmethod
+    def _of_classes(cls, degree: int, values: dict[Partition, int]) -> "ClassFunction":
+        """The class function with these values, taken as they are: the keys
+        must be exactly cycle_types(degree), in that order, so neither the
+        key check nor the Fraction rebuild of __init__ runs."""
+        f = object.__new__(cls)
+        f.degree = degree
+        f.values = values
+        return f
+
+    def __call__(self, rho: Partition) -> Fraction | int:
         return self.values[rho]
 
     @property
-    def dimension(self) -> Fraction:
+    def dimension(self) -> Fraction | int:
         return self.values[identity_type(self.degree)]
 
     def __eq__(self, other) -> bool:
@@ -282,9 +304,10 @@ def _mn(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
 
 
 def irreducible_character(lam: Partition) -> ClassFunction:
-    """The character of the Specht module indexed by lam.  Each class strips
-    its first hook here, so only the tails, which rows and classes share,
-    enter the memo; cycle-type parts come largest first, keeping them few."""
+    """The character of the Specht module indexed by lam, with exact int
+    values.  Each class strips its first hook here, so only the tails,
+    which rows and classes share, enter the memo; cycle-type parts come
+    largest first, keeping them few."""
     r = lam.weight
     if not r:
         return trivial_character(0)
@@ -292,15 +315,15 @@ def irreducible_character(lam: Partition) -> ClassFunction:
     for rho in cycle_types(r):
         first, rest = rho.parts[0], rho.parts[1:]
         vals[rho] = sum(s * _mn(nu, rest) for s, nu in _rim_hooks(lam.parts, first))
-    return ClassFunction(r, vals)
+    return ClassFunction._of_classes(r, vals)
 
 
 def trivial_character(r: int) -> ClassFunction:
-    return ClassFunction(r, {ct: 1 for ct in cycle_types(r)})
+    return ClassFunction._of_classes(r, {ct: 1 for ct in cycle_types(r)})
 
 
 def sign_character(r: int) -> ClassFunction:
-    return ClassFunction(r, {ct: sign_of_class(ct) for ct in cycle_types(r)})
+    return ClassFunction._of_classes(r, {ct: sign_of_class(ct) for ct in cycle_types(r)})
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +596,8 @@ def skew_schur_decompose(shape: SkewShape) -> IrredDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Kostka numbers (used by the weight-space decompositions downstream)
+# Kostka numbers and torus weights: the weight-space decompositions of
+# modules and labeled
 
 
 @lru_cache(maxsize=None)
@@ -620,6 +644,56 @@ def _horizontal_strip_removals(
 
     rec(0, size, [])
     return out
+
+
+def _compositions(n: int, d: int):
+    """The weights of total n in d variables (stars and bars), in
+    lexicographic order; one empty weight at d = 0 when n = 0."""
+    if d == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, d - 1):
+            yield (first,) + rest
+
+
+def _tensor_weight(J, d: int) -> tuple[int, ...]:
+    """Torus weight of the basis tensor with indices J: how often each of
+    the d indices occurs."""
+    w = [0] * d
+    for v in J:
+        w[v] += 1
+    return tuple(w)
+
+
+def decompose_weight_multiset(cnt: Mapping, d: int) -> IrredDecomposition:
+    """Greedy subtraction of Schur weight multisets (Kostka vectors) from a
+    symmetric weight multiset; returns {Partition: multiplicity} with signed
+    multiplicities allowed (virtual input)."""
+    rem = {w: int(c) for w, c in cnt.items() if c}
+    mults: dict[Partition, int] = {}
+    while rem:
+        top = max(rem)
+        if list(top) != sorted(top, reverse=True):
+            raise OracleDisagreement(
+                f"lex-maximal weight {top} is not dominant; multiset not "
+                "a virtual polynomial character"
+            )
+        lam = Partition(top)
+        mult = rem[top]
+        mults[lam] = mults.get(lam, 0) + mult
+        for w in _compositions(lam.weight, d):
+            # Kostka numbers are symmetric in the content, so the cache
+            # serves every permutation of w from its sorted form.
+            k = kostka(lam.parts, tuple(sorted(w, reverse=True)))
+            if k:
+                nv = rem.get(w, 0) - mult * k
+                if nv:
+                    rem[w] = nv
+                else:
+                    rem.pop(w, None)
+    return IrredDecomposition(mults)
 
 
 # ---------------------------------------------------------------------------
@@ -809,3 +883,44 @@ def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], Fraction
         for p in range(p_max + 1)
         for q in range(min(p, q_max) + 1)
     }
+
+
+# ---------------------------------------------------------------------------
+# Verification reports
+
+
+class Report(Record):
+    """The outcome of one verification: the claim, its two sides, whether
+    they agree, and named witnesses."""
+
+    __slots__ = FIELDS = ("claim", "left", "right", "passed", "witnesses")
+
+    def __init__(self, claim: str, left, right, passed: bool, witnesses: dict | None = None):
+        self.claim = claim
+        self.left = left
+        self.right = right
+        self.passed = passed
+        self.witnesses = {} if witnesses is None else witnesses
+
+    def to_json(self) -> dict:
+        return {
+            "claim": self.claim,
+            "left": _jsonable(self.left),
+            "right": _jsonable(self.right),
+            "pass": self.passed,
+            "witnesses": _jsonable(self.witnesses),
+        }
+
+
+def _jsonable(x):
+    if isinstance(x, Fraction):
+        return str(x) if x.denominator != 1 else int(x)
+    if isinstance(x, Partition):
+        return str(x)
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    return x

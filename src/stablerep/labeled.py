@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add
@@ -30,22 +29,20 @@ from .errors import InvalidArgs, OracleDisagreement, check_budget
 from .linalg import _count_pivots, sparse_rank_and_witness
 from .characters import (
     BiClassFunction,
+    Perm,
+    Report,
+    _compositions,
+    _tensor_weight,
     count_pq,
     cycle_types,
+    decompose_weight_multiset,
     general_bicharacter,
     graded_sym_algebra_dimension,
     induce,
     irreducible_character,
     pq_bicharacter,
 )
-from .modules import (
-    Perm,
-    Report,
-    _compositions,
-    _tensor_weight,
-    decompose_weight_multiset,
-)
-from .partitions import check_class_budget, enumerate_partitions, specht_dimension
+from .partitions import FrozenRecord, check_class_budget, enumerate_partitions, specht_dimension
 
 UNLABELED = 0
 
@@ -98,17 +95,17 @@ class LabelAlphabet:
         return (UNLABELED,)
 
 
-@dataclass(frozen=True)
-class GeneralLabeledPartition:
+class GeneralLabeledPartition(FrozenRecord):
     """A set partition with every part carrying a label from the alphabet
     matched to the part's size; labels may repeat across parts."""
 
-    parts: SetPartition
-    labels: tuple[int, ...]
+    __slots__ = FIELDS = ("parts", "labels")
 
-    def __post_init__(self):
-        if len(self.parts) != len(self.labels):
+    def __init__(self, parts: SetPartition, labels: tuple[int, ...]):
+        if len(parts) != len(labels):
             raise InvalidArgs("one label per part required")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def p(self) -> int:
@@ -122,7 +119,7 @@ class GeneralLabeledPartition:
             labs = [(tau[l - 1] + 1) if l > 0 else 0 for l in labs]
         order = sorted(range(len(moved)), key=lambda i: moved[i][0])
         # A permutation action keeps one label per part and keeps the labels
-        # injective, so the image skips the validating __post_init__.
+        # injective, so the image skips the validating __init__.
         image = object.__new__(type(self))
         object.__setattr__(image, "parts", tuple(moved[i] for i in order))
         object.__setattr__(image, "labels", tuple(labs[i] for i in order))
@@ -142,13 +139,14 @@ class GeneralLabeledPartition:
         }
 
 
-@dataclass(frozen=True)
 class QLabeledPartition(GeneralLabeledPartition):
     """A set partition with at least q parts, of which q carry the labels
     1..q injectively; the rest are unlabeled (label 0)."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, parts: SetPartition, labels: tuple[int, ...]):
+        super().__init__(parts, labels)
         used = [l for l in self.labels if l > 0]
         if sorted(used) != list(range(1, len(used) + 1)):
             raise InvalidArgs(f"labels must be exactly 1..q, got {self.labels}")

@@ -6,11 +6,10 @@ forward elimination on {column_key: value} dicts, whose rows are short, over
 Fraction or over the integers mod the prime P = 2^61 - 1.  It decides the
 intertwiner systems and the stacked-map ranks that no certificate decides
 (from d = p on, labeled.verify_rw_prop certifies its rank from the generic
-tensor J0 and builds no rows), and modules._spin picks a module basis and
-writes every generator image in it in one pass.  ``sparse_rank_and_witness``
-keeps a full row rank mod P, which certifies itself, and otherwise runs one
-elimination over Fraction with a tag column per row, which gives the rank
-and a dependency witness.  ``SparseMatrix`` holds the generator matrices of
+tensor J0 and builds no rows).  ``sparse_rank_and_witness`` keeps a full
+row rank mod P, which certifies itself, and otherwise runs one elimination
+over Fraction with a tag column per row, which gives the rank and a
+dependency witness.  ``SparseMatrix`` holds the generator matrices of
 explicit modules as {(row, col): value} dicts, and multiplies, subtracts
 and traces them.  Every rank is exact.
 """

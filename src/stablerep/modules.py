@@ -1,35 +1,42 @@
 """Explicit finite-dimensional rational modules with exact matrix actions.
 
-This is the explicit oracle layer: Specht modules as left ideals spun from
-the Young symmetrizer under s_1..s_{r-1} and Schur functors as symmetrizer
-images on tensor space, each with its basis and generator matrices read
-off one sparse elimination (_spin); Specht characters from the
-symmetrizer's coefficients by a centralizer count; weight-space
+Specht modules are built in Young's seminormal form on standard Young
+tableaux, and Schur functors S_lam(Q^d) in the Gelfand-Tsetlin basis of
+interlacing patterns: every generator entry is a closed-form rational,
+written once per basis vector, and no r!-term or d^r-term object is built.
+Also here: tensor powers with both actions; Specht characters from the
+Young symmetrizer's coefficients by a centralizer count; weight-space
 decomposition of polynomial gl_d actions; and the dimension / trace
 verifications for Cauchy's lemma, Schur-Weyl duality and the split
 extension filtration.  Every generator matrix is a sparse
-linalg.SparseMatrix, and no r! x r! or d^r x d^r dense matrix is built.
+linalg.SparseMatrix.  The symmetrizer images that the closed forms
+replaced are the tests' oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import InvalidArgs, NonPolynomialAction, OracleDisagreement, check_budget
-from .linalg import SparseMatrix, _reduce_rows, _sparse
+from .linalg import SparseMatrix, _sparse
 from .characters import (
+    IrredDecomposition,
+    Perm,
+    Report,
+    _compositions,
     centralizer_order,
     cycle_types,
+    decompose_weight_multiset,
     irreducible_character,
     kostka,
     sign_of_class,
 )
 from .partitions import (
     Partition,
+    Record,
     enumerate_partitions,
     schur_gl_dimension,
     specht_dimension,
@@ -38,8 +45,6 @@ from .partitions import (
 
 # ---------------------------------------------------------------------------
 # Permutations (tuples of images, 0-indexed)
-
-Perm = tuple[int, ...]
 
 
 def perm_compose(a: Perm, b: Perm) -> Perm:
@@ -133,8 +138,7 @@ def young_symmetrizer(lam: Partition) -> list[tuple[int, Perm]]:
 # ExplicitModule
 
 
-@dataclass
-class ExplicitModule:
+class ExplicitModule(Record):
     """A finite-dimensional rational vector space with exact generator
     actions.  sym_generators are the adjacent transpositions s_1..s_{r-1}
     when a symmetric-group action is present; gl_generators map (a, b) to
@@ -142,10 +146,19 @@ class ExplicitModule:
     action is present.  Each generator is a SparseMatrix on basis indices
     0..dimension-1."""
 
-    dimension: int
-    sym_generators: list[SparseMatrix] = field(default_factory=list)
-    gl_generators: dict[tuple[int, int], SparseMatrix] = field(default_factory=dict)
-    grading: int | None = None
+    __slots__ = FIELDS = ("dimension", "sym_generators", "gl_generators", "grading")
+
+    def __init__(
+        self,
+        dimension: int,
+        sym_generators: list[SparseMatrix] | None = None,
+        gl_generators: dict[tuple[int, int], SparseMatrix] | None = None,
+        grading: int | None = None,
+    ):
+        self.dimension = dimension
+        self.sym_generators = [] if sym_generators is None else sym_generators
+        self.gl_generators = {} if gl_generators is None else gl_generators
+        self.grading = grading
 
     def check_coxeter_relations(self) -> bool:
         gens = self.sym_generators
@@ -223,88 +236,61 @@ def tensor_power_module(d: int, r: int, budget: int | None = None) -> ExplicitMo
     return ExplicitModule(dimension=d**r, sym_generators=sym, gl_generators=gl, grading=r)
 
 
-def _tensor_weight(J, d: int) -> tuple[int, ...]:
-    """Torus weight of the basis tensor with indices J: how often each of
-    the d indices occurs."""
-    w = [0] * d
-    for v in J:
-        w[v] += 1
-    return tuple(w)
-
-
-# ---------------------------------------------------------------------------
-# Spun bases and generator matrices
-
-
-def _spin(vectors: list[dict], maps: list, spin: bool):
-    """Pick a basis from sparse vectors, in order, and write each map's image
-    of every basis vector in that basis, in one sparse elimination.
-
-    The vector at queue position pos is reduced as {(0, k): v, ...,
-    (1, -pos): 1}: its tag sorts after every real key and before the tags
-    of earlier vectors.  A remainder led by a real key makes the vector a
-    new basis vector, and its images under the maps join the queue.  A
-    remainder led by its own tag is the vector plus a vanishing combination
-    of basis vectors, so its entries on the basis tags are minus the
-    vector's coordinates; no pivot sits on a basis tag, so nothing is left
-    to solve.  An image led by a real key leaves the span: with spin it
-    joins the basis, so the basis spans the smallest map-stable subspace
-    containing the first vectors; without spin it raises
-    OracleDisagreement.  Returns the basis positions and each map's
-    SparseMatrix."""
-    vectors = list(vectors)
-    picked: list[int] = []
-    slot: dict[int, int] = {}  # queue position of a basis vector -> its index
-    origin: dict[int, tuple[int, int]] = {}  # image position -> (map, basis index)
-    mats = [SparseMatrix() for _ in maps]
-
-    def tagged():
-        pos = 0
-        while pos < len(vectors):
-            yield {**{(0, k): v for k, v in vectors[pos].items()}, (1, -pos): 1}
-            pos += 1
-
-    for pos, rest in enumerate(_reduce_rows(tagged())):
-        new = min(rest)[0] == 0
-        if new:
-            if pos in origin and not spin:
-                raise OracleDisagreement("a generator image leaves the span of the basis")
-            slot[pos] = len(picked)
-            for i, m in enumerate(maps):
-                origin[len(vectors)] = (i, len(picked))
-                vectors.append(m(vectors[pos]))
-            picked.append(pos)
-        if pos in origin:
-            i, j = origin[pos]
-            if new:
-                mats[i][slot[pos], j] = 1
-            else:
-                mats[i].update(((slot[-t], j), -c) for (_, t), c in rest.items() if t != -pos)
-    return picked, mats
-
-
 # ---------------------------------------------------------------------------
 # Specht modules
 
 
+def _standard_tableaux(lam: Partition) -> list[tuple[int, ...]]:
+    """The standard Young tableaux of shape lam, each as its Yamanouchi
+    word (entry k, counting from 0, sits in row word[k]), in lexicographic
+    order.  They grow one entry at a time, and every partial tableau
+    completes, so no step holds more than f^lam of them."""
+    level = [((), (0,) * lam.length)]  # (word, row lengths filled)
+    for _ in range(lam.weight):
+        level = [
+            (word + (i,), filled[:i] + (filled[i] + 1,) + filled[i + 1 :])
+            for word, filled in level
+            for i in range(lam.length)
+            if filled[i] < lam[i] and (i == 0 or filled[i - 1] > filled[i])
+        ]
+    return [word for word, _ in level]
+
+
 def specht_module(lam: Partition, budget: int | None = None) -> ExplicitModule:
-    """The left ideal Q[Sigma_r] c_lam, with Sigma_r acting by left
-    multiplication, spun from c_lam: the smallest subspace containing c_lam
-    and stable under s_1..s_{r-1} is the ideal.  So closure certifies the
-    dimension, and the hook formula checks it independently."""
+    """S^lam in Young's seminormal form (Young 1931; Okounkov-Vershik 1996)
+    on the standard Young tableaux, which are counted against the hook
+    formula.  With a = c(i+1) - c(i) the axial distance of the entries i
+    and i+1 of T (c = column - row), s_i T = T if they share a row (a = 1)
+    and -T if they share a column (a = -1); two consecutive entries have
+    adjacent contents only then.  Otherwise s_i T is standard, and s_i acts
+    on the pair (T, s_i T), T the one with a > 0, as
+    [[1/a, 1 - 1/a^2], [1, -1/a]].  The budget counts the f^lam tableaux
+    times the r - 1 generators, a bound on the columns written: f^lam
+    alone would admit (19999, 1), whose generators hold 4e8 entries."""
     r = lam.weight
-    check_budget(factorial(r), budget, "group algebra dimension")
-    maps = [
-        lambda v, s=_adjacent_transposition(i, r): {perm_compose(s, x): a for x, a in v.items()}
-        for i in range(r - 1)
-    ]
-    picked, sym = _spin([{g: c for c, g in young_symmetrizer(lam)}], maps, spin=True)
-    if len(picked) != specht_dimension(lam):
+    f = specht_dimension(lam)
+    check_budget(f * max(r - 1, 0), budget, "standard Young tableaux times generators")
+    tableaux = _standard_tableaux(lam)
+    if len(tableaux) != f:
         raise OracleDisagreement(
-            f"spun Specht module of {lam} has dimension {len(picked)}, "
-            f"hook formula {specht_dimension(lam)}"
+            f"{len(tableaux)} standard tableaux of shape {lam}, hook formula {f}"
         )
-    return ExplicitModule(dimension=len(picked), sym_generators=sym)
+    index = {T: j for j, T in enumerate(tableaux)}
+    sym = [SparseMatrix() for _ in range(r - 1)]
+    for j, T in enumerate(tableaux):
+        content, filled = [], [0] * lam.length
+        for row in T:
+            content.append(filled[row] - row)
+            filled[row] += 1
+        for i, s in enumerate(sym):
+            a = content[i + 1] - content[i]
+            if a in (1, -1):
+                s[j, j] = a
+                continue
+            s[j, j] = Fraction(1, a)
+            partner = index[T[:i] + (T[i + 1], T[i]) + T[i + 2 :]]
+            s[partner, j] = 1 if a > 0 else Fraction(a * a - 1, a * a)
+    return ExplicitModule(dimension=f, sym_generators=sym)
 
 
 def specht_character_traces(lam: Partition, budget: int | None = None) -> dict[Partition, Fraction]:
@@ -324,34 +310,81 @@ def specht_character_traces(lam: Partition, budget: int | None = None) -> dict[P
 
 
 # ---------------------------------------------------------------------------
-# Schur functors on tensor space
+# Schur functors in the Gelfand-Tsetlin basis
 
 
-def _gl_generator(a: int, b: int):
-    """E_ab on sparse tensors: each index b in turn becomes a."""
-    return lambda v: _sparse(
-        (J[:t] + (a,) + J[t + 1 :], c) for J, c in v.items() for t, x in enumerate(J) if x == b
-    )
+def _gt_patterns(lam: Partition, d: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The Gelfand-Tsetlin patterns with top row lam padded to d entries,
+    each as its rows from the top: row k (k = d..1) has k entries, and
+    lam_{k,i} >= lam_{k-1,i} >= lam_{k,i+1}.  Rows are chosen from the top
+    down, and every partial pattern completes, so no step holds more
+    patterns than the module's dimension."""
+    level = [(tuple(lam[i] for i in range(d)),)]
+    for k in range(d - 1, 0, -1):
+        level = [
+            rows + (below,)
+            for rows in level
+            for below in itertools.product(
+                *(range(rows[-1][i + 1], rows[-1][i] + 1) for i in range(k))
+            )
+        ]
+    return level
 
 
 def schur_apply(lam: Partition, d: int, budget: int | None = None) -> ExplicitModule:
-    """S_lam(Q^d) realized as the image of the Young symmetrizer on
-    (Q^d)^{⊗r}; carries the restricted gl_d action.  Its basis is the sparse
-    images c e_J, in the order of J, independent of the earlier ones: the
-    pivot columns of the image matrix."""
+    """S_lam(Q^d) in the Gelfand-Tsetlin basis of patterns with top row lam,
+    which are counted against the hook-content formula, with the
+    normalisation of Molev (arXiv:math/0211289, Thm 2.3).  With
+    l_ki = lam_ki - i + 1 on row k (i = 1..k):
+
+        E_kk xi = (sum of row k - sum of row k-1) xi,
+        E_{k,k+1} xi = -sum_i prod_j (l_ki - l_{k+1,j}) / prod_{j != i} (l_ki - l_kj) xi^{+ki},
+        E_{k+1,k} xi = sum_i prod_j (l_ki - l_{k-1,j}) / prod_{j != i} (l_ki - l_kj) xi^{-ki},
+
+    where xi^{+-ki} changes lam_ki by +-1 and is 0 unless still a pattern.
+    Each other E_ab is a commutator, [E_{a,b-1}, E_{b-1,b}] above the
+    diagonal and [E_{b,b-1}, E_{b-1,a}] below it.  The budget counts the
+    patterns times the d^2 generators."""
     r = lam.weight
-    check_budget(d**r, budget)
-    c = young_symmetrizer(lam)
-    images = [_sparse((perm_on_index(g, J), coeff) for coeff, g in c) for J in _tensor_basis(d, r)]
-    pairs = [(a, b) for a in range(d) for b in range(d)]
-    picked, mats = _spin(images, [_gl_generator(a, b) for a, b in pairs], spin=False)
-    if len(picked) != schur_gl_dimension(lam, d):
+    dim = schur_gl_dimension(lam, d)
+    check_budget(dim * d * d, budget, "GT patterns times gl generators")
+    if lam.length > d:
+        return ExplicitModule(0, grading=r)
+    patterns = _gt_patterns(lam, d)
+    if len(patterns) != dim:
         raise OracleDisagreement(
-            f"symmetrizer image S_{lam}(Q^{d}) has dimension {len(picked)}, "
-            f"formula {schur_gl_dimension(lam, d)}"
+            f"{len(patterns)} GT patterns with top row {lam} in {d} rows, formula {dim}"
         )
-    gl = dict(zip(pairs, mats)) if picked else {}
-    return ExplicitModule(len(picked), gl_generators=gl, grading=r)
+    index = {P: j for j, P in enumerate(patterns)}
+    gl = {(a, b): SparseMatrix() for a in range(d) for b in range(d) if abs(a - b) < 2}
+    for j, P in enumerate(patterns):
+        sums = [0] + [sum(row) for row in reversed(P)]  # rows 0..d
+        for a in range(d):
+            if sums[a + 1] - sums[a]:
+                gl[a, a][j, j] = sums[a + 1] - sums[a]
+        for k in range(1, d):
+            row = P[d - k]
+            l = [x - i for i, x in enumerate(row)]
+            above = [x - i for i, x in enumerate(P[d - k - 1])]
+            below = [x - i for i, x in enumerate(P[d - k + 1])] if k > 1 else []
+            for i in range(k):
+                den = prod(l[i] - l[m] for m in range(k) if m != i)
+                for step, key, num in (
+                    (1, (k - 1, k), -prod(l[i] - x for x in above)),
+                    (-1, (k, k - 1), prod(l[i] - x for x in below)),
+                ):
+                    moved = row[:i] + (row[i] + step,) + row[i + 1 :]
+                    t = index.get(P[: d - k] + (moved,) + P[d - k + 1 :])
+                    if t is not None and num:
+                        gl[key][t, j] = Fraction(num, den)
+    for gap in range(2, d):
+        for a in range(d - gap):
+            b = a + gap
+            up, step_up = gl[a, b - 1], gl[b - 1, b]
+            gl[a, b] = up @ step_up - step_up @ up
+            down, step_down = gl[b - 1, a], gl[b, b - 1]
+            gl[b, a] = step_down @ down - down @ step_down
+    return ExplicitModule(dim, gl_generators=gl, grading=r)
 
 
 # ---------------------------------------------------------------------------
@@ -383,54 +416,9 @@ def module_weight_multiset(m: ExplicitModule) -> Counter:
     return cnt
 
 
-def _compositions(n: int, d: int):
-    """The weights of total n in d variables (stars and bars), in
-    lexicographic order; one empty weight at d = 0 when n = 0."""
-    if d == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
-
-
-def decompose_weight_multiset(cnt: Counter, d: int):
-    """Greedy subtraction of Schur weight multisets (Kostka vectors) from a
-    symmetric weight multiset; returns {Partition: multiplicity} with signed
-    multiplicities allowed (virtual input)."""
-    from .characters import IrredDecomposition
-
-    rem = {w: int(c) for w, c in cnt.items() if c}
-    mults: dict[Partition, int] = {}
-    while rem:
-        top = max(rem)
-        if list(top) != sorted(top, reverse=True):
-            raise OracleDisagreement(
-                f"lex-maximal weight {top} is not dominant; multiset not "
-                "a virtual polynomial character"
-            )
-        lam = Partition(top)
-        mult = rem[top]
-        mults[lam] = mults.get(lam, 0) + mult
-        for w in _compositions(lam.weight, d):
-            # Kostka numbers are symmetric in the content, so the cache
-            # serves every permutation of w from its sorted form.
-            k = kostka(lam.parts, tuple(sorted(w, reverse=True)))
-            if k:
-                nv = rem.get(w, 0) - mult * k
-                if nv:
-                    rem[w] = nv
-                else:
-                    rem.pop(w, None)
-    return IrredDecomposition(mults)
-
-
 def gl_decompose(m: ExplicitModule):
     """Decompose a polynomial gl_d module into Schur functors by torus
     weight enumeration and greedy Kostka subtraction."""
-    from .characters import IrredDecomposition
-
     if m.dimension == 0:
         return IrredDecomposition({})
     if not m.gl_generators:
@@ -448,39 +436,7 @@ def gl_decompose(m: ExplicitModule):
 
 
 # ---------------------------------------------------------------------------
-# Verification reports
-
-
-@dataclass
-class Report:
-    claim: str
-    left: object
-    right: object
-    passed: bool
-    witnesses: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "left": _jsonable(self.left),
-            "right": _jsonable(self.right),
-            "pass": self.passed,
-            "witnesses": _jsonable(self.witnesses),
-        }
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, Partition):
-        return str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if hasattr(x, "to_json"):
-        return x.to_json()
-    return x
+# Verifications
 
 
 def verify_cauchy(r: int, dV: int, dW: int, budget: int | None = None) -> Report:

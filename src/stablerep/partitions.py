@@ -1,4 +1,5 @@
-"""Partitions, Young diagrams, skew shapes and closed-form dimension formulas.
+"""Partitions, Young diagrams, skew shapes and closed-form dimension formulas,
+and the Record base of the package's plain value classes.
 
 Partitions are immutable values with structural equality; trailing zeros are
 normalized away at construction.  The canonical ordering used everywhere in
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, prod
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import DEFAULT_BUDGET, InvalidArgs, SizeBudgetExceeded, check_budget
@@ -90,6 +92,45 @@ class Partition:
     def cells(self) -> list[tuple[int, int]]:
         """All (row, col) cells of the Young diagram, 0-indexed."""
         return [(i, j) for i, r in enumerate(self.parts) for j in range(r)]
+
+
+class Record:
+    """Base of the package's plain value classes.  A subclass names its
+    fields in FIELDS, which are also its __slots__ (a subclass adding none
+    declares __slots__ = ()); two instances are equal when they are of the
+    same class with equal fields, and the repr lists the fields."""
+
+    __slots__ = ()
+    FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "FIELDS" in vars(cls):
+            # The field tuple, read by one C call: labeled partitions are
+            # compared and hashed once per fixed-point test.
+            cls._values = property(attrgetter(*cls.FIELDS))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS)
+        return f"{type(self).__name__}({body})"
+
+
+class FrozenRecord(Record):
+    """A Record that is immutable and hashable: __init__ sets the fields
+    with object.__setattr__, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        return hash(self._values)
 
 
 def transpose(lam: Partition) -> Partition:

@@ -6,8 +6,8 @@ pins the answer down.
 The answer and the dimension table come from closed forms (the cycle index
 of the labeled-partition species and a Stirling count, both in
 ``characters``); enumeration is the test oracle.  Only the verification
-functions import ``labeled`` and ``modules``, when they run, so the
-answer loads neither.
+functions import ``labeled``, when they run, so the answer loads no
+labeled-partition code.
 
 The automorphism groups themselves are never represented; the coefficient
 system appears only as symbolic (p, q, n) bookkeeping, because the stable
@@ -16,14 +16,13 @@ answer is purely combinatorial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING
 
 from .errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from .characters import (
     BiClassFunction,
     IrredDecomposition,
+    Report,
     count_pq,
     cycle_types,
     decompose,
@@ -33,38 +32,50 @@ from .characters import (
     pq_identity_counts,
     sym_dimension,
 )
-from .partitions import check_class_budget
-
-if TYPE_CHECKING:
-    from .modules import Report
+from .partitions import FrozenRecord, Record, check_class_budget
 
 
-@dataclass(frozen=True)
-class SymbolicCoefficient:
+class SymbolicCoefficient(FrozenRecord):
     """The coefficient system H(n)^{⊗p} ⊗ (H(n)^*)^{⊗q}, kept symbolic."""
 
-    p: int
-    q: int
-    n: int | None = None
+    __slots__ = FIELDS = ("p", "q", "n")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
+    def __init__(self, p: int, q: int, n: int | None = None):
+        if p < 0 or q < 0:
             raise InvalidArgs("p, q must be non-negative")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
 
     def __str__(self) -> str:
         n = "n" if self.n is None else str(self.n)
         return f"H({n})^⊗{self.p} ⊗ H({n})*^⊗{self.q}"
 
 
-@dataclass
-class StableCohomologyResult:
-    p: int
-    q: int
-    degree: int
-    bicharacter: BiClassFunction
-    decomposition: IrredDecomposition
-    dimension: int
-    valid_range: str
+class StableCohomologyResult(Record):
+    """The stable answer for one (p, q) cell in one degree."""
+
+    __slots__ = FIELDS = (
+        "p", "q", "degree", "bicharacter", "decomposition", "dimension", "valid_range"
+    )
+
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        degree: int,
+        bicharacter: BiClassFunction,
+        decomposition: IrredDecomposition,
+        dimension: int,
+        valid_range: str,
+    ):
+        self.p = p
+        self.q = q
+        self.degree = degree
+        self.bicharacter = bicharacter
+        self.decomposition = decomposition
+        self.dimension = dimension
+        self.valid_range = valid_range
 
     @property
     def is_zero(self) -> bool:
@@ -161,8 +172,6 @@ def step1_dimension_identity(p: int, q: int, d: int) -> Report:
     """Collapsing-spectral-sequence identity: the q-fold linear summands can
     be split off, so the graded piece equals the convolution of the q=0
     series with the symmetric powers of the q*d linear generators."""
-    from .modules import Report
-
     direct = graded_sym_algebra_dimension(d, q, p)
     convolved = sum(
         graded_sym_algebra_dimension(d, 0, p - k) * sym_dimension(q * d, k)
@@ -181,7 +190,6 @@ def three_way_dimension_agreement(p: int, q: int, budget: int | None = None) -> 
     """|labeled partitions| by enumeration equals the Hom-space dimension
     at d=p equals the binomial-weighted sum of injectively labeled counts."""
     from .labeled import LabelAlphabet, count_general, enumerate_pq, hom_space_dimension_gl
-    from .modules import Report
 
     by_enum = count_general(p, LabelAlphabet(q))
     by_hom = hom_space_dimension_gl(p, q, p, budget)
@@ -210,7 +218,6 @@ def theorem_a_induction_check(p: int, q: int, budget: int | None = None) -> Repo
     different cycle indices, and no labeled partition is built: the budget
     bounds the table of class pairs, counted before any is listed."""
     from .labeled import induced_pq_bicharacter
-    from .modules import Report
 
     if not (0 <= q <= p):
         raise InvalidArgs(f"need 0 <= q <= p, got p={p}, q={q}")

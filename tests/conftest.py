@@ -1,8 +1,9 @@
 """Shared independent oracles.
 
 Everything here is deliberately naive and separate from the library code:
-recurrence counters, brute-force enumerations, and product formulas that the
-main implementations are checked against.
+recurrence counters, brute-force enumerations, product formulas, and the
+symmetrizer-image modules that the closed-form Specht and Schur bases
+replaced, which the main implementations are checked against.
 """
 
 from __future__ import annotations
@@ -236,3 +237,101 @@ def fixed_weights_oracle(piece, tau: tuple[int, ...]):
     return Counter(
         piece.weight(mono) for mono in piece.basis if label_action(tau, mono) == mono
     )
+
+
+def spin_oracle(vectors: list[dict], maps: list, spin: bool):
+    """Pick a basis from sparse vectors, in order, and write each map's image
+    of every basis vector in that basis, in one sparse elimination.
+
+    The vector at queue position pos is reduced as {(0, k): v, ...,
+    (1, -pos): 1}: its tag sorts after every real key and before the tags
+    of earlier vectors.  A remainder led by a real key makes the vector a
+    new basis vector, and its images under the maps join the queue.  A
+    remainder led by its own tag is the vector plus a vanishing combination
+    of basis vectors, so its entries on the basis tags are minus the
+    vector's coordinates; no pivot sits on a basis tag, so nothing is left
+    to solve.  An image led by a real key leaves the span: with spin it
+    joins the basis, so the basis spans the smallest map-stable subspace
+    containing the first vectors; without spin it raises
+    OracleDisagreement.  Returns the basis positions and each map's
+    SparseMatrix.  The oracle behind the symmetrizer-image modules below."""
+    from stablerep.errors import OracleDisagreement
+    from stablerep.linalg import SparseMatrix, _reduce_rows
+
+    vectors = list(vectors)
+    picked: list[int] = []
+    slot: dict[int, int] = {}  # queue position of a basis vector -> its index
+    origin: dict[int, tuple[int, int]] = {}  # image position -> (map, basis index)
+    mats = [SparseMatrix() for _ in maps]
+
+    def tagged():
+        pos = 0
+        while pos < len(vectors):
+            yield {**{(0, k): v for k, v in vectors[pos].items()}, (1, -pos): 1}
+            pos += 1
+
+    for pos, rest in enumerate(_reduce_rows(tagged())):
+        new = min(rest)[0] == 0
+        if new:
+            if pos in origin and not spin:
+                raise OracleDisagreement("a generator image leaves the span of the basis")
+            slot[pos] = len(picked)
+            for i, m in enumerate(maps):
+                origin[len(vectors)] = (i, len(picked))
+                vectors.append(m(vectors[pos]))
+            picked.append(pos)
+        if pos in origin:
+            i, j = origin[pos]
+            if new:
+                mats[i][slot[pos], j] = 1
+            else:
+                mats[i].update(((slot[-t], j), -c) for (_, t), c in rest.items() if t != -pos)
+    return picked, mats
+
+
+def specht_spin_oracle(lam):
+    """The left ideal Q[Sigma_r] c_lam, with Sigma_r acting by left
+    multiplication, spun from the Young symmetrizer c_lam under
+    s_1..s_{r-1}: the smallest subspace containing c_lam and stable under
+    them is the ideal.  Exponential in r; the oracle for the seminormal
+    specht_module."""
+    from stablerep.modules import (
+        ExplicitModule,
+        _adjacent_transposition,
+        perm_compose,
+        young_symmetrizer,
+    )
+
+    r = lam.weight
+    maps = [
+        lambda v, s=_adjacent_transposition(i, r): {perm_compose(s, x): a for x, a in v.items()}
+        for i in range(r - 1)
+    ]
+    picked, sym = spin_oracle([{g: c for c, g in young_symmetrizer(lam)}], maps, spin=True)
+    return ExplicitModule(dimension=len(picked), sym_generators=sym)
+
+
+def schur_image_oracle(lam, d: int):
+    """S_lam(Q^d) as the image of the Young symmetrizer on (Q^d)^{⊗r}, with
+    the restricted gl_d action.  Its basis is the sparse images c e_J, in
+    the order of J, independent of the earlier ones.  Builds d^r images of
+    r! terms each; the oracle for the Gelfand-Tsetlin schur_apply."""
+    from stablerep.linalg import _sparse
+    from stablerep.modules import ExplicitModule, perm_on_index, young_symmetrizer
+
+    def gl_generator(a: int, b: int):
+        """E_ab on sparse tensors: each index b in turn becomes a."""
+        return lambda v: _sparse(
+            (J[:t] + (a,) + J[t + 1 :], c) for J, c in v.items() for t, x in enumerate(J) if x == b
+        )
+
+    r = lam.weight
+    c = young_symmetrizer(lam)
+    images = [
+        _sparse((perm_on_index(g, J), coeff) for coeff, g in c)
+        for J in itertools.product(range(d), repeat=r)
+    ]
+    pairs = [(a, b) for a in range(d) for b in range(d)]
+    picked, mats = spin_oracle(images, [gl_generator(a, b) for a, b in pairs], spin=False)
+    gl = dict(zip(pairs, mats)) if picked else {}
+    return ExplicitModule(len(picked), gl_generators=gl, grading=r)

@@ -260,7 +260,7 @@ def test_kostka_basics():
 
 def test_kostka_is_symmetric_in_the_content():
     # decompose_weight_multiset looks every weight up by its sorted form.
-    from stablerep.modules import _compositions
+    from stablerep.characters import _compositions
 
     for n in range(7):
         for lam in enumerate_partitions(n):

@@ -39,14 +39,8 @@ from stablerep.labeled import (
     SOLVE_UNKNOWN_CAP,
 )
 from stablerep import labeled, stable
-from stablerep.characters import BiClassFunction
-from stablerep.modules import (
-    _tensor_weight,
-    all_perms,
-    class_representative,
-    decompose_weight_multiset,
-    perm_cycle_type,
-)
+from stablerep.characters import BiClassFunction, _tensor_weight, decompose_weight_multiset
+from stablerep.modules import all_perms, class_representative, perm_cycle_type
 from stablerep.partitions import specht_dimension
 from stablerep.stable import theorem_a_induction_check
 

@@ -11,16 +11,20 @@ from conftest import (
     dense_matrix_oracle,
     dense_product_oracle,
     dense_rank_oracle,
+    schur_image_oracle,
+    specht_spin_oracle,
     specht_trace_oracle,
+    spin_oracle,
 )
 from stablerep import modules
-from stablerep.characters import cycle_types, irreducible_character
+from stablerep.characters import _compositions, cycle_types, irreducible_character
 from stablerep.errors import NonPolynomialAction, OracleDisagreement, SizeBudgetExceeded
 from stablerep.linalg import MODULAR_PRIME as P, SparseMatrix, sparse_rank_and_witness
 from stablerep.modules import (
     ExplicitModule,
     class_representative,
     gl_decompose,
+    module_weight_multiset,
     perm_compose,
     perm_cycle_type,
     perm_inverse,
@@ -149,17 +153,55 @@ def test_young_symmetrizer_quasi_idempotent():
 
 def test_specht_module_dimensions_and_relations():
     """Every generator s_i is a transposition, so its trace is the
-    character value on the class (2, 1^(n-2))."""
-    for n in range(1, 7):
+    character value on the class (2, 1^(n-2)).  The class representative
+    of rho, one cycle (k k+1 ... k+l-1) = s_k s_{k+1} ... s_{k+l-2} per part
+    l, acts as the product of those generators, whose trace is chi^lam(rho)."""
+    for n in range(1, 8):
         transposition = Partition([2] + [1] * (n - 2)) if n > 1 else None
         for lam in enumerate_partitions(n):
             mod = specht_module(lam)
             assert mod.dimension == specht_dimension(lam)
             assert mod.check_coxeter_relations()
             assert len(mod.sym_generators) == n - 1
+            chi = irreducible_character(lam)
             if transposition is not None:
-                chi = irreducible_character(lam).values[transposition]
-                assert all(s.trace() == chi for s in mod.sym_generators)
+                assert all(s.trace() == chi.values[transposition] for s in mod.sym_generators)
+            for rho in cycle_types(n):
+                word = SparseMatrix({(i, i): 1 for i in range(mod.dimension)})
+                start = 0
+                for part in rho:
+                    for k in range(start, start + part - 1):
+                        word = word @ mod.sym_generators[k]
+                    start += part
+                assert word.trace() == chi.values[rho], (lam, rho)
+
+
+def test_specht_modules_of_weight_10_build_under_the_default_budget():
+    """The budget counts the f^lam tableaux times the 9 generators, at most
+    768 * 9 = 6,912 at n = 10, where 10! = 3,628,800 is far past the
+    default cap; a hook (r-1, 1) of weight r = 20,000 is refused."""
+    transposition = Partition([2] + [1] * 8)
+    for lam in enumerate_partitions(10):
+        mod = specht_module(lam)
+        assert mod.dimension == specht_dimension(lam)
+        assert len(mod.sym_generators) == 9
+        chi = irreducible_character(lam).values[transposition]
+        assert mod.sym_generators[0].trace() == chi
+    with pytest.raises(SizeBudgetExceeded):
+        specht_module(Partition([19999, 1]))
+
+
+def test_seminormal_entries_of_2_1():
+    """The tableaux of (2,1) are 12/3 and 13/2 (Yamanouchi words 001 and
+    010).  s_1 swaps 1 and 2, which share a row in the first (+1) and a
+    column in the second (-1).  For s_2 the axial distance of 2 and 3 is
+    -2 in the first and 2 in the second, so on the pair (13/2, 12/3) s_2 is
+    [[1/2, 3/4], [1, -1/2]]: the 1 in the column of the tableau with a > 0."""
+    s1, s2 = specht_module(Partition([2, 1])).sym_generators
+    assert s1 == {(0, 0): 1, (1, 1): -1}
+    assert s2 == {
+        (1, 1): Fraction(1, 2), (0, 1): 1, (0, 0): Fraction(-1, 2), (1, 0): Fraction(3, 4)
+    }
 
 
 def test_specht_traces_match_murnaghan_nakayama():
@@ -199,8 +241,8 @@ def test_spin_checks_images_against_the_span():
     full-image check refuses it; with spin the span closes under the map."""
     cycle = lambda v: {(k + 1) % 3: x for k, x in v.items()}
     with pytest.raises(OracleDisagreement):
-        modules._spin([{0: 1}, {0: 2}], [cycle], spin=False)
-    picked, [m] = modules._spin([{0: 1}], [cycle], spin=True)
+        spin_oracle([{0: 1}, {0: 2}], [cycle], spin=False)
+    picked, [m] = spin_oracle([{0: 1}], [cycle], spin=True)
     assert picked == [0, 1, 2]
     assert m == {(0, 2): 1, (1, 0): 1, (2, 1): 1}
 
@@ -236,9 +278,9 @@ def test_spin_writes_every_image_in_its_basis(case, spin):
     leaves = dense_rank_oracle([dense(v) for v in vectors + images]) > rank
     if leaves and not spin:
         with pytest.raises(OracleDisagreement):
-            modules._spin(vectors, maps, spin=False)
+            spin_oracle(vectors, maps, spin=False)
         return
-    picked, mats = modules._spin(vectors, maps, spin)
+    picked, mats = spin_oracle(vectors, maps, spin)
     queue, basis = list(vectors), []
     for pos in picked:
         basis.append(queue[pos])
@@ -267,37 +309,55 @@ def _matrix_entries(m: SparseMatrix, n: int) -> list[list[str]]:
     return [[str(x) for x in row] for row in dense_matrix_oracle(m, n)]
 
 
-def test_generator_matrices_pinned():
-    """One sha256 over every entry of the generator matrices: specht_module
-    for all lam of n <= 6, and schur_apply with its torus weights (read off
-    the E_aa diagonals) for all lam of n <= 5 and d <= 3."""
+def _generator_matrices_digest(specht, schur) -> str:
+    """One sha256 over every entry of the generator matrices: specht(lam)
+    for all lam of n <= 6, and schur(lam, d) with its torus weights (read
+    off the E_aa diagonals) for all lam of n <= 5 and d <= 3."""
     out = []
     for n in range(1, 7):
         for lam in enumerate_partitions(n):
-            mod = specht_module(lam)
+            mod = specht(lam)
             out.append([str(lam), [_matrix_entries(s, mod.dimension) for s in mod.sym_generators]])
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
             for d in range(1, 4):
-                mod = schur_apply(lam, d)
+                mod = schur(lam, d)
                 E, dim = mod.gl_generators, mod.dimension
                 gl = [[list(k), _matrix_entries(m, dim)] for k, m in sorted(E.items())]
                 weights = [[int(E[(a, a)].get((i, i), 0)) for a in range(d)] for i in range(dim)]
                 out.append([str(lam), d, gl, weights])
     text = json.dumps(out, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_generator_matrices_pinned():
+    """The symmetrizer-image oracles: the spun Specht ideals and the
+    symmetrizer images on tensor space."""
     digest = "51e477981235afc4236788f985e2b7a6721a959e9f67476cbb26f79e73cb1842"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _generator_matrices_digest(specht_spin_oracle, schur_image_oracle) == digest
+
+
+def test_closed_form_matrices_pinned():
+    """The production bases: Young's seminormal form and Gelfand-Tsetlin."""
+    digest = "060c188f01d42d1c3c195f8c3740729eb5d6bee41d6d48bdb22090ba10b58ec1"
+    assert _generator_matrices_digest(specht_module, schur_apply) == digest
 
 
 def test_constructor_budgets():
+    """specht_module counts its f^lam = 3 standard tableaux times the 3
+    generators, schur_apply its 3 GT patterns times the 3^2 generators, and
+    specht_character_traces the 4! terms of the group algebra it sums over;
+    each unit is named."""
     lam = Partition([2, 1, 1])
-    for build in (specht_module, specht_character_traces):
-        with pytest.raises(SizeBudgetExceeded):
-            build(lam, budget=factorial(4) - 1)
-        build(lam, budget=factorial(4))
-    with pytest.raises(SizeBudgetExceeded):
-        schur_apply(lam, 3, budget=3**4 - 1)
-    assert schur_apply(lam, 3, budget=3**4).dimension == schur_gl_dimension(lam, 3)
+    for build, needed, unit in (
+        (specht_module, 9, "standard Young tableaux times generators"),
+        (lambda lam, budget: schur_apply(lam, 3, budget), 27, "GT patterns times gl generators"),
+        (specht_character_traces, factorial(4), "group algebra dimension"),
+    ):
+        with pytest.raises(SizeBudgetExceeded, match=f"^{unit} {needed} exceeds budget {needed - 1}$"):
+            build(lam, budget=needed - 1)
+        build(lam, budget=needed)
+    assert schur_apply(lam, 3, budget=27).dimension == schur_gl_dimension(lam, 3)
 
 
 def test_tensor_power_module_budget():
@@ -317,14 +377,19 @@ def test_tensor_power_module_budget():
 
 
 def test_schur_apply_dimensions_and_decomposition():
+    """The Gelfand-Tsetlin module and the symmetrizer image (the oracle)
+    have the same dimension, torus weights and decomposition, and both
+    satisfy the gl relations."""
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
             for d in range(1, 4):
                 mod = schur_apply(lam, d)
-                assert mod.dimension == schur_gl_dimension(lam, d)
+                oracle = schur_image_oracle(lam, d)
+                assert mod.dimension == oracle.dimension == schur_gl_dimension(lam, d)
                 if mod.dimension:
-                    assert mod.check_gl_relations()
-                    assert gl_decompose(mod).mults == {lam: 1}
+                    assert mod.check_gl_relations() and oracle.check_gl_relations()
+                    assert module_weight_multiset(mod) == module_weight_multiset(oracle)
+                    assert gl_decompose(mod).mults == gl_decompose(oracle).mults == {lam: 1}
 
 
 def _specht_summary():
@@ -373,13 +438,15 @@ def test_api_summaries_pinned(summary, digest):
 
 def test_relation_checks_catch_a_perturbed_entry():
     """Doubling any one stored entry of any generator breaks the Coxeter
-    relations of a Specht module and the gl relations of a Schur module."""
-    specht = specht_module(Partition([3, 1]))
-    schur = schur_apply(Partition([2, 1]), 2)
-    cases = [
-        (specht.sym_generators, specht.check_coxeter_relations),
-        (list(schur.gl_generators.values()), schur.check_gl_relations),
-    ]
+    relations of a Specht module and the gl relations of a Schur module,
+    in the seminormal and Gelfand-Tsetlin bases (the d = 3 module has
+    commutator generators E_02 and E_20) and in the symmetrizer bases."""
+    spechts = [specht_module(Partition(lam)) for lam in ([3, 1], [3, 2], [2, 2, 1])]
+    spechts.append(specht_spin_oracle(Partition([3, 1])))
+    schurs = [schur_apply(Partition([2, 1]), d) for d in (2, 3)]
+    schurs.append(schur_image_oracle(Partition([2, 1]), 2))
+    cases = [(m.sym_generators, m.check_coxeter_relations) for m in spechts]
+    cases += [(list(m.gl_generators.values()), m.check_gl_relations) for m in schurs]
     for gens, check in cases:
         assert check()
         for g in gens:
@@ -401,7 +468,7 @@ def test_compositions_are_the_filtered_product():
     for n in range(7):
         for d in range(5):
             product = [w for w in itertools.product(range(n + 1), repeat=d) if sum(w) == n]
-            assert sorted(modules._compositions(n, d)) == product
+            assert sorted(_compositions(n, d)) == product
 
 
 def test_verify_cauchy_grid():

@@ -46,12 +46,13 @@ SUBMODULES = {
 }
 
 
-def loaded_after(code: str) -> set[str]:
-    """The stablerep modules a fresh interpreter holds after running code."""
+def loaded_after(code: str, prefix: str = "stablerep") -> set[str]:
+    """The modules named with prefix (by default the stablerep ones) that a
+    fresh interpreter holds after running code."""
     script = (
         "import sys\n"
         + code
-        + "\nprint('LOADED ' + ' '.join(m for m in sys.modules if m.startswith('stablerep')))"
+        + f"\nprint('LOADED ' + ' '.join(m for m in sys.modules if m.startswith({prefix!r})))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("STABLEREP_BUDGET", None)
@@ -84,6 +85,20 @@ class TestImportSets:
         assert loaded_by_command(*argv) == qualified(
             "cli", "errors", "partitions", "characters", "stable"
         )
+
+    @pytest.mark.parametrize(
+        "argv", [("hom-dim", "2", "1", "2"), ("verify", "rw-prop", "2", "1", "2")]
+    )
+    def test_labeled_commands_load_no_explicit_modules(self, argv):
+        assert loaded_by_command(*argv) == qualified(
+            "cli", "errors", "partitions", "characters", "linalg", "labeled"
+        )
+
+    def test_no_module_imports_dataclasses(self):
+        code = "\n".join(f"import stablerep.{name}" for name in sorted(SUBMODULES | {"cli"}))
+        loaded = loaded_after(code, prefix="")
+        assert "stablerep.modules" in loaded
+        assert not {"dataclasses", "inspect"} & loaded
 
     def test_cache_hit_loads_no_compute_module(self, tmp_path):
         argv = ("--cache", str(tmp_path), "stable-cohomology", "4", "2")
