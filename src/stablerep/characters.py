@@ -7,7 +7,8 @@ remaining cycle parts are memoized (``_mn``), so each character row strips
 its first hook itself and only those tails enter the memo.
 Littlewood-Richardson coefficients are counted as lattice skew tableaux,
 and induction uses the classical cycle-type splitting formula.  Everything
-is exact rational arithmetic.
+is exact and integer where the input is; ``fractions`` is imported only by
+what builds a rational (``inner_product``, a non-integral multiplicity).
 
 The closed forms of the labeled families live here too, so the stable answer
 needs no labeled-partition code: the Stirling count ``count_pq`` and the
@@ -18,18 +19,19 @@ the torus-weight helpers beside ``kostka`` (``_compositions``,
 every verification returns, so ``labeled`` never loads ``modules``.
 
 Characters are stored densely over all cycle types; with weights at desk
-scale the class lists are tiny.  Irreducible, trivial and sign characters
-keep their exact int values; other class functions hold Fractions.  Both
-Murnaghan-Nakayama caches are plain ``lru_cache``s on immutable arguments,
-safe for concurrent readers.
+scale the class lists are tiny.  Class functions keep the values they are
+given, so integer characters (irreducible, permutation, closed-form) stay
+ints and ``decompose`` sums them in integers.  Both Murnaghan-Nakayama
+caches are plain ``lru_cache``s on immutable arguments, safe for concurrent
+readers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm, prod
-from typing import Iterator, Mapping
+from operator import mul
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import (
     InvalidArgs,
@@ -44,6 +46,9 @@ from .partitions import (
     enumerate_partitions,
     specht_dimension,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # ---------------------------------------------------------------------------
 # Cycle-type combinatorics
@@ -116,16 +121,15 @@ def splittings(rho: Partition, a: int) -> Iterator[tuple[Partition, Partition]]:
 
 
 class ClassFunction:
-    """A rational-valued function on the conjugacy classes of Sigma_r.
-    Values built from a mapping are Fractions; a character row from
-    ``_of_classes`` keeps its exact ints."""
+    """An exact (int or Fraction) function on the conjugacy classes of
+    Sigma_r, holding the values it is given, 0 where none is."""
 
     __slots__ = ("degree", "values")
 
     def __init__(self, degree: int, values: Mapping[Partition, Fraction | int]):
         self.degree = degree
         cts = cycle_types(degree)
-        self.values = {ct: Fraction(values.get(ct, 0)) for ct in cts}
+        self.values = {ct: values.get(ct, 0) for ct in cts}
         extra = set(values) - set(cts)
         if extra:
             raise InvalidArgs(f"cycle types of wrong weight: {extra}")
@@ -133,8 +137,8 @@ class ClassFunction:
     @classmethod
     def _of_classes(cls, degree: int, values: dict[Partition, int]) -> "ClassFunction":
         """The class function with these values, taken as they are: the keys
-        must be exactly cycle_types(degree), in that order, so neither the
-        key check nor the Fraction rebuild of __init__ runs."""
+        must be exactly cycle_types(degree), in that order, so the key
+        check of __init__ does not run."""
         f = object.__new__(cls)
         f.degree = degree
         f.values = values
@@ -177,14 +181,11 @@ class ClassFunction:
         )
 
     def scale(self, c) -> "ClassFunction":
-        c = Fraction(c)
         return ClassFunction(self.degree, {ct: c * v for ct, v in self.values.items()})
 
     def _check(self, other: "ClassFunction"):
         if self.degree != other.degree:
-            raise InvalidArgs(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
+            raise InvalidArgs(f"degree mismatch: {self.degree} vs {other.degree}")
 
     def __repr__(self) -> str:
         vals = ", ".join(f"{ct}:{v}" for ct, v in self.values.items())
@@ -192,28 +193,27 @@ class ClassFunction:
 
 
 class BiClassFunction:
-    """A rational-valued function on conjugacy classes of Sigma_p x Sigma_q."""
+    """An exact (int or Fraction) function on conjugacy classes of
+    Sigma_p x Sigma_q, holding the values it is given, 0 where none is."""
 
     __slots__ = ("degrees", "values")
 
     def __init__(
-        self,
-        degrees: tuple[int, int],
-        values: Mapping[tuple[Partition, Partition], Fraction | int],
+        self, degrees: tuple[int, int], values: Mapping[tuple[Partition, Partition], Fraction | int]
     ):
         self.degrees = degrees
         p, q = degrees
         pairs = [(a, b) for a in cycle_types(p) for b in cycle_types(q)]
-        self.values = {pr: Fraction(values.get(pr, 0)) for pr in pairs}
+        self.values = {pr: values.get(pr, 0) for pr in pairs}
         extra = set(values) - set(pairs)
         if extra:
             raise InvalidArgs(f"class pairs of wrong weight: {extra}")
 
-    def __call__(self, sigma: Partition, tau: Partition) -> Fraction:
+    def __call__(self, sigma: Partition, tau: Partition) -> Fraction | int:
         return self.values[(sigma, tau)]
 
     @property
-    def dimension(self) -> Fraction:
+    def dimension(self) -> Fraction | int:
         p, q = self.degrees
         return self.values[(identity_type(p), identity_type(q))]
 
@@ -242,12 +242,9 @@ class BiClassFunction:
 
     def sign_twist_first(self) -> "BiClassFunction":
         """Multiply by the sign of the Sigma_p component."""
+        signs = {s: sign_of_class(s) for s in cycle_types(self.degrees[0])}
         return BiClassFunction(
-            self.degrees,
-            {
-                (s, t): sign_of_class(s) * v
-                for (s, t), v in self.values.items()
-            },
+            self.degrees, {(s, t): signs[s] * v for (s, t), v in self.values.items()}
         )
 
     def __repr__(self) -> str:
@@ -258,11 +255,7 @@ class BiClassFunction:
 def external_product(a: ClassFunction, b: ClassFunction) -> BiClassFunction:
     return BiClassFunction(
         (a.degree, b.degree),
-        {
-            (s, t): a.values[s] * b.values[t]
-            for s in cycle_types(a.degree)
-            for t in cycle_types(b.degree)
-        },
+        {(s, t): x * y for s, x in a.values.items() for t, y in b.values.items()},
     )
 
 
@@ -331,6 +324,8 @@ def sign_character(r: int) -> ClassFunction:
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+    from fractions import Fraction
+
     if a.degree != b.degree:
         raise InvalidArgs(f"degree mismatch: {a.degree} vs {b.degree}")
     r = a.degree
@@ -338,18 +333,6 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
         class_size(rho) * a.values[rho] * b.values[rho] for rho in cycle_types(r)
     )
     return Fraction(total, factorial(r))
-
-
-def inner_product_bi(a: BiClassFunction, b: BiClassFunction) -> Fraction:
-    if a.degrees != b.degrees:
-        raise InvalidArgs(f"degrees mismatch: {a.degrees} vs {b.degrees}")
-    p, q = a.degrees
-    total = sum(
-        class_size(s) * class_size(t) * a.values[(s, t)] * b.values[(s, t)]
-        for s in cycle_types(p)
-        for t in cycle_types(q)
-    )
-    return Fraction(total, factorial(p) * factorial(q))
 
 
 class IrredDecomposition:
@@ -385,60 +368,21 @@ class IrredDecomposition:
         return sorted(self.mults.items(), key=lambda kv: sortkey(kv[0]))
 
     def total_dimension(self) -> int:
-        dim = 0
-        for k, m in self.mults.items():
-            if isinstance(k, Partition):
-                dim += m * specht_dimension(k)
-            else:
-                dim += m * prod(specht_dimension(part) for part in k)
-        return dim
+        f = lru_cache(maxsize=None)(specht_dimension)
+        return sum(
+            m * (f(k) if isinstance(k, Partition) else prod(map(f, k)))
+            for k, m in self.mults.items()
+        )
 
     def to_json(self) -> list[dict]:
-        out = []
-        for k, m in self.items():
-            if isinstance(k, Partition):
-                out.append({"key": str(k), "multiplicity": m})
-            else:
-                out.append({"key": [str(part) for part in k], "multiplicity": m})
-        return out
-
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "IrredDecomposition":
-        mults = {}
-        for entry in data:
-            key = entry["key"]
-            if isinstance(key, str):
-                k = Partition.parse(key)
-            else:
-                k = tuple(Partition.parse(x) for x in key)
-            mults[k] = entry["multiplicity"]
-        return cls(mults)
+        return [
+            {"key": str(k) if isinstance(k, Partition) else [str(x) for x in k], "multiplicity": m}
+            for k, m in self.items()
+        ]
 
     def __repr__(self):
         body = ", ".join(f"{k}: {m}" for k, m in self.items())
         return "{" + body + "}"
-
-
-def reconstruct(dec: IrredDecomposition, degrees) -> ClassFunction | BiClassFunction:
-    """Character with the given decomposition; inverse of ``decompose``."""
-    if isinstance(degrees, int):
-        out = ClassFunction(degrees, {})
-        for k, m in dec.mults.items():
-            out = out + irreducible_character(k).scale(m)
-        return out
-    p, q = degrees
-    out = BiClassFunction((p, q), {})
-    for (lam, mu), m in dec.mults.items():
-        out = out + BiClassFunction(
-            (p, q),
-            {
-                k: v * m
-                for k, v in external_product(
-                    irreducible_character(lam), irreducible_character(mu)
-                ).values.items()
-            },
-        )
-    return out
 
 
 def decompose(
@@ -448,38 +392,50 @@ def decompose(
 
     With virtual=False (the default) f is asserted to be a genuine
     character: any negative or non-integral multiplicity raises.  With
-    virtual=True, signed integer multiplicities are returned."""
+    virtual=True, signed integer multiplicities are returned.  Each
+    multiplicity is a numerator, summed in the values' own type (int for
+    an integer f, so no Fraction is built), divided once by the group
+    order; the class sizes are computed once per class."""
     mults: dict = {}
     if isinstance(f, ClassFunction):
+        order = factorial(f.degree)
+        weighted = [class_size(rho) * v for rho, v in f.values.items()]
         for lam in enumerate_partitions(f.degree):
-            m = inner_product(f, irreducible_character(lam))
-            _store(mults, lam, m, virtual)
+            chi = irreducible_character(lam).values.values()
+            _store(mults, lam, sum(map(mul, weighted, chi)), order, virtual)
     else:
         # <f, chi^lam x chi^mu> = sum over class pairs (s, t) of
         # |s|·|t|·f(s, t)·chi^lam(s)·chi^mu(t) / (p!·q!); the sum over s is
-        # taken once per lam, not once per (lam, mu).
+        # taken once per lam, not once per (lam, mu).  Values are listed in
+        # cycle_types order, the order of every character row.
         p, q = f.degrees
         ps, qs = cycle_types(p), cycle_types(q)
         order = factorial(p) * factorial(q)
+        p_sizes = [class_size(s) for s in ps]
+        columns = [
+            [size * class_size(t) * f.values[(s, t)] for s, size in zip(ps, p_sizes)]
+            for t in qs
+        ]
         mu_chars = [
-            (mu, irreducible_character(mu).values) for mu in enumerate_partitions(q)
+            (mu, list(irreducible_character(mu).values.values()))
+            for mu in enumerate_partitions(q)
         ]
         for lam in enumerate_partitions(p):
-            chl = irreducible_character(lam).values
-            by_t = {
-                t: sum(class_size(s) * chl[s] * f.values[(s, t)] for s in ps)
-                for t in qs
-            }
+            chl = list(irreducible_character(lam).values.values())
+            by_t = [sum(map(mul, chl, col)) for col in columns]
             for mu, chm in mu_chars:
-                m = sum(class_size(t) * chm[t] * by_t[t] for t in qs) / order
-                _store(mults, (lam, mu), m, virtual)
+                _store(mults, (lam, mu), sum(map(mul, chm, by_t)), order, virtual)
     return IrredDecomposition(mults)
 
 
-def _store(mults: dict, key, m: Fraction, virtual: bool):
-    if m.denominator != 1:
-        raise NonIntegralMultiplicity(f"multiplicity {m} at {key}")
-    m = int(m)
+def _store(mults: dict, key, total, order: int, virtual: bool):
+    """Store the multiplicity total / order at key; an int total is divided
+    in integers, a Fraction one by Fraction's own divmod."""
+    m, rest = divmod(total, order)
+    if rest:
+        from fractions import Fraction
+
+        raise NonIntegralMultiplicity(f"multiplicity {Fraction(total, order)} at {key}")
     if m < 0 and not virtual:
         raise NegativeMultiplicity(f"multiplicity {m} at {key}")
     if m:
@@ -492,20 +448,18 @@ def _store(mults: dict, key, m: Fraction, virtual: bool):
 
 def induce(f: BiClassFunction, q: int) -> ClassFunction:
     """Induce a class function on Sigma_i x Sigma_{q-i} up to Sigma_q,
-    by the cycle-type splitting formula."""
+    by the cycle-type splitting formula, whose coefficient
+    z_rho / (z_r1·z_r2) is a product of binomials, so an int."""
     i, j = f.degrees
     if i + j != q:
         raise InvalidArgs(f"degrees {f.degrees} do not sum to {q}")
     vals = {}
     for rho in cycle_types(q):
         z = centralizer_order(rho)
-        total = Fraction(0)
-        for r1, r2 in splittings(rho, i):
-            total += (
-                Fraction(z, centralizer_order(r1) * centralizer_order(r2))
-                * f.values[(r1, r2)]
-            )
-        vals[rho] = total
+        vals[rho] = sum(
+            z // (centralizer_order(r1) * centralizer_order(r2)) * f.values[(r1, r2)]
+            for r1, r2 in splittings(rho, i)
+        )
     return ClassFunction(q, vals)
 
 
@@ -758,13 +712,25 @@ def graded_sym_algebra_dimension(d: int, q: int, p: int) -> int:
 # blocks each paired with one label.  Its cycle index is
 #     Z_F = exp(sum_k (1/k)(1 + y_k)(exp(sum_i x_{ik}/i) - 1)),
 # and (sigma, tau) of cycle types (rho, pi) fixes z_rho*z_pi*[x^rho y^pi] Z_F
-# objects.  A monomial x^rho y^pi is keyed by (rho.parts, pi.parts).
+# objects.
 #
 # The family with repeatable labels (labeled.LabelAlphabet(q)) is a set of blocks,
 # each unlabeled or a singleton with one of the q labels.  For tau fixing f_k
 # labels under tau^k, its one-sort cycle index is
 #     Z_tau = exp(sum_k (1/k)(exp(sum_i x_{ik}/i) - 1 + f_k x_k)),
 # and (sigma, tau) fixes z_rho*[x^rho] Z_tau objects.
+#
+# Both are computed in integers.  The coefficient c of x^rho y^pi is stored
+# scaled, as N = c·|rho|!·|pi|!, which is |class rho|·|class pi| times the
+# fixed-point count, so an integer.  The exponent's terms (1/(k·z_lam)) x_{k lam}
+# and (1/(k·z_lam)) x_{k lam} y_k, of weights j = k·|lam| and k, become
+# j!/(k·z_lam) and j!·(k-1)!/z_lam, and Z_tau's f_k/k at x_k becomes
+# (k-1)!·f_k.  Two monomials multiply with the binomials of their weights,
+# so n·Z_n = sum_j j·A_j·Z_{n-j} becomes
+#     N_n = sum_j C(n-1, j-1)·C(m, m_a)·A_j·N_{n-j},
+# with m and m_a the y-weights of the product and of A_j's term.  Each
+# character value is then one exact division by the class sizes, and a
+# remainder raises OracleDisagreement.
 
 
 def count_pq(p: int, q: int) -> int:
@@ -782,53 +748,83 @@ def count_pq(p: int, q: int) -> int:
     return sum(s * perm(k, q) for k, s in enumerate(stirling))
 
 
-CycleMonomial = tuple[tuple[int, ...], tuple[int, ...]]
+# A scaled piece {rho.parts: {pi.parts: N}} of a cycle index.
+Piece = dict[tuple[int, ...], dict[tuple[int, ...], int]]
 
 
 def _merge_parts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b, reverse=True))
+    return tuple(sorted(a + b, reverse=True)) if a else b
 
 
-def _cycle_index_log(j: int, q_max: int) -> dict[CycleMonomial, Fraction]:
-    """x-weight j part of the exponent of Z_F, dropping y_k for k > q_max."""
-    out: dict[CycleMonomial, Fraction] = {}
+def _cycle_index_log(j: int, q_max: int) -> Piece:
+    """Scaled x-weight j part of the exponent of Z_F, dropping y_k for k > q_max:
+    j!/(k·z_lam) at x_{k lam} and j!·(k-1)!/z_lam at x_{k lam} y_k."""
+    out: Piece = {}
     for k in range(1, j + 1):
         if j % k:
             continue
         for lam in enumerate_partitions(j // k):
-            c = Fraction(1, k * centralizer_order(lam))
-            xs = tuple(k * s for s in lam)
-            keys = [(xs, ())] + ([(xs, (k,))] if k <= q_max else [])
-            for key in keys:
-                out[key] = out.get(key, 0) + c
+            n = factorial(j) // (k * centralizer_order(lam))
+            row = out.setdefault(tuple(k * s for s in lam), {})
+            row[()] = row.get((), 0) + n
+            if k <= q_max:
+                row[(k,)] = n * factorial(k)
     return out
 
 
-def _exp_series(
-    logs: list[dict[CycleMonomial, Fraction]], q_max: int
-) -> list[dict[CycleMonomial, Fraction]]:
-    """Pieces of x-weight 0..len(logs)-1 of Z = exp(A), given the x-weight
-    pieces A_j = logs[j] (logs[0] is ignored), truncated at y-weight q_max.
+def _by_y_weight(piece: Piece) -> dict:
+    """{x: [(y, y-weight, N)]}, y-weights ascending."""
+    return {
+        x: sorted(((y, sum(y), v) for y, v in row.items()), key=lambda e: e[1])
+        for x, row in piece.items()
+    }
 
-    Built by the degree recurrence n*Z_n = sum_j j*A_j*Z_{n-j}."""
-    terms = [[(m, sum(m[1]), j * c) for m, c in a.items()] for j, a in enumerate(logs)]
-    z: list[dict[CycleMonomial, Fraction]] = [{((), ()): Fraction(1)}]
+
+def _exp_series(logs: list[Piece], q_max: int) -> list[Piece]:
+    """Scaled pieces of x-weight 0..len(logs)-1 of Z = exp(A), given the
+    scaled x-weight pieces A_j = logs[j] (logs[0] is ignored), truncated at
+    y-weight q_max, by N_n = sum_j C(n-1, j-1)·C(m, m_a)·A_j·N_{n-j}.  Each x
+    merge serves every y pair, and each y merge is made once."""
+    binom = [[comb(m, i) for i in range(m + 1)] for m in range(q_max + 1)]
+    terms = [_by_y_weight(log) for log in logs]
+    z: list[Piece] = [{(): {(): 1}}]
+    grouped = [_by_y_weight(z[0])]
+    merged: dict = {}
     for n in range(1, len(logs)):
-        acc: dict[CycleMonomial, Fraction] = {}
+        acc: Piece = {}
         for j in range(1, n + 1):
-            for (ax, ay), ay_weight, a in terms[j]:
-                for (bx, by), b in z[n - j].items():
-                    if ay_weight + sum(by) > q_max:
-                        continue
-                    key = (_merge_parts(ax, bx), _merge_parts(ay, by))
-                    acc[key] = acc.get(key, 0) + a * b
-        z.append({m: c / n for m, c in acc.items()})
+            c = comb(n - 1, j - 1)
+            for ax, a_terms in terms[j].items():
+                for bx, b_terms in grouped[n - j].items():
+                    row = acc.setdefault(_merge_parts(ax, bx), {})
+                    for ay, ma, a in a_terms:
+                        a *= c
+                        for by, mb, b in b_terms:
+                            if ma + mb > q_max:
+                                break
+                            y = merged.get((ay, by))
+                            if y is None:
+                                y = merged[ay, by] = _merge_parts(ay, by)
+                            row[y] = row.get(y, 0) + a * b * binom[ma + mb][ma]
+        z.append(acc)
+        grouped.append(_by_y_weight(acc))
     return z
 
 
-def _cycle_index(p_max: int, q_max: int) -> list[dict[CycleMonomial, Fraction]]:
-    """Pieces of x-weight 0..p_max of Z_F, truncated at y-weight q_max."""
+def _cycle_index(p_max: int, q_max: int) -> list[Piece]:
+    """Scaled pieces of x-weight 0..p_max of Z_F, truncated at y-weight q_max."""
     return _exp_series([_cycle_index_log(j, q_max) for j in range(p_max + 1)], q_max)
+
+
+def _fixed_count(scaled: int, classes: int, where) -> int:
+    """The fixed-point count scaled / classes, which the scaling makes exact."""
+    count, rest = divmod(scaled, classes)
+    if rest:
+        raise OracleDisagreement(
+            f"scaled cycle-index coefficient {scaled} at {where} is not a "
+            f"multiple of the class size {classes}"
+        )
+    return count
 
 
 def pq_bicharacter(p: int, q: int) -> BiClassFunction:
@@ -840,22 +836,22 @@ def pq_bicharacter(p: int, q: int) -> BiClassFunction:
     if q > p:
         raise InvalidArgs(f"q={q} exceeds p={p}; no partition has enough parts")
     top = _cycle_index(p, q)[p]
-    return BiClassFunction(
-        (p, q),
-        {
-            (s, t): top.get((s.parts, t.parts), 0)
-            * centralizer_order(s)
-            * centralizer_order(t)
-            for s in cycle_types(p)
-            for t in cycle_types(q)
-        },
-    )
+    q_sizes = {t: class_size(t) for t in cycle_types(q)}
+    vals = {}
+    for s in cycle_types(p):
+        size = class_size(s)
+        row = top.get(s.parts, {})
+        for t, t_size in q_sizes.items():
+            scaled = row.get(t.parts, 0)
+            vals[(s, t)] = _fixed_count(scaled, size * t_size, (s.parts, t.parts))
+    return BiClassFunction((p, q), vals)
 
 
 def general_bicharacter(p: int, q: int) -> BiClassFunction:
     """Fixed-point character of Sigma_p x Sigma_q on the labeled partitions
     with repeatable labels, read off one Z_tau per class of tau without
-    enumerating (the tests check it against counts over enumerate_general)."""
+    enumerating (the tests check it against counts over enumerate_general).
+    Z_tau's extra term f_k/k at x_k is (k-1)!·f_k scaled."""
     if q < 0 or p < 0:
         raise InvalidArgs("p, q must be non-negative")
     unlabeled = [_cycle_index_log(j, 0) for j in range(p + 1)]
@@ -864,22 +860,24 @@ def general_bicharacter(p: int, q: int) -> BiClassFunction:
         logs = [dict(a) for a in unlabeled]
         for k in range(1, p + 1):
             f_k = sum(c for c in t.parts if k % c == 0)
-            logs[k][((k,), ())] += Fraction(f_k, k)
+            logs[k][(k,)] = {(): logs[k][(k,)][()] + factorial(k - 1) * f_k}
         top = _exp_series(logs, 0)[p]
         for s in cycle_types(p):
-            vals[(s, t)] = top.get((s.parts, ()), 0) * centralizer_order(s)
+            scaled = top.get(s.parts, {}).get((), 0)
+            vals[(s, t)] = _fixed_count(scaled, class_size(s), (s.parts, t.parts))
     return BiClassFunction((p, q), vals)
 
 
-def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], Fraction]:
+def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], int]:
     """|injectively q-labeled partitions of {1..p}| for q <= p <= p_max and
     q <= q_max, as the identity-class coefficients of Z_F:
-    p!·q!·[x^p y^q] exp((1 + y)(e^x - 1))."""
+    p!·q!·[x^p y^q] exp((1 + y)(e^x - 1)), which the scaling stores as is
+    (both identity classes have size 1)."""
     if p_max < 0 or q_max < 0:
         raise InvalidArgs("bounds must be non-negative")
     z = _cycle_index(p_max, q_max)
     return {
-        (p, q): z[p].get(((1,) * p, (1,) * q), 0) * factorial(p) * factorial(q)
+        (p, q): z[p].get((1,) * p, {}).get((1,) * q, 0)
         for p in range(p_max + 1)
         for q in range(min(p, q_max) + 1)
     }
@@ -913,7 +911,7 @@ class Report(Record):
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
+    if hasattr(x, "denominator") and not isinstance(x, int):  # a Fraction
         return str(x) if x.denominator != 1 else int(x)
     if isinstance(x, Partition):
         return str(x)

@@ -6,7 +6,8 @@ Exit codes: 0 success or verification pass, 1 verification failure,
 
 Each subcommand imports the modules it runs when it runs, so a command loads
 only those (``partitions`` loads ``partitions`` alone, ``stable-cohomology``
-no labeled-partition or linear-algebra code, a cache hit no compute module).
+no labeled-partition or linear-algebra code and no ``fractions``, a cache
+hit no compute module).
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def _cmd_stable_cohomology(args) -> tuple[str, int]:
 
     if args.table is not None:
         pmax, qmax = args.table
-        rows = dimension_table(pmax, qmax)
+        rows = dimension_table(pmax, qmax, args.budget)
         if args.json:
             return json.dumps(rows, indent=2), EXIT_OK
         return (
@@ -221,7 +222,7 @@ def _cmd_stable_cohomology(args) -> tuple[str, int]:
     if args.p is None or args.q is None:
         raise InvalidArgs("stable-cohomology requires P Q (or --table PMAX QMAX)")
     degree = args.degree if args.degree is not None else args.p - args.q
-    res = stable_cohomology(args.p, args.q, degree)
+    res = stable_cohomology(args.p, args.q, degree, args.budget)
     if args.json:
         return json.dumps(res.to_json(), indent=2), EXIT_OK
     lines = [

@@ -20,7 +20,14 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .errors import InvalidArgs, NonPolynomialAction, OracleDisagreement, check_budget
+from .errors import (
+    DEFAULT_BUDGET,
+    InvalidArgs,
+    NonPolynomialAction,
+    OracleDisagreement,
+    SizeBudgetExceeded,
+    check_budget,
+)
 from .linalg import SparseMatrix, _sparse
 from .characters import (
     IrredDecomposition,
@@ -40,6 +47,7 @@ from .partitions import (
     enumerate_partitions,
     schur_gl_dimension,
     specht_dimension,
+    specht_dimension_up_to,
     transpose,
 )
 
@@ -266,11 +274,20 @@ def specht_module(lam: Partition, budget: int | None = None) -> ExplicitModule:
     on the pair (T, s_i T), T the one with a > 0, as
     [[1/a, 1 - 1/a^2], [1, -1/a]].  The budget counts the f^lam tableaux
     times the r - 1 generators, a bound on the columns written: f^lam
-    alone would admit (19999, 1), whose generators hold 4e8 entries."""
+    alone would admit (19999, 1), whose generators hold 4e8 entries.
+    The budget reads f^lam off the hook product counted only up to the cap,
+    which forms no r!, so a refused shape costs no factorial (past the cap
+    the refusal says "more than" it); the factorial hook formula then
+    checks the tableaux of an admitted shape."""
     r = lam.weight
-    f = specht_dimension(lam)
-    check_budget(f * max(r - 1, 0), budget, "standard Young tableaux times generators")
+    cap = DEFAULT_BUDGET if budget is None else budget
+    unit = "standard Young tableaux times generators"
+    f = specht_dimension_up_to(lam, max(cap, 1))
+    if f is None:
+        raise SizeBudgetExceeded(None, cap, unit)
+    check_budget(f * max(r - 1, 0), cap, unit)
     tableaux = _standard_tableaux(lam)
+    f = specht_dimension(lam)
     if len(tableaux) != f:
         raise OracleDisagreement(
             f"{len(tableaux)} standard tableaux of shape {lam}, hook formula {f}"
@@ -298,9 +315,19 @@ def specht_character_traces(lam: Partition, budget: int | None = None) -> dict[P
     against Murnaghan-Nakayama.  With c^2 = (r!/f) c the trace of g is
     (f/r!) tr(L_g R_c), the sum of coeff_h over the x with g x h = x, i.e.
     h = x^-1 g^-1 x: z_rho such x when h has the cycle type rho of g, else
-    none.  So it is f z_rho / r! times the sum of c's coefficients on rho."""
+    none.  So it is f z_rho / r! times the sum of c's coefficients on rho.
+    The budget counts the terms of c, |R_lam|·|C_lam| = prod lam_i! times
+    prod lam'_j! (12 for (2,1,1), 9,216 for (4,4)), the product stopped
+    once it passes the cap."""
     r = lam.weight
-    check_budget(factorial(r), budget, "group algebra dimension")
+    cap = DEFAULT_BUDGET if budget is None else budget
+    terms = 1
+    for part in lam.parts + transpose(lam).parts:
+        for k in range(2, part + 1):
+            if terms > cap:
+                raise SizeBudgetExceeded(None, cap, "Young symmetrizer terms")
+            terms *= k
+    check_budget(terms, cap, "Young symmetrizer terms")
     f = specht_dimension(lam)
     on_class = _sparse((perm_cycle_type(h), c) for c, h in young_symmetrizer(lam))
     return {

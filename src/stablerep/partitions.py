@@ -10,7 +10,7 @@ this package is reverse lexicographic, which is also the order in which
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -253,6 +253,24 @@ def specht_dimension(lam: Partition) -> int:
     num = factorial(lam.weight)
     for h in hook_lengths(lam).values():
         num //= h
+    return num
+
+
+def specht_dimension_up_to(lam: Partition, cap: int) -> int | None:
+    """f^lam by the hook-length formula with no factorial formed, or None
+    once it is known to exceed cap.  With h_1 <= h_2 <= ... the hook lengths
+    in order, f^lam = prod_k k / h_k, kept in lowest terms.  Each factor is
+    at least 1: the arm and leg of a cell of hook h hold h - 1 cells of
+    smaller hook, so h_k <= k.  So every partial product bounds f^lam from
+    below, and the product stops once one passes the cap with factors
+    left."""
+    num = den = 1
+    for k, h in enumerate(sorted(hook_lengths(lam).values()), 1):
+        if num > cap * den:
+            return None
+        num, den = num * k, den * h
+        g = gcd(num, den)
+        num, den = num // g, den // g
     return num
 
 

@@ -113,18 +113,24 @@ def _min_n(p: int, q: int, degree: int) -> int:
     return 2 * max(degree, 0) + p + q + 3
 
 
-def stable_cohomology(p: int, q: int, degree: int) -> StableCohomologyResult:
+def stable_cohomology(
+    p: int, q: int, degree: int, budget: int | None = None
+) -> StableCohomologyResult:
     """Cohomology of the automorphism group in the stable range with the
     (p, q) bifunctor coefficients: the sign-twisted permutation module on
     injectively labeled partitions in degree p-q, zero elsewhere.
 
     Closed form; enumeration is the test oracle.  The character comes from
-    the cycle index (``pq_bicharacter``), the dimension from the Stirling
-    count (``count_pq``), and the dimension must also equal the character at
-    the identity and the dimension of the decomposition.  Nothing is
-    materialized that grows with the dimension, so no budget applies."""
+    the integer cycle index (``pq_bicharacter``), the dimension from the
+    Stirling count (``count_pq``), and the dimension must also equal the
+    character at the identity and the dimension of the decomposition.
+    Nothing grows with the dimension, but the cycle index, the character
+    and ``decompose`` grow with the class pairs, p(p)·p(q) of them, so the
+    budget bounds those, counted before any class is listed (zero cells
+    included: their character still lists every pair)."""
     if p < 0 or q < 0:
         raise InvalidArgs("p, q must be non-negative")
+    check_class_budget(budget, p, q)
     valid = "2*degree <= n - p - q - 3"
     if degree != p - q or q > p:
         zero = BiClassFunction((p, q), {})
@@ -246,15 +252,19 @@ def theorem_a_induction_check(p: int, q: int, budget: int | None = None) -> Repo
 # Presentation
 
 
-def dimension_table(p_max: int, q_max: int) -> list[dict]:
+def dimension_table(p_max: int, q_max: int, budget: int | None = None) -> list[dict]:
     """Rows (p, q, nonzero degree, dimension, minimal stable n) over the
     requested grid.
 
     Closed form; enumeration is the test oracle.  Each dimension is the
     Stirling count ``count_pq``, checked against the identity-class
-    coefficient of the cycle index (``pq_identity_counts``)."""
+    coefficient of the cycle index (``pq_identity_counts``).  That cycle
+    index is the one ``stable_cohomology(p_max, min(p_max, q_max))`` reads
+    its character off, so the budget bounds the class pairs of that top
+    cell, counted before any class is listed."""
     if p_max < 0 or q_max < 0:
         raise InvalidArgs("bounds must be non-negative")
+    check_class_budget(budget, p_max, min(p_max, q_max))
     by_series = pq_identity_counts(p_max, q_max)
     rows = []
     for p in range(p_max + 1):

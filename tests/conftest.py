@@ -1,9 +1,12 @@
 """Shared independent oracles.
 
 Everything here is deliberately naive and separate from the library code:
-recurrence counters, brute-force enumerations, product formulas, and the
+recurrence counters, brute-force enumerations, product formulas, the
+Fraction cycle-index engine that the integer one replaced, and the
 symmetrizer-image modules that the closed-form Specht and Schur bases
-replaced, which the main implementations are checked against.
+replaced, which the main implementations are checked against.  Helpers that
+only the tests call (``inner_product_bi``, ``reconstruct``,
+``decomposition_from_json``) live here too.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 
 @lru_cache(maxsize=None)
@@ -178,14 +181,17 @@ def specht_trace_oracle(c: list[tuple[int, tuple[int, ...]]], g: tuple[int, ...]
     )
 
 
-def _fixed_points(objs, sigma, tau) -> int:
-    return sum(1 for x in objs if x.act(sigma, tau) == x)
-
-
 def permutation_bicharacter(p: int, q: int, source: str = "general", budget: int | None = None):
     """Fixed-point character of Sigma_p x Sigma_q by enumeration: 'general'
     for labeled partitions with repeatable labels, 'pq' for the injectively
-    labeled family.  The oracle for the cycle-index closed forms."""
+    labeled family.  The oracle for the cycle-index closed forms.
+
+    Each object is encoded once as two integer tuples, the block of every
+    element and the label of its block, and each class pair's
+    representatives once as tables; every object is then tested once per
+    class pair.  (sigma, tau) fixes an object when e -> sigma(e) maps blocks
+    to blocks (the pairs (block of e, block of sigma(e)) are as many as the
+    blocks) and the label of sigma(e) is tau of the label of e."""
     from stablerep.characters import BiClassFunction, cycle_types
     from stablerep.labeled import LabelAlphabet, enumerate_general, enumerate_pq
     from stablerep.modules import class_representative
@@ -196,12 +202,162 @@ def permutation_bicharacter(p: int, q: int, source: str = "general", budget: int
         objs = enumerate_pq(p, q, budget)
     else:
         raise ValueError(f"unknown source {source!r}")
+    codes = []
+    for x in objs:
+        block, label = [0] * p, [0] * p
+        for i, (part, lab) in enumerate(zip(x.parts, x.labels)):
+            for e in part:
+                block[e], label[e] = i, lab
+        codes.append((tuple(block), tuple(label), len(x.parts)))
     vals = {}
     for s in cycle_types(p):
         sig = class_representative(s)
         for t in cycle_types(q):
-            vals[(s, t)] = _fixed_points(objs, sig, class_representative(t))
+            relabel = (0,) + tuple(x + 1 for x in class_representative(t))
+            vals[(s, t)] = sum(
+                1
+                for block, label, blocks in codes
+                if tuple(map(label.__getitem__, sig)) == tuple(map(relabel.__getitem__, label))
+                and len(set(zip(block, map(block.__getitem__, sig)))) == blocks
+            )
     return BiClassFunction((p, q), vals)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction cycle-index engine: the closed forms before they were scaled
+# to integers, with every coefficient of x^rho y^pi the plain rational one.
+
+
+def _fraction_cycle_index_log(j: int, q_max: int) -> dict:
+    """x-weight j part of the exponent of Z_F, dropping y_k for k > q_max."""
+    from stablerep.characters import centralizer_order
+    from stablerep.partitions import enumerate_partitions
+
+    out: dict = {}
+    for k in range(1, j + 1):
+        if j % k:
+            continue
+        for lam in enumerate_partitions(j // k):
+            c = Fraction(1, k * centralizer_order(lam))
+            xs = tuple(k * s for s in lam)
+            keys = [(xs, ())] + ([(xs, (k,))] if k <= q_max else [])
+            for key in keys:
+                out[key] = out.get(key, 0) + c
+    return out
+
+
+def _fraction_exp_series(logs: list[dict], q_max: int) -> list[dict]:
+    """Pieces of x-weight 0..len(logs)-1 of Z = exp(A), given the x-weight
+    pieces A_j = logs[j] (logs[0] is ignored), truncated at y-weight q_max,
+    by the degree recurrence n*Z_n = sum_j j*A_j*Z_{n-j}."""
+    def merge(a, b):
+        return tuple(sorted(a + b, reverse=True))
+
+    terms = [[(m, sum(m[1]), j * c) for m, c in a.items()] for j, a in enumerate(logs)]
+    z: list[dict] = [{((), ()): Fraction(1)}]
+    for n in range(1, len(logs)):
+        acc: dict = {}
+        for j in range(1, n + 1):
+            for (ax, ay), ay_weight, a in terms[j]:
+                for (bx, by), b in z[n - j].items():
+                    if ay_weight + sum(by) > q_max:
+                        continue
+                    key = (merge(ax, bx), merge(ay, by))
+                    acc[key] = acc.get(key, 0) + a * b
+        z.append({m: c / n for m, c in acc.items()})
+    return z
+
+
+def pq_bicharacter_oracle(p: int, q: int):
+    """pq_bicharacter in Fraction arithmetic: z_rho·z_pi·[x^rho y^pi] Z_F."""
+    from stablerep.characters import BiClassFunction, centralizer_order, cycle_types
+
+    logs = [_fraction_cycle_index_log(j, q) for j in range(p + 1)]
+    top = _fraction_exp_series(logs, q)[p]
+    return BiClassFunction((p, q), {
+        (s, t): top.get((s.parts, t.parts), 0) * centralizer_order(s) * centralizer_order(t)
+        for s in cycle_types(p)
+        for t in cycle_types(q)
+    })
+
+
+def general_bicharacter_oracle(p: int, q: int):
+    """general_bicharacter in Fraction arithmetic: z_rho·[x^rho] Z_tau, with
+    f_k/k added at x_k for the f_k labels that tau^k fixes."""
+    from stablerep.characters import BiClassFunction, centralizer_order, cycle_types
+
+    vals = {}
+    for t in cycle_types(q):
+        logs = [_fraction_cycle_index_log(j, 0) for j in range(p + 1)]
+        for k in range(1, p + 1):
+            f_k = sum(c for c in t.parts if k % c == 0)
+            logs[k][((k,), ())] += Fraction(f_k, k)
+        top = _fraction_exp_series(logs, 0)[p]
+        for s in cycle_types(p):
+            vals[(s, t)] = top.get((s.parts, ()), 0) * centralizer_order(s)
+    return BiClassFunction((p, q), vals)
+
+
+def pq_identity_counts_oracle(p_max: int, q_max: int) -> dict:
+    """pq_identity_counts in Fraction arithmetic: p!·q!·[x_1^p y_1^q] Z_F."""
+    logs = [_fraction_cycle_index_log(j, q_max) for j in range(p_max + 1)]
+    z = _fraction_exp_series(logs, q_max)
+    return {
+        (p, q): z[p].get(((1,) * p, (1,) * q), 0) * factorial(p) * factorial(q)
+        for p in range(p_max + 1)
+        for q in range(min(p, q_max) + 1)
+    }
+
+
+# ---------------------------------------------------------------------------
+# Class-function helpers only the tests call
+
+
+def inner_product_bi(a, b) -> Fraction:
+    """<a, b> on Sigma_p x Sigma_q: sum of |s|·|t|·a·b over p!·q!."""
+    from stablerep.characters import class_size, cycle_types
+    from stablerep.errors import InvalidArgs
+
+    if a.degrees != b.degrees:
+        raise InvalidArgs(f"degrees mismatch: {a.degrees} vs {b.degrees}")
+    p, q = a.degrees
+    total = sum(
+        class_size(s) * class_size(t) * a.values[(s, t)] * b.values[(s, t)]
+        for s in cycle_types(p)
+        for t in cycle_types(q)
+    )
+    return Fraction(total, factorial(p) * factorial(q))
+
+
+def reconstruct(dec, degrees):
+    """Character with the given decomposition; inverse of ``decompose``."""
+    from stablerep.characters import (
+        BiClassFunction, ClassFunction, external_product, irreducible_character,
+    )
+
+    if isinstance(degrees, int):
+        out = ClassFunction(degrees, {})
+        for k, m in dec.mults.items():
+            out = out + irreducible_character(k).scale(m)
+        return out
+    out = BiClassFunction(degrees, {})
+    for (lam, mu), m in dec.mults.items():
+        out = out + external_product(
+            irreducible_character(lam).scale(m), irreducible_character(mu)
+        )
+    return out
+
+
+def decomposition_from_json(data: list[dict]):
+    """The IrredDecomposition whose to_json is data."""
+    from stablerep.characters import IrredDecomposition
+    from stablerep.partitions import Partition
+
+    return IrredDecomposition({
+        Partition.parse(e["key"]) if isinstance(e["key"], str)
+        else tuple(Partition.parse(x) for x in e["key"]): e["multiplicity"]
+        for e in data
+    })
 
 
 def rw_prop_rank_oracle(p: int, q: int, d: int) -> tuple[int, dict | None]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stablerep import characters
 from stablerep.characters import (
     BiClassFunction,
     IrredDecomposition,
@@ -13,21 +14,27 @@ from stablerep.characters import (
     cycle_types,
     decompose,
     external_product,
+    general_bicharacter,
     graded_sym_algebra_dimension,
     induce,
     inner_product,
-    inner_product_bi,
     irreducible_character,
     kostka,
     lr_coefficient,
     lr_tableaux_count,
-    reconstruct,
+    pq_bicharacter,
+    pq_identity_counts,
     restrict,
     sign_character,
     skew_schur_decompose,
     trivial_character,
 )
-from stablerep.errors import InvalidArgs, NegativeMultiplicity, NonIntegralMultiplicity
+from stablerep.errors import (
+    InvalidArgs,
+    NegativeMultiplicity,
+    NonIntegralMultiplicity,
+    OracleDisagreement,
+)
 from stablerep.partitions import (
     Partition,
     SkewShape,
@@ -36,7 +43,16 @@ from stablerep.partitions import (
     specht_dimension,
 )
 
-from conftest import mn_oracle, series_coefficient_oracle
+from conftest import (
+    decomposition_from_json,
+    general_bicharacter_oracle,
+    inner_product_bi,
+    mn_oracle,
+    pq_bicharacter_oracle,
+    pq_identity_counts_oracle,
+    reconstruct,
+    series_coefficient_oracle,
+)
 
 
 def test_class_sizes_sum_to_group_order():
@@ -155,7 +171,7 @@ def test_bi_decompose_matches_external_product_inner_products(data):
     mults = data.draw(
         st.lists(st.integers(-2, 3), min_size=len(irreps), max_size=len(irreps))
     )
-    scale = data.draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    scale = data.draw(st.sampled_from([1, Fraction(1), Fraction(1, 2)]))
     base = reconstruct(IrredDecomposition(dict(zip(irreps, mults))), (p, q))
     f = BiClassFunction((p, q), {k: scale * v for k, v in base.values.items()})
     expected = {
@@ -288,9 +304,9 @@ def test_kostka_row_sums_give_tensor_dimension():
 
 def test_irred_decomposition_json_roundtrip():
     dec = IrredDecomposition({Partition([2, 1]): 3, Partition([3]): 1})
-    assert IrredDecomposition.from_json(dec.to_json()) == dec
+    assert decomposition_from_json(dec.to_json()) == dec
     bi = IrredDecomposition({(Partition([2]), Partition([1])): 2})
-    assert IrredDecomposition.from_json(bi.to_json()) == bi
+    assert decomposition_from_json(bi.to_json()) == bi
 
 
 def test_graded_sym_algebra_dimension_vs_series_oracle():
@@ -325,3 +341,44 @@ def test_regular_character_decomposition(n):
     dec = decompose(reg)
     for lam in enumerate_partitions(n):
         assert dec[lam] == specht_dimension(lam)
+
+
+class TestIntegerCycleIndex:
+    """The scaled integer cycle index against the Fraction engine it
+    replaced (tests/conftest.py), on every cell p <= 8, q <= p; enumeration
+    reaches only p <= 6."""
+
+    CELLS = [(p, q) for p in range(9) for q in range(p + 1)]
+
+    @pytest.mark.parametrize(
+        "closed, oracle",
+        [(pq_bicharacter, pq_bicharacter_oracle), (general_bicharacter, general_bicharacter_oracle)],
+    )
+    def test_bicharacters_match_the_fraction_engine(self, closed, oracle):
+        for p, q in self.CELLS:
+            got = closed(p, q)
+            assert got == oracle(p, q), (p, q)
+            assert {type(v) for v in got.values.values()} == {int}
+
+    def test_identity_counts_match_the_fraction_engine(self):
+        got = pq_identity_counts(8, 8)
+        assert got == pq_identity_counts_oracle(8, 8)
+        assert set(got) == set(self.CELLS)
+
+    @pytest.mark.parametrize("build, q", [(pq_bicharacter, 0), (general_bicharacter, 1)])
+    def test_an_off_by_one_log_term_raises(self, monkeypatch, build, q):
+        """The scaled y-free log term at x_3 is 3!/3 + 3!/3 = 4 (from k = 1,
+        lam = (3) and k = 3, lam = (1)); at 5, the coefficient of x_3 is odd
+        in both families, and the class of 3-cycles in Sigma_3 has 2
+        elements."""
+        real = characters._cycle_index_log
+
+        def shifted(j, q_max):
+            out = real(j, q_max)
+            if j == 3:
+                out[(3,)][()] += 1
+            return out
+
+        monkeypatch.setattr(characters, "_cycle_index_log", shifted)
+        with pytest.raises(OracleDisagreement, match="not a multiple of the class size 2$"):
+            build(3, q)

@@ -186,10 +186,32 @@ class TestExitCodes:
         # Cheap weight tables, but q unit cycles or a quadratic fill.
         assert main(["hom-dim", *cell.split()]) == 3
 
-    def test_budget_does_not_bound_closed_form(self, capsys):
+    def test_budget_bounds_stable_cohomology_class_pairs(self, capsys, monkeypatch):
+        # 7 2 has p(7)·p(2) = 30 class pairs, and 20 10 has 627·42 = 26,334,
+        # refused by default before the cycle index is built; zero cells
+        # count their pairs too, and --table those of its top cell, p(7)^2
+        # at 7 9.  18 9 (11,550 pairs) fits the default cap.
+        from stablerep import characters
+        from stablerep.partitions import check_class_budget
+
+        def refuse(p_max, q_max):
+            raise AssertionError(f"cycle index to ({p_max}, {q_max}) built")
+
         _, plain = run(capsys, "stable-cohomology", "7", "2")
-        code, budgeted = run(capsys, "--budget", "1", "stable-cohomology", "7", "2")
+        with monkeypatch.context() as m:
+            m.setattr(characters, "_cycle_index", refuse)
+            assert main(["--budget", "29", "stable-cohomology", "7", "2"]) == 3
+            assert main(["--budget", "29", "stable-cohomology", "7", "2", "--degree", "3"]) == 3
+            assert main(["stable-cohomology", "20", "10"]) == 3
+            assert main(["--budget", "224", "stable-cohomology", "--table", "7", "9"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("class pairs 30 exceeds budget 29") == 2
+        assert "class pairs 26334 exceeds budget 20000" in err
+        assert "class pairs 225 exceeds budget 224" in err
+        code, budgeted = run(capsys, "--budget", "30", "stable-cohomology", "7", "2")
         assert code == 0 and budgeted == plain
+        assert main(["--budget", "225", "stable-cohomology", "--table", "7", "9"]) == 0
+        check_class_budget(None, 18, 9)
 
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("STABLEREP_BUDGET", "2")

@@ -346,18 +346,44 @@ def test_closed_form_matrices_pinned():
 def test_constructor_budgets():
     """specht_module counts its f^lam = 3 standard tableaux times the 3
     generators, schur_apply its 3 GT patterns times the 3^2 generators, and
-    specht_character_traces the 4! terms of the group algebra it sums over;
-    each unit is named."""
+    specht_character_traces the |R_lam|·|C_lam| = 2!·3! = 12 terms of the
+    Young symmetrizer it sums; each unit is named."""
     lam = Partition([2, 1, 1])
     for build, needed, unit in (
         (specht_module, 9, "standard Young tableaux times generators"),
         (lambda lam, budget: schur_apply(lam, 3, budget), 27, "GT patterns times gl generators"),
-        (specht_character_traces, factorial(4), "group algebra dimension"),
+        (specht_character_traces, 12, "Young symmetrizer terms"),
     ):
         with pytest.raises(SizeBudgetExceeded, match=f"^{unit} {needed} exceeds budget {needed - 1}$"):
             build(lam, budget=needed - 1)
         build(lam, budget=needed)
     assert schur_apply(lam, 3, budget=27).dimension == schur_gl_dimension(lam, 3)
+
+
+def test_budgets_refuse_without_forming_r_factorial(monkeypatch):
+    """specht_module decides its budget from the hook product counted up to
+    the cap, so a refused shape never reaches the factorial hook formula:
+    (19999, 1) with its exact count 19,999 * 19,999, (50000, 1) and
+    (100, 100) with f^lam past the cap.  specht_character_traces stops its
+    product of factorials once it passes the cap, before any symmetrizer
+    term."""
+    def refuse(*args):
+        raise AssertionError(f"called on {args}")
+
+    with monkeypatch.context() as m:
+        m.setattr(modules, "specht_dimension", refuse)
+        m.setattr(modules, "young_symmetrizer", refuse)
+        unit = "standard Young tableaux times generators"
+        for lam, needed in (([19999, 1], "399960001"), ([50000, 1], "more than 20000"),
+                            ([100, 100], "more than 20000")):
+            with pytest.raises(SizeBudgetExceeded, match=f"^{unit} {needed} exceeds budget 20000$"):
+                specht_module(Partition(lam))
+        for lam in ([50000], [8], [3, 3, 3]):
+            with pytest.raises(SizeBudgetExceeded, match="^Young symmetrizer terms "):
+                specht_character_traces(Partition(lam))
+    for lam in ([4, 4], [3, 3, 2]):  # 9,216 and 5,184 terms, 8! = 40,320
+        traces = specht_character_traces(Partition(lam), budget=9216)
+        assert traces == irreducible_character(Partition(lam)).values
 
 
 def test_tensor_power_module_budget():

@@ -94,6 +94,20 @@ class TestImportSets:
             "cli", "errors", "partitions", "characters", "linalg", "labeled"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stable-cohomology", "7", "2"),
+            ("stable-cohomology", "--table", "6", "6"),
+            ("stable-cohomology", "7", "2", "--degree", "3"),
+        ],
+    )
+    def test_stable_answer_loads_no_rationals(self, argv):
+        """The integer cycle index and decompose need no Fraction, so
+        neither fractions nor the decimal module it pulls in is loaded."""
+        code = f"from stablerep.cli import main\nmain({list(argv)!r})"
+        assert not {"fractions", "decimal"} & loaded_after(code, prefix="")
+
     def test_no_module_imports_dataclasses(self):
         code = "\n".join(f"import stablerep.{name}" for name in sorted(SUBMODULES | {"cli"}))
         loaded = loaded_after(code, prefix="")

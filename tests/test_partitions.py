@@ -10,6 +10,7 @@ from stablerep.partitions import (
     partition_count,
     schur_gl_dimension,
     specht_dimension,
+    specht_dimension_up_to,
     transpose,
 )
 
@@ -89,6 +90,23 @@ def test_specht_dimension_vs_brute_force_syt():
     for n in range(1, 7):
         for lam in enumerate_partitions(n):
             assert specht_dimension(lam) == syt_count_oracle(lam.parts)
+
+
+def test_specht_dimension_up_to_stops_past_the_cap():
+    """The hook product in lowest terms equals the brute-force count when
+    that fits the cap, and is None or exact past it; each shape is tried at
+    its own f^lam, one less, and a few fixed caps."""
+    for n in range(10):
+        for lam in enumerate_partitions(n):
+            f = syt_count_oracle(lam.parts)
+            for cap in (0, 1, 5, 100, f - 1, f):
+                got = specht_dimension_up_to(lam, cap)
+                assert got == f if f <= cap else got in (None, f), (lam, cap)
+    assert specht_dimension_up_to(Partition([19999, 1]), 20000) == 19999
+    assert specht_dimension_up_to(Partition([50000, 1]), 20000) is None
+    # f = 14: the partial products of (4,4) run 1, 1, 3/2, 2, 10/3, 5, 35/4, 14.
+    assert specht_dimension_up_to(Partition([4, 4]), 5) is None
+    assert specht_dimension_up_to(Partition([4, 4]), 13) == 14
 
 
 def test_specht_dimensions_square_sum():
