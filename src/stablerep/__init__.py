@@ -65,7 +65,6 @@ _EXPORTS = {
         "enumerate_pq",
         "hom_bicharacter",
         "hom_space_dimension_gl",
-        "splitting_map",
         "verify_rw_prop",
         "verify_splitting_lemma",
     ),
@@ -73,11 +72,9 @@ _EXPORTS = {
         "StableCohomologyResult",
         "SymbolicCoefficient",
         "dimension_table",
-        "hom_side_total",
         "stable_cohomology",
         "step1_dimension_identity",
         "theorem_a_induction_check",
-        "three_way_dimension_agreement",
     ),
 }
 

@@ -11,9 +11,10 @@ is exact and integer where the input is; ``fractions`` is imported only by
 what builds a rational (``inner_product``, a non-integral multiplicity).
 
 The closed forms of the labeled families live here too, so the stable answer
-needs no labeled-partition code: the Stirling count ``count_pq`` and the
+needs no labeled-partition code: the Stirling count ``count_pq``, the
 cycle-index characters ``pq_bicharacter``, ``general_bicharacter`` and
-``pq_identity_counts``.  So do what both ``modules`` and ``labeled`` use:
+``pq_identity_counts``, and the characters induced from the injective family
+(``induced_pq_bicharacter``).  So do what both ``modules`` and ``labeled`` use:
 the torus-weight helpers beside ``kostka`` (``_compositions``,
 ``_tensor_weight``, ``decompose_weight_multiset``) and the ``Report`` that
 every verification returns, so ``labeled`` never loads ``modules``.
@@ -43,6 +44,7 @@ from .partitions import (
     Partition,
     Record,
     SkewShape,
+    check_class_budget,
     enumerate_partitions,
     specht_dimension,
 )
@@ -463,6 +465,32 @@ def induce(f: BiClassFunction, q: int) -> ClassFunction:
     return ClassFunction(q, vals)
 
 
+def induced_pq_bicharacter(
+    p: int, i: int, q: int, budget: int | None = None
+) -> BiClassFunction:
+    """Character of Ind over the label factor from Sigma_i x Sigma_{q-i}
+    up to Sigma_q of the injectively labeled family (its character from
+    pq_bicharacter), with Sigma_{q-i} acting trivially; a Sigma_p x Sigma_q
+    character.  The budget bounds its table of class pairs, counted before
+    any is listed."""
+    check_class_budget(budget, p, q)
+    base = pq_bicharacter(p, i)
+    vals = {}
+    for s in cycle_types(p):
+        f = BiClassFunction(
+            (i, q - i),
+            {
+                (r1, r2): base.values[(s, r1)]
+                for r1 in cycle_types(i)
+                for r2 in cycle_types(q - i)
+            },
+        )
+        ind = induce(f, q)
+        for t in cycle_types(q):
+            vals[(s, t)] = ind.values[t]
+    return BiClassFunction((p, q), vals)
+
+
 def restrict(f: ClassFunction, i: int, j: int) -> BiClassFunction:
     """Restrict a class function on Sigma_{i+j} to Sigma_i x Sigma_j."""
     if f.degree != i + j:
@@ -662,14 +690,17 @@ def sym_dimension(d: int, i: int) -> int:
 
 
 def series_mul(a: list[int], b: list[int], trunc: int) -> list[int]:
+    """The product of two series truncated at trunc, walking only the
+    nonzero entries of both: a factor (1 - u^step)^(-mult) is nonzero at
+    the multiples of step alone."""
     out = [0] * (trunc + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > trunc:
-            continue
-        for j, y in enumerate(b):
-            if i + j > trunc:
-                break
-            out[i + j] += x * y
+    terms = [(j, y) for j, y in enumerate(b[: trunc + 1]) if y]
+    for i, x in enumerate(a[: trunc + 1]):
+        if x:
+            for j, y in terms:
+                if i + j > trunc:
+                    break
+                out[i + j] += x * y
     return out
 
 

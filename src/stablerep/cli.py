@@ -4,16 +4,25 @@ suite runner, and an optional on-disk result cache.
 Exit codes: 0 success or verification pass, 1 verification failure,
 2 usage error, 3 size budget exceeded.
 
-Each subcommand imports the modules it runs when it runs, so a command loads
-only those (``partitions`` loads ``partitions`` alone, ``stable-cohomology``
-no labeled-partition or linear-algebra code and no ``fractions``, a cache
-hit no compute module).
+Each subcommand imports the modules it runs when it runs, and each module
+imports only what its callers run, so a command loads only those:
+
+- ``partitions`` loads ``partitions`` alone;
+- ``stable-cohomology`` and ``verify induction`` load ``characters`` and
+  ``stable``, and no labeled-partition or linear-algebra code and no
+  ``fractions``;
+- ``hom-dim``, ``verify rw-prop`` and ``verify splitting`` load
+  ``characters`` and ``labeled``; at d >= p they load ``linalg`` and
+  ``fractions`` only for an intertwiner system small enough to solve (at
+  most 900 unknowns, as at ``hom-dim 2 1 2``), and below d = p ``rw-prop``
+  also loads them to eliminate its rows;
+- text output loads no ``json``; only ``--json`` and ``--cache`` do;
+- a cache hit loads no compute module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -23,6 +32,13 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+def _dumps(obj, **kw) -> str:
+    """json.dumps, importing json only when something is written as JSON."""
+    import json
+
+    return json.dumps(obj, **kw)
 
 
 def _table(headers: list[str], rows: list[list]) -> str:
@@ -41,7 +57,7 @@ def _table(headers: list[str], rows: list[list]) -> str:
 def _render_report(rep, as_json: bool) -> tuple[str, int]:
     code = EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
     if as_json:
-        return json.dumps(rep.to_json(), indent=2, sort_keys=True), code
+        return _dumps(rep.to_json(), indent=2, sort_keys=True), code
     status = "PASS" if rep.passed else "FAIL"
     lines = [f"{status}: {rep.claim}", f"left  = {rep.left}", f"right = {rep.right}"]
     for k, v in rep.witnesses.items():
@@ -64,7 +80,7 @@ def _cmd_partitions(args) -> tuple[str, int]:
 
     parts = enumerate_partitions(args.n)
     if args.json:
-        return json.dumps([str(p) for p in parts], indent=2), EXIT_OK
+        return _dumps([str(p) for p in parts], indent=2), EXIT_OK
     rows = [[str(p), specht_dimension(p)] for p in parts]
     return _table(["partition", "specht_dim"], rows), EXIT_OK
 
@@ -79,7 +95,7 @@ def _cmd_char(args) -> tuple[str, int]:
     classes = cycle_types(lam.weight)
     if args.json:
         return (
-            json.dumps(
+            _dumps(
                 {
                     "lambda": str(lam),
                     "values": [
@@ -103,7 +119,7 @@ def _cmd_lr(args) -> tuple[str, int]:
     c = lr_coefficient(lam, mu, nu)
     if args.json:
         return (
-            json.dumps(
+            _dumps(
                 {"lambda": str(lam), "mu": str(mu), "nu": str(nu), "coefficient": c}
             ),
             EXIT_OK,
@@ -131,7 +147,7 @@ def _cmd_labeled_partitions(args) -> tuple[str, int]:
     objs = enumerate_pq(args.p, args.q, args.budget)
     if args.json:
         return (
-            json.dumps(
+            _dumps(
                 {"p": args.p, "q": args.q, "count": len(objs),
                  "elements": [x.to_json() for x in objs]},
                 indent=2,
@@ -148,7 +164,7 @@ def _cmd_hom_dim(args) -> tuple[str, int]:
     dim = hom_space_dimension_gl(args.p, args.q, args.d, args.budget)
     if args.json:
         return (
-            json.dumps({"p": args.p, "q": args.q, "d": args.d, "dimension": dim}),
+            _dumps({"p": args.p, "q": args.q, "d": args.d, "dimension": dim}),
             EXIT_OK,
         )
     return str(dim), EXIT_OK
@@ -200,7 +216,7 @@ def _cmd_verify(args) -> tuple[str, int]:
         else:
             from .stable import step1_dimension_identity
 
-            rep = step1_dimension_identity(*ints)
+            rep = step1_dimension_identity(*ints, args.budget)
     return _render_report(rep, args.json)
 
 
@@ -211,7 +227,7 @@ def _cmd_stable_cohomology(args) -> tuple[str, int]:
         pmax, qmax = args.table
         rows = dimension_table(pmax, qmax, args.budget)
         if args.json:
-            return json.dumps(rows, indent=2), EXIT_OK
+            return _dumps(rows, indent=2), EXIT_OK
         return (
             _table(
                 ["p", "q", "degree", "dimension", "min_n"],
@@ -224,7 +240,7 @@ def _cmd_stable_cohomology(args) -> tuple[str, int]:
     degree = args.degree if args.degree is not None else args.p - args.q
     res = stable_cohomology(args.p, args.q, degree, args.budget)
     if args.json:
-        return json.dumps(res.to_json(), indent=2), EXIT_OK
+        return _dumps(res.to_json(), indent=2), EXIT_OK
     lines = [
         f"p={res.p} q={res.q} degree={res.degree}",
         f"dimension: {res.dimension}",
@@ -248,6 +264,8 @@ def _cmd_stable_cohomology(args) -> tuple[str, int]:
 
 
 def _cache_lookup(cache_dir: str, key: str) -> tuple[str, int] | None:
+    import json
+
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, encoding="utf-8") as fh:
@@ -261,7 +279,7 @@ def _cache_store(cache_dir: str, key: str, output: str, code: int) -> None:
     import tempfile
 
     os.makedirs(cache_dir, exist_ok=True)
-    payload = json.dumps({"output": output, "exit": code})
+    payload = _dumps({"output": output, "exit": code})
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -287,7 +305,7 @@ def _cache_key(args: argparse.Namespace) -> str:
             with open(os.path.join(pkg, name), "rb") as fh:
                 h.update(name.encode() + hashlib.sha256(fh.read()).digest())
     params = {k: v for k, v in vars(args).items() if k not in ("func", "cache")}
-    h.update(json.dumps(params, sort_keys=True).encode())
+    h.update(_dumps(params, sort_keys=True).encode())
     return h.hexdigest()
 
 

@@ -11,6 +11,9 @@ The Hom side is read off weight generating functions (fixed_weights): the
 torus weights of the FW monomials fixed by a label permutation, decomposed
 into Schur-Weyl multiplicities.  The FW basis itself (FWGradedPiece) is
 built only for the direct intertwiner solve and as the tests' oracle.
+``linalg``, and with it ``fractions``, is imported only where rows are
+eliminated: the intertwiner solve of a system under SOLVE_UNKNOWN_CAP, and
+verify_rw_prop when J0 does not certify its rank (below d = p).
 
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
 distinguishable labels.  Set partitions are canonicalized with parts sorted
@@ -26,10 +29,8 @@ from math import comb, factorial, prod
 from operator import add
 
 from .errors import InvalidArgs, OracleDisagreement, check_budget
-from .linalg import _count_pivots, sparse_rank_and_witness
 from .characters import (
     BiClassFunction,
-    Perm,
     Report,
     _compositions,
     _tensor_weight,
@@ -38,9 +39,8 @@ from .characters import (
     decompose_weight_multiset,
     general_bicharacter,
     graded_sym_algebra_dimension,
-    induce,
+    induced_pq_bicharacter,
     irreducible_character,
-    pq_bicharacter,
 )
 from .partitions import FrozenRecord, check_class_budget, enumerate_partitions, specht_dimension
 
@@ -76,10 +76,6 @@ def set_partitions(p: int) -> tuple[SetPartition, ...]:
     return tuple(out)
 
 
-def bell_number(p: int) -> int:
-    return len(set_partitions(p))
-
-
 class LabelAlphabet:
     """Per-part-size label alphabets: size-1 parts draw from the unlabeled
     marker plus q distinguishable labels; larger parts are always unlabeled."""
@@ -110,20 +106,6 @@ class GeneralLabeledPartition(FrozenRecord):
     @property
     def p(self) -> int:
         return sum(len(x) for x in self.parts)
-
-    def act(self, sigma: Perm, tau: Perm | None = None) -> "GeneralLabeledPartition":
-        """Relabel elements by sigma and labels by tau (on labels 1..q)."""
-        moved = [tuple(sorted(sigma[x] for x in part)) for part in self.parts]
-        labs = list(self.labels)
-        if tau is not None:
-            labs = [(tau[l - 1] + 1) if l > 0 else 0 for l in labs]
-        order = sorted(range(len(moved)), key=lambda i: moved[i][0])
-        # A permutation action keeps one label per part and keeps the labels
-        # injective, so the image skips the validating __init__.
-        image = object.__new__(type(self))
-        object.__setattr__(image, "parts", tuple(moved[i] for i in order))
-        object.__setattr__(image, "labels", tuple(labs[i] for i in order))
-        return image
 
     def __str__(self) -> str:
         body = "|".join(",".join(str(x + 1) for x in part) for part in self.parts)
@@ -215,25 +197,6 @@ def enumerate_pq(
     return out
 
 
-def splitting_map(x: QLabeledPartition) -> GeneralLabeledPartition:
-    """Split each labeled part into singletons carrying that part's label;
-    unlabeled parts pass through."""
-    parts: list[Part] = []
-    labels: list[int] = []
-    for part, lab in zip(x.parts, x.labels):
-        if lab == 0:
-            parts.append(part)
-            labels.append(0)
-        else:
-            for e in part:
-                parts.append((e,))
-                labels.append(lab)
-    order = sorted(range(len(parts)), key=lambda i: parts[i][0])
-    return GeneralLabeledPartition(
-        tuple(parts[i] for i in order), tuple(labels[i] for i in order)
-    )
-
-
 # ---------------------------------------------------------------------------
 # The receiving algebra F_W(V), materialized in V-degree p
 
@@ -252,8 +215,9 @@ class FWGradedPiece:
         if p < 0 or q < 0 or d < 1:
             raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
         self.p, self.q, self.d = p, q, d
-        # The univariate series refuses an oversized piece in O(p^2) steps;
-        # the weight generating function would first fill its weight table.
+        # The univariate series refuses an oversized piece in O(p^2 log p)
+        # steps (series_mul walks only each factor's nonzero entries); the
+        # weight generating function would first fill its weight table.
         est = graded_sym_algebra_dimension(d, q, p)
         check_budget(est, budget)
         self.basis: list[Monomial] = self._enumerate()
@@ -381,29 +345,6 @@ def _part_variables(
     )
 
 
-def check_phi_equivariance(
-    x: GeneralLabeledPartition, d: int, piece: FWGradedPiece
-) -> bool:
-    """Exact intertwining with every derivation generator E_{ab}."""
-    p = x.p
-    cols = phi_columns(x, d)
-    for a in range(d):
-        for b in range(d):
-            if a == b:
-                continue
-            for J in itertools.product(range(d), repeat=p):
-                lhs: dict[Monomial, int] = {}
-                for t, v in enumerate(J):
-                    if v == b:
-                        J2 = J[:t] + (a,) + J[t + 1 :]
-                        m2 = cols[J2]
-                        lhs[m2] = lhs.get(m2, 0) + 1
-                rhs = piece.gl_apply(a, b, cols[J])
-                if {k: v for k, v in lhs.items() if v} != rhs:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Hom-space dimension and character
 
@@ -458,6 +399,8 @@ def _intertwiner_solve_dimension(
     count = sum(factorial(p) // prod(map(factorial, w)) * n for w, n in weights.items())
     if count > SOLVE_UNKNOWN_CAP:
         return None
+    from .linalg import _count_pivots
+
     piece = build_fw_piece(p, q, d, budget)
     src = list(itertools.product(range(d), repeat=p))
     src_weight = {J: _tensor_weight(J, d) for J in src}
@@ -520,6 +463,8 @@ def verify_rw_prop(p: int, q: int, d: int, budget: int | None = None) -> Report:
     if d >= p and len({_phi_image(x) for x in objs}) == n:
         rank, combo = n, None
     else:
+        from .linalg import sparse_rank_and_witness
+
         # Integer ids for the (J, mono) columns, dropped once rows are built.
         column_id: dict[tuple[tuple[int, ...], Monomial], int] = {}
         rows = [
@@ -544,32 +489,6 @@ def verify_rw_prop(p: int, q: int, d: int, budget: int | None = None) -> Report:
         passed=rank == n == hom_dim,
         witnesses=witnesses,
     )
-
-
-def induced_pq_bicharacter(
-    p: int, i: int, q: int, budget: int | None = None
-) -> BiClassFunction:
-    """Character of Ind over the label factor from Sigma_i x Sigma_{q-i}
-    up to Sigma_q of the injectively labeled family (its character from
-    pq_bicharacter), with Sigma_{q-i} acting trivially; a Sigma_p x Sigma_q
-    character.  The budget bounds its table of class pairs, counted before
-    any is listed."""
-    check_class_budget(budget, p, q)
-    base = pq_bicharacter(p, i)
-    vals = {}
-    for s in cycle_types(p):
-        f = BiClassFunction(
-            (i, q - i),
-            {
-                (r1, r2): base.values[(s, r1)]
-                for r1 in cycle_types(i)
-                for r2 in cycle_types(q - i)
-            },
-        )
-        ind = induce(f, q)
-        for t in cycle_types(q):
-            vals[(s, t)] = ind.values[t]
-    return BiClassFunction((p, q), vals)
 
 
 def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) -> Report:

@@ -251,17 +251,53 @@ def tensor_power_module(d: int, r: int, budget: int | None = None) -> ExplicitMo
 def _standard_tableaux(lam: Partition) -> list[tuple[int, ...]]:
     """The standard Young tableaux of shape lam, each as its Yamanouchi
     word (entry k, counting from 0, sits in row word[k]), in lexicographic
-    order.  They grow one entry at a time, and every partial tableau
-    completes, so no step holds more than f^lam of them."""
-    level = [((), (0,) * lam.length)]  # (word, row lengths filled)
-    for _ in range(lam.weight):
-        level = [
-            (word + (i,), filled[:i] + (filled[i] + 1,) + filled[i + 1 :])
-            for word, filled in level
-            for i in range(lam.length)
-            if filled[i] < lam[i] and (i == 0 or filled[i - 1] > filled[i])
+    order.  They grow depth-first in one word, each next entry tried in the
+    addable rows in increasing order, and a word is copied only once it is
+    complete; every partial tableau completes.  The addable cells end the
+    filled rows or the filled columns, and the shorter list is scanned, so
+    a long row or a long column costs O(r), not O(r^2)."""
+    r, parts, conj = lam.weight, lam.parts, transpose(lam).parts
+    rows, cols = [0] * len(parts), [0] * len(conj)  # lengths filled
+
+    def addable() -> list[int]:
+        # Row i can take the next entry when it is short of lam_i and
+        # shorter than row i - 1, so only rows up to cols[0] can; likewise
+        # column j, in row cols[j], and right to left those rows increase.
+        if cols[0] <= rows[0]:
+            return [
+                i
+                for i in range(min(cols[0] + 1, len(parts)))
+                if rows[i] < parts[i] and (i == 0 or rows[i - 1] > rows[i])
+            ]
+        return [
+            cols[j]
+            for j in range(min(rows[0], len(conj) - 1), -1, -1)
+            if cols[j] < conj[j] and (j == 0 or cols[j - 1] > cols[j])
         ]
-    return [word for word, _ in level]
+
+    if not parts:
+        return [()]
+    word: list[int] = []
+    out = []
+    stack = [iter(addable())]
+    while True:
+        i = next(stack[-1], None)
+        if i is not None:
+            word.append(i)
+            cols[rows[i]] += 1
+            rows[i] += 1
+            if len(word) < r:
+                stack.append(iter(addable()))
+                continue
+            out.append(tuple(word))
+        else:
+            stack.pop()
+            if not word:
+                break
+        i = word.pop()
+        rows[i] -= 1
+        cols[rows[i]] -= 1
+    return out
 
 
 def specht_module(lam: Partition, budget: int | None = None) -> ExplicitModule:
@@ -276,9 +312,9 @@ def specht_module(lam: Partition, budget: int | None = None) -> ExplicitModule:
     times the r - 1 generators, a bound on the columns written: f^lam
     alone would admit (19999, 1), whose generators hold 4e8 entries.
     The budget reads f^lam off the hook product counted only up to the cap,
-    which forms no r!, so a refused shape costs no factorial (past the cap
-    the refusal says "more than" it); the factorial hook formula then
-    checks the tableaux of an admitted shape."""
+    which forms no r!, so no shape costs a factorial (past the cap the
+    refusal says "more than" it); the tableaux of an admitted shape are
+    checked against that exact f^lam."""
     r = lam.weight
     cap = DEFAULT_BUDGET if budget is None else budget
     unit = "standard Young tableaux times generators"
@@ -287,7 +323,6 @@ def specht_module(lam: Partition, budget: int | None = None) -> ExplicitModule:
         raise SizeBudgetExceeded(None, cap, unit)
     check_budget(f * max(r - 1, 0), cap, unit)
     tableaux = _standard_tableaux(lam)
-    f = specht_dimension(lam)
     if len(tableaux) != f:
         raise OracleDisagreement(
             f"{len(tableaux)} standard tableaux of shape {lam}, hook formula {f}"
@@ -510,7 +545,9 @@ def verify_cauchy(r: int, dV: int, dW: int, budget: int | None = None) -> Report
 def _schur_weight_counter(lam: Partition, d: int) -> Counter:
     out: Counter = Counter()
     for w in _compositions(lam.weight, d):
-        k = kostka(lam.parts, w)
+        # Kostka numbers are symmetric in the content, as in
+        # decompose_weight_multiset.
+        k = kostka(lam.parts, tuple(sorted(w, reverse=True)))
         if k:
             out[w] = k
     return out

@@ -3,11 +3,11 @@ in the single nonvanishing degree, the generating-function dimension
 identities behind it, and a character-level replay of the induction that
 pins the answer down.
 
-The answer and the dimension table come from closed forms (the cycle index
-of the labeled-partition species and a Stirling count, both in
-``characters``); enumeration is the test oracle.  Only the verification
-functions import ``labeled``, when they run, so the answer loads no
-labeled-partition code.
+The answer, the dimension table and the induction replay come from closed
+forms (the cycle indices of the labeled-partition species, the characters
+induced from them, and a Stirling count, all in ``characters``);
+enumeration is the test oracle.  So this module loads no labeled-partition
+or linear-algebra code.
 
 The automorphism groups themselves are never represented; the coefficient
 system appears only as symbolic (p, q, n) bookkeeping, because the stable
@@ -16,9 +16,13 @@ answer is purely combinatorial.
 
 from __future__ import annotations
 
-from math import comb
-
-from .errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
+from .errors import (
+    DEFAULT_BUDGET,
+    InvalidArgs,
+    OracleDisagreement,
+    SizeBudgetExceeded,
+    check_budget,
+)
 from .characters import (
     BiClassFunction,
     IrredDecomposition,
@@ -28,6 +32,8 @@ from .characters import (
     decompose,
     general_bicharacter,
     graded_sym_algebra_dimension,
+    graded_sym_algebra_series,
+    induced_pq_bicharacter,
     pq_bicharacter,
     pq_identity_counts,
     sym_dimension,
@@ -152,37 +158,16 @@ def stable_cohomology(
 # Generating-function side of the pipeline
 
 
-def hom_side_total(p: int, q: int, d: int, budget: int | None = None) -> int:
-    """Dimension of the degree-2p graded piece of the symmetric algebra on
-    q+1 shifted copies of V plus the higher symmetric powers of V, computed
-    by univariate series coefficient and cross-checked, as far as the budget
-    admits their weight-table steps and basis, by the total of its
-    torus-weight generating function (fixed_weights at the identity) and by
-    direct basis enumeration."""
-    from .labeled import _piece_weights, build_fw_piece
-
-    others = {}
-    try:
-        others["weight generating function"] = sum(_piece_weights(p, q, d, budget).values())
-        others["enumeration"] = build_fw_piece(p, q, d, budget).dimension
-    except SizeBudgetExceeded:
-        pass
-    by_series = graded_sym_algebra_dimension(d, q, p)
-    for what, total in others.items():
-        if total != by_series:
-            raise OracleDisagreement(f"{what} gives {total}, series gives {by_series}")
-    return by_series
-
-
-def step1_dimension_identity(p: int, q: int, d: int) -> Report:
+def step1_dimension_identity(p: int, q: int, d: int, budget: int | None = None) -> Report:
     """Collapsing-spectral-sequence identity: the q-fold linear summands can
     be split off, so the graded piece equals the convolution of the q=0
-    series with the symmetric powers of the q*d linear generators."""
+    series with the symmetric powers of the q*d linear generators.  The
+    direct series and the q=0 one are built once each, within the budget's
+    series steps (_check_series_steps), counted before either is built."""
+    _check_series_steps(p, q * d > 0, budget)
     direct = graded_sym_algebra_dimension(d, q, p)
-    convolved = sum(
-        graded_sym_algebra_dimension(d, 0, p - k) * sym_dimension(q * d, k)
-        for k in range(p + 1)
-    )
+    base = graded_sym_algebra_series(d, 0, p) if p >= 0 else []
+    convolved = sum(base[p - k] * sym_dimension(q * d, k) for k in range(p + 1))
     return Report(
         claim=f"graded-piece dimension identity, p={p}, q={q}, d={d}",
         left=direct,
@@ -192,24 +177,24 @@ def step1_dimension_identity(p: int, q: int, d: int) -> Report:
     )
 
 
-def three_way_dimension_agreement(p: int, q: int, budget: int | None = None) -> Report:
-    """|labeled partitions| by enumeration equals the Hom-space dimension
-    at d=p equals the binomial-weighted sum of injectively labeled counts."""
-    from .labeled import LabelAlphabet, count_general, enumerate_pq, hom_space_dimension_gl
-
-    by_enum = count_general(p, LabelAlphabet(q))
-    by_hom = hom_space_dimension_gl(p, q, p, budget)
-    by_induction = sum(
-        comb(q, i) * len(enumerate_pq(p, i, budget)) for i in range(q + 1)
-    )
-    ok = by_enum == by_hom == by_induction
-    return Report(
-        claim=f"labeled-partition count = Hom dimension = induced sum, p={p}, q={q}",
-        left=by_enum,
-        right=by_hom,
-        passed=ok,
-        witnesses={"induced_sum": by_induction},
-    )
+def _check_series_steps(p: int, linear: bool, budget: int | None):
+    """Refuse when step1_dimension_identity's two series, truncated at p,
+    would take more multiply-adds than the budget.  series_mul walks only
+    the nonzero entries of a factor (1 - u^i)^(-m), its multiples of i, so
+    the factor costs at most S(i) = sum over n <= p of (n // i + 1) steps,
+    which is p + 1 + i*k*(k-1)/2 + r*k with p + 1 = k*i + r.  Each series
+    has the factors i = 1..p, and the direct one also the linear summands'
+    i = 1 when q*d > 0.  Every S(i) is at least p + 1, so the sum stops
+    once it passes the cap, before it grows long."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    unit = "series steps"
+    steps = (p + 1) * (p + 2) // 2 if linear and p >= 0 else 0
+    for i in range(1, p + 1):
+        if steps > cap:
+            raise SizeBudgetExceeded(None, cap, unit)
+        k, r = divmod(p + 1, i)
+        steps += 2 * (p + 1 + i * k * (k - 1) // 2 + r * k)
+    check_budget(steps, cap, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +208,6 @@ def theorem_a_induction_check(p: int, q: int, budget: int | None = None) -> Repo
     injectively q-labeled character (``pq_bicharacter``).  The two come from
     different cycle indices, and no labeled partition is built: the budget
     bounds the table of class pairs, counted before any is listed."""
-    from .labeled import induced_pq_bicharacter
-
     if not (0 <= q <= p):
         raise InvalidArgs(f"need 0 <= q <= p, got p={p}, q={q}")
     check_class_budget(budget, p, q)

@@ -5,8 +5,10 @@ recurrence counters, brute-force enumerations, product formulas, the
 Fraction cycle-index engine that the integer one replaced, and the
 symmetrizer-image modules that the closed-form Specht and Schur bases
 replaced, which the main implementations are checked against.  Helpers that
-only the tests call (``inner_product_bi``, ``reconstruct``,
-``decomposition_from_json``) live here too.
+only the tests call live here too: ``inner_product_bi``, ``reconstruct`` and
+``decomposition_from_json`` for class functions, and the labeled-partition
+action, the splitting map, the phi equivariance check and the two dimension
+cross-checks (``hom_side_total``, ``three_way_dimension_agreement``).
 """
 
 from __future__ import annotations
@@ -491,3 +493,128 @@ def schur_image_oracle(lam, d: int):
     picked, mats = spin_oracle(images, [gl_generator(a, b) for a, b in pairs], spin=False)
     gl = dict(zip(pairs, mats)) if picked else {}
     return ExplicitModule(len(picked), gl_generators=gl, grading=r)
+
+
+def standard_tableaux_bfs(lam) -> list[tuple[int, ...]]:
+    """The Yamanouchi words of the standard tableaux of shape lam, grown
+    breadth-first, every partial word and its row lengths copied at each
+    step, in lexicographic order: modules._standard_tableaux before it grew
+    them depth-first."""
+    level = [((), (0,) * lam.length)]  # (word, row lengths filled)
+    for _ in range(lam.weight):
+        level = [
+            (word + (i,), filled[:i] + (filled[i] + 1,) + filled[i + 1 :])
+            for word, filled in level
+            for i in range(lam.length)
+            if filled[i] < lam[i] and (i == 0 or filled[i - 1] > filled[i])
+        ]
+    return [word for word, _ in level]
+
+
+# ---------------------------------------------------------------------------
+# Labeled-partition helpers only the tests call
+
+
+def bell_number(p: int) -> int:
+    from stablerep.labeled import set_partitions
+
+    return len(set_partitions(p))
+
+
+def act(x, sigma: tuple[int, ...], tau: tuple[int, ...] | None = None):
+    """A labeled partition with its elements relabeled by sigma and its
+    labels 1..q by tau, of the same type as x."""
+    moved = [tuple(sorted(sigma[e] for e in part)) for part in x.parts]
+    labs = list(x.labels)
+    if tau is not None:
+        labs = [(tau[l - 1] + 1) if l > 0 else 0 for l in labs]
+    order = sorted(range(len(moved)), key=lambda i: moved[i][0])
+    # A permutation action keeps one label per part and keeps the labels
+    # injective, so the image skips the validating __init__.
+    image = object.__new__(type(x))
+    object.__setattr__(image, "parts", tuple(moved[i] for i in order))
+    object.__setattr__(image, "labels", tuple(labs[i] for i in order))
+    return image
+
+
+def splitting_map(x):
+    """Split each labeled part of an injectively labeled partition into
+    singletons carrying that part's label; unlabeled parts pass through."""
+    from stablerep.labeled import GeneralLabeledPartition
+
+    parts, labels = [], []
+    for part, lab in zip(x.parts, x.labels):
+        if lab == 0:
+            parts.append(part)
+            labels.append(0)
+        else:
+            for e in part:
+                parts.append((e,))
+                labels.append(lab)
+    order = sorted(range(len(parts)), key=lambda i: parts[i][0])
+    return GeneralLabeledPartition(
+        tuple(parts[i] for i in order), tuple(labels[i] for i in order)
+    )
+
+
+def check_phi_equivariance(x, d: int, piece) -> bool:
+    """Exact intertwining of phi_x with every derivation generator E_ab."""
+    from stablerep.labeled import phi_columns
+
+    cols = phi_columns(x, d)
+    for a in range(d):
+        for b in range(d):
+            if a == b:
+                continue
+            for J in itertools.product(range(d), repeat=x.p):
+                lhs: dict = {}
+                for t, v in enumerate(J):
+                    if v == b:
+                        m2 = cols[J[:t] + (a,) + J[t + 1 :]]
+                        lhs[m2] = lhs.get(m2, 0) + 1
+                if {k: v for k, v in lhs.items() if v} != piece.gl_apply(a, b, cols[J]):
+                    return False
+    return True
+
+
+def hom_side_total(p: int, q: int, d: int, budget: int | None = None) -> int:
+    """Dimension of the degree-2p graded piece of the symmetric algebra on
+    q+1 shifted copies of V plus the higher symmetric powers of V, computed
+    by univariate series coefficient and cross-checked, as far as the budget
+    admits their weight-table steps and basis, by the total of its
+    torus-weight generating function (fixed_weights at the identity) and by
+    direct basis enumeration."""
+    from stablerep.characters import graded_sym_algebra_dimension
+    from stablerep.errors import OracleDisagreement, SizeBudgetExceeded
+    from stablerep.labeled import _piece_weights, build_fw_piece
+
+    others = {}
+    try:
+        others["weight generating function"] = sum(_piece_weights(p, q, d, budget).values())
+        others["enumeration"] = build_fw_piece(p, q, d, budget).dimension
+    except SizeBudgetExceeded:
+        pass
+    by_series = graded_sym_algebra_dimension(d, q, p)
+    for what, total in others.items():
+        if total != by_series:
+            raise OracleDisagreement(f"{what} gives {total}, series gives {by_series}")
+    return by_series
+
+
+def three_way_dimension_agreement(p: int, q: int, budget: int | None = None):
+    """The labeled-partition count (count_general), the Hom-space dimension
+    at d = p and the binomial-weighted sum of injectively labeled counts
+    agree; a Report."""
+    from stablerep.characters import Report
+    from stablerep.labeled import LabelAlphabet, count_general, enumerate_pq, hom_space_dimension_gl
+
+    by_enum = count_general(p, LabelAlphabet(q))
+    by_hom = hom_space_dimension_gl(p, q, p, budget)
+    by_induction = sum(comb(q, i) * len(enumerate_pq(p, i, budget)) for i in range(q + 1))
+    return Report(
+        claim=f"labeled-partition count = Hom dimension = induced sum, p={p}, q={q}",
+        left=by_enum,
+        right=by_hom,
+        passed=by_enum == by_hom == by_induction,
+        witnesses={"induced_sum": by_induction},
+    )

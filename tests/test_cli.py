@@ -213,6 +213,44 @@ class TestExitCodes:
         assert main(["--budget", "225", "stable-cohomology", "--table", "7", "9"]) == 0
         check_class_budget(None, 18, 9)
 
+    def test_budget_bounds_step1_series_steps(self, capsys):
+        # 55 1 1 takes 19,320 series steps and 56 1 1 20,079; 100000 1 1 is
+        # refused from its first factor's count, and --budget reaches the
+        # check.
+        assert main(["verify", "step1", "55", "1", "1"]) == 0
+        assert main(["verify", "step1", "56", "1", "1"]) == 3
+        assert main(["verify", "step1", "100000", "1", "1"]) == 3
+        assert main(["--budget", "1", "verify", "step1", "200", "1", "1"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "budget exceeded: series steps 20079 exceeds budget 20000",
+            "budget exceeded: series steps more than 20000 exceeds budget 20000",
+            "budget exceeded: series steps more than 1 exceeds budget 1",
+        ]
+
+    # Recorded before step1 counted a budget and built each series once.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("verify step1 3 2 2",
+             "1f48299f7bbe5b22b3c30644d442903009158af0c4363accfa1a2499d338f030"),
+            ("--json verify step1 3 2 2",
+             "e94b7e52e2e0a33039ecb6cbd4773becb38692d5cb93c63fc2b1d7543ef3d437"),
+            ("verify step1 4 3 3",
+             "131d884c0bcfedfa662823e5d4e8c446b4d31b06c9918737402bdaae75f7956c"),
+            ("verify step1 40 1 1",
+             "f2c5cdaaaf51b130c95b71f095c7c46f18586db7ce87336c8566cb7ae4dfb0cd"),
+            ("--json verify step1 30 3 5",
+             "41f075c8176fe12c4c9ff7be556ab6e3f46449aaa52a5cbac2621fc3e664ed65"),
+            ("verify step1 -1 1 1",
+             "25fbb9dd72c5f57e782cfbc856f380e2bfd5bd0891b11f10904b62fc5c52298f"),
+        ],
+    )
+    def test_step1_output_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("STABLEREP_BUDGET", "2")
         assert main(["verify", "rw-prop", "4", "4", "4"]) == 3

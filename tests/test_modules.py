@@ -15,8 +15,9 @@ from conftest import (
     specht_spin_oracle,
     specht_trace_oracle,
     spin_oracle,
+    standard_tableaux_bfs,
 )
-from stablerep import modules
+from stablerep import characters, modules
 from stablerep.characters import _compositions, cycle_types, irreducible_character
 from stablerep.errors import NonPolynomialAction, OracleDisagreement, SizeBudgetExceeded
 from stablerep.linalg import MODULAR_PRIME as P, SparseMatrix, sparse_rank_and_witness
@@ -191,6 +192,30 @@ def test_specht_modules_of_weight_10_build_under_the_default_budget():
         specht_module(Partition([19999, 1]))
 
 
+def test_long_row_and_column_build_without_a_factorial(monkeypatch):
+    """(20000) and (1^20000) fit the default budget (one tableau times
+    19,999 generators).  Their tableau is checked against the f^lam = 1
+    that the budget read off the hook product, so the factorial hook
+    formula, here made to fail, is never called; s_i is +1 on the row
+    and -1 on the column."""
+    def refuse(*args):
+        raise AssertionError(f"called on {args}")
+
+    monkeypatch.setattr(modules, "specht_dimension", refuse)
+    for lam, sign in (([20000], 1), ([1] * 20000, -1)):
+        mod = specht_module(Partition(lam))
+        assert mod.dimension == 1 and len(mod.sym_generators) == 19999
+        assert all(s == {(0, 0): sign} for s in mod.sym_generators)
+
+
+def test_standard_tableaux_match_breadth_first_growth():
+    """The depth-first words are the breadth-first ones, in the same
+    lexicographic order, for every shape of weight at most 8."""
+    for n in range(9):
+        for lam in enumerate_partitions(n):
+            assert modules._standard_tableaux(lam) == standard_tableaux_bfs(lam), lam
+
+
 def test_seminormal_entries_of_2_1():
     """The tableaux of (2,1) are 12/3 and 13/2 (Yamanouchi words 001 and
     010).  s_1 swaps 1 and 2, which share a row in the first (+1) and a
@@ -226,7 +251,12 @@ def test_specht_traces_match_fixed_point_count():
 
 
 def test_constructors_raise_on_dimension_mismatch(monkeypatch):
-    monkeypatch.setattr(modules, "specht_dimension", lambda lam: specht_dimension(lam) + 1)
+    # specht_module checks its tableaux against the f^lam that its budget
+    # read off the hook product, so the shifted count sits there.
+    real_up_to = modules.specht_dimension_up_to
+    monkeypatch.setattr(
+        modules, "specht_dimension_up_to", lambda lam, cap: real_up_to(lam, cap) + 1
+    )
     monkeypatch.setattr(
         modules, "schur_gl_dimension", lambda lam, d: schur_gl_dimension(lam, d) + 1
     )
@@ -508,6 +538,19 @@ def test_verify_schur_weyl_grid():
     for r in range(1, 5):
         for d in range(1, 5):
             assert verify_schur_weyl(r, d).passed
+
+
+def test_schur_weyl_looks_up_kostka_by_sorted_content():
+    """Kostka numbers are symmetric in the content, so the weight counters
+    of schur-weyl 6 4 look them up by the sorted weight: 287 distinct
+    (shape, content) pairs reach the cache, against 1,696 by the weight as
+    listed, and every counter is the one the listed weights give."""
+    characters.kostka.cache_clear()
+    assert verify_schur_weyl(6, 4).passed
+    assert characters.kostka.cache_info().misses == 287
+    for lam in enumerate_partitions(6):
+        listed = {w: characters.kostka(lam.parts, w) for w in _compositions(6, 4)}
+        assert modules._schur_weight_counter(lam, 4) == {w: k for w, k in listed.items() if k}
 
 
 def test_split_extension_small_example():

@@ -6,6 +6,7 @@ computes with.  The import sets are read in fresh interpreters, because this
 test process has long since imported everything.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,7 +21,9 @@ SRC = Path(stablerep.__file__).resolve().parents[1]
 PERFBENCH = SRC.parent / "perfbench"
 
 # The exports of the eagerly importing package this replaced, submodules
-# included; the lazy package must keep exactly these.
+# included, less hom_side_total, splitting_map and
+# three_way_dimension_agreement, which only tests call (now in conftest);
+# the lazy package must keep exactly these.
 EXPORTS = [
     "BiClassFunction", "ClassFunction", "GeneralLabeledPartition", "InvalidArgs",
     "IrredDecomposition", "LabelAlphabet", "NegativeMultiplicity",
@@ -30,17 +33,36 @@ EXPORTS = [
     "build_fw_piece", "characters", "cycle_types", "decompose", "dimension_table",
     "enumerate_general", "enumerate_partitions", "enumerate_pq", "errors",
     "external_product", "gl_decompose", "graded_sym_algebra_dimension",
-    "hom_bicharacter", "hom_side_total", "hom_space_dimension_gl", "hook_lengths",
+    "hom_bicharacter", "hom_space_dimension_gl", "hook_lengths",
     "induce", "inner_product", "irreducible_character", "kostka", "labeled",
     "linalg", "lr_coefficient", "modules", "partitions", "restrict", "schur_apply",
     "schur_gl_dimension", "sign_character", "skew_schur_decompose",
     "specht_dimension", "specht_module", "split_extension_filtration_check",
-    "splitting_map", "stable", "stable_cohomology", "step1_dimension_identity",
+    "stable", "stable_cohomology", "step1_dimension_identity",
     "tensor_power_module", "theorem_a_induction_check",
-    "three_way_dimension_agreement", "transpose", "trivial_character",
+    "transpose", "trivial_character",
     "verify_cauchy", "verify_rw_prop", "verify_schur_weyl",
     "verify_splitting_lemma", "young_symmetrizer",
 ]
+
+
+def benchmark_text_ops() -> list[tuple[str, ...]]:
+    """The set-up op and every CLI op of the benchmark's pools that prints
+    text, read from perfbench/workloads.py."""
+    module_name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / "workloads.py")
+    # Registered before it runs: its dataclass looks its module up there.
+    workloads = sys.modules[module_name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = [
+        op.args
+        for name in sorted(workloads.POOLS)
+        for op in workloads.all_ops(name)
+        if op.kind == "cli" and "--json" not in op.args
+    ]
+    return [("partitions", "1")] + ops
+
+
 SUBMODULES = {
     "characters", "errors", "labeled", "linalg", "modules", "partitions", "stable",
 }
@@ -107,6 +129,39 @@ class TestImportSets:
         neither fractions nor the decimal module it pulls in is loaded."""
         code = f"from stablerep.cli import main\nmain({list(argv)!r})"
         assert not {"fractions", "decimal"} & loaded_after(code, prefix="")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hom-dim", "4", "4", "4"),
+            ("verify", "rw-prop", "4", "4", "4"),
+            ("verify", "rw-prop", "4", "2", "4"),
+            ("verify", "splitting", "4", "4", "4"),
+        ],
+    )
+    def test_hom_side_at_d_ge_p_loads_no_linear_algebra(self, argv):
+        """rw-prop certifies its rank from J0 from d = p on, and the
+        intertwiner solve stops before it builds anything above 900
+        unknowns, so neither loads linalg, nor fractions and decimal."""
+        code = f"from stablerep.cli import main\nmain({list(argv)!r})"
+        loaded = loaded_after(code, prefix="")
+        assert {m for m in loaded if m.startswith("stablerep")} == qualified(
+            "cli", "errors", "partitions", "characters", "labeled"
+        )
+        assert not {"fractions", "decimal"} & loaded
+
+    def test_elimination_loads_linear_algebra(self):
+        assert "stablerep.linalg" in loaded_by_command("--json", "verify", "rw-prop", "2", "1", "1")
+
+    def test_induction_loads_no_labeled(self):
+        assert loaded_by_command("--json", "verify", "induction", "6", "2") == qualified(
+            "cli", "errors", "partitions", "characters", "stable"
+        )
+
+    @pytest.mark.parametrize("argv", benchmark_text_ops(), ids=" ".join)
+    def test_text_output_loads_no_json(self, argv):
+        code = f"from stablerep.cli import main\nmain({list(argv)!r})"
+        assert "json" not in loaded_after(code, prefix="")
 
     def test_no_module_imports_dataclasses(self):
         code = "\n".join(f"import stablerep.{name}" for name in sorted(SUBMODULES | {"cli"}))

@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import pytest
@@ -10,14 +11,18 @@ from stablerep.partitions import Partition, transpose
 from stablerep.stable import (
     SymbolicCoefficient,
     dimension_table,
-    hom_side_total,
     stable_cohomology,
     step1_dimension_identity,
     theorem_a_induction_check,
-    three_way_dimension_agreement,
 )
 
-from conftest import bell_oracle, permutation_bicharacter, series_coefficient_oracle
+from conftest import (
+    bell_oracle,
+    hom_side_total,
+    permutation_bicharacter,
+    series_coefficient_oracle,
+    three_way_dimension_agreement,
+)
 
 
 class TestStableCohomology:
@@ -120,6 +125,49 @@ class TestPipeline:
             for q in range(4):
                 for d in (1, 2, 3):
                     assert step1_dimension_identity(p, q, d).passed
+
+    def test_step1_budget_bounds_the_series_steps(self, monkeypatch):
+        """The count checked before either series is built (each factor
+        (1 - u^i)^(-m) costs the sum over n <= p of n // i + 1, here summed
+        term by term) bounds the multiplications series_mul makes by an
+        entry of a factor, counted on the entries themselves, and the
+        budget refuses at one step fewer."""
+        from stablerep import characters
+
+        made = [0]
+
+        class Counted(int):
+            def __rmul__(self, other):
+                made[0] += 1
+                return int(other) * int(self)
+
+        real_geom = characters.series_geom_power
+        monkeypatch.setattr(
+            characters,
+            "series_geom_power",
+            lambda step, mult, trunc: [Counted(v) for v in real_geom(step, mult, trunc)],
+        )
+        for p, q, d in itertools.product(range(-1, 13), range(3), range(1, 4)):
+            factors = [1] * (q * d > 0) + [i for i in range(1, p + 1) for _ in "ab"]
+            steps = sum(n // i + 1 for i in factors for n in range(p + 1))
+            made[0] = 0
+            assert step1_dimension_identity(p, q, d, budget=steps).passed
+            assert made[0] <= steps and (made[0] or p < 1), (p, q, d)
+            with pytest.raises(SizeBudgetExceeded, match="^series steps "):
+                step1_dimension_identity(p, q, d, budget=steps - 1)
+
+    def test_step1_refuses_before_building_a_series(self, monkeypatch):
+        # p = 100000 takes C(100002, 2) = 5,000,150,001 steps for its first
+        # factor alone: refused from that count, no series built.
+        def refuse(*args):
+            raise AssertionError("series built")
+
+        monkeypatch.setattr(stable, "graded_sym_algebra_series", refuse)
+        monkeypatch.setattr(stable, "graded_sym_algebra_dimension", refuse)
+        with pytest.raises(SizeBudgetExceeded, match="^series steps more than 20000 "):
+            step1_dimension_identity(100000, 1, 1)
+        with pytest.raises(SizeBudgetExceeded, match="^series steps more than 1 "):
+            step1_dimension_identity(200, 1, 1, budget=1)
 
     def test_induction_grid(self):
         for p in range(1, 5):
