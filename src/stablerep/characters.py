@@ -16,8 +16,9 @@ cycle-index characters ``pq_bicharacter``, ``general_bicharacter`` and
 ``pq_identity_counts``, and the characters induced from the injective family
 (``induced_pq_bicharacter``).  So do what both ``modules`` and ``labeled`` use:
 the torus-weight helpers beside ``kostka`` (``_compositions``,
-``_tensor_weight``, ``decompose_weight_multiset``) and the ``Report`` that
-every verification returns, so ``labeled`` never loads ``modules``.
+``_schur_weight_counter``, ``_tensor_weight``, ``decompose_weight_multiset``)
+and the ``Report`` that every verification returns, so ``labeled`` never
+loads ``modules``.
 
 Characters are stored densely over all cycle types; with weights at desk
 scale the class lists are tiny.  Class functions keep the values they are
@@ -35,10 +36,13 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import (
+    DEFAULT_BUDGET,
     InvalidArgs,
     NegativeMultiplicity,
     NonIntegralMultiplicity,
     OracleDisagreement,
+    SizeBudgetExceeded,
+    check_budget,
 )
 from .partitions import (
     Partition,
@@ -640,6 +644,19 @@ def _compositions(n: int, d: int):
             yield (first,) + rest
 
 
+def _schur_weight_counter(lam: Partition, d: int) -> dict[tuple[int, ...], int]:
+    """The weights of S_lam(Q^d) with their multiplicities: {w: K_{lam, w}}
+    over the compositions w of |lam| into d parts, zeros left out.  Kostka
+    numbers are symmetric in the content, so the cache serves every
+    permutation of w from its sorted form."""
+    out = {}
+    for w in _compositions(lam.weight, d):
+        k = kostka(lam.parts, tuple(sorted(w, reverse=True)))
+        if k:
+            out[w] = k
+    return out
+
+
 def _tensor_weight(J, d: int) -> tuple[int, ...]:
     """Torus weight of the basis tensor with indices J: how often each of
     the d indices occurs."""
@@ -665,16 +682,12 @@ def decompose_weight_multiset(cnt: Mapping, d: int) -> IrredDecomposition:
         lam = Partition(top)
         mult = rem[top]
         mults[lam] = mults.get(lam, 0) + mult
-        for w in _compositions(lam.weight, d):
-            # Kostka numbers are symmetric in the content, so the cache
-            # serves every permutation of w from its sorted form.
-            k = kostka(lam.parts, tuple(sorted(w, reverse=True)))
-            if k:
-                nv = rem.get(w, 0) - mult * k
-                if nv:
-                    rem[w] = nv
-                else:
-                    rem.pop(w, None)
+        for w, k in _schur_weight_counter(lam, d).items():
+            nv = rem.get(w, 0) - mult * k
+            if nv:
+                rem[w] = nv
+            else:
+                rem.pop(w, None)
     return IrredDecomposition(mults)
 
 
@@ -712,16 +725,37 @@ def series_geom_power(step: int, mult: int, trunc: int) -> list[int]:
     return out
 
 
+def _sym_algebra_factors(d: int, q: int, trunc: int):
+    """The factors (1 - u^i)^(-m) of graded_sym_algebra_series, each built
+    when it is asked for: the q*d linear generators, then Sym^i(Q^d)."""
+    if q * d:
+        yield series_geom_power(1, q * d, trunc)
+    for i in range(1, trunc + 1):
+        yield series_geom_power(i, sym_dimension(d, i), trunc)
+
+
 def graded_sym_algebra_series(d: int, q: int, trunc: int) -> list[int]:
     """Truncated series (in u = t^2) of
     Sym( q linear d-dim summands  +  Sym^{i>=1}(Q^d) summands )."""
-    out = [0] * (trunc + 1)
-    out[0] = 1
-    if q * d:
-        out = series_mul(out, series_geom_power(1, q * d, trunc), trunc)
-    for i in range(1, trunc + 1):
-        out = series_mul(out, series_geom_power(i, sym_dimension(d, i), trunc), trunc)
+    out = [1] + [0] * trunc
+    for factor in _sym_algebra_factors(d, q, trunc):
+        out = series_mul(out, factor, trunc)
     return out
+
+
+def _check_sym_algebra_budget(d: int, q: int, p: int, budget: int | None):
+    """Refuse when graded_sym_algebra_dimension(d, q, p), an ambient
+    dimension, passes the cap, and stop the product as soon as its degree-p
+    coefficient has passed it: each factor has constant term 1 and
+    nonnegative coefficients, so that coefficient never falls as factors are
+    multiplied in, and the refusal is exact."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    partial = [1] + [0] * p
+    for factor in _sym_algebra_factors(d, q, p):
+        if partial[p] > cap:
+            raise SizeBudgetExceeded(None, cap)
+        partial = series_mul(partial, factor, p)
+    check_budget(partial[p], cap)
 
 
 def graded_sym_algebra_dimension(d: int, q: int, p: int) -> int:

@@ -1,8 +1,16 @@
 """Command-line front end: text/JSON rendering over the library, a verify
 suite runner, and an optional on-disk result cache.
 
-Exit codes: 0 success or verification pass, 1 verification failure,
-2 usage error, 3 size budget exceeded.
+One argparse parser reads every command.  ``cauchy``, ``schur-weyl`` and
+each ``verify`` check (a sub-parser of ``verify``) are built from a row of
+``CHECKS`` and run by one runner, which renders the Report the check
+returns.
+
+Exit codes: 0 success or verification pass; 1 only for a failing report or
+an oracle disagreement (any other ``StableRepError`` a check raises also
+gives 1); 2 usage error, including a malformed partition or integer and a
+negative or zero size; 3 size budget exceeded.  ``main`` catches only the
+package's own errors, so any other exception is a bug and is not hidden.
 
 Each subcommand imports the modules it runs when it runs, and each module
 imports only what its callers run, so a command loads only those:
@@ -127,20 +135,6 @@ def _cmd_lr(args) -> tuple[str, int]:
     return str(c), EXIT_OK
 
 
-def _cmd_cauchy(args) -> tuple[str, int]:
-    from .modules import verify_cauchy
-
-    return _render_report(
-        verify_cauchy(args.r, args.dv, args.dw, args.budget), args.json
-    )
-
-
-def _cmd_schur_weyl(args) -> tuple[str, int]:
-    from .modules import verify_schur_weyl
-
-    return _render_report(verify_schur_weyl(args.r, args.d, args.budget), args.json)
-
-
 def _cmd_labeled_partitions(args) -> tuple[str, int]:
     from .labeled import enumerate_pq
 
@@ -170,54 +164,37 @@ def _cmd_hom_dim(args) -> tuple[str, int]:
     return str(dim), EXIT_OK
 
 
-VERIFY_USAGE = {
-    "rw-prop": "P Q D",
-    "splitting": "P Q D",
-    "extension": "LAMBDA DA DC",
-    "induction": "P Q",
-    "step1": "P Q D",
-}
+# One row per check that prints a Report: its command, the module.function
+# that returns the Report, its parameters and its help.  Integers are parsed
+# by argparse, LAMBDA by the runner, so that a cache hit imports no
+# partitions.
+CHECKS = (
+    ("cauchy", "modules.verify_cauchy", "R DV DW", "verify the Cauchy decomposition"),
+    ("schur-weyl", "modules.verify_schur_weyl", "R D", "verify Schur-Weyl duality"),
+    ("verify rw-prop", "labeled.verify_rw_prop", "P Q D",
+     "the labeled-partition maps span the Hom space"),
+    ("verify splitting", "labeled.verify_splitting_lemma", "P Q D",
+     "classwise splitting of the labeled-partition character"),
+    ("verify extension", "modules.split_extension_filtration_check", "LAMBDA DA DC",
+     "Schur-functor filtration of a split extension"),
+    ("verify induction", "stable.theorem_a_induction_check", "P Q",
+     "the induction step of the stable answer"),
+    ("verify step1", "stable.step1_dimension_identity", "P Q D",
+     "graded-piece dimension identity"),
+)
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidArgs(f"expected an integer, got {text!r}") from None
+def _cmd_check(args) -> tuple[str, int]:
+    import importlib
 
-
-def _cmd_verify(args) -> tuple[str, int]:
-    which = args.what
-    params = args.params
-    usage = VERIFY_USAGE[which]
-    if len(params) != len(usage.split()):
-        raise InvalidArgs(f"verify {which} expects {usage}")
-    if which == "extension":
-        from .modules import split_extension_filtration_check
+    module, name = args.check.split(".")
+    values = [getattr(args, param) for param in args.params]
+    if args.params[0] == "LAMBDA":
         from .partitions import Partition
 
-        rep = split_extension_filtration_check(
-            Partition.parse(params[0]), _int(params[1]), _int(params[2]), args.budget
-        )
-    else:
-        ints = [_int(x) for x in params]
-        if which == "rw-prop":
-            from .labeled import verify_rw_prop
-
-            rep = verify_rw_prop(*ints, args.budget)
-        elif which == "splitting":
-            from .labeled import verify_splitting_lemma
-
-            rep = verify_splitting_lemma(*ints, args.budget)
-        elif which == "induction":
-            from .stable import theorem_a_induction_check
-
-            rep = theorem_a_induction_check(*ints, args.budget)
-        else:
-            from .stable import step1_dimension_identity
-
-            rep = step1_dimension_identity(*ints, args.budget)
-    return _render_report(rep, args.json)
+        values[0] = Partition.parse(values[0])
+    check = getattr(importlib.import_module(f".{module}", __package__), name)
+    return _render_report(check(*values, args.budget), args.json)
 
 
 def _cmd_stable_cohomology(args) -> tuple[str, int]:
@@ -348,17 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu", metavar="NU")
     p.set_defaults(func=_cmd_lr)
 
-    p = add_parser("cauchy", help="verify the Cauchy decomposition")
-    p.add_argument("r", type=int)
-    p.add_argument("dv", type=int, metavar="DV")
-    p.add_argument("dw", type=int, metavar="DW")
-    p.set_defaults(func=_cmd_cauchy)
-
-    p = add_parser("schur-weyl", help="verify Schur-Weyl duality")
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
-    p.set_defaults(func=_cmd_schur_weyl)
-
     p = add_parser("labeled-partitions", help="enumerate q-labeled partitions")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
@@ -370,14 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.set_defaults(func=_cmd_hom_dim)
 
-    p = add_parser("verify", help="run a structural verification")
-    p.add_argument(
-        "what",
-        choices=list(VERIFY_USAGE),
-    )
-    p.add_argument("params", nargs="*")
-    p.set_defaults(func=_cmd_verify)
-
     p = add_parser("stable-cohomology", help="stable cohomology calculator")
     p.add_argument("p", type=int, nargs="?", default=None)
     p.add_argument("q", type=int, nargs="?", default=None)
@@ -385,6 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, nargs=2, metavar=("PMAX", "QMAX"))
     p.set_defaults(func=_cmd_stable_cohomology)
 
+    verify = add_parser("verify", help="run a structural verification")
+    verify = verify.add_subparsers(dest="what", required=True)
+    for command, check, params, help_ in CHECKS:
+        *group, name = command.split()
+        p = (verify if group else sub).add_parser(name, parents=[common], help=help_)
+        params = params.split()
+        for param in params:
+            p.add_argument(param, type=str if param == "LAMBDA" else int)
+        p.set_defaults(func=_cmd_check, check=check, params=params)
     return ap
 
 
@@ -402,7 +369,6 @@ def main(argv: list[str] | None = None) -> int:
             print("invalid STABLEREP_BUDGET", file=sys.stderr)
             return EXIT_USAGE
 
-    key = None
     if args.cache:
         key = _cache_key(args)
         hit = _cache_lookup(args.cache, key)
@@ -414,17 +380,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         output, code = args.func(args)
-    except SizeBudgetExceeded as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except InvalidArgs as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, StableRepError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except SizeBudgetExceeded as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except StableRepError as e:
+        # An oracle disagreement or a character that is not one: a check failed.
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
 
-    if args.cache and key is not None:
+    if args.cache:
         _cache_store(args.cache, key, output, code)
     if output:
         print(output)

@@ -32,6 +32,7 @@ from .errors import InvalidArgs, OracleDisagreement, check_budget
 from .characters import (
     BiClassFunction,
     Report,
+    _check_sym_algebra_budget,
     _compositions,
     _tensor_weight,
     count_pq,
@@ -215,11 +216,12 @@ class FWGradedPiece:
         if p < 0 or q < 0 or d < 1:
             raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
         self.p, self.q, self.d = p, q, d
-        # The univariate series refuses an oversized piece in O(p^2 log p)
-        # steps (series_mul walks only each factor's nonzero entries); the
-        # weight generating function would first fill its weight table.
+        # The univariate series refuses an oversized piece once a partial
+        # product passes the cap, before the weight generating function
+        # would fill its weight table; the full series then checks the
+        # enumeration.
+        _check_sym_algebra_budget(d, q, p, budget)
         est = graded_sym_algebra_dimension(d, q, p)
-        check_budget(est, budget)
         self.basis: list[Monomial] = self._enumerate()
         if len(self.basis) != est:
             raise OracleDisagreement(

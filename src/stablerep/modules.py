@@ -33,12 +33,11 @@ from .characters import (
     IrredDecomposition,
     Perm,
     Report,
-    _compositions,
+    _schur_weight_counter,
     centralizer_order,
     cycle_types,
     decompose_weight_multiset,
     irreducible_character,
-    kostka,
     sign_of_class,
 )
 from .partitions import (
@@ -503,9 +502,11 @@ def gl_decompose(m: ExplicitModule):
 
 def verify_cauchy(r: int, dV: int, dW: int, budget: int | None = None) -> Report:
     """Lambda^r(V ⊗ W) vs the sum of S_lam(V) ⊗ S_{lam^T}(W): dimensions
-    and full bi-weight multisets."""
-    check_budget(comb(dV * dW, r) if r <= dV * dW else 0, budget)
-    left_dim = comb(dV * dW, r) if r <= dV * dW else 0
+    and full bi-weight multisets.  Needs r >= 0, dV >= 1 and dW >= 1."""
+    if r < 0 or dV < 1 or dW < 1:
+        raise InvalidArgs(f"bad parameters r={r}, dV={dV}, dW={dW}")
+    left_dim = comb(dV * dW, r)
+    check_budget(left_dim, budget)
     right_dim = sum(
         schur_gl_dimension(lam, dV) * schur_gl_dimension(transpose(lam), dW)
         for lam in enumerate_partitions(r)
@@ -542,21 +543,16 @@ def verify_cauchy(r: int, dV: int, dW: int, budget: int | None = None) -> Report
     )
 
 
-def _schur_weight_counter(lam: Partition, d: int) -> Counter:
-    out: Counter = Counter()
-    for w in _compositions(lam.weight, d):
-        # Kostka numbers are symmetric in the content, as in
-        # decompose_weight_multiset.
-        k = kostka(lam.parts, tuple(sorted(w, reverse=True)))
-        if k:
-            out[w] = k
-    return out
-
-
 def verify_schur_weyl(r: int, d: int, budget: int | None = None) -> Report:
     """V^{⊗r} vs the sum of S_lam(V) ⊠ S^lam: for every cycle type the
     weight-graded trace of a permutation matches the character-side sum,
-    as exact polynomials in the torus variables."""
+    as exact polynomials in the torus variables.  Needs r >= 0 and d >= 1.
+
+    The constituents witness is set by construction, not read off the
+    traces: it is {λ: 1} for every λ ⊢ r with ℓ(λ) <= d, the decomposition
+    the duality asserts.  The trace identity by class is the check."""
+    if r < 0 or d < 1:
+        raise InvalidArgs(f"bad parameters r={r}, d={d}")
     check_budget(d**r, budget)
     chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(r)}
     weightgens = {lam: _schur_weight_counter(lam, d) for lam in chars}

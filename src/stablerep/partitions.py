@@ -142,19 +142,16 @@ def transpose(lam: Partition) -> Partition:
     )
 
 
-class SkewShape:
+class SkewShape(FrozenRecord):
     """A skew Young diagram outer/inner with inner ⊆ outer."""
 
-    __slots__ = ("outer", "inner")
+    __slots__ = FIELDS = ("outer", "inner")
 
     def __init__(self, outer: Partition, inner: Partition):
         if not outer.contains(inner):
             raise ValueError(f"inner {inner} not contained in outer {outer}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewShape is immutable")
 
     @property
     def size(self) -> int:
@@ -166,19 +163,6 @@ class SkewShape:
             for i in range(len(self.outer))
             for j in range(self.inner[i], self.outer[i])
         ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SkewShape)
-            and self.outer == other.outer
-            and self.inner == other.inner
-        )
-
-    def __hash__(self) -> int:
-        return hash(("SkewShape", self.outer, self.inner))
-
-    def __repr__(self) -> str:
-        return f"SkewShape({self.outer!r}, {self.inner!r})"
 
     def __str__(self) -> str:
         return f"{self.outer}/{self.inner}"

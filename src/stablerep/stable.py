@@ -163,7 +163,10 @@ def step1_dimension_identity(p: int, q: int, d: int, budget: int | None = None) 
     be split off, so the graded piece equals the convolution of the q=0
     series with the symmetric powers of the q*d linear generators.  The
     direct series and the q=0 one are built once each, within the budget's
-    series steps (_check_series_steps), counted before either is built."""
+    series steps (_check_series_steps), counted before either is built.
+    Needs q >= 0 and d >= 1; p < 0 gives an empty piece on both sides."""
+    if q < 0 or d < 1:
+        raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
     _check_series_steps(p, q * d > 0, budget)
     direct = graded_sym_algebra_dimension(d, q, p)
     base = graded_sym_algebra_series(d, 0, p) if p >= 0 else []

@@ -1,9 +1,13 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stablerep.cli import main
+from stablerep.cli import CHECKS, build_parser, main
 from stablerep.labeled import LabelAlphabet, count_general
 
 
@@ -304,3 +308,68 @@ class TestCache:
         assert main(args) == 3
         monkeypatch.delenv("STABLEREP_BUDGET")
         assert main(["--budget", "1"] + args) == 3
+
+
+# The CLI grammar over small sizes and malformed partitions: every
+# subcommand and every verify check (the CHECKS rows), with the forms of
+# stable-cohomology.
+SIZES = st.integers(-1, 3).map(str)
+LAMBDAS = st.sampled_from(["a", ",", "2,,1", "-1", "1,2", "2,1", "0", "3", "1,1,1"])
+GRAMMAR = [
+    ("partitions", [SIZES]),
+    ("char", [LAMBDAS]),
+    ("lr", [LAMBDAS] * 3),
+    ("labeled-partitions", [SIZES] * 2),
+    ("hom-dim", [SIZES] * 3),
+    ("stable-cohomology", [SIZES] * 2),
+    ("stable-cohomology", [SIZES, SIZES, st.just("--degree"), SIZES]),
+    ("stable-cohomology --table", [SIZES] * 2),
+] + [
+    (command, [LAMBDAS if p == "LAMBDA" else SIZES for p in params.split()])
+    for command, _, params, _ in CHECKS
+]
+
+
+@st.composite
+def command_lines(draw):
+    command, slots = draw(st.sampled_from(GRAMMAR))
+    argv = command.split() + [draw(slot) for slot in slots]
+    budget = draw(st.sampled_from([[], [], ["--budget", "1"], ["--budget", "30"]]))
+    return draw(st.sampled_from([argv, ["--json"] + argv, argv + ["--json"]])) + budget
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestGrammarFuzz:
+    def test_grammar_covers_every_command(self):
+        (sub,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(sub.choices) == {command.split()[0] for command, _ in GRAMMAR}
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_exit_one_only_for_a_failed_check(self, argv):
+        code, out, err = run_in_process(argv)
+        assert code in (0, 1, 2, 3)
+        as_json = "--json" in argv
+        if as_json and out:
+            json.loads(out)
+        if code == 1 and not err.startswith("error: OracleDisagreement: "):
+            assert json.loads(out)["pass"] is False if as_json else out.startswith("FAIL: ")
+
+    # Each exited 1 (step1, cauchy) or raised (schur-weyl) before the
+    # library checked its sizes.
+    @pytest.mark.parametrize(
+        "argv",
+        ["cauchy -1 2 2", "verify step1 1 1 0", "verify step1 2 1 -1",
+         "verify step1 0 -1 1", "schur-weyl -1 0", "schur-weyl 2 -1"],
+    )
+    def test_negative_or_zero_sizes_are_usage_errors(self, capsys, argv):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err.startswith("usage error: bad parameters")
