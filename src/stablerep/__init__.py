@@ -19,7 +19,9 @@ _EXPORTS = {
         "StableRepError",
     ),
     "partitions": (
+        "IrredDecomposition",
         "Partition",
+        "Report",
         "SkewShape",
         "enumerate_partitions",
         "hook_lengths",
@@ -30,30 +32,30 @@ _EXPORTS = {
     "characters": (
         "BiClassFunction",
         "ClassFunction",
-        "IrredDecomposition",
-        "Report",
         "cycle_types",
         "decompose",
         "external_product",
-        "graded_sym_algebra_dimension",
         "induce",
         "inner_product",
         "irreducible_character",
-        "kostka",
-        "lr_coefficient",
         "restrict",
         "sign_character",
-        "skew_schur_decompose",
         "trivial_character",
+    ),
+    "schur": (
+        "graded_sym_algebra_dimension",
+        "kostka",
+        "lr_coefficient",
+        "skew_schur_decompose",
+        "split_extension_filtration_check",
+        "verify_cauchy",
+        "verify_schur_weyl",
     ),
     "modules": (
         "gl_decompose",
         "schur_apply",
         "specht_module",
-        "split_extension_filtration_check",
         "tensor_power_module",
-        "verify_cauchy",
-        "verify_schur_weyl",
         "young_symmetrizer",
     ),
     "labeled": (

@@ -1,56 +1,47 @@
-"""Class functions on symmetric groups and products of two of them.
+"""Class functions on symmetric groups and products of two of them: the
+S_n half of the package, with no GL_d weight in it (those are in ``schur``).
 
 Irreducible characters are computed by the Murnaghan-Nakayama recursion:
 the rim hooks of each (shape, hook length) are read off the beta-numbers
 once and cached with their signs (``_rim_hooks``), and the values on the
 remaining cycle parts are memoized (``_mn``), so each character row strips
-its first hook itself and only those tails enter the memo.
-Littlewood-Richardson coefficients are counted as lattice skew tableaux,
-and induction uses the classical cycle-type splitting formula.  Everything
-is exact and integer where the input is; ``fractions`` is imported only by
-what builds a rational (``inner_product``, a non-integral multiplicity).
+its first hook itself and only those tails enter the memo.  Induction uses
+the classical cycle-type splitting formula.  Everything is exact and
+integer where the input is; ``fractions`` is imported only by what builds a
+rational (``inner_product``, a non-integral multiplicity).
 
 The closed forms of the labeled families live here too, so the stable answer
 needs no labeled-partition code: the Stirling count ``count_pq``, the
 cycle-index characters ``pq_bicharacter``, ``general_bicharacter`` and
 ``pq_identity_counts``, and the characters induced from the injective family
-(``induced_pq_bicharacter``).  So do what both ``modules`` and ``labeled`` use:
-the torus-weight helpers beside ``kostka`` (``_compositions``,
-``_schur_weight_counter``, ``_tensor_weight``, ``decompose_weight_multiset``)
-and the ``Report`` that every verification returns, so ``labeled`` never
-loads ``modules``.
+(``induced_pq_bicharacter``).
 
 Characters are stored densely over all cycle types; with weights at desk
 scale the class lists are tiny.  Class functions keep the values they are
 given, so integer characters (irreducible, permutation, closed-form) stay
-ints and ``decompose`` sums them in integers.  Both Murnaghan-Nakayama
-caches are plain ``lru_cache``s on immutable arguments, safe for concurrent
-readers.
+ints and ``decompose`` sums them in integers into a
+``partitions.IrredDecomposition``.  Both Murnaghan-Nakayama caches are plain
+``lru_cache``s on immutable arguments, safe for concurrent readers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, perm, prod
+from math import comb, factorial, perm
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import (
-    DEFAULT_BUDGET,
     InvalidArgs,
     NegativeMultiplicity,
     NonIntegralMultiplicity,
     OracleDisagreement,
-    SizeBudgetExceeded,
-    check_budget,
 )
 from .partitions import (
+    IrredDecomposition,
     Partition,
-    Record,
-    SkewShape,
     check_class_budget,
     enumerate_partitions,
-    specht_dimension,
 )
 
 if TYPE_CHECKING:
@@ -341,56 +332,6 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     return Fraction(total, factorial(r))
 
 
-class IrredDecomposition:
-    """Multiset of irreducible constituents with multiplicities.
-
-    Keys are either Partition (single symmetric group) or pairs of
-    Partitions (a product group).  Keys are reported in canonical order
-    (reverse lexicographic, componentwise for pairs)."""
-
-    __slots__ = ("mults",)
-
-    def __init__(self, mults: Mapping):
-        self.mults = {k: v for k, v in mults.items() if v != 0}
-
-    def __getitem__(self, key):
-        return self.mults.get(key, 0)
-
-    def __len__(self):
-        return len(self.mults)
-
-    def __eq__(self, other):
-        return isinstance(other, IrredDecomposition) and self.mults == other.mults
-
-    def __iter__(self):
-        return iter(self.items())
-
-    def items(self) -> list:
-        def sortkey(k):
-            if isinstance(k, Partition):
-                return (tuple(-x for x in k.parts),)
-            return tuple(tuple(-x for x in part.parts) for part in k)
-
-        return sorted(self.mults.items(), key=lambda kv: sortkey(kv[0]))
-
-    def total_dimension(self) -> int:
-        f = lru_cache(maxsize=None)(specht_dimension)
-        return sum(
-            m * (f(k) if isinstance(k, Partition) else prod(map(f, k)))
-            for k, m in self.mults.items()
-        )
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"key": str(k) if isinstance(k, Partition) else [str(x) for x in k], "multiplicity": m}
-            for k, m in self.items()
-        ]
-
-    def __repr__(self):
-        body = ", ".join(f"{k}: {m}" for k, m in self.items())
-        return "{" + body + "}"
-
-
 def decompose(
     f: ClassFunction | BiClassFunction, virtual: bool = False
 ) -> IrredDecomposition:
@@ -507,264 +448,6 @@ def restrict(f: ClassFunction, i: int, j: int) -> BiClassFunction:
             for b in cycle_types(j)
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Littlewood-Richardson rule and skew Schur decomposition
-
-
-def lr_tableaux_count(shape: SkewShape, content: Partition) -> int:
-    """Number of Littlewood-Richardson tableaux: semistandard fillings of
-    the skew shape with the given content whose reverse reading word is a
-    lattice word."""
-    cells = sorted(shape.cells(), key=lambda c: (c[0], -c[1]))
-    n = len(content)
-    if shape.size != content.weight:
-        return 0
-
-    filling: dict[tuple[int, int], int] = {}
-
-    def ok(i: int, j: int, v: int, counts: list[int]) -> bool:
-        # Semistandard: rows weakly increase, columns strictly increase.
-        # Cells are visited right-to-left within a row, top to bottom, so
-        # the right and upper neighbours are already filled.
-        if (i, j + 1) in filling and v > filling[(i, j + 1)]:
-            return False
-        if (i - 1, j) in filling and filling[(i - 1, j)] >= v:
-            return False
-        if counts[v] + 1 > content[v]:
-            return False
-        # Lattice condition on the reverse reading word, which is read in
-        # exactly our cell order.
-        if v > 0 and counts[v] + 1 > counts[v - 1]:
-            return False
-        return True
-
-    def rec(idx: int, counts: list[int]) -> int:
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        total = 0
-        for v in range(n):
-            if ok(i, j, v, counts):
-                filling[(i, j)] = v
-                counts[v] += 1
-                total += rec(idx + 1, counts)
-                counts[v] -= 1
-                del filling[(i, j)]
-        return total
-
-    return rec(0, [0] * n)
-
-
-@lru_cache(maxsize=None)
-def _lr(lam: tuple, mu: tuple, nu: tuple) -> int:
-    lamP, muP, nuP = Partition(lam), Partition(mu), Partition(nu)
-    if not lamP.contains(muP) or muP.weight + nuP.weight != lamP.weight:
-        return 0
-    return lr_tableaux_count(SkewShape(lamP, muP), nuP)
-
-
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient c^lam_{mu,nu}."""
-    return _lr(lam.parts, mu.parts, nu.parts)
-
-
-def skew_schur_decompose(shape: SkewShape) -> IrredDecomposition:
-    """Decomposition of the skew Schur functor into Schur functors with
-    Littlewood-Richardson multiplicities."""
-    mults = {}
-    for nu in enumerate_partitions(shape.size):
-        c = lr_coefficient(shape.outer, shape.inner, nu)
-        if c:
-            mults[nu] = c
-    return IrredDecomposition(mults)
-
-
-# ---------------------------------------------------------------------------
-# Kostka numbers and torus weights: the weight-space decompositions of
-# modules and labeled
-
-
-@lru_cache(maxsize=None)
-def kostka(lam: tuple[int, ...], content: tuple[int, ...]) -> int:
-    """Number of semistandard tableaux of shape lam and the given content,
-    computed by peeling horizontal strips from the top entry down."""
-    if sum(lam) != sum(content):
-        return 0
-    if not content:
-        return 1 if not lam else 0
-    last = content[-1]
-    rest = content[:-1]
-    total = 0
-    for mu in _horizontal_strip_removals(lam, last):
-        total += kostka(mu, rest)
-    return total
-
-
-def _horizontal_strip_removals(
-    lam: tuple[int, ...], size: int
-) -> list[tuple[int, ...]]:
-    """All partitions mu ⊆ lam with lam/mu a horizontal strip of the given
-    size (at most one removed cell per column)."""
-    out = []
-    k = len(lam)
-
-    def rec(i: int, left: int, rows: list[int]):
-        if i == k:
-            if left == 0:
-                out.append(tuple(x for x in rows if x))
-            return
-        lower = lam[i + 1] if i + 1 < k else 0
-        # Row i of mu must satisfy lower bound lam[i+1] (mu a partition and
-        # strip horizontal) and mu[i] <= lam[i]; also mu[i] >= lam[i+1]
-        # guarantees no two removed cells share a column.
-        hi = min(lam[i], (rows[-1] if rows else lam[i]))
-        for v in range(hi, lower - 1, -1):
-            removed = lam[i] - v
-            if removed > left:
-                continue
-            rows.append(v)
-            rec(i + 1, left - removed, rows)
-            rows.pop()
-
-    rec(0, size, [])
-    return out
-
-
-def _compositions(n: int, d: int):
-    """The weights of total n in d variables (stars and bars), in
-    lexicographic order; one empty weight at d = 0 when n = 0."""
-    if d == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
-
-
-def _schur_weight_counter(lam: Partition, d: int) -> dict[tuple[int, ...], int]:
-    """The weights of S_lam(Q^d) with their multiplicities: {w: K_{lam, w}}
-    over the compositions w of |lam| into d parts, zeros left out.  Kostka
-    numbers are symmetric in the content, so the cache serves every
-    permutation of w from its sorted form."""
-    out = {}
-    for w in _compositions(lam.weight, d):
-        k = kostka(lam.parts, tuple(sorted(w, reverse=True)))
-        if k:
-            out[w] = k
-    return out
-
-
-def _tensor_weight(J, d: int) -> tuple[int, ...]:
-    """Torus weight of the basis tensor with indices J: how often each of
-    the d indices occurs."""
-    w = [0] * d
-    for v in J:
-        w[v] += 1
-    return tuple(w)
-
-
-def decompose_weight_multiset(cnt: Mapping, d: int) -> IrredDecomposition:
-    """Greedy subtraction of Schur weight multisets (Kostka vectors) from a
-    symmetric weight multiset; returns {Partition: multiplicity} with signed
-    multiplicities allowed (virtual input)."""
-    rem = {w: int(c) for w, c in cnt.items() if c}
-    mults: dict[Partition, int] = {}
-    while rem:
-        top = max(rem)
-        if list(top) != sorted(top, reverse=True):
-            raise OracleDisagreement(
-                f"lex-maximal weight {top} is not dominant; multiset not "
-                "a virtual polynomial character"
-            )
-        lam = Partition(top)
-        mult = rem[top]
-        mults[lam] = mults.get(lam, 0) + mult
-        for w, k in _schur_weight_counter(lam, d).items():
-            nv = rem.get(w, 0) - mult * k
-            if nv:
-                rem[w] = nv
-            else:
-                rem.pop(w, None)
-    return IrredDecomposition(mults)
-
-
-# ---------------------------------------------------------------------------
-# Graded symmetric-algebra dimensions
-
-
-def sym_dimension(d: int, i: int) -> int:
-    """dim Sym^i(Q^d)."""
-    if d == 0:
-        return 1 if i == 0 else 0
-    return comb(d + i - 1, i)
-
-
-def series_mul(a: list[int], b: list[int], trunc: int) -> list[int]:
-    """The product of two series truncated at trunc, walking only the
-    nonzero entries of both: a factor (1 - u^step)^(-mult) is nonzero at
-    the multiples of step alone."""
-    out = [0] * (trunc + 1)
-    terms = [(j, y) for j, y in enumerate(b[: trunc + 1]) if y]
-    for i, x in enumerate(a[: trunc + 1]):
-        if x:
-            for j, y in terms:
-                if i + j > trunc:
-                    break
-                out[i + j] += x * y
-    return out
-
-
-def series_geom_power(step: int, mult: int, trunc: int) -> list[int]:
-    """Truncated series of (1 - u^step)^(-mult)."""
-    out = [0] * (trunc + 1)
-    for k in range(0, trunc // step + 1):
-        out[k * step] = comb(mult + k - 1, k)
-    return out
-
-
-def _sym_algebra_factors(d: int, q: int, trunc: int):
-    """The factors (1 - u^i)^(-m) of graded_sym_algebra_series, each built
-    when it is asked for: the q*d linear generators, then Sym^i(Q^d)."""
-    if q * d:
-        yield series_geom_power(1, q * d, trunc)
-    for i in range(1, trunc + 1):
-        yield series_geom_power(i, sym_dimension(d, i), trunc)
-
-
-def graded_sym_algebra_series(d: int, q: int, trunc: int) -> list[int]:
-    """Truncated series (in u = t^2) of
-    Sym( q linear d-dim summands  +  Sym^{i>=1}(Q^d) summands )."""
-    out = [1] + [0] * trunc
-    for factor in _sym_algebra_factors(d, q, trunc):
-        out = series_mul(out, factor, trunc)
-    return out
-
-
-def _check_sym_algebra_budget(d: int, q: int, p: int, budget: int | None):
-    """Refuse when graded_sym_algebra_dimension(d, q, p), an ambient
-    dimension, passes the cap, and stop the product as soon as its degree-p
-    coefficient has passed it: each factor has constant term 1 and
-    nonnegative coefficients, so that coefficient never falls as factors are
-    multiplied in, and the refusal is exact."""
-    cap = DEFAULT_BUDGET if budget is None else budget
-    partial = [1] + [0] * p
-    for factor in _sym_algebra_factors(d, q, p):
-        if partial[p] > cap:
-            raise SizeBudgetExceeded(None, cap)
-        partial = series_mul(partial, factor, p)
-    check_budget(partial[p], cap)
-
-
-def graded_sym_algebra_dimension(d: int, q: int, p: int) -> int:
-    """Coefficient of t^{2p} in the graded dimension series of
-    Sym(V[2]^{⊕q} ⊕ Sym^{>0}(V[2])) with dim V = d.  All generators sit in
-    even degrees, so no signs enter."""
-    if p < 0:
-        return 0
-    return graded_sym_algebra_series(d, q, p)[p]
 
 
 # ---------------------------------------------------------------------------
@@ -946,44 +629,3 @@ def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], int]:
         for p in range(p_max + 1)
         for q in range(min(p, q_max) + 1)
     }
-
-
-# ---------------------------------------------------------------------------
-# Verification reports
-
-
-class Report(Record):
-    """The outcome of one verification: the claim, its two sides, whether
-    they agree, and named witnesses."""
-
-    __slots__ = FIELDS = ("claim", "left", "right", "passed", "witnesses")
-
-    def __init__(self, claim: str, left, right, passed: bool, witnesses: dict | None = None):
-        self.claim = claim
-        self.left = left
-        self.right = right
-        self.passed = passed
-        self.witnesses = {} if witnesses is None else witnesses
-
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "left": _jsonable(self.left),
-            "right": _jsonable(self.right),
-            "pass": self.passed,
-            "witnesses": _jsonable(self.witnesses),
-        }
-
-
-def _jsonable(x):
-    if hasattr(x, "denominator") and not isinstance(x, int):  # a Fraction
-        return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, Partition):
-        return str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if hasattr(x, "to_json"):
-        return x.to_json()
-    return x

@@ -8,22 +8,28 @@ returns.
 
 Exit codes: 0 success or verification pass; 1 only for a failing report or
 an oracle disagreement (any other ``StableRepError`` a check raises also
-gives 1); 2 usage error, including a malformed partition or integer and a
-negative or zero size; 3 size budget exceeded.  ``main`` catches only the
-package's own errors, so any other exception is a bug and is not hidden.
+gives 1); 2 usage error, including a malformed partition or integer, a
+negative or zero size, a ``--budget`` or ``STABLEREP_BUDGET`` below 1 and
+``stable-cohomology --table`` given with P, Q or ``--degree``; 3 size budget
+exceeded.  ``main`` catches only the package's own errors, so any other
+exception is a bug and is not hidden.
 
 Each subcommand imports the modules it runs when it runs, and each module
 imports only what its callers run, so a command loads only those:
 
 - ``partitions`` loads ``partitions`` alone;
-- ``stable-cohomology`` and ``verify induction`` load ``characters`` and
-  ``stable``, and no labeled-partition or linear-algebra code and no
-  ``fractions``;
-- ``hom-dim``, ``verify rw-prop`` and ``verify splitting`` load
-  ``characters`` and ``labeled``; at d >= p they load ``linalg`` and
-  ``fractions`` only for an intertwiner system small enough to solve (at
-  most 900 unknowns, as at ``hom-dim 2 1 2``), and below d = p ``rw-prop``
-  also loads them to eliminate its rows;
+- ``stable-cohomology`` and ``verify induction`` load ``characters`` (the
+  S_n half) and ``stable``, and no ``schur``, no labeled-partition or
+  linear-algebra code and no ``fractions``;
+- ``cauchy``, ``verify extension`` and ``lr`` load ``schur`` (the GL_d
+  half) alone, and ``schur-weyl`` also ``characters``;
+- ``hom-dim`` and ``verify rw-prop`` load ``schur`` and ``labeled``, and
+  ``verify splitting`` also ``characters``; at d >= p they load ``linalg``
+  and ``fractions`` only for an intertwiner system small enough to solve
+  (at most 900 unknowns, as at ``hom-dim 2 1 2``), and below d = p
+  ``rw-prop`` also loads them to eliminate its rows;
+- ``verify step1`` loads ``schur`` and ``stable``, whose module-level
+  imports bring ``characters``;
 - text output loads no ``json``; only ``--json`` and ``--cache`` do;
 - a cache hit loads no compute module.
 """
@@ -120,8 +126,8 @@ def _cmd_char(args) -> tuple[str, int]:
 
 
 def _cmd_lr(args) -> tuple[str, int]:
-    from .characters import lr_coefficient
     from .partitions import Partition
+    from .schur import lr_coefficient
 
     lam, mu, nu = (Partition.parse(x) for x in (args.lam, args.mu, args.nu))
     c = lr_coefficient(lam, mu, nu)
@@ -169,13 +175,13 @@ def _cmd_hom_dim(args) -> tuple[str, int]:
 # by argparse, LAMBDA by the runner, so that a cache hit imports no
 # partitions.
 CHECKS = (
-    ("cauchy", "modules.verify_cauchy", "R DV DW", "verify the Cauchy decomposition"),
-    ("schur-weyl", "modules.verify_schur_weyl", "R D", "verify Schur-Weyl duality"),
+    ("cauchy", "schur.verify_cauchy", "R DV DW", "verify the Cauchy decomposition"),
+    ("schur-weyl", "schur.verify_schur_weyl", "R D", "verify Schur-Weyl duality"),
     ("verify rw-prop", "labeled.verify_rw_prop", "P Q D",
      "the labeled-partition maps span the Hom space"),
     ("verify splitting", "labeled.verify_splitting_lemma", "P Q D",
      "classwise splitting of the labeled-partition character"),
-    ("verify extension", "modules.split_extension_filtration_check", "LAMBDA DA DC",
+    ("verify extension", "schur.split_extension_filtration_check", "LAMBDA DA DC",
      "Schur-functor filtration of a split extension"),
     ("verify induction", "stable.theorem_a_induction_check", "P Q",
      "the induction step of the stable answer"),
@@ -198,6 +204,8 @@ def _cmd_check(args) -> tuple[str, int]:
 
 
 def _cmd_stable_cohomology(args) -> tuple[str, int]:
+    if args.table is not None and (args.p, args.q, args.degree) != (None, None, None):
+        raise InvalidArgs("--table PMAX QMAX takes no P, Q or --degree")
     from .stable import dimension_table, stable_cohomology
 
     if args.table is not None:
@@ -368,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             print("invalid STABLEREP_BUDGET", file=sys.stderr)
             return EXIT_USAGE
+    if args.budget is not None and args.budget < 1:
+        print(f"usage error: budget must be at least 1, got {args.budget}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.cache:
         key = _cache_key(args)

@@ -9,11 +9,15 @@ none of this module; enumeration here is their tests' oracle.
 
 The Hom side is read off weight generating functions (fixed_weights): the
 torus weights of the FW monomials fixed by a label permutation, decomposed
-into Schur-Weyl multiplicities.  The FW basis itself (FWGradedPiece) is
-built only for the direct intertwiner solve and as the tests' oracle.
-``linalg``, and with it ``fractions``, is imported only where rows are
-eliminated: the intertwiner solve of a system under SOLVE_UNKNOWN_CAP, and
-verify_rw_prop when J0 does not certify its rank (below d = p).
+into Schur-Weyl multiplicities by ``schur``'s Kostka subtraction.  The FW
+basis itself (FWGradedPiece) is built only for the direct intertwiner solve
+and as the tests' oracle.  Symmetric-group characters are imported from
+``characters`` only by the functions that use them (enumerate_pq,
+hom_bicharacter and verify_splitting_lemma), so ``hom-dim`` and ``verify
+rw-prop`` load only the GL_d half.  ``linalg``, and with it ``fractions``,
+is imported only where rows are eliminated: the intertwiner solve of a
+system under SOLVE_UNKNOWN_CAP, and verify_rw_prop when J0 does not certify
+its rank (below d = p).
 
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
 distinguishable labels.  Set partitions are canonicalized with parts sorted
@@ -27,23 +31,26 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add
+from typing import TYPE_CHECKING
 
 from .errors import InvalidArgs, OracleDisagreement, check_budget
-from .characters import (
-    BiClassFunction,
+from .partitions import (
+    FrozenRecord,
     Report,
+    check_class_budget,
+    enumerate_partitions,
+    specht_dimension,
+)
+from .schur import (
     _check_sym_algebra_budget,
     _compositions,
     _tensor_weight,
-    count_pq,
-    cycle_types,
     decompose_weight_multiset,
-    general_bicharacter,
     graded_sym_algebra_dimension,
-    induced_pq_bicharacter,
-    irreducible_character,
 )
-from .partitions import FrozenRecord, check_class_budget, enumerate_partitions, specht_dimension
+
+if TYPE_CHECKING:
+    from .characters import BiClassFunction
 
 UNLABELED = 0
 
@@ -180,6 +187,8 @@ def enumerate_pq(
 ) -> list[QLabeledPartition]:
     """All partitions of {1..p} with at least q parts, q of them labeled
     bijectively by 1..q."""
+    from .characters import count_pq
+
     if q < 0 or p < 0:
         raise InvalidArgs("p, q must be non-negative")
     if q > p:
@@ -437,6 +446,8 @@ def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClas
     no basis built) give the trace of tau, and Schur-Weyl multiplicities
     carry it to the tensor-slot action.  The budget bounds the steps of
     each fixed_weights call (_check_weight_table)."""
+    from .characters import BiClassFunction, cycle_types, irreducible_character
+
     _check_weight_table(p, q, d, budget)
     lam_chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(p)}
     vals = {}
@@ -500,6 +511,10 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     (hom_bicharacter, read off weight generating functions).  The budget
     bounds the class-pair and weight tables, and the FW piece that
     hom_space_dimension_gl builds only to solve a small intertwiner system."""
+    from .characters import (
+        BiClassFunction, cycle_types, general_bicharacter, induced_pq_bicharacter,
+    )
+
     check_class_budget(budget, p, q)
     lhs = general_bicharacter(p, q)
     rhs = BiClassFunction((p, q), {})

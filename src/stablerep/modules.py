@@ -5,12 +5,14 @@ tableaux, and Schur functors S_lam(Q^d) in the Gelfand-Tsetlin basis of
 interlacing patterns: every generator entry is a closed-form rational,
 written once per basis vector, and no r!-term or d^r-term object is built.
 Also here: tensor powers with both actions; Specht characters from the
-Young symmetrizer's coefficients by a centralizer count; weight-space
-decomposition of polynomial gl_d actions; and the dimension / trace
-verifications for Cauchy's lemma, Schur-Weyl duality and the split
-extension filtration.  Every generator matrix is a sparse
-linalg.SparseMatrix.  The symmetrizer images that the closed forms
-replaced are the tests' oracles.
+Young symmetrizer's coefficients by a centralizer count; and the
+weight-space decomposition of polynomial gl_d actions, whose Kostka
+subtraction ``gl_decompose`` imports from ``schur`` when it runs.  Every
+generator matrix is a sparse linalg.SparseMatrix.  The symmetrizer images
+that the closed forms replaced are the tests' oracles.
+
+No command of the CLI and no verification uses this layer: the
+Schur-functor checks read weights and dimensions in ``schur``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -29,21 +31,11 @@ from .errors import (
     check_budget,
 )
 from .linalg import SparseMatrix, _sparse
-from .characters import (
-    IrredDecomposition,
-    Perm,
-    Report,
-    _schur_weight_counter,
-    centralizer_order,
-    cycle_types,
-    decompose_weight_multiset,
-    irreducible_character,
-    sign_of_class,
-)
+from .characters import Perm, centralizer_order, cycle_types, sign_of_class
 from .partitions import (
+    IrredDecomposition,
     Partition,
     Record,
-    enumerate_partitions,
     schur_gl_dimension,
     specht_dimension,
     specht_dimension_up_to,
@@ -486,6 +478,8 @@ def gl_decompose(m: ExplicitModule):
         if m.grading in (None, 0):
             return IrredDecomposition({Partition(()): m.dimension})
         raise InvalidArgs("module carries no gl action")
+    from .schur import decompose_weight_multiset
+
     d = max(k[0] for k in m.gl_generators) + 1
     cnt = module_weight_multiset(m)
     dec = decompose_weight_multiset(cnt, d)
@@ -494,145 +488,3 @@ def gl_decompose(m: ExplicitModule):
     if dim != m.dimension:
         raise OracleDisagreement(f"dimension mismatch {dim} != {m.dimension}")
     return dec
-
-
-# ---------------------------------------------------------------------------
-# Verifications
-
-
-def verify_cauchy(r: int, dV: int, dW: int, budget: int | None = None) -> Report:
-    """Lambda^r(V ⊗ W) vs the sum of S_lam(V) ⊗ S_{lam^T}(W): dimensions
-    and full bi-weight multisets.  Needs r >= 0, dV >= 1 and dW >= 1."""
-    if r < 0 or dV < 1 or dW < 1:
-        raise InvalidArgs(f"bad parameters r={r}, dV={dV}, dW={dW}")
-    left_dim = comb(dV * dW, r)
-    check_budget(left_dim, budget)
-    right_dim = sum(
-        schur_gl_dimension(lam, dV) * schur_gl_dimension(transpose(lam), dW)
-        for lam in enumerate_partitions(r)
-    )
-
-    left_weights: Counter = Counter()
-    pairs = list(itertools.product(range(dV), range(dW)))
-    for sub in itertools.combinations(pairs, r):
-        wv = [0] * dV
-        ww = [0] * dW
-        for (i, j) in sub:
-            wv[i] += 1
-            ww[j] += 1
-        left_weights[(tuple(wv), tuple(ww))] += 1
-
-    right_weights: Counter = Counter()
-    for lam in enumerate_partitions(r):
-        lv = _schur_weight_counter(lam, dV)
-        lw = _schur_weight_counter(transpose(lam), dW)
-        for wv, cv in lv.items():
-            for ww, cw in lw.items():
-                right_weights[(wv, ww)] += cv * cw
-
-    passed = left_dim == right_dim and left_weights == right_weights
-    return Report(
-        claim=f"exterior power of tensor product splits, r={r}, dims=({dV},{dW})",
-        left=left_dim,
-        right=right_dim,
-        passed=passed,
-        witnesses={
-            "weight_multisets_equal": left_weights == right_weights,
-            "num_weights": len(left_weights),
-        },
-    )
-
-
-def verify_schur_weyl(r: int, d: int, budget: int | None = None) -> Report:
-    """V^{⊗r} vs the sum of S_lam(V) ⊠ S^lam: for every cycle type the
-    weight-graded trace of a permutation matches the character-side sum,
-    as exact polynomials in the torus variables.  Needs r >= 0 and d >= 1.
-
-    The constituents witness is set by construction, not read off the
-    traces: it is {λ: 1} for every λ ⊢ r with ℓ(λ) <= d, the decomposition
-    the duality asserts.  The trace identity by class is the check."""
-    if r < 0 or d < 1:
-        raise InvalidArgs(f"bad parameters r={r}, d={d}")
-    check_budget(d**r, budget)
-    chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(r)}
-    weightgens = {lam: _schur_weight_counter(lam, d) for lam in chars}
-
-    all_ok = True
-    per_class = {}
-    for rho in cycle_types(r):
-        # Trace of (permutation with type rho) o diag(x) on V^{⊗r}: fixed
-        # tensor indices are constant on cycles, contributing x^{weight}.
-        lhs: Counter = Counter()
-        for assign in itertools.product(range(d), repeat=rho.length):
-            w = [0] * d
-            for ln, v in zip(rho, assign):
-                w[v] += ln
-            lhs[tuple(w)] += 1
-        rhs: Counter = Counter()
-        for lam, ch in chars.items():
-            cv = ch.values[rho]
-            if cv:
-                for w, k in weightgens[lam].items():
-                    rhs[w] += cv * k
-        rhs = Counter({w: c for w, c in rhs.items() if c})
-        ok = lhs == rhs
-        per_class[str(rho)] = ok
-        all_ok = all_ok and ok
-
-    right = sum(schur_gl_dimension(lam, d) * specht_dimension(lam) for lam in chars)
-    recovered = {lam: 1 for lam in chars if schur_gl_dimension(lam, d) > 0}
-    return Report(
-        claim=f"tensor power decomposes under commuting actions, r={r}, d={d}",
-        left=d**r,
-        right=right,
-        passed=all_ok and d**r == right,
-        witnesses={
-            "trace_identity_by_class": per_class,
-            "constituents": {str(lam): m for lam, m in recovered.items()},
-        },
-    )
-
-
-def split_extension_filtration_check(
-    lam: Partition, dA: int, dC: int, budget: int | None = None
-) -> Report:
-    """Dimension shadows of the Schur-functor filtration for a split
-    extension with sub of dimension dA and quotient of dimension dC:
-
-    (i)  dim S_lam(Q^{dA+dC}) = sum over mu ⊆ lam of
-         dim S_{lam/mu}(Q^{dA}) * dim S_mu(Q^{dC});
-    (ii) dim S_lam(Q^{dA}) = alternating sum over mu ⊆ lam of
-         dim S_{lam/mu}(Q^{dA+dC}) * dim S_{mu^T}(Q^{dC})."""
-    from .characters import lr_coefficient
-
-    def skew_dim(outer: Partition, inner: Partition, d: int) -> int:
-        return sum(
-            lr_coefficient(outer, inner, nu) * schur_gl_dimension(nu, d)
-            for nu in enumerate_partitions(outer.weight - inner.weight)
-        )
-
-    subs = [
-        mu
-        for k in range(lam.weight + 1)
-        for mu in enumerate_partitions(k)
-        if lam.contains(mu)
-    ]
-    lhs_i = schur_gl_dimension(lam, dA + dC)
-    rhs_i = sum(
-        skew_dim(lam, mu, dA) * schur_gl_dimension(mu, dC) for mu in subs
-    )
-    lhs_ii = schur_gl_dimension(lam, dA)
-    rhs_ii = sum(
-        (-1) ** mu.weight
-        * skew_dim(lam, mu, dA + dC)
-        * schur_gl_dimension(transpose(mu), dC)
-        for mu in subs
-    )
-    passed = lhs_i == rhs_i and lhs_ii == rhs_ii
-    return Report(
-        claim=f"split extension filtration shadow, lam={lam}, dA={dA}, dC={dC}",
-        left={"filtration": lhs_i, "euler": lhs_ii},
-        right={"filtration": rhs_i, "euler": rhs_ii},
-        passed=passed,
-        witnesses={"num_subdiagrams": len(subs)},
-    )

@@ -1,5 +1,8 @@
 """Partitions, Young diagrams, skew shapes and closed-form dimension formulas,
-and the Record base of the package's plain value classes.
+the Record base of the package's plain value classes, and the two values
+that both the symmetric-group and the general-linear side return: the
+``IrredDecomposition`` of a representation and the ``Report`` of a
+verification.
 
 Partitions are immutable values with structural equality; trailing zeros are
 normalized away at construction.  The canonical ordering used everywhere in
@@ -12,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, gcd, prod
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DEFAULT_BUDGET, InvalidArgs, SizeBudgetExceeded, check_budget
 
@@ -272,3 +275,94 @@ def schur_gl_dimension(lam: Partition, d: int) -> int:
         den *= h
     assert num % den == 0
     return num // den
+
+
+# ---------------------------------------------------------------------------
+# Decompositions and verification reports
+
+
+class IrredDecomposition:
+    """Multiset of irreducible constituents with multiplicities.
+
+    Keys are either Partition (single symmetric group) or pairs of
+    Partitions (a product group).  Keys are reported in canonical order
+    (reverse lexicographic, componentwise for pairs)."""
+
+    __slots__ = ("mults",)
+
+    def __init__(self, mults: Mapping):
+        self.mults = {k: v for k, v in mults.items() if v != 0}
+
+    def __getitem__(self, key):
+        return self.mults.get(key, 0)
+
+    def __len__(self):
+        return len(self.mults)
+
+    def __eq__(self, other):
+        return isinstance(other, IrredDecomposition) and self.mults == other.mults
+
+    def __iter__(self):
+        return iter(self.items())
+
+    def items(self) -> list:
+        def sortkey(k):
+            if isinstance(k, Partition):
+                return (tuple(-x for x in k.parts),)
+            return tuple(tuple(-x for x in part.parts) for part in k)
+
+        return sorted(self.mults.items(), key=lambda kv: sortkey(kv[0]))
+
+    def total_dimension(self) -> int:
+        f = lru_cache(maxsize=None)(specht_dimension)
+        return sum(
+            m * (f(k) if isinstance(k, Partition) else prod(map(f, k)))
+            for k, m in self.mults.items()
+        )
+
+    def to_json(self) -> list[dict]:
+        return [
+            {"key": str(k) if isinstance(k, Partition) else [str(x) for x in k], "multiplicity": m}
+            for k, m in self.items()
+        ]
+
+    def __repr__(self):
+        body = ", ".join(f"{k}: {m}" for k, m in self.items())
+        return "{" + body + "}"
+
+
+class Report(Record):
+    """The outcome of one verification: the claim, its two sides, whether
+    they agree, and named witnesses."""
+
+    __slots__ = FIELDS = ("claim", "left", "right", "passed", "witnesses")
+
+    def __init__(self, claim: str, left, right, passed: bool, witnesses: dict | None = None):
+        self.claim = claim
+        self.left = left
+        self.right = right
+        self.passed = passed
+        self.witnesses = {} if witnesses is None else witnesses
+
+    def to_json(self) -> dict:
+        return {
+            "claim": self.claim,
+            "left": _jsonable(self.left),
+            "right": _jsonable(self.right),
+            "pass": self.passed,
+            "witnesses": _jsonable(self.witnesses),
+        }
+
+
+def _jsonable(x):
+    if hasattr(x, "denominator") and not isinstance(x, int):  # a Fraction
+        return str(x) if x.denominator != 1 else int(x)
+    if isinstance(x, Partition):
+        return str(x)
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    return x

@@ -1,0 +1,443 @@
+"""The GL_d half of the package: Littlewood-Richardson numbers (lattice skew
+tableaux), Kostka numbers (horizontal strips), torus weights and their
+greedy Kostka decomposition, which ``labeled``'s Hom side and
+``modules.gl_decompose`` share, and the graded series of
+Sym(V[2]^{⊕q} ⊕ Sym^{>0}(V[2])) that size the FW piece and step 1.
+
+The Schur-functor checks (Cauchy, Schur-Weyl, split extension filtration)
+compare weight multisets and dimensions and build no explicit module.  Only
+``verify_schur_weyl`` needs S_n characters, and it imports ``characters``
+itself, so nothing else here loads the S_n half.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+from functools import lru_cache
+from math import comb
+from typing import Mapping
+
+from .errors import (
+    DEFAULT_BUDGET, InvalidArgs, OracleDisagreement, SizeBudgetExceeded, check_budget,
+)
+from .partitions import (
+    IrredDecomposition,
+    Partition,
+    Report,
+    SkewShape,
+    enumerate_partitions,
+    schur_gl_dimension,
+    specht_dimension,
+    transpose,
+)
+
+# ---------------------------------------------------------------------------
+# Littlewood-Richardson rule and skew Schur decomposition
+
+
+def lr_tableaux_count(shape: SkewShape, content: Partition) -> int:
+    """Number of Littlewood-Richardson tableaux: semistandard fillings of
+    the skew shape with the given content whose reverse reading word is a
+    lattice word."""
+    cells = sorted(shape.cells(), key=lambda c: (c[0], -c[1]))
+    n = len(content)
+    if shape.size != content.weight:
+        return 0
+
+    filling: dict[tuple[int, int], int] = {}
+
+    def ok(i: int, j: int, v: int, counts: list[int]) -> bool:
+        # Semistandard: rows weakly increase, columns strictly increase.
+        # Cells are visited right-to-left within a row, top to bottom, so
+        # the right and upper neighbours are already filled.
+        if (i, j + 1) in filling and v > filling[(i, j + 1)]:
+            return False
+        if (i - 1, j) in filling and filling[(i - 1, j)] >= v:
+            return False
+        if counts[v] + 1 > content[v]:
+            return False
+        # Lattice condition on the reverse reading word, which is read in
+        # exactly our cell order.
+        if v > 0 and counts[v] + 1 > counts[v - 1]:
+            return False
+        return True
+
+    def rec(idx: int, counts: list[int]) -> int:
+        if idx == len(cells):
+            return 1
+        i, j = cells[idx]
+        total = 0
+        for v in range(n):
+            if ok(i, j, v, counts):
+                filling[(i, j)] = v
+                counts[v] += 1
+                total += rec(idx + 1, counts)
+                counts[v] -= 1
+                del filling[(i, j)]
+        return total
+
+    return rec(0, [0] * n)
+
+
+@lru_cache(maxsize=None)
+def _lr(lam: tuple, mu: tuple, nu: tuple) -> int:
+    lamP, muP, nuP = Partition(lam), Partition(mu), Partition(nu)
+    if not lamP.contains(muP) or muP.weight + nuP.weight != lamP.weight:
+        return 0
+    return lr_tableaux_count(SkewShape(lamP, muP), nuP)
+
+
+def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Littlewood-Richardson coefficient c^lam_{mu,nu}."""
+    return _lr(lam.parts, mu.parts, nu.parts)
+
+
+def skew_schur_decompose(shape: SkewShape) -> IrredDecomposition:
+    """Decomposition of the skew Schur functor into Schur functors with
+    Littlewood-Richardson multiplicities."""
+    mults = {}
+    for nu in enumerate_partitions(shape.size):
+        c = lr_coefficient(shape.outer, shape.inner, nu)
+        if c:
+            mults[nu] = c
+    return IrredDecomposition(mults)
+
+
+# ---------------------------------------------------------------------------
+# Kostka numbers and torus weights: the weight-space decompositions of
+# modules and labeled
+
+
+@lru_cache(maxsize=None)
+def kostka(lam: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """Number of semistandard tableaux of shape lam and the given content,
+    computed by peeling horizontal strips from the top entry down."""
+    if sum(lam) != sum(content):
+        return 0
+    if not content:
+        return 1 if not lam else 0
+    last = content[-1]
+    rest = content[:-1]
+    total = 0
+    for mu in _horizontal_strip_removals(lam, last):
+        total += kostka(mu, rest)
+    return total
+
+
+def _horizontal_strip_removals(
+    lam: tuple[int, ...], size: int
+) -> list[tuple[int, ...]]:
+    """All partitions mu ⊆ lam with lam/mu a horizontal strip of the given
+    size (at most one removed cell per column)."""
+    out = []
+    k = len(lam)
+
+    def rec(i: int, left: int, rows: list[int]):
+        if i == k:
+            if left == 0:
+                out.append(tuple(x for x in rows if x))
+            return
+        lower = lam[i + 1] if i + 1 < k else 0
+        # Row i of mu must satisfy lower bound lam[i+1] (mu a partition and
+        # strip horizontal) and mu[i] <= lam[i]; also mu[i] >= lam[i+1]
+        # guarantees no two removed cells share a column.
+        hi = min(lam[i], (rows[-1] if rows else lam[i]))
+        for v in range(hi, lower - 1, -1):
+            removed = lam[i] - v
+            if removed > left:
+                continue
+            rows.append(v)
+            rec(i + 1, left - removed, rows)
+            rows.pop()
+
+    rec(0, size, [])
+    return out
+
+
+def _compositions(n: int, d: int):
+    """The weights of total n in d variables (stars and bars), in
+    lexicographic order; one empty weight at d = 0 when n = 0."""
+    if d == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, d - 1):
+            yield (first,) + rest
+
+
+def _schur_weight_counter(lam: Partition, d: int) -> dict[tuple[int, ...], int]:
+    """The weights of S_lam(Q^d) with their multiplicities: {w: K_{lam, w}}
+    over the compositions w of |lam| into d parts, zeros left out.  Kostka
+    numbers are symmetric in the content, so the cache serves every
+    permutation of w from its sorted form."""
+    out = {}
+    for w in _compositions(lam.weight, d):
+        k = kostka(lam.parts, tuple(sorted(w, reverse=True)))
+        if k:
+            out[w] = k
+    return out
+
+
+def _tensor_weight(J, d: int) -> tuple[int, ...]:
+    """Torus weight of the basis tensor with indices J: how often each of
+    the d indices occurs."""
+    w = [0] * d
+    for v in J:
+        w[v] += 1
+    return tuple(w)
+
+
+def decompose_weight_multiset(cnt: Mapping, d: int) -> IrredDecomposition:
+    """Greedy subtraction of Schur weight multisets (Kostka vectors) from a
+    symmetric weight multiset; returns {Partition: multiplicity} with signed
+    multiplicities allowed (virtual input)."""
+    rem = {w: int(c) for w, c in cnt.items() if c}
+    mults: dict[Partition, int] = {}
+    while rem:
+        top = max(rem)
+        if list(top) != sorted(top, reverse=True):
+            raise OracleDisagreement(
+                f"lex-maximal weight {top} is not dominant; multiset not "
+                "a virtual polynomial character"
+            )
+        lam = Partition(top)
+        mult = rem[top]
+        mults[lam] = mults.get(lam, 0) + mult
+        for w, k in _schur_weight_counter(lam, d).items():
+            nv = rem.get(w, 0) - mult * k
+            if nv:
+                rem[w] = nv
+            else:
+                rem.pop(w, None)
+    return IrredDecomposition(mults)
+
+
+# ---------------------------------------------------------------------------
+# Graded symmetric-algebra dimensions
+
+
+def sym_dimension(d: int, i: int) -> int:
+    """dim Sym^i(Q^d)."""
+    if d == 0:
+        return 1 if i == 0 else 0
+    return comb(d + i - 1, i)
+
+
+def series_mul(a: list[int], b: list[int], trunc: int) -> list[int]:
+    """The product of two series truncated at trunc, walking only the
+    nonzero entries of both: a factor (1 - u^step)^(-mult) is nonzero at
+    the multiples of step alone."""
+    out = [0] * (trunc + 1)
+    terms = [(j, y) for j, y in enumerate(b[: trunc + 1]) if y]
+    for i, x in enumerate(a[: trunc + 1]):
+        if x:
+            for j, y in terms:
+                if i + j > trunc:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def series_geom_power(step: int, mult: int, trunc: int) -> list[int]:
+    """Truncated series of (1 - u^step)^(-mult)."""
+    out = [0] * (trunc + 1)
+    for k in range(0, trunc // step + 1):
+        out[k * step] = comb(mult + k - 1, k)
+    return out
+
+
+def _sym_algebra_factors(d: int, q: int, trunc: int):
+    """The factors (1 - u^i)^(-m) of graded_sym_algebra_series, each built
+    when it is asked for: the q*d linear generators, then Sym^i(Q^d)."""
+    if q * d:
+        yield series_geom_power(1, q * d, trunc)
+    for i in range(1, trunc + 1):
+        yield series_geom_power(i, sym_dimension(d, i), trunc)
+
+
+def graded_sym_algebra_series(d: int, q: int, trunc: int) -> list[int]:
+    """Truncated series (in u = t^2) of
+    Sym( q linear d-dim summands  +  Sym^{i>=1}(Q^d) summands )."""
+    out = [1] + [0] * trunc
+    for factor in _sym_algebra_factors(d, q, trunc):
+        out = series_mul(out, factor, trunc)
+    return out
+
+
+def _check_sym_algebra_budget(d: int, q: int, p: int, budget: int | None):
+    """Refuse when graded_sym_algebra_dimension(d, q, p), an ambient
+    dimension, passes the cap, and stop the product as soon as its degree-p
+    coefficient has passed it: each factor has constant term 1 and
+    nonnegative coefficients, so that coefficient never falls as factors are
+    multiplied in, and the refusal is exact."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    partial = [1] + [0] * p
+    for factor in _sym_algebra_factors(d, q, p):
+        if partial[p] > cap:
+            raise SizeBudgetExceeded(None, cap)
+        partial = series_mul(partial, factor, p)
+    check_budget(partial[p], cap)
+
+
+def graded_sym_algebra_dimension(d: int, q: int, p: int) -> int:
+    """Coefficient of t^{2p} in the graded dimension series of
+    Sym(V[2]^{⊕q} ⊕ Sym^{>0}(V[2])) with dim V = d.  All generators sit in
+    even degrees, so no signs enter."""
+    if p < 0:
+        return 0
+    return graded_sym_algebra_series(d, q, p)[p]
+
+
+# ---------------------------------------------------------------------------
+# Schur-functor checks
+
+
+def verify_cauchy(r: int, dV: int, dW: int, budget: int | None = None) -> Report:
+    """Lambda^r(V ⊗ W) vs the sum of S_lam(V) ⊗ S_{lam^T}(W): dimensions
+    and full bi-weight multisets.  Needs r >= 0, dV >= 1 and dW >= 1."""
+    if r < 0 or dV < 1 or dW < 1:
+        raise InvalidArgs(f"bad parameters r={r}, dV={dV}, dW={dW}")
+    left_dim = comb(dV * dW, r)
+    check_budget(left_dim, budget)
+    right_dim = sum(
+        schur_gl_dimension(lam, dV) * schur_gl_dimension(transpose(lam), dW)
+        for lam in enumerate_partitions(r)
+    )
+
+    left_weights: Counter = Counter()
+    pairs = list(itertools.product(range(dV), range(dW)))
+    for sub in itertools.combinations(pairs, r):
+        wv = [0] * dV
+        ww = [0] * dW
+        for (i, j) in sub:
+            wv[i] += 1
+            ww[j] += 1
+        left_weights[(tuple(wv), tuple(ww))] += 1
+
+    right_weights: Counter = Counter()
+    for lam in enumerate_partitions(r):
+        lv = _schur_weight_counter(lam, dV)
+        lw = _schur_weight_counter(transpose(lam), dW)
+        for wv, cv in lv.items():
+            for ww, cw in lw.items():
+                right_weights[(wv, ww)] += cv * cw
+
+    passed = left_dim == right_dim and left_weights == right_weights
+    return Report(
+        claim=f"exterior power of tensor product splits, r={r}, dims=({dV},{dW})",
+        left=left_dim,
+        right=right_dim,
+        passed=passed,
+        witnesses={
+            "weight_multisets_equal": left_weights == right_weights,
+            "num_weights": len(left_weights),
+        },
+    )
+
+
+def _power_sum_product(parts: tuple[int, ...], d: int) -> Counter:
+    """prod over the parts k of the power sums p_k(x_1..x_d), as {weight:
+    coefficient}: the weight-graded trace of a permutation with these cycle
+    lengths on (Q^d)^{⊗r}, one factor multiplied in per cycle."""
+    out = Counter({(0,) * d: 1})
+    for k in parts:
+        step: Counter = Counter()
+        for w, c in out.items():
+            for a in range(d):
+                step[w[:a] + (w[a] + k,) + w[a + 1 :]] += c
+        out = step
+    return out
+
+
+def verify_schur_weyl(r: int, d: int, budget: int | None = None) -> Report:
+    """V^{⊗r} vs the sum of S_lam(V) ⊠ S^lam: for every cycle type the
+    weight-graded trace of a permutation matches the character-side sum,
+    as exact polynomials in the torus variables.  Needs r >= 0 and d >= 1.
+
+    The constituents witness is set by construction, not read off the
+    traces: it is {λ: 1} for every λ ⊢ r with ℓ(λ) <= d, the decomposition
+    the duality asserts.  The trace identity by class is the check."""
+    if r < 0 or d < 1:
+        raise InvalidArgs(f"bad parameters r={r}, d={d}")
+    check_budget(d**r, budget)
+    from .characters import cycle_types, irreducible_character
+
+    chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(r)}
+    weightgens = {lam: _schur_weight_counter(lam, d) for lam in chars}
+
+    all_ok = True
+    per_class = {}
+    for rho in cycle_types(r):
+        # Trace of (permutation with type rho) o diag(x) on V^{⊗r}: fixed
+        # tensor indices are constant on cycles, so it is a product of
+        # power sums, one per cycle.
+        lhs = _power_sum_product(rho.parts, d)
+        rhs: Counter = Counter()
+        for lam, ch in chars.items():
+            cv = ch.values[rho]
+            if cv:
+                for w, k in weightgens[lam].items():
+                    rhs[w] += cv * k
+        rhs = Counter({w: c for w, c in rhs.items() if c})
+        ok = lhs == rhs
+        per_class[str(rho)] = ok
+        all_ok = all_ok and ok
+
+    right = sum(schur_gl_dimension(lam, d) * specht_dimension(lam) for lam in chars)
+    recovered = {lam: 1 for lam in chars if schur_gl_dimension(lam, d) > 0}
+    return Report(
+        claim=f"tensor power decomposes under commuting actions, r={r}, d={d}",
+        left=d**r,
+        right=right,
+        passed=all_ok and d**r == right,
+        witnesses={
+            "trace_identity_by_class": per_class,
+            "constituents": {str(lam): m for lam, m in recovered.items()},
+        },
+    )
+
+
+def split_extension_filtration_check(
+    lam: Partition, dA: int, dC: int, budget: int | None = None
+) -> Report:
+    """Dimension shadows of the Schur-functor filtration for a split
+    extension with sub of dimension dA and quotient of dimension dC:
+
+    (i)  dim S_lam(Q^{dA+dC}) = sum over mu ⊆ lam of
+         dim S_{lam/mu}(Q^{dA}) * dim S_mu(Q^{dC});
+    (ii) dim S_lam(Q^{dA}) = alternating sum over mu ⊆ lam of
+         dim S_{lam/mu}(Q^{dA+dC}) * dim S_{mu^T}(Q^{dC})."""
+
+    def skew_dim(outer: Partition, inner: Partition, d: int) -> int:
+        return sum(
+            lr_coefficient(outer, inner, nu) * schur_gl_dimension(nu, d)
+            for nu in enumerate_partitions(outer.weight - inner.weight)
+        )
+
+    subs = [
+        mu
+        for k in range(lam.weight + 1)
+        for mu in enumerate_partitions(k)
+        if lam.contains(mu)
+    ]
+    lhs_i = schur_gl_dimension(lam, dA + dC)
+    rhs_i = sum(
+        skew_dim(lam, mu, dA) * schur_gl_dimension(mu, dC) for mu in subs
+    )
+    lhs_ii = schur_gl_dimension(lam, dA)
+    rhs_ii = sum(
+        (-1) ** mu.weight
+        * skew_dim(lam, mu, dA + dC)
+        * schur_gl_dimension(transpose(mu), dC)
+        for mu in subs
+    )
+    passed = lhs_i == rhs_i and lhs_ii == rhs_ii
+    return Report(
+        claim=f"split extension filtration shadow, lam={lam}, dA={dA}, dC={dC}",
+        left={"filtration": lhs_i, "euler": lhs_ii},
+        right={"filtration": rhs_i, "euler": rhs_ii},
+        passed=passed,
+        witnesses={"num_subdiagrams": len(subs)},
+    )

@@ -7,7 +7,9 @@ The answer, the dimension table and the induction replay come from closed
 forms (the cycle indices of the labeled-partition species, the characters
 induced from them, and a Stirling count, all in ``characters``);
 enumeration is the test oracle.  So this module loads no labeled-partition
-or linear-algebra code.
+or linear-algebra code.  The graded series of the step-1 identity are GL_d
+dimensions, which ``step1_dimension_identity`` imports from ``schur`` when
+it runs, so the stable answer loads no ``schur``.
 
 The automorphism groups themselves are never represented; the coefficient
 system appears only as symbolic (p, q, n) bookkeeping, because the stable
@@ -25,20 +27,15 @@ from .errors import (
 )
 from .characters import (
     BiClassFunction,
-    IrredDecomposition,
-    Report,
     count_pq,
     cycle_types,
     decompose,
     general_bicharacter,
-    graded_sym_algebra_dimension,
-    graded_sym_algebra_series,
     induced_pq_bicharacter,
     pq_bicharacter,
     pq_identity_counts,
-    sym_dimension,
 )
-from .partitions import FrozenRecord, Record, check_class_budget
+from .partitions import FrozenRecord, IrredDecomposition, Record, Report, check_class_budget
 
 
 class SymbolicCoefficient(FrozenRecord):
@@ -168,6 +165,8 @@ def step1_dimension_identity(p: int, q: int, d: int, budget: int | None = None) 
     if q < 0 or d < 1:
         raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
     _check_series_steps(p, q * d > 0, budget)
+    from .schur import graded_sym_algebra_dimension, graded_sym_algebra_series, sym_dimension
+
     direct = graded_sym_algebra_dimension(d, q, p)
     base = graded_sym_algebra_series(d, 0, p) if p >= 0 else []
     convolved = sum(base[p - k] * sym_dimension(q * d, k) for k in range(p + 1))

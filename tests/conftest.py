@@ -4,11 +4,13 @@ Everything here is deliberately naive and separate from the library code:
 recurrence counters, brute-force enumerations, product formulas, the
 Fraction cycle-index engine that the integer one replaced, and the
 symmetrizer-image modules that the closed-form Specht and Schur bases
-replaced, which the main implementations are checked against.  Helpers that
-only the tests call live here too: ``inner_product_bi``, ``reconstruct`` and
-``decomposition_from_json`` for class functions, and the labeled-partition
-action, the splitting map, the phi equivariance check and the two dimension
-cross-checks (``hom_side_total``, ``three_way_dimension_agreement``).
+replaced, and the fixed-tensor enumeration that the power-sum traces of
+``schur.verify_schur_weyl`` replaced, which the main implementations are
+checked against.  Helpers that only the tests call live here too:
+``inner_product_bi``, ``reconstruct`` and ``decomposition_from_json`` for
+class functions, and the labeled-partition action, the splitting map, the
+phi equivariance check and the two dimension cross-checks
+(``hom_side_total``, ``three_way_dimension_agreement``).
 """
 
 from __future__ import annotations
@@ -352,8 +354,7 @@ def reconstruct(dec, degrees):
 
 def decomposition_from_json(data: list[dict]):
     """The IrredDecomposition whose to_json is data."""
-    from stablerep.characters import IrredDecomposition
-    from stablerep.partitions import Partition
+    from stablerep.partitions import IrredDecomposition, Partition
 
     return IrredDecomposition({
         Partition.parse(e["key"]) if isinstance(e["key"], str)
@@ -584,9 +585,9 @@ def hom_side_total(p: int, q: int, d: int, budget: int | None = None) -> int:
     admits their weight-table steps and basis, by the total of its
     torus-weight generating function (fixed_weights at the identity) and by
     direct basis enumeration."""
-    from stablerep.characters import graded_sym_algebra_dimension
     from stablerep.errors import OracleDisagreement, SizeBudgetExceeded
     from stablerep.labeled import _piece_weights, build_fw_piece
+    from stablerep.schur import graded_sym_algebra_dimension
 
     others = {}
     try:
@@ -605,8 +606,8 @@ def three_way_dimension_agreement(p: int, q: int, budget: int | None = None):
     """The labeled-partition count (count_general), the Hom-space dimension
     at d = p and the binomial-weighted sum of injectively labeled counts
     agree; a Report."""
-    from stablerep.characters import Report
     from stablerep.labeled import LabelAlphabet, count_general, enumerate_pq, hom_space_dimension_gl
+    from stablerep.partitions import Report
 
     by_enum = count_general(p, LabelAlphabet(q))
     by_hom = hom_space_dimension_gl(p, q, p, budget)
@@ -618,3 +619,20 @@ def three_way_dimension_agreement(p: int, q: int, budget: int | None = None):
         passed=by_enum == by_hom == by_induction,
         witnesses={"induced_sum": by_induction},
     )
+
+
+def tensor_trace_oracle(cycles, d: int):
+    """Weight-graded trace of a permutation with the given cycle lengths on
+    (Q^d)^{⊗r}, by enumerating the fixed basis tensors: a fixed tensor is
+    constant on each cycle, so it is one colour in 0..d-1 per cycle, and it
+    contributes x^{weight}.  The enumeration that schur's power-sum product
+    replaced: d^ℓ(ρ) colourings."""
+    from collections import Counter
+
+    out = Counter()
+    for assign in itertools.product(range(d), repeat=len(cycles)):
+        w = [0] * d
+        for ln, v in zip(cycles, assign):
+            w[v] += ln
+        out[tuple(w)] += 1
+    return out

@@ -14,16 +14,16 @@ from stablerep.characters import (
     induce,
     inner_product,
     irreducible_character,
-    lr_tableaux_count,
 )
 from stablerep.labeled import verify_rw_prop, verify_splitting_lemma
-from stablerep.modules import (
-    specht_character_traces,
+from stablerep.modules import specht_character_traces
+from stablerep.partitions import Partition, SkewShape, enumerate_partitions
+from stablerep.schur import (
+    lr_tableaux_count,
     split_extension_filtration_check,
     verify_cauchy,
     verify_schur_weyl,
 )
-from stablerep.partitions import Partition, SkewShape, enumerate_partitions
 from stablerep.stable import (
     dimension_table,
     stable_cohomology,

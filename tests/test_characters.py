@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from stablerep import characters
 from stablerep.characters import (
     BiClassFunction,
-    IrredDecomposition,
     _rim_hooks,
     centralizer_order,
     class_size,
@@ -15,18 +14,13 @@ from stablerep.characters import (
     decompose,
     external_product,
     general_bicharacter,
-    graded_sym_algebra_dimension,
     induce,
     inner_product,
     irreducible_character,
-    kostka,
-    lr_coefficient,
-    lr_tableaux_count,
     pq_bicharacter,
     pq_identity_counts,
     restrict,
     sign_character,
-    skew_schur_decompose,
     trivial_character,
 )
 from stablerep.errors import (
@@ -36,11 +30,19 @@ from stablerep.errors import (
     OracleDisagreement,
 )
 from stablerep.partitions import (
+    IrredDecomposition,
     Partition,
     SkewShape,
     enumerate_partitions,
     hook_lengths,
     specht_dimension,
+)
+from stablerep.schur import (
+    graded_sym_algebra_dimension,
+    kostka,
+    lr_coefficient,
+    lr_tableaux_count,
+    skew_schur_decompose,
 )
 
 from conftest import (
@@ -276,7 +278,7 @@ def test_kostka_basics():
 
 def test_kostka_is_symmetric_in_the_content():
     # decompose_weight_multiset looks every weight up by its sorted form.
-    from stablerep.characters import _compositions
+    from stablerep.schur import _compositions
 
     for n in range(7):
         for lam in enumerate_partitions(n):
@@ -310,7 +312,7 @@ def test_irred_decomposition_json_roundtrip():
 
 
 def test_graded_sym_algebra_dimension_vs_series_oracle():
-    from stablerep.characters import sym_dimension
+    from stablerep.schur import sym_dimension
     for d in (1, 2, 3):
         for q in (0, 1, 2):
             for p in range(0, 6):

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,15 @@ class TestStableCohomologyCommand:
     def test_off_degree_zero(self, capsys):
         code, out = run(capsys, "stable-cohomology", "2", "1", "--degree", "0", "--json")
         assert json.loads(out)["dimension"] == 0
+
+    @pytest.mark.parametrize(
+        "argv", ["1 2 --degree 5 --table 1 1", "3 --table 2 2", "3 1 --table 2 2",
+                 "--degree 0 --table 2 2", "--table 2 2 4 4"]
+    )
+    def test_table_takes_no_cell(self, capsys, argv):
+        assert main(["stable-cohomology", *argv.split()]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: --table PMAX QMAX takes no P, Q or --degree\n"
 
     def test_table(self, capsys):
         code, out = run(capsys, "stable-cohomology", "--table", "3", "3", "--json")
@@ -260,6 +270,24 @@ class TestExitCodes:
         assert main(["verify", "rw-prop", "4", "4", "4"]) == 3
         monkeypatch.setenv("STABLEREP_BUDGET", "junk")
         assert main(["partitions", "3"]) == 2
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv", ["stable-cohomology 1 1", "partitions 3", "lr 1 1 2", "verify step1 1 1 1"]
+    )
+    def test_budget_below_one_is_a_usage_error(self, capsys, monkeypatch, argv, budget):
+        """From the flag or the environment, before any work: no compute
+        module is imported, and nothing is printed to stdout."""
+        monkeypatch.delitem(sys.modules, "stablerep.stable", raising=False)
+        monkeypatch.delitem(sys.modules, "stablerep.schur", raising=False)
+        want = f"usage error: budget must be at least 1, got {budget}\n"
+        assert main(["--budget", budget] + argv.split()) == 2
+        assert capsys.readouterr() == ("", want)
+        monkeypatch.setenv("STABLEREP_BUDGET", budget)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", want)
+        assert not {"stablerep.stable", "stablerep.schur"} & set(sys.modules)
+        assert main(["--budget", "1", "partitions", "0"]) == 0
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,7 +10,6 @@ from stablerep.characters import (
     count_pq,
     cycle_types,
     general_bicharacter,
-    graded_sym_algebra_dimension,
     pq_bicharacter,
     pq_identity_counts,
 )
@@ -34,15 +33,15 @@ from stablerep.labeled import (
     _intertwiner_solve_dimension,
     SOLVE_UNKNOWN_CAP,
 )
-from stablerep import labeled, linalg, stable
-from stablerep.characters import (
-    BiClassFunction,
-    _tensor_weight,
-    decompose_weight_multiset,
-    induced_pq_bicharacter,
-)
+from stablerep import characters, labeled, linalg, stable
+from stablerep.characters import BiClassFunction, induced_pq_bicharacter
 from stablerep.modules import all_perms, class_representative, perm_cycle_type
 from stablerep.partitions import specht_dimension
+from stablerep.schur import (
+    _tensor_weight,
+    decompose_weight_multiset,
+    graded_sym_algebra_dimension,
+)
 from stablerep.stable import theorem_a_induction_check
 
 from conftest import (
@@ -130,7 +129,7 @@ class TestEnumeration:
         # p(50) * p(1) = 204,226 class pairs: refused from the partition
         # count, which stops once p(m) passes the cap (p(37) = 21,637),
         # before any class list of weight 50 is built.
-        from stablerep import characters, cli, modules, partitions
+        from stablerep import cli, modules, partitions, schur
 
         def refuse_at_50(fn):
             def guarded(n):
@@ -138,7 +137,7 @@ class TestEnumeration:
                 return fn(n)
             return guarded
 
-        for mod in (partitions, characters, modules, labeled, stable):
+        for mod in (partitions, characters, schur, modules, labeled, stable):
             for name in ("cycle_types", "enumerate_partitions"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, refuse_at_50(getattr(mod, name)))
@@ -225,7 +224,7 @@ class TestActionsAndSplitting:
             values[(sigma, tau)] += 1
             return BiClassFunction((p_, q_), values)
 
-        monkeypatch.setattr(labeled, "general_bicharacter", shifted)
+        monkeypatch.setattr(characters, "general_bicharacter", shifted)
         monkeypatch.setattr(stable, "general_bicharacter", shifted)
         pair = (str(sigma), str(tau))
         for rep in (theorem_a_induction_check(p, q), verify_splitting_lemma(p, q, p)):

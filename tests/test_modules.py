@@ -16,9 +16,10 @@ from conftest import (
     specht_trace_oracle,
     spin_oracle,
     standard_tableaux_bfs,
+    tensor_trace_oracle,
 )
-from stablerep import characters, modules
-from stablerep.characters import _compositions, cycle_types, irreducible_character
+from stablerep import modules, schur
+from stablerep.characters import cycle_types, irreducible_character
 from stablerep.errors import NonPolynomialAction, OracleDisagreement, SizeBudgetExceeded
 from stablerep.linalg import MODULAR_PRIME as P, SparseMatrix, sparse_rank_and_witness
 from stablerep.modules import (
@@ -33,10 +34,7 @@ from stablerep.modules import (
     schur_apply,
     specht_character_traces,
     specht_module,
-    split_extension_filtration_check,
     tensor_power_module,
-    verify_cauchy,
-    verify_schur_weyl,
     young_symmetrizer,
 )
 from stablerep.partitions import (
@@ -44,6 +42,12 @@ from stablerep.partitions import (
     enumerate_partitions,
     schur_gl_dimension,
     specht_dimension,
+)
+from stablerep.schur import (
+    _compositions,
+    split_extension_filtration_check,
+    verify_cauchy,
+    verify_schur_weyl,
 )
 
 small_ints = st.integers(min_value=-3, max_value=3)
@@ -540,17 +544,29 @@ def test_verify_schur_weyl_grid():
             assert verify_schur_weyl(r, d).passed
 
 
+def test_schur_weyl_traces_are_power_sum_products():
+    """verify_schur_weyl's left side multiplies one power sum per cycle;
+    it is the enumeration of the fixed basis tensors for every cycle type
+    of weight <= 7 and every d <= 5."""
+    for r in range(8):
+        for rho in cycle_types(r):
+            for d in range(1, 6):
+                got = schur._power_sum_product(rho.parts, d)
+                assert got == tensor_trace_oracle(rho.parts, d), (rho, d)
+                assert sum(got.values()) == d**rho.length
+
+
 def test_schur_weyl_looks_up_kostka_by_sorted_content():
     """Kostka numbers are symmetric in the content, so the weight counters
     of schur-weyl 6 4 look them up by the sorted weight: 287 distinct
     (shape, content) pairs reach the cache, against 1,696 by the weight as
     listed, and every counter is the one the listed weights give."""
-    characters.kostka.cache_clear()
+    schur.kostka.cache_clear()
     assert verify_schur_weyl(6, 4).passed
-    assert characters.kostka.cache_info().misses == 287
+    assert schur.kostka.cache_info().misses == 287
     for lam in enumerate_partitions(6):
-        listed = {w: characters.kostka(lam.parts, w) for w in _compositions(6, 4)}
-        assert modules._schur_weight_counter(lam, 4) == {w: k for w, k in listed.items() if k}
+        listed = {w: schur.kostka(lam.parts, w) for w in _compositions(6, 4)}
+        assert schur._schur_weight_counter(lam, 4) == {w: k for w, k in listed.items() if k}
 
 
 def test_split_extension_small_example():

@@ -35,7 +35,7 @@ EXPORTS = [
     "external_product", "gl_decompose", "graded_sym_algebra_dimension",
     "hom_bicharacter", "hom_space_dimension_gl", "hook_lengths",
     "induce", "inner_product", "irreducible_character", "kostka", "labeled",
-    "linalg", "lr_coefficient", "modules", "partitions", "restrict", "schur_apply",
+    "linalg", "lr_coefficient", "modules", "partitions", "restrict", "schur", "schur_apply",
     "schur_gl_dimension", "sign_character", "skew_schur_decompose",
     "specht_dimension", "specht_module", "split_extension_filtration_check",
     "stable", "stable_cohomology", "step1_dimension_identity",
@@ -64,7 +64,7 @@ def benchmark_text_ops() -> list[tuple[str, ...]]:
 
 
 SUBMODULES = {
-    "characters", "errors", "labeled", "linalg", "modules", "partitions", "stable",
+    "characters", "errors", "labeled", "linalg", "modules", "partitions", "schur", "stable",
 }
 
 
@@ -104,6 +104,7 @@ class TestImportSets:
         "argv", [("stable-cohomology", "7", "2"), ("stable-cohomology", "--table", "6", "6")]
     )
     def test_stable_answer_loads_no_labeled_or_linear_algebra(self, argv):
+        # Nor schur: the stable answer is all S_n characters.
         assert loaded_by_command(*argv) == qualified(
             "cli", "errors", "partitions", "characters", "stable"
         )
@@ -113,7 +114,7 @@ class TestImportSets:
     )
     def test_labeled_commands_load_no_explicit_modules(self, argv):
         assert loaded_by_command(*argv) == qualified(
-            "cli", "errors", "partitions", "characters", "linalg", "labeled"
+            "cli", "errors", "partitions", "schur", "linalg", "labeled"
         )
 
     @pytest.mark.parametrize(
@@ -142,11 +143,26 @@ class TestImportSets:
     def test_hom_side_at_d_ge_p_loads_no_linear_algebra(self, argv):
         """rw-prop certifies its rank from J0 from d = p on, and the
         intertwiner solve stops before it builds anything above 900
-        unknowns, so neither loads linalg, nor fractions and decimal."""
+        unknowns, so neither loads linalg, nor fractions and decimal.  Only
+        splitting, which compares S_n characters, loads characters."""
+        code = f"from stablerep.cli import main\nmain({list(argv)!r})"
+        loaded = loaded_after(code, prefix="")
+        s_n = ("characters",) if "splitting" in argv else ()
+        assert {m for m in loaded if m.startswith("stablerep")} == qualified(
+            "cli", "errors", "partitions", "schur", "labeled", *s_n
+        )
+        assert not {"fractions", "decimal"} & loaded
+
+    @pytest.mark.parametrize(
+        "argv", [("--json", "cauchy", "4", "3", "3"), ("verify", "extension", "4,3,2,1", "3", "3")]
+    )
+    def test_schur_functor_checks_load_only_the_gl_half(self, argv):
+        """Cauchy and the split extension filtration compare GL_d weights
+        and dimensions: no characters, no explicit modules, no rationals."""
         code = f"from stablerep.cli import main\nmain({list(argv)!r})"
         loaded = loaded_after(code, prefix="")
         assert {m for m in loaded if m.startswith("stablerep")} == qualified(
-            "cli", "errors", "partitions", "characters", "labeled"
+            "cli", "errors", "partitions", "schur"
         )
         assert not {"fractions", "decimal"} & loaded
 

@@ -99,7 +99,7 @@ class TestPipeline:
         assert hom_side_total(1, 0, 1) == 1
 
     def test_hom_side_total_vs_independent_series(self):
-        from stablerep.characters import sym_dimension
+        from stablerep.schur import sym_dimension
         for p in range(5):
             for q in range(3):
                 for d in (1, 2, 3):
@@ -132,7 +132,7 @@ class TestPipeline:
         term by term) bounds the multiplications series_mul makes by an
         entry of a factor, counted on the entries themselves, and the
         budget refuses at one step fewer."""
-        from stablerep import characters
+        from stablerep import schur
 
         made = [0]
 
@@ -141,9 +141,9 @@ class TestPipeline:
                 made[0] += 1
                 return int(other) * int(self)
 
-        real_geom = characters.series_geom_power
+        real_geom = schur.series_geom_power
         monkeypatch.setattr(
-            characters,
+            schur,
             "series_geom_power",
             lambda step, mult, trunc: [Counted(v) for v in real_geom(step, mult, trunc)],
         )
@@ -162,8 +162,10 @@ class TestPipeline:
         def refuse(*args):
             raise AssertionError("series built")
 
-        monkeypatch.setattr(stable, "graded_sym_algebra_series", refuse)
-        monkeypatch.setattr(stable, "graded_sym_algebra_dimension", refuse)
+        from stablerep import schur
+
+        monkeypatch.setattr(schur, "graded_sym_algebra_series", refuse)
+        monkeypatch.setattr(schur, "graded_sym_algebra_dimension", refuse)
         with pytest.raises(SizeBudgetExceeded, match="^series steps more than 20000 "):
             step1_dimension_identity(100000, 1, 1)
         with pytest.raises(SizeBudgetExceeded, match="^series steps more than 1 "):
