@@ -3,12 +3,12 @@ S_n half of the package, with no GL_d weight in it (those are in ``schur``).
 
 Irreducible characters are computed by the Murnaghan-Nakayama recursion:
 the rim hooks of each (shape, hook length) are read off the beta-numbers
-once and cached with their signs (``_rim_hooks``), and the values on the
-remaining cycle parts are memoized (``_mn``), so each character row strips
-its first hook itself and only those tails enter the memo.  Induction uses
-the classical cycle-type splitting formula.  Everything is exact and
-integer where the input is; ``fractions`` is imported only by what builds a
-rational (``inner_product``, a non-integral multiplicity).
+once and cached with their signs (``_rim_hooks``), and ``_mn`` memoizes, per
+(shape, largest part r), the character on every class with parts <= r as an
+int tuple in ``cycle_types`` order, one signed vector sum per first part.
+Induction uses the classical cycle-type splitting formula.  Everything is
+exact and integer where the input is; ``fractions`` is imported only by
+what builds a rational (``inner_product``, a non-integral multiplicity).
 
 The closed forms of the labeled families live here too, so the stable answer
 needs no labeled-partition code: the Stirling count ``count_pq``, the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial, perm
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import (
@@ -40,6 +40,7 @@ from .errors import (
 from .partitions import (
     IrredDecomposition,
     Partition,
+    _partitions_rec,
     check_class_budget,
     enumerate_partitions,
 )
@@ -286,26 +287,33 @@ def _rim_hooks(lam: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _mn(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """chi^lam at cycle type rho (weakly decreasing parts): strip a rho[0]-hook."""
-    if not rho:
-        return 1
-    return sum(s * _mn(nu, rho[1:]) for s, nu in _rim_hooks(lam, rho[0]))
+def _mn(lam: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """chi^lam on the classes of cycle_types(|lam|) with parts <= r, in that
+    order: the classes of first part f = min(r, |lam|)..1 in turn, each block
+    the signed sum over the f-hooks of lam of chi^(lam - hook) on parts <= f,
+    and zeros where lam has no f-hook."""
+    n = sum(lam)
+    if not n:
+        return (1,)
+    row: list[int] = []
+    for f in range(min(r, n), 0, -1):
+        hooks = _rim_hooks(lam, f)
+        if not hooks:
+            row += [0] * len(_partitions_rec(n - f, f))
+            continue
+        (s, nu), *rest = hooks
+        block = _mn(nu, f) if s > 0 else map(neg, _mn(nu, f))
+        for s, nu in rest:
+            block = map(add if s > 0 else sub, block, _mn(nu, f))
+        row += block
+    return tuple(row)
 
 
 def irreducible_character(lam: Partition) -> ClassFunction:
     """The character of the Specht module indexed by lam, with exact int
-    values.  Each class strips its first hook here, so only the tails,
-    which rows and classes share, enter the memo; cycle-type parts come
-    largest first, keeping them few."""
+    values: the memoized row _mn(lam, |lam|)."""
     r = lam.weight
-    if not r:
-        return trivial_character(0)
-    vals = {}
-    for rho in cycle_types(r):
-        first, rest = rho.parts[0], rho.parts[1:]
-        vals[rho] = sum(s * _mn(nu, rest) for s, nu in _rim_hooks(lam.parts, first))
-    return ClassFunction._of_classes(r, vals)
+    return ClassFunction._of_classes(r, dict(zip(cycle_types(r), _mn(lam.parts, r))))
 
 
 def trivial_character(r: int) -> ClassFunction:
@@ -348,7 +356,7 @@ def decompose(
         order = factorial(f.degree)
         weighted = [class_size(rho) * v for rho, v in f.values.items()]
         for lam in enumerate_partitions(f.degree):
-            chi = irreducible_character(lam).values.values()
+            chi = _mn(lam.parts, f.degree)
             _store(mults, lam, sum(map(mul, weighted, chi)), order, virtual)
     else:
         # <f, chi^lam x chi^mu> = sum over class pairs (s, t) of
@@ -363,12 +371,9 @@ def decompose(
             [size * class_size(t) * f.values[(s, t)] for s, size in zip(ps, p_sizes)]
             for t in qs
         ]
-        mu_chars = [
-            (mu, list(irreducible_character(mu).values.values()))
-            for mu in enumerate_partitions(q)
-        ]
+        mu_chars = [(mu, _mn(mu.parts, q)) for mu in enumerate_partitions(q)]
         for lam in enumerate_partitions(p):
-            chl = list(irreducible_character(lam).values.values())
+            chl = _mn(lam.parts, p)
             by_t = [sum(map(mul, chl, col)) for col in columns]
             for mu, chm in mu_chars:
                 _store(mults, (lam, mu), sum(map(mul, chm, by_t)), order, virtual)

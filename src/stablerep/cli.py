@@ -28,8 +28,7 @@ imports only what its callers run, so a command loads only those:
   and ``fractions`` only for an intertwiner system small enough to solve
   (at most 900 unknowns, as at ``hom-dim 2 1 2``), and below d = p
   ``rw-prop`` also loads them to eliminate its rows;
-- ``verify step1`` loads ``schur`` and ``stable``, whose module-level
-  imports bring ``characters``;
+- ``verify step1`` loads ``schur`` and ``stable``, and no ``characters``;
 - text output loads no ``json``; only ``--json`` and ``--cache`` do;
 - a cache hit loads no compute module.
 """
@@ -90,8 +89,9 @@ def _render_report(rep, as_json: bool) -> tuple[str, int]:
 
 
 def _cmd_partitions(args) -> tuple[str, int]:
-    from .partitions import enumerate_partitions, specht_dimension
+    from .partitions import check_class_budget, enumerate_partitions, specht_dimension
 
+    check_class_budget(args.budget, args.n, what="partitions")
     parts = enumerate_partitions(args.n)
     if args.json:
         return _dumps([str(p) for p in parts], indent=2), EXIT_OK

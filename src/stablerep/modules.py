@@ -21,6 +21,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
+from typing import TYPE_CHECKING
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -31,7 +32,6 @@ from .errors import (
     check_budget,
 )
 from .linalg import SparseMatrix, _sparse
-from .characters import Perm, centralizer_order, cycle_types, sign_of_class
 from .partitions import (
     IrredDecomposition,
     Partition,
@@ -41,6 +41,9 @@ from .partitions import (
     specht_dimension_up_to,
     transpose,
 )
+
+if TYPE_CHECKING:
+    from .characters import Perm
 
 # ---------------------------------------------------------------------------
 # Permutations (tuples of images, 0-indexed)
@@ -59,6 +62,8 @@ def perm_inverse(a: Perm) -> Perm:
 
 
 def perm_sign(a: Perm) -> int:
+    from .characters import sign_of_class
+
     return sign_of_class(perm_cycle_type(a))
 
 
@@ -354,6 +359,8 @@ def specht_character_traces(lam: Partition, budget: int | None = None) -> dict[P
                 raise SizeBudgetExceeded(None, cap, "Young symmetrizer terms")
             terms *= k
     check_budget(terms, cap, "Young symmetrizer terms")
+    from .characters import centralizer_order, cycle_types
+
     f = specht_dimension(lam)
     on_class = _sparse((perm_cycle_type(h), c) for c, h in young_symmetrizer(lam))
     return {

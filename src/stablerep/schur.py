@@ -16,6 +16,7 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import comb
+from operator import gt
 from typing import Mapping
 
 from .errors import (
@@ -26,7 +27,9 @@ from .partitions import (
     Partition,
     Report,
     SkewShape,
+    check_class_budget,
     enumerate_partitions,
+    partition_count,
     schur_gl_dimension,
     specht_dimension,
     transpose,
@@ -40,52 +43,52 @@ def lr_tableaux_count(shape: SkewShape, content: Partition) -> int:
     """Number of Littlewood-Richardson tableaux: semistandard fillings of
     the skew shape with the given content whose reverse reading word is a
     lattice word."""
-    cells = sorted(shape.cells(), key=lambda c: (c[0], -c[1]))
-    n = len(content)
     if shape.size != content.weight:
         return 0
+    return _lr_fillings(shape.outer.parts, shape.inner.parts, content.parts)
 
-    filling: dict[tuple[int, int], int] = {}
 
-    def ok(i: int, j: int, v: int, counts: list[int]) -> bool:
-        # Semistandard: rows weakly increase, columns strictly increase.
-        # Cells are visited right-to-left within a row, top to bottom, so
-        # the right and upper neighbours are already filled.
-        if (i, j + 1) in filling and v > filling[(i, j + 1)]:
-            return False
-        if (i - 1, j) in filling and filling[(i - 1, j)] >= v:
-            return False
-        if counts[v] + 1 > content[v]:
-            return False
-        # Lattice condition on the reverse reading word, which is read in
-        # exactly our cell order.
-        if v > 0 and counts[v] + 1 > counts[v - 1]:
-            return False
-        return True
+def _lr_fillings(outer: tuple, inner: tuple, content: tuple) -> int:
+    """lr_tableaux_count on part tuples, |outer/inner| = |content|.  Each row
+    of outer is an int array; cells are filled in the reverse reading order,
+    right to left within a row and rows top to bottom, so a cell's right
+    neighbour and the cell above it are already filled, and the lattice
+    condition is checked on the counts of the entries read so far."""
+    n = len(content)
+    inner = inner + (0,) * (len(outer) - len(inner))
+    rows = [[0] * w for w in outer]
+    # Per cell: its row, its column, whether its right neighbour is in the
+    # skew shape, and the row above when the cell above is.
+    cells = [
+        (rows[i], j, j + 1 < w, rows[i - 1] if i and j >= inner[i - 1] else None)
+        for i, w in enumerate(outer)
+        for j in range(w - 1, inner[i] - 1, -1)
+    ]
+    counts = [0] * n
 
-    def rec(idx: int, counts: list[int]) -> int:
-        if idx == len(cells):
+    def rec(k: int) -> int:
+        if k == len(cells):
             return 1
-        i, j = cells[idx]
+        row, j, right, above = cells[k]
         total = 0
-        for v in range(n):
-            if ok(i, j, v, counts):
-                filling[(i, j)] = v
-                counts[v] += 1
-                total += rec(idx + 1, counts)
-                counts[v] -= 1
-                del filling[(i, j)]
+        # Semistandard: at most the right neighbour, above the cell above.
+        for v in range(above[j] + 1 if above else 0, row[j + 1] + 1 if right else n):
+            c = counts[v]
+            if c < content[v] and (not v or c < counts[v - 1]):
+                row[j] = v
+                counts[v] = c + 1
+                total += rec(k + 1)
+                counts[v] = c
         return total
 
-    return rec(0, [0] * n)
+    return rec(0)
 
 
 @lru_cache(maxsize=None)
 def _lr(lam: tuple, mu: tuple, nu: tuple) -> int:
-    lamP, muP, nuP = Partition(lam), Partition(mu), Partition(nu)
-    if not lamP.contains(muP) or muP.weight + nuP.weight != lamP.weight:
+    if sum(mu) + sum(nu) != sum(lam) or len(mu) > len(lam) or any(map(gt, mu, lam)):
         return 0
-    return lr_tableaux_count(SkewShape(lamP, muP), nuP)
+    return _lr_fillings(lam, mu, nu)
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -408,13 +411,23 @@ def split_extension_filtration_check(
     (i)  dim S_lam(Q^{dA+dC}) = sum over mu ⊆ lam of
          dim S_{lam/mu}(Q^{dA}) * dim S_mu(Q^{dC});
     (ii) dim S_lam(Q^{dA}) = alternating sum over mu ⊆ lam of
-         dim S_{lam/mu}(Q^{dA+dC}) * dim S_{mu^T}(Q^{dC})."""
+         dim S_{lam/mu}(Q^{dA+dC}) * dim S_{mu^T}(Q^{dC}).
+
+    Needs dA >= 1 and dC >= 1.  The budget bounds the LR coefficient
+    evaluations (_check_lr_evaluations), and each hook-content dimension is
+    computed once per (partition, d)."""
+    if dA < 1 or dC < 1:
+        raise InvalidArgs(f"bad parameters dA={dA}, dC={dC}")
+    _check_lr_evaluations(lam.parts, budget)
+    dim = lru_cache(maxsize=None)(schur_gl_dimension)
 
     def skew_dim(outer: Partition, inner: Partition, d: int) -> int:
-        return sum(
-            lr_coefficient(outer, inner, nu) * schur_gl_dimension(nu, d)
-            for nu in enumerate_partitions(outer.weight - inner.weight)
-        )
+        total = 0
+        for nu in enumerate_partitions(outer.weight - inner.weight):
+            c = lr_coefficient(outer, inner, nu)
+            if c:
+                total += c * dim(nu, d)
+        return total
 
     subs = [
         mu
@@ -422,15 +435,11 @@ def split_extension_filtration_check(
         for mu in enumerate_partitions(k)
         if lam.contains(mu)
     ]
-    lhs_i = schur_gl_dimension(lam, dA + dC)
-    rhs_i = sum(
-        skew_dim(lam, mu, dA) * schur_gl_dimension(mu, dC) for mu in subs
-    )
-    lhs_ii = schur_gl_dimension(lam, dA)
+    lhs_i = dim(lam, dA + dC)
+    rhs_i = sum(skew_dim(lam, mu, dA) * dim(mu, dC) for mu in subs)
+    lhs_ii = dim(lam, dA)
     rhs_ii = sum(
-        (-1) ** mu.weight
-        * skew_dim(lam, mu, dA + dC)
-        * schur_gl_dimension(transpose(mu), dC)
+        (-1) ** mu.weight * skew_dim(lam, mu, dA + dC) * dim(transpose(mu), dC)
         for mu in subs
     )
     passed = lhs_i == rhs_i and lhs_ii == rhs_ii
@@ -441,3 +450,23 @@ def split_extension_filtration_check(
         passed=passed,
         witnesses={"num_subdiagrams": len(subs)},
     )
+
+
+def _check_lr_evaluations(lam: tuple[int, ...], budget: int | None):
+    """Refuse when split_extension_filtration_check would evaluate more LR
+    coefficients than the budget: one per mu ⊆ lam and nu ⊢ |lam| - |mu|,
+    so sum over k of N_k·p(|lam| - k), with N_k the subdiagrams of weight k
+    counted row by row without listing them.  The empty subdiagram alone
+    takes p(|lam|), which is counted first, only up to the cap."""
+    unit = "LR coefficient evaluations"
+    n = sum(lam)
+    check_class_budget(budget, n, what=unit)
+    # (last row, weight) -> subdiagrams of the rows so far
+    ends = {(lam[0] if lam else 0, 0): 1}
+    for part in lam:
+        step: dict[tuple[int, int], int] = {}
+        for (last, k), c in ends.items():
+            for v in range(min(last, part) + 1):
+                step[v, k + v] = step.get((v, k + v), 0) + c
+        ends = step
+    check_budget(sum(c * partition_count(n - k) for (_, k), c in ends.items()), budget, unit)

@@ -2,6 +2,7 @@
 
 Everything here is deliberately naive and separate from the library code:
 recurrence counters, brute-force enumerations, product formulas, the
+cell-by-cell Littlewood-Richardson counter that the row-array one replaced, the
 Fraction cycle-index engine that the integer one replaced, and the
 symmetrizer-image modules that the closed-form Specht and Schur bases
 replaced, and the fixed-tensor enumeration that the power-sum traces of
@@ -61,6 +62,50 @@ def mn_oracle(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
         new_lam = tuple(x for x in new_lam if x > 0)
         total += (-1) ** height * mn_oracle(new_lam, rest)
     return total
+
+
+def lr_tableaux_count_oracle(shape, content) -> int:
+    """Littlewood-Richardson tableaux of a SkewShape with a Partition
+    content, filled cell by cell through an (i, j) dict: the library's
+    counter before it filled row arrays."""
+    cells = sorted(shape.cells(), key=lambda c: (c[0], -c[1]))
+    n = len(content)
+    if shape.size != content.weight:
+        return 0
+
+    filling: dict[tuple[int, int], int] = {}
+
+    def ok(i: int, j: int, v: int, counts: list[int]) -> bool:
+        # Semistandard: rows weakly increase, columns strictly increase.
+        # Cells are visited right-to-left within a row, top to bottom, so
+        # the right and upper neighbours are already filled.
+        if (i, j + 1) in filling and v > filling[(i, j + 1)]:
+            return False
+        if (i - 1, j) in filling and filling[(i - 1, j)] >= v:
+            return False
+        if counts[v] + 1 > content[v]:
+            return False
+        # Lattice condition on the reverse reading word, which is read in
+        # exactly our cell order.
+        if v > 0 and counts[v] + 1 > counts[v - 1]:
+            return False
+        return True
+
+    def rec(idx: int, counts: list[int]) -> int:
+        if idx == len(cells):
+            return 1
+        i, j = cells[idx]
+        total = 0
+        for v in range(n):
+            if ok(i, j, v, counts):
+                filling[(i, j)] = v
+                counts[v] += 1
+                total += rec(idx + 1, counts)
+                counts[v] -= 1
+                del filling[(i, j)]
+        return total
+
+    return rec(0, [0] * n)
 
 
 def syt_count_oracle(lam: tuple[int, ...]) -> int:

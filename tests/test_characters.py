@@ -49,6 +49,7 @@ from conftest import (
     decomposition_from_json,
     general_bicharacter_oracle,
     inner_product_bi,
+    lr_tableaux_count_oracle,
     mn_oracle,
     pq_bicharacter_oracle,
     pq_identity_counts_oracle,
@@ -104,6 +105,28 @@ def test_rim_hooks_are_the_r_hooks(case):
     # r-rim hooks are in bijection with the cells of hook length r.
     assert len({nu for _, nu in hooks}) == len(hooks)
     assert len(hooks) == sum(1 for h in hook_lengths(lam).values() if h == r)
+
+
+# Classes of at most 12 parts keep the unmemoized oracle's paths few.
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 20).flatmap(
+    lambda n: st.tuples(
+        st.sampled_from(enumerate_partitions(n)),
+        st.sampled_from([rho for rho in cycle_types(n) if len(rho) <= 12]),
+        st.integers(0, n),
+    )
+))
+def test_character_rows_match_the_oracle_in_cycle_types_order(case):
+    """The row memo _mn(lam, r) lists chi^lam on the classes with parts <= r
+    in cycle_types order, and irreducible_character reads it at r = |lam|."""
+    lam, rho, extra = case
+    n = lam.weight
+    r = min(n, (rho.parts[0] if rho.parts else 0) + extra)
+    classes = [c for c in cycle_types(n) if not c.parts or c.parts[0] <= r]
+    row = characters._mn(lam.parts, r)
+    assert len(row) == len(classes)
+    want = mn_oracle(lam.parts, rho.parts)
+    assert row[classes.index(rho)] == want == irreducible_character(lam).values[rho]
 
 
 def test_character_table_14_pinned():
@@ -257,6 +280,25 @@ def test_lr_vs_character_inner_products():
                             induce(f, n), irreducible_character(lam)
                         )
                         assert by_tableaux == by_chars
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10).flatmap(
+    lambda n: st.integers(0, n).flatmap(
+        lambda k: st.tuples(
+            st.sampled_from(enumerate_partitions(n)),
+            st.sampled_from(enumerate_partitions(k)),
+            st.sampled_from(enumerate_partitions(n - k)),
+        )
+    )
+))
+def test_lr_counter_matches_the_cell_by_cell_oracle(case):
+    lam, mu, nu = case
+    if not lam.contains(mu):
+        assert lr_coefficient(lam, mu, nu) == 0
+        return
+    want = lr_tableaux_count_oracle(SkewShape(lam, mu), nu)
+    assert lr_tableaux_count(SkewShape(lam, mu), nu) == want == lr_coefficient(lam, mu, nu)
 
 
 def test_skew_schur_decompose_total_dimension():

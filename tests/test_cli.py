@@ -192,6 +192,49 @@ class TestExitCodes:
             "budget exceeded: class pairs more than 20000 exceeds budget 20000\n"
         )
 
+    def test_budget_bounds_partitions(self, capsys, monkeypatch):
+        # p(40) = 37,338 is refused by the count, which stops at p(37) >
+        # 20,000, before any partition is listed; p(35) = 14,883 runs.
+        from stablerep import partitions
+
+        def refuse(n):
+            raise AssertionError(f"partitions of {n} listed")
+
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "enumerate_partitions", refuse)
+            assert main(["--budget", "10", "partitions", "40"]) == 3
+            assert main(["partitions", "40"]) == 3
+            assert main(["--budget", "14882", "--json", "partitions", "35"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "budget exceeded: partitions more than 10 exceeds budget 10",
+            "budget exceeded: partitions more than 20000 exceeds budget 20000",
+            "budget exceeded: partitions more than 14882 exceeds budget 14882",
+        ]
+        code, out = run(capsys, "--json", "partitions", "35")
+        assert code == 0 and len(json.loads(out)) == 14883
+
+    def test_budget_bounds_split_extension_lr_evaluations(self, capsys, monkeypatch):
+        # 4,3,2,1 asks for 324 LR coefficients and 6,5,4,3,2,1 for 20,461,
+        # counted before any subdiagram is listed.
+        from stablerep import schur
+
+        def refuse(n):
+            raise AssertionError(f"partitions of {n} listed")
+
+        _, plain = run(capsys, "verify", "extension", "4,3,2,1", "3", "3")
+        with monkeypatch.context() as m:
+            m.setattr(schur, "enumerate_partitions", refuse)
+            assert main(["--budget", "323", "verify", "extension", "4,3,2,1", "3", "3"]) == 3
+            assert main(["verify", "extension", "6,5,4,3,2,1", "3", "3"]) == 3
+            assert main(["verify", "extension", "40", "1", "1"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "budget exceeded: LR coefficient evaluations 324 exceeds budget 323",
+            "budget exceeded: LR coefficient evaluations 20461 exceeds budget 20000",
+            "budget exceeded: LR coefficient evaluations more than 20000 exceeds budget 20000",
+        ]
+        code, out = run(capsys, "--budget", "324", "verify", "extension", "4,3,2,1", "3", "3")
+        assert code == 0 and out == plain
+
     def test_budget_bounds_hom_weight_table(self, capsys):
         assert main(["--budget", "1", "hom-dim", "4", "4", "4"]) == 3
 

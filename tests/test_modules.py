@@ -583,3 +583,27 @@ def test_split_extension_grid():
             for dA in range(1, 4):
                 for dC in range(1, 4):
                     assert split_extension_filtration_check(lam, dA, dC).passed
+
+
+@pytest.mark.parametrize(
+    "lam, count",
+    [((1,), 2), ((2, 1), 8), ((3, 1, 1), 27), ((3, 3), 40), ((4, 3, 2, 1), 324)],
+)
+def test_split_extension_budget_counts_its_lr_evaluations(monkeypatch, lam, count):
+    """The count checked before any subdiagram is listed, the sum over
+    mu ⊆ lam of p(|lam| - |mu|), is the number of distinct LR coefficients
+    the check asks for, so the check runs at exactly that budget and is
+    refused at one less."""
+    asked = set()
+    real = schur.lr_coefficient
+
+    def recorded(outer, inner, nu):
+        asked.add((inner, nu))
+        return real(outer, inner, nu)
+
+    monkeypatch.setattr(schur, "lr_coefficient", recorded)
+    lam = Partition(lam)
+    assert split_extension_filtration_check(lam, 2, 1, budget=count).passed
+    assert len(asked) == count
+    with pytest.raises(SizeBudgetExceeded, match=f"^LR coefficient evaluations {count} "):
+        split_extension_filtration_check(lam, 1, 2, budget=count - 1)

@@ -166,6 +166,23 @@ class TestImportSets:
         )
         assert not {"fractions", "decimal"} & loaded
 
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "stablerep.specht_module(stablerep.Partition([3, 3]))",
+            "stablerep.gl_decompose(stablerep.schur_apply(stablerep.Partition([2, 2]), 4))",
+        ],
+    )
+    def test_explicit_modules_load_no_characters(self, code):
+        """The seminormal Specht generators and the GT-pattern Schur module
+        call nothing of the S_n half."""
+        assert "stablerep.characters" not in loaded_after("import stablerep\n" + code)
+
+    def test_step1_loads_no_characters(self):
+        assert loaded_by_command("verify", "step1", "2", "1", "1") == qualified(
+            "cli", "errors", "partitions", "schur", "stable"
+        )
+
     def test_elimination_loads_linear_algebra(self):
         assert "stablerep.linalg" in loaded_by_command("--json", "verify", "rw-prop", "2", "1", "1")
 
