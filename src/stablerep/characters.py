@@ -301,10 +301,11 @@ def _mn(lam: tuple[int, ...], r: int) -> tuple[int, ...]:
         if not hooks:
             row += [0] * len(_partitions_rec(n - f, f))
             continue
+        k = min(f, n - f)  # parts <= f of a class of n - f are parts <= k
         (s, nu), *rest = hooks
-        block = _mn(nu, f) if s > 0 else map(neg, _mn(nu, f))
+        block = _mn(nu, k) if s > 0 else map(neg, _mn(nu, k))
         for s, nu in rest:
-            block = map(add if s > 0 else sub, block, _mn(nu, f))
+            block = map(add if s > 0 else sub, block, _mn(nu, k))
         row += block
     return tuple(row)
 

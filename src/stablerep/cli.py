@@ -28,7 +28,8 @@ imports only what its callers run, so a command loads only those:
   and ``fractions`` only for an intertwiner system small enough to solve
   (at most 900 unknowns, as at ``hom-dim 2 1 2``), and below d = p
   ``rw-prop`` also loads them to eliminate its rows;
-- ``verify step1`` loads ``schur`` and ``stable``, and no ``characters``;
+- ``verify step1`` loads ``schur`` and ``stable``, whose module-level
+  imports bring ``characters``;
 - text output loads no ``json``; only ``--json`` and ``--cache`` do;
 - a cache hit loads no compute module.
 """

@@ -62,9 +62,7 @@ def perm_inverse(a: Perm) -> Perm:
 
 
 def perm_sign(a: Perm) -> int:
-    from .characters import sign_of_class
-
-    return sign_of_class(perm_cycle_type(a))
+    return (-1) ** (len(a) - perm_cycle_type(a).length)
 
 
 def perm_cycle_type(a: Perm) -> Partition:

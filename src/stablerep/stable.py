@@ -5,12 +5,11 @@ pins the answer down.
 
 The answer, the dimension table and the induction replay come from closed
 forms (the cycle indices of the labeled-partition species, the characters
-induced from them, and a Stirling count, all in ``characters``, which
-each function imports when it runs); enumeration is the test oracle.  So
-this module loads no labeled-partition or linear-algebra code, and
-``step1_dimension_identity`` no ``characters``.  The graded series of the
-step-1 identity are GL_d dimensions, which it imports from ``schur`` when it
-runs, so the stable answer loads no ``schur``.
+induced from them, and a Stirling count, all in ``characters``);
+enumeration is the test oracle.  So this module loads no labeled-partition
+or linear-algebra code.  The graded series of the step-1 identity are GL_d
+dimensions, which ``step1_dimension_identity`` imports from ``schur`` when
+it runs, so the stable answer loads no ``schur``.
 
 The automorphism groups themselves are never represented; the coefficient
 system appears only as symbolic (p, q, n) bookkeeping, because the stable
@@ -19,8 +18,6 @@ answer is purely combinatorial.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import (
     DEFAULT_BUDGET,
     InvalidArgs,
@@ -28,10 +25,17 @@ from .errors import (
     SizeBudgetExceeded,
     check_budget,
 )
+from .characters import (
+    BiClassFunction,
+    count_pq,
+    cycle_types,
+    decompose,
+    general_bicharacter,
+    induced_pq_bicharacter,
+    pq_bicharacter,
+    pq_identity_counts,
+)
 from .partitions import FrozenRecord, IrredDecomposition, Record, Report, check_class_budget
-
-if TYPE_CHECKING:
-    from .characters import BiClassFunction
 
 
 class SymbolicCoefficient(FrozenRecord):
@@ -85,8 +89,6 @@ class StableCohomologyResult(Record):
         return _min_n(self.p, self.q, self.degree)
 
     def to_json(self) -> dict:
-        from .characters import cycle_types
-
         return {
             "p": self.p,
             "q": self.q,
@@ -132,8 +134,6 @@ def stable_cohomology(
     if p < 0 or q < 0:
         raise InvalidArgs("p, q must be non-negative")
     check_class_budget(budget, p, q)
-    from .characters import BiClassFunction, count_pq, decompose, pq_bicharacter
-
     valid = "2*degree <= n - p - q - 3"
     if degree != p - q or q > p:
         zero = BiClassFunction((p, q), {})
@@ -213,10 +213,6 @@ def theorem_a_induction_check(p: int, q: int, budget: int | None = None) -> Repo
     if not (0 <= q <= p):
         raise InvalidArgs(f"need 0 <= q <= p, got p={p}, q={q}")
     check_class_budget(budget, p, q)
-    from .characters import (
-        cycle_types, general_bicharacter, induced_pq_bicharacter, pq_bicharacter,
-    )
-
     residue = general_bicharacter(p, q)
     for i in range(q):
         residue = residue - induced_pq_bicharacter(p, i, q, budget)
@@ -254,8 +250,6 @@ def dimension_table(p_max: int, q_max: int, budget: int | None = None) -> list[d
     if p_max < 0 or q_max < 0:
         raise InvalidArgs("bounds must be non-negative")
     check_class_budget(budget, p_max, min(p_max, q_max))
-    from .characters import count_pq, pq_identity_counts
-
     by_series = pq_identity_counts(p_max, q_max)
     rows = []
     for p in range(p_max + 1):

@@ -225,6 +225,7 @@ class TestActionsAndSplitting:
             return BiClassFunction((p_, q_), values)
 
         monkeypatch.setattr(characters, "general_bicharacter", shifted)
+        monkeypatch.setattr(stable, "general_bicharacter", shifted)
         pair = (str(sigma), str(tau))
         for rep in (theorem_a_induction_check(p, q), verify_splitting_lemma(p, q, p)):
             assert not rep.passed

@@ -178,11 +178,6 @@ class TestImportSets:
         call nothing of the S_n half."""
         assert "stablerep.characters" not in loaded_after("import stablerep\n" + code)
 
-    def test_step1_loads_no_characters(self):
-        assert loaded_by_command("verify", "step1", "2", "1", "1") == qualified(
-            "cli", "errors", "partitions", "schur", "stable"
-        )
-
     def test_elimination_loads_linear_algebra(self):
         assert "stablerep.linalg" in loaded_by_command("--json", "verify", "rw-prop", "2", "1", "1")
 

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from stablerep.characters import count_pq, cycle_types, decompose, identity_type
-from stablerep import characters, labeled
+from stablerep import labeled, stable
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.labeled import enumerate_pq
 from stablerep.partitions import Partition, transpose
@@ -86,7 +86,7 @@ class TestStableCohomology:
         assert stable_cohomology(1, 1, 0).min_n == 5
 
     def test_dimension_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(characters, "count_pq", lambda p, q: count_pq(p, q) + 1)
+        monkeypatch.setattr(stable, "count_pq", lambda p, q: count_pq(p, q) + 1)
         with pytest.raises(OracleDisagreement):
             stable_cohomology(3, 1, 2)
         with pytest.raises(OracleDisagreement):
