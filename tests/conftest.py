@@ -11,11 +11,14 @@ checked against.  Helpers that only the tests call live here too:
 ``inner_product_bi``, ``reconstruct`` and ``decomposition_from_json`` for
 class functions, and the labeled-partition action, the splitting map, the
 phi equivariance check and the two dimension cross-checks
-(``hom_side_total``, ``three_way_dimension_agreement``).
+(``hom_side_total``, ``three_way_dimension_agreement``).  ``build_parser`` is
+the argparse parser that the CLI's command-table parser replaced, kept as the
+reference for what a command line means.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -681,3 +684,84 @@ def tensor_trace_oracle(cycles, d: int):
             w[v] += ln
         out[tuple(w)] += 1
     return out
+
+
+# The argparse front end of stablerep.cli, verbatim, before COMMANDS replaced
+# it; its check rows are the COMMANDS rows that name a module.function.
+from stablerep.cli import (  # noqa: E402
+    COMMANDS,
+    _cmd_char,
+    _cmd_check,
+    _cmd_hom_dim,
+    _cmd_labeled_partitions,
+    _cmd_lr,
+    _cmd_partitions,
+    _cmd_stable_cohomology,
+)
+
+CHECKS = tuple(row for row in COMMANDS if isinstance(row[1], str))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="stablerep",
+        description="Exact computations with partitions, characters, Schur "
+        "functors and stable-cohomology dimension tables.",
+    )
+    ap.add_argument("--json", action="store_true", help="emit JSON")
+    ap.add_argument("--budget", type=int, default=None, help="size budget cap")
+    ap.add_argument("--cache", metavar="DIR", default=None, help="result cache dir")
+    # The same flags are accepted after the subcommand; SUPPRESS keeps the
+    # subparser from clobbering a value parsed at the top level.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
+    common.add_argument("--budget", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--cache", metavar="DIR", default=argparse.SUPPRESS)
+
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def add_parser(name, **kw):
+        return sub.add_parser(name, parents=[common], **kw)
+
+    p = add_parser("partitions", help="list partitions of N")
+    p.add_argument("n", type=int)
+    p.set_defaults(func=_cmd_partitions)
+
+    p = add_parser("char", help="irreducible character table row")
+    p.add_argument("lam", metavar="LAMBDA")
+    p.set_defaults(func=_cmd_char)
+
+    p = add_parser("lr", help="Littlewood-Richardson coefficient")
+    p.add_argument("lam", metavar="LAMBDA")
+    p.add_argument("mu", metavar="MU")
+    p.add_argument("nu", metavar="NU")
+    p.set_defaults(func=_cmd_lr)
+
+    p = add_parser("labeled-partitions", help="enumerate q-labeled partitions")
+    p.add_argument("p", type=int)
+    p.add_argument("q", type=int)
+    p.set_defaults(func=_cmd_labeled_partitions)
+
+    p = add_parser("hom-dim", help="equivariant Hom-space dimension")
+    p.add_argument("p", type=int)
+    p.add_argument("q", type=int)
+    p.add_argument("d", type=int)
+    p.set_defaults(func=_cmd_hom_dim)
+
+    p = add_parser("stable-cohomology", help="stable cohomology calculator")
+    p.add_argument("p", type=int, nargs="?", default=None)
+    p.add_argument("q", type=int, nargs="?", default=None)
+    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--table", type=int, nargs=2, metavar=("PMAX", "QMAX"))
+    p.set_defaults(func=_cmd_stable_cohomology)
+
+    verify = add_parser("verify", help="run a structural verification")
+    verify = verify.add_subparsers(dest="what", required=True)
+    for command, check, params, help_ in CHECKS:
+        *group, name = command.split()
+        p = (verify if group else sub).add_parser(name, parents=[common], help=help_)
+        params = params.split()
+        for param in params:
+            p.add_argument(param, type=str if param == "LAMBDA" else int)
+        p.set_defaults(func=_cmd_check, check=check, params=params)
+    return ap

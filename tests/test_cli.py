@@ -1,14 +1,16 @@
-import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablerep.cli import CHECKS, build_parser, main
+from conftest import build_parser
+from stablerep.cli import COMMANDS, main, parse_args
+from stablerep.errors import InvalidArgs
 from stablerep.labeled import LabelAlphabet, count_general
 
 
@@ -312,7 +314,11 @@ class TestExitCodes:
         monkeypatch.setenv("STABLEREP_BUDGET", "2")
         assert main(["verify", "rw-prop", "4", "4", "4"]) == 3
         monkeypatch.setenv("STABLEREP_BUDGET", "junk")
+        capsys.readouterr()
         assert main(["partitions", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: STABLEREP_BUDGET must be an integer, got 'junk'\n"
+        )
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     @pytest.mark.parametrize(
@@ -380,10 +386,59 @@ class TestCache:
         monkeypatch.delenv("STABLEREP_BUDGET")
         assert main(["--budget", "1"] + args) == 3
 
+    def test_options_before_or_after_share_a_key(self, capsys, tmp_path, monkeypatch):
+        """The key hashes what was parsed and the effective budget, not where
+        or how an option was spelled."""
+        cache = tmp_path / "cache"
+        outputs = set()
+        for argv in (["--json", "--budget", "500", "hom-dim", "3", "1", "3"],
+                     ["hom-dim", "3", "--bud=500", "1", "3", "--js"],
+                     ["--budget", "500", "hom-dim", "--json", "3", "1", "3"]):
+            assert main(["--cache", str(cache)] + argv) == 0
+            outputs.add(capsys.readouterr().out)
+        monkeypatch.setenv("STABLEREP_BUDGET", "500")
+        assert main(["hom-dim", "3", "1", "3", "--json", f"--cache={cache}"]) == 0
+        outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1 and len(list(cache.iterdir())) == 1
+        assert main(["hom-dim", "3", "1", "3", "--json", "--budget", "501", "--cache", str(cache)]) == 0
+        assert capsys.readouterr().out in outputs and len(list(cache.iterdir())) == 2
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "argv", ["-h", "--help", "--json -h", "verify -h", "partitions -h", "--he partitions",
+                 "stable-cohomology 7 --h", "verify rw-prop 2 1 1 -h"]
+    )
+    def test_help_exits_zero_on_stdout(self, capsys, argv):
+        assert main(argv.split()) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: stablerep [--json] [--budget N] [--cache DIR] ")
+        assert err == ""
+
+    def test_help_names_every_row(self, capsys):
+        main(["-h"])
+        out = capsys.readouterr().out
+        for command, _, params, help_ in COMMANDS:
+            assert f"  {command} {params}" in out and help_ in out
+
+    def test_help_of_a_group_or_a_command(self, capsys):
+        main(["verify", "-h"])
+        out = capsys.readouterr().out
+        checks = [row[0] for row in COMMANDS if row[0].startswith("verify ")]
+        assert [x.split()[:2] for x in out.splitlines() if x.startswith("  verify ")] == [
+            c.split() for c in checks
+        ]
+        assert "partitions" not in out
+        main(["stable-cohomology", "-h"])
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "usage: stablerep [--json] [--budget N] [--cache DIR] "
+            "stable-cohomology [P] [Q] [--degree K] [--table PMAX QMAX]"
+        )
+
 
 # The CLI grammar over small sizes and malformed partitions: every
-# subcommand and every verify check (the CHECKS rows), with the forms of
-# stable-cohomology.
+# subcommand and every check (the COMMANDS rows that name a module.function),
+# with the forms of stable-cohomology.
 SIZES = st.integers(-1, 3).map(str)
 LAMBDAS = st.sampled_from(["a", ",", "2,,1", "-1", "1,2", "2,1", "0", "3", "1,1,1"])
 GRAMMAR = [
@@ -397,7 +452,8 @@ GRAMMAR = [
     ("stable-cohomology --table", [SIZES] * 2),
 ] + [
     (command, [LAMBDAS if p == "LAMBDA" else SIZES for p in params.split()])
-    for command, _, params, _ in CHECKS
+    for command, runner, params, _ in COMMANDS
+    if isinstance(runner, str)
 ]
 
 
@@ -409,6 +465,86 @@ def command_lines(draw):
     return draw(st.sampled_from([argv, ["--json"] + argv, argv + ["--json"]])) + budget
 
 
+# Spellings argparse also accepted or rejected, inserted anywhere in a
+# command line of the grammar: unique prefixes, --flag=value, the
+# stable-cohomology options elsewhere, a negative number, "--" and malformed
+# options.
+SPELLINGS = st.sampled_from(
+    [["--json"], ["--js"], ["--budget", "5"], ["--budget=5"], ["--bud", "5"], ["--b=0"],
+     ["--budget", "-1"], ["--cache", "c"], ["--cache=c"], ["--ca", "-1"], ["--cache="],
+     ["--degree", "1"], ["--deg", "0"], ["--degree=-1"], ["--table", "2", "2"], ["--tab", "1", "3"],
+     ["--table=2"], ["--json=1"], ["--budget"], ["--bogus"], ["-x"], ["--"], ["-1"], ["2"],
+     ["-"], ["--=1"]]
+)
+
+
+@st.composite
+def spelled_command_lines(draw):
+    argv = draw(st.one_of(command_lines(), st.just(["partitions", "--", "2"])))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(SPELLINGS)
+    return argv
+
+
+ORACLE = build_parser()
+
+
+def oracle_parse(argv):
+    """The fields argparse read from argv, or None and its error."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            ns = ORACLE.parse_args(argv)
+    except SystemExit:
+        return None, err.getvalue()
+    command = f"verify {ns.what}" if ns.command == "verify" else ns.command
+    names = getattr(ns, "params", None) or [
+        k for k in ("n", "lam", "mu", "nu", "p", "q", "d") if hasattr(ns, k)
+    ]
+    table = getattr(ns, "table", None)
+    return (
+        command, [getattr(ns, k) for k in names], ns.json, ns.budget, ns.cache,
+        getattr(ns, "degree", None), table and tuple(table),
+    ), ""
+
+
+def parsed_fields(args):
+    return args.command, args.values, args.json, args.budget, args.cache, args.degree, args.table
+
+
+def argparse_quirk(argv, err):
+    """Whether argparse rejected argv only for tokens it left over in one of
+    two quirks, which the table parser reads: a stable-cohomology Q after an
+    option (argparse takes the optional P and Q from the first run of values
+    alone, as in ``stable-cohomology 7 --degree 3 2``), and a "--" after an
+    option once every value is read (``partitions 3 --json --``).  argparse
+    then accepts argv without those tokens and reads the rest the same."""
+    prefix = "stablerep: error: unrecognized arguments: "
+    last = err.strip().splitlines()[-1]
+    if not last.startswith(prefix):
+        return False
+    extras = last.removeprefix(prefix).split(" ")
+    values = [x for x in extras if x != "--"]
+    if len(values) > 1 or (values and "stable-cohomology" not in argv):
+        return False
+    try:
+        fields = parsed_fields(parse_args(argv))
+    except InvalidArgs:
+        return False
+    for at in itertools.combinations(range(len(argv)), len(extras)):
+        if [argv[i] for i in at] != extras:
+            continue
+        expected, _ = oracle_parse([x for i, x in enumerate(argv) if i not in at])
+        if expected is None:
+            continue
+        if values and expected[1][1] is None and values[0].lstrip("-").isdigit():
+            expected[1][1] = int(values[0])
+        if fields == expected:
+            return True
+    return False
+
+
 def run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -418,10 +554,8 @@ def run_in_process(argv):
 
 class TestGrammarFuzz:
     def test_grammar_covers_every_command(self):
-        (sub,) = [
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        assert set(sub.choices) == {command.split()[0] for command, _ in GRAMMAR}
+        words = {" ".join(w for w in c.split() if not w.startswith("--")) for c, _ in GRAMMAR}
+        assert words == {row[0] for row in COMMANDS}
 
     @settings(max_examples=400, deadline=None)
     @given(command_lines())
@@ -433,6 +567,39 @@ class TestGrammarFuzz:
             json.loads(out)
         if code == 1 and not err.startswith("error: OracleDisagreement: "):
             assert json.loads(out)["pass"] is False if as_json else out.startswith("FAIL: ")
+        if code == 2:
+            assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
+
+    @settings(max_examples=600, deadline=None)
+    @given(spelled_command_lines())
+    def test_table_parser_reads_what_argparse_read(self, argv):
+        """Every command line the argparse oracle accepts means the same to
+        the table parser; every one it rejects exits 2 with one usage-error
+        line, except where argparse_quirk says why argparse refused."""
+        expected, err = oracle_parse(argv)
+        if expected is not None:
+            assert parsed_fields(parse_args(argv)) == expected
+            return
+        if argparse_quirk(argv, err):
+            return
+        with pytest.raises(InvalidArgs):
+            parse_args(argv)
+        code, out, err = run_in_process(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, values",
+        [("stable-cohomology 7 --degree 3 2", [7, 2]),
+         ("stable-cohomology --json 2 --bud 5 1", [2, 1]),
+         ("stable-cohomology 3 --table 2 2 1", [3, 1]),
+         ("stable-cohomology 7 --json -- 2", [7, 2]),
+         ("partitions 3 --json --", [3])],
+    )
+    def test_argparse_quirks(self, argv, values):
+        expected, err = oracle_parse(argv.split())
+        assert expected is None and argparse_quirk(argv.split(), err)
+        assert parse_args(argv.split()).values == values
 
     # Each exited 1 (step1, cauchy) or raised (schur-weyl) before the
     # library checked its sizes.

@@ -46,9 +46,9 @@ EXPORTS = [
 ]
 
 
-def benchmark_text_ops() -> list[tuple[str, ...]]:
-    """The set-up op and every CLI op of the benchmark's pools that prints
-    text, read from perfbench/workloads.py."""
+def benchmark_cli_ops() -> list[tuple[str, ...]]:
+    """The set-up op and every CLI op of the benchmark's pools, read from
+    perfbench/workloads.py."""
     module_name = "perfbench_workloads"
     spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / "workloads.py")
     # Registered before it runs: its dataclass looks its module up there.
@@ -58,9 +58,14 @@ def benchmark_text_ops() -> list[tuple[str, ...]]:
         op.args
         for name in sorted(workloads.POOLS)
         for op in workloads.all_ops(name)
-        if op.kind == "cli" and "--json" not in op.args
+        if op.kind == "cli"
     ]
     return [("partitions", "1")] + ops
+
+
+def benchmark_text_ops() -> list[tuple[str, ...]]:
+    """The benchmark_cli_ops that print text."""
+    return [args for args in benchmark_cli_ops() if "--json" not in args]
 
 
 SUBMODULES = {
@@ -190,6 +195,24 @@ class TestImportSets:
     def test_text_output_loads_no_json(self, argv):
         code = f"from stablerep.cli import main\nmain({list(argv)!r})"
         assert "json" not in loaded_after(code, prefix="")
+
+    def test_no_command_loads_argparse(self):
+        """The command table's parser reads every command line; argparse,
+        which brought gettext and locale, is loaded by none."""
+        ops = benchmark_cli_ops() + [("-h",), ("verify", "-h"), ("partitions", "-h")]
+        code = "from stablerep.cli import main\n" + "".join(f"main({list(a)!r})\n" for a in ops)
+        assert not {"argparse", "gettext", "locale"} & loaded_after(code, prefix="")
+
+    @pytest.mark.parametrize(
+        "argv", [("-h",), ("verify", "rw-prop", "2", "1", "1", "-h"), ("partitions", "--bogus")]
+    )
+    def test_help_and_usage_errors_import_nothing(self, argv):
+        """Help is formatted, and a malformed command line refused, with
+        what importing the CLI already loaded: no compute module and no other
+        module."""
+        code = f"from stablerep.cli import main\nmain({list(argv)!r})"
+        assert loaded_after(code, prefix="") == loaded_after("import stablerep.cli", prefix="")
+        assert loaded_by_command(*argv) == qualified("cli", "errors")
 
     def test_no_module_imports_dataclasses(self):
         code = "\n".join(f"import stablerep.{name}" for name in sorted(SUBMODULES | {"cli"}))
