@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .errors import InvalidArgs, SizeBudgetExceeded, StableRepError
+from .errors import InvalidArgs, SizeBudgetExceeded, StableRepError, budget_cap
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -258,11 +258,11 @@ COMMANDS = (
 # The options every command takes, before or after its words.
 OPTIONS = "[--json] [--budget N] [--cache DIR]"
 _STRINGS = ("LAMBDA", "MU", "NU", "DIR")
-_HELP_OPTIONS = """\
+_HELP_OPTIONS = f"""\
 options, before or after the command words, also as --budget=N or a unique
 prefix such as --js:
   --json        emit JSON
-  --budget N    size budget cap (default 20000, or STABLEREP_BUDGET)
+  --budget N    size budget cap (default {budget_cap(None)}, or STABLEREP_BUDGET)
   --cache DIR   result cache directory
   -h, --help    show this help"""
 
@@ -461,8 +461,7 @@ def _run(args: Args) -> tuple[str, int]:
     command's row."""
     if args.budget is None and os.environ.get("STABLEREP_BUDGET"):
         args.budget = _value("STABLEREP_BUDGET", os.environ["STABLEREP_BUDGET"])
-    if args.budget is not None and args.budget < 1:
-        raise InvalidArgs(f"budget must be at least 1, got {args.budget}")
+    budget_cap(args.budget)
     key = _cache_key(args) if args.cache else None
     hit = key and _cache_lookup(args.cache, key)
     if hit:

@@ -20,8 +20,8 @@ system under SOLVE_UNKNOWN_CAP, and verify_rw_prop when J0 does not certify
 its rank (below d = p).
 
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
-distinguishable labels.  Set partitions are canonicalized with parts sorted
-by minimum element, so enumeration is duplicate-free and values hash.
+distinguishable labels.  Set partitions have parts sorted by minimum element,
+each increasing, so enumeration is duplicate-free and values hash.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ from .partitions import (
     specht_dimension,
 )
 from .schur import (
-    _check_sym_algebra_budget,
     _compositions,
     _tensor_weight,
     decompose_weight_multiset,
-    graded_sym_algebra_dimension,
+    sym_algebra_partials,
 )
 
 if TYPE_CHECKING:
@@ -58,29 +57,18 @@ Part = tuple[int, ...]
 SetPartition = tuple[Part, ...]
 
 
-def canonical_set_partition(parts) -> SetPartition:
-    ps = tuple(sorted((tuple(sorted(p)) for p in parts), key=lambda p: p[0]))
-    seen = [x for p in ps for x in p]
-    if sorted(seen) != list(range(len(seen))):
-        raise InvalidArgs(f"not a partition of an initial segment: {parts}")
-    return ps
-
-
 @lru_cache(maxsize=None)
 def set_partitions(p: int) -> tuple[SetPartition, ...]:
-    """All set partitions of {0..p-1}, parts sorted by minimum."""
+    """All set partitions of {0..p-1}, parts sorted by minimum and each
+    increasing: p - 1 ends a part of one of {0..p-2}, or comes last alone."""
     if p == 0:
         return ((),)
+    x = p - 1
     out = []
-    for smaller in set_partitions(p - 1):
-        x = p - 1
-        for i in range(len(smaller)):
-            out.append(
-                canonical_set_partition(
-                    smaller[:i] + (smaller[i] + (x,),) + smaller[i + 1 :]
-                )
-            )
-        out.append(canonical_set_partition(smaller + ((x,),)))
+    for smaller in set_partitions(x):
+        for i, part in enumerate(smaller):
+            out.append(smaller[:i] + (part + (x,),) + smaller[i + 1 :])
+        out.append(smaller + ((x,),))
     return tuple(out)
 
 
@@ -225,12 +213,13 @@ class FWGradedPiece:
         if p < 0 or q < 0 or d < 1:
             raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
         self.p, self.q, self.d = p, q, d
-        # The univariate series refuses an oversized piece once a partial
-        # product passes the cap, before the weight generating function
-        # would fill its weight table; the full series then checks the
-        # enumeration.
-        _check_sym_algebra_budget(d, q, p, budget)
-        est = graded_sym_algebra_dimension(d, q, p)
+
+        def bounds():
+            return (yield from sym_algebra_partials(d, q, p))[p]
+
+        # Refused once a running product passes the cap, before any weight
+        # table is filled; the series, formed once, checks the enumeration.
+        est = check_budget(bounds(), budget)
         self.basis: list[Monomial] = self._enumerate()
         if len(self.basis) != est:
             raise OracleDisagreement(

@@ -23,22 +23,15 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import TYPE_CHECKING
 
-from .errors import (
-    DEFAULT_BUDGET,
-    InvalidArgs,
-    NonPolynomialAction,
-    OracleDisagreement,
-    SizeBudgetExceeded,
-    check_budget,
-)
+from .errors import InvalidArgs, NonPolynomialAction, OracleDisagreement, check_budget
 from .linalg import SparseMatrix, _sparse
 from .partitions import (
     IrredDecomposition,
     Partition,
     Record,
+    hook_partials,
     schur_gl_dimension,
     specht_dimension,
-    specht_dimension_up_to,
     transpose,
 )
 
@@ -305,17 +298,17 @@ def specht_module(lam: Partition, budget: int | None = None) -> ExplicitModule:
     [[1/a, 1 - 1/a^2], [1, -1/a]].  The budget counts the f^lam tableaux
     times the r - 1 generators, a bound on the columns written: f^lam
     alone would admit (19999, 1), whose generators hold 4e8 entries.
-    The budget reads f^lam off the hook product counted only up to the cap,
-    which forms no r!, so no shape costs a factorial (past the cap the
-    refusal says "more than" it); the tableaux of an admitted shape are
-    checked against that exact f^lam."""
+    The budget reads f^lam off the hook partials, which form no r!, so no
+    shape costs a factorial; the tableaux of an admitted shape are checked
+    against that exact f^lam."""
     r = lam.weight
-    cap = DEFAULT_BUDGET if budget is None else budget
-    unit = "standard Young tableaux times generators"
-    f = specht_dimension_up_to(lam, max(cap, 1))
-    if f is None:
-        raise SizeBudgetExceeded(None, cap, unit)
-    check_budget(f * max(r - 1, 0), cap, unit)
+
+    def bounds():
+        f = yield from hook_partials(lam)
+        return f * max(r - 1, 0)
+
+    count = check_budget(bounds(), budget, "standard Young tableaux times generators")
+    f = count // (r - 1) if r > 1 else 1
     tableaux = _standard_tableaux(lam)
     if len(tableaux) != f:
         raise OracleDisagreement(
@@ -346,17 +339,19 @@ def specht_character_traces(lam: Partition, budget: int | None = None) -> dict[P
     h = x^-1 g^-1 x: z_rho such x when h has the cycle type rho of g, else
     none.  So it is f z_rho / r! times the sum of c's coefficients on rho.
     The budget counts the terms of c, |R_lam|·|C_lam| = prod lam_i! times
-    prod lam'_j! (12 for (2,1,1), 9,216 for (4,4)), the product stopped
-    once it passes the cap."""
+    prod lam'_j! (12 for (2,1,1), 9,216 for (4,4)), read off the running
+    product before each factor."""
     r = lam.weight
-    cap = DEFAULT_BUDGET if budget is None else budget
-    terms = 1
-    for part in lam.parts + transpose(lam).parts:
-        for k in range(2, part + 1):
-            if terms > cap:
-                raise SizeBudgetExceeded(None, cap, "Young symmetrizer terms")
-            terms *= k
-    check_budget(terms, cap, "Young symmetrizer terms")
+
+    def bounds():
+        terms = 1
+        for part in lam.parts + transpose(lam).parts:
+            for k in range(2, part + 1):
+                yield terms
+                terms *= k
+        return terms
+
+    check_budget(bounds(), budget, "Young symmetrizer terms")
     from .characters import centralizer_order, cycle_types
 
     f = specht_dimension(lam)

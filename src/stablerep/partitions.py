@@ -13,11 +13,11 @@ this package is reverse lexicographic, which is also the order in which
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import gcd, prod
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DEFAULT_BUDGET, InvalidArgs, SizeBudgetExceeded, check_budget
+from .errors import InvalidArgs, check_budget, final_count
 
 
 class Partition:
@@ -189,13 +189,11 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return [Partition(ps) for ps in _partitions_rec(n, n if n else 1)]
 
 
-@lru_cache(maxsize=None)
-def partition_count(n: int, cap: int | None = None) -> int | None:
-    """p(n), the number of partitions of n, without enumerating them: Euler's
-    pentagonal-number recurrence p(m) = sum_k (-1)^(k+1) (p(m - k(3k-1)/2)
-    + p(m - k(3k+1)/2)), filled bottom-up over m = 0..n in integers.  With a
-    cap, None as soon as some p(m) exceeds it: p is nondecreasing, so then
-    p(n) > cap, and the fill stops before the numbers grow long."""
+def partition_counts(n: int) -> Iterator[int]:
+    """p(0), ..., p(n), the numbers of partitions, each yielded as the fill
+    reaches it, by Euler's pentagonal-number recurrence p(m) = sum_k
+    (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)) in integers, without
+    enumerating them.  p is nondecreasing, so each bounds p(n) below."""
     if n < 0:
         raise InvalidArgs(f"n must be non-negative, got {n}")
     counts: list[int] = []
@@ -207,21 +205,28 @@ def partition_count(n: int, cap: int | None = None) -> int | None:
                 term += counts[m - k * (3 * k + 1) // 2]
             total += term if k % 2 else -term
             k += 1
-        if cap is not None and total > cap:
-            return None
         counts.append(total)
-    return counts[n]
+        yield total
 
 
-def check_class_budget(budget: int | None, *degrees: int, what: str = "class pairs"):
-    """Refuse when the classes of the product of Sigma_n over n in degrees,
-    prod p(n) of them, exceed the budget: counted before any class is listed,
-    each p(n) only up to the cap."""
-    cap = DEFAULT_BUDGET if budget is None else budget
-    counts = [partition_count(n, cap) for n in degrees]
-    if None in counts:
-        raise SizeBudgetExceeded(None, cap, what)
-    check_budget(prod(counts), cap, what)
+@lru_cache(maxsize=None)
+def partition_count(n: int) -> int:
+    """p(n), the last of partition_counts(n)."""
+    *_, count = partition_counts(n)
+    return count
+
+
+def check_class_budget(budget: int | None, *degrees: int, what: str = "class pairs") -> int:
+    """The classes of the product of Sigma_n over n in degrees, prod p(n) of
+    them, refused past the budget: counted before any class is listed, from
+    the bounds p(m), m <= n, as each fill forms them."""
+
+    def bounds():
+        for n in degrees:
+            yield from partition_counts(n)
+        return prod(map(partition_count, degrees))
+
+    return check_budget(bounds(), budget, what)
 
 
 def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
@@ -233,32 +238,27 @@ def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     }
 
 
-def specht_dimension(lam: Partition) -> int:
-    """Dimension of the irreducible symmetric-group representation indexed
-    by lam, i.e. the number of standard Young tableaux of that shape
-    (hook-length formula)."""
-    num = factorial(lam.weight)
-    for h in hook_lengths(lam).values():
-        num //= h
-    return num
-
-
-def specht_dimension_up_to(lam: Partition, cap: int) -> int | None:
-    """f^lam by the hook-length formula with no factorial formed, or None
-    once it is known to exceed cap.  With h_1 <= h_2 <= ... the hook lengths
-    in order, f^lam = prod_k k / h_k, kept in lowest terms.  Each factor is
-    at least 1: the arm and leg of a cell of hook h hold h - 1 cells of
-    smaller hook, so h_k <= k.  So every partial product bounds f^lam from
-    below, and the product stops once one passes the cap with factors
-    left."""
+def hook_partials(lam: Partition) -> Iterator[int]:
+    """The bound sequence (see errors.check_budget) of f^lam by the
+    hook-length formula, with no factorial formed.  With h_1 <= h_2 <= ...
+    the hook lengths in order, f^lam = prod_k k / h_k, kept in lowest terms.
+    Each factor is at least 1: the arm and leg of a cell of hook h hold
+    h - 1 cells of smaller hook, so h_k <= k.  So the product before each
+    factor, rounded up, is a bound."""
     num = den = 1
     for k, h in enumerate(sorted(hook_lengths(lam).values()), 1):
-        if num > cap * den:
-            return None
+        yield -(-num // den)
         num, den = num * k, den * h
         g = gcd(num, den)
         num, den = num // g, den // g
     return num
+
+
+def specht_dimension(lam: Partition) -> int:
+    """Dimension of the irreducible symmetric-group representation indexed
+    by lam, i.e. the number of standard Young tableaux of that shape
+    (hook-length formula, ``hook_partials``)."""
+    return final_count(hook_partials(lam))
 
 
 def schur_gl_dimension(lam: Partition, d: int) -> int:

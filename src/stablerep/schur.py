@@ -19,17 +19,15 @@ from math import comb
 from operator import gt
 from typing import Mapping
 
-from .errors import (
-    DEFAULT_BUDGET, InvalidArgs, OracleDisagreement, SizeBudgetExceeded, check_budget,
-)
+from .errors import InvalidArgs, OracleDisagreement, check_budget, final_count
 from .partitions import (
     IrredDecomposition,
     Partition,
     Report,
     SkewShape,
-    check_class_budget,
     enumerate_partitions,
     partition_count,
+    partition_counts,
     schur_gl_dimension,
     specht_dimension,
     transpose,
@@ -260,28 +258,22 @@ def _sym_algebra_factors(d: int, q: int, trunc: int):
         yield series_geom_power(i, sym_dimension(d, i), trunc)
 
 
-def graded_sym_algebra_series(d: int, q: int, trunc: int) -> list[int]:
-    """Truncated series (in u = t^2) of
-    Sym( q linear d-dim summands  +  Sym^{i>=1}(Q^d) summands )."""
+def sym_algebra_partials(d: int, q: int, trunc: int):
+    """The running products of graded_sym_algebra_series, a bound sequence
+    (see errors.check_budget) of its degree-trunc coefficient, returning the
+    whole series: each factor has constant term 1 and nonnegative
+    coefficients, so that coefficient never falls as factors come in."""
     out = [1] + [0] * trunc
     for factor in _sym_algebra_factors(d, q, trunc):
+        yield out[trunc]
         out = series_mul(out, factor, trunc)
     return out
 
 
-def _check_sym_algebra_budget(d: int, q: int, p: int, budget: int | None):
-    """Refuse when graded_sym_algebra_dimension(d, q, p), an ambient
-    dimension, passes the cap, and stop the product as soon as its degree-p
-    coefficient has passed it: each factor has constant term 1 and
-    nonnegative coefficients, so that coefficient never falls as factors are
-    multiplied in, and the refusal is exact."""
-    cap = DEFAULT_BUDGET if budget is None else budget
-    partial = [1] + [0] * p
-    for factor in _sym_algebra_factors(d, q, p):
-        if partial[p] > cap:
-            raise SizeBudgetExceeded(None, cap)
-        partial = series_mul(partial, factor, p)
-    check_budget(partial[p], cap)
+def graded_sym_algebra_series(d: int, q: int, trunc: int) -> list[int]:
+    """Truncated series (in u = t^2) of
+    Sym( q linear d-dim summands  +  Sym^{i>=1}(Q^d) summands )."""
+    return final_count(sym_algebra_partials(d, q, trunc))
 
 
 def graded_sym_algebra_dimension(d: int, q: int, p: int) -> int:
@@ -414,11 +406,11 @@ def split_extension_filtration_check(
          dim S_{lam/mu}(Q^{dA+dC}) * dim S_{mu^T}(Q^{dC}).
 
     Needs dA >= 1 and dC >= 1.  The budget bounds the LR coefficient
-    evaluations (_check_lr_evaluations), and each hook-content dimension is
+    evaluations (_lr_evaluations), and each hook-content dimension is
     computed once per (partition, d)."""
     if dA < 1 or dC < 1:
         raise InvalidArgs(f"bad parameters dA={dA}, dC={dC}")
-    _check_lr_evaluations(lam.parts, budget)
+    check_budget(_lr_evaluations(lam.parts), budget, "LR coefficient evaluations")
     dim = lru_cache(maxsize=None)(schur_gl_dimension)
 
     def skew_dim(outer: Partition, inner: Partition, d: int) -> int:
@@ -452,15 +444,13 @@ def split_extension_filtration_check(
     )
 
 
-def _check_lr_evaluations(lam: tuple[int, ...], budget: int | None):
-    """Refuse when split_extension_filtration_check would evaluate more LR
-    coefficients than the budget: one per mu ⊆ lam and nu ⊢ |lam| - |mu|,
-    so sum over k of N_k·p(|lam| - k), with N_k the subdiagrams of weight k
-    counted row by row without listing them.  The empty subdiagram alone
-    takes p(|lam|), which is counted first, only up to the cap."""
-    unit = "LR coefficient evaluations"
+def _lr_evaluations(lam: tuple[int, ...]):
+    """The bound sequence (see errors.check_budget) of the LR coefficients
+    split_extension_filtration_check evaluates, one per mu ⊆ lam and
+    nu ⊢ |lam| - |mu|: first the fill of p(|lam|), the empty mu's share, then
+    sum over k of N_k·p(|lam| - k), N_k the mu of weight k, counted by rows."""
     n = sum(lam)
-    check_class_budget(budget, n, what=unit)
+    yield from partition_counts(n)
     # (last row, weight) -> subdiagrams of the rows so far
     ends = {(lam[0] if lam else 0, 0): 1}
     for part in lam:
@@ -469,4 +459,4 @@ def _check_lr_evaluations(lam: tuple[int, ...], budget: int | None):
             for v in range(min(last, part) + 1):
                 step[v, k + v] = step.get((v, k + v), 0) + c
         ends = step
-    check_budget(sum(c * partition_count(n - k) for (_, k), c in ends.items()), budget, unit)
+    return sum(c * partition_count(n - k) for (_, k), c in ends.items())

@@ -18,13 +18,7 @@ answer is purely combinatorial.
 
 from __future__ import annotations
 
-from .errors import (
-    DEFAULT_BUDGET,
-    InvalidArgs,
-    OracleDisagreement,
-    SizeBudgetExceeded,
-    check_budget,
-)
+from .errors import InvalidArgs, OracleDisagreement, check_budget
 from .characters import (
     BiClassFunction,
     count_pq,
@@ -160,11 +154,11 @@ def step1_dimension_identity(p: int, q: int, d: int, budget: int | None = None) 
     be split off, so the graded piece equals the convolution of the q=0
     series with the symmetric powers of the q*d linear generators.  The
     direct series and the q=0 one are built once each, within the budget's
-    series steps (_check_series_steps), counted before either is built.
+    series steps (_series_steps), counted before either is built.
     Needs q >= 0 and d >= 1; p < 0 gives an empty piece on both sides."""
     if q < 0 or d < 1:
         raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
-    _check_series_steps(p, q * d > 0, budget)
+    check_budget(_series_steps(p, q * d > 0), budget, "series steps")
     from .schur import graded_sym_algebra_dimension, graded_sym_algebra_series, sym_dimension
 
     direct = graded_sym_algebra_dimension(d, q, p)
@@ -179,24 +173,21 @@ def step1_dimension_identity(p: int, q: int, d: int, budget: int | None = None) 
     )
 
 
-def _check_series_steps(p: int, linear: bool, budget: int | None):
-    """Refuse when step1_dimension_identity's two series, truncated at p,
-    would take more multiply-adds than the budget.  series_mul walks only
-    the nonzero entries of a factor (1 - u^i)^(-m), its multiples of i, so
-    the factor costs at most S(i) = sum over n <= p of (n // i + 1) steps,
-    which is p + 1 + i*k*(k-1)/2 + r*k with p + 1 = k*i + r.  Each series
-    has the factors i = 1..p, and the direct one also the linear summands'
-    i = 1 when q*d > 0.  Every S(i) is at least p + 1, so the sum stops
-    once it passes the cap, before it grows long."""
-    cap = DEFAULT_BUDGET if budget is None else budget
-    unit = "series steps"
+def _series_steps(p: int, linear: bool):
+    """The bound sequence (see errors.check_budget) of the multiply-adds
+    that step1_dimension_identity's two series, truncated at p, take.
+    series_mul walks only the nonzero entries of a factor (1 - u^i)^(-m),
+    its multiples of i, so the factor costs at most S(i) = sum over n <= p
+    of (n // i + 1) steps, which is p + 1 + i*k*(k-1)/2 + r*k with
+    p + 1 = k*i + r.  Each series has the factors i = 1..p, and the direct
+    one also the linear summands' i = 1 when q*d > 0; the sum before each i
+    is a bound."""
     steps = (p + 1) * (p + 2) // 2 if linear and p >= 0 else 0
     for i in range(1, p + 1):
-        if steps > cap:
-            raise SizeBudgetExceeded(None, cap, unit)
+        yield steps
         k, r = divmod(p + 1, i)
         steps += 2 * (p + 1 + i * k * (k - 1) // 2 + r * k)
-    check_budget(steps, cap, unit)
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ class functions, and the labeled-partition action, the splitting map, the
 phi equivariance check and the two dimension cross-checks
 (``hom_side_total``, ``three_way_dimension_agreement``).  ``build_parser`` is
 the argparse parser that the CLI's command-table parser replaced, kept as the
-reference for what a command line means.
+reference for what a command line means.  The hand-written budget loops that
+``errors.check_budget``'s bound sequences replaced are kept as the
+reference for what each budget admits and how it refuses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import argparse
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, prod
 
 
 @lru_cache(maxsize=None)
@@ -765,3 +767,150 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(param, type=str if param == "LAMBDA" else int)
         p.set_defaults(func=_cmd_check, check=check, params=params)
     return ap
+
+
+# The budget checks of stablerep before errors.check_budget read bound
+# sequences, verbatim; the ones that were inline in specht_module and
+# specht_character_traces are wrapped in a function each.  They name the
+# package's errors but none of its budget code.
+from stablerep.errors import DEFAULT_BUDGET, InvalidArgs, SizeBudgetExceeded  # noqa: E402
+from stablerep.partitions import hook_lengths, transpose  # noqa: E402
+from stablerep.schur import _sym_algebra_factors, series_mul  # noqa: E402
+
+
+def check_budget(needed: int, budget: int | None, what: str = "ambient dimension"):
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if needed > cap:
+        raise SizeBudgetExceeded(needed, cap, what)
+
+
+@lru_cache(maxsize=None)
+def partition_count(n: int, cap: int | None = None) -> int | None:
+    """p(n), the number of partitions of n, without enumerating them: Euler's
+    pentagonal-number recurrence p(m) = sum_k (-1)^(k+1) (p(m - k(3k-1)/2)
+    + p(m - k(3k+1)/2)), filled bottom-up over m = 0..n in integers.  With a
+    cap, None as soon as some p(m) exceeds it: p is nondecreasing, so then
+    p(n) > cap, and the fill stops before the numbers grow long."""
+    if n < 0:
+        raise InvalidArgs(f"n must be non-negative, got {n}")
+    counts: list[int] = []
+    for m in range(n + 1):
+        total, k = int(m == 0), 1  # p(0) = 1, an empty sum
+        while k * (3 * k - 1) // 2 <= m:
+            term = counts[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                term += counts[m - k * (3 * k + 1) // 2]
+            total += term if k % 2 else -term
+            k += 1
+        if cap is not None and total > cap:
+            return None
+        counts.append(total)
+    return counts[n]
+
+
+def check_class_budget(budget: int | None, *degrees: int, what: str = "class pairs"):
+    """Refuse when the classes of the product of Sigma_n over n in degrees,
+    prod p(n) of them, exceed the budget: counted before any class is listed,
+    each p(n) only up to the cap."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    counts = [partition_count(n, cap) for n in degrees]
+    if None in counts:
+        raise SizeBudgetExceeded(None, cap, what)
+    check_budget(prod(counts), cap, what)
+
+
+def specht_dimension_up_to(lam, cap: int) -> int | None:
+    """f^lam by the hook-length formula with no factorial formed, or None
+    once it is known to exceed cap.  With h_1 <= h_2 <= ... the hook lengths
+    in order, f^lam = prod_k k / h_k, kept in lowest terms.  Each factor is
+    at least 1: the arm and leg of a cell of hook h hold h - 1 cells of
+    smaller hook, so h_k <= k.  So every partial product bounds f^lam from
+    below, and the product stops once one passes the cap with factors
+    left."""
+    num = den = 1
+    for k, h in enumerate(sorted(hook_lengths(lam).values()), 1):
+        if num > cap * den:
+            return None
+        num, den = num * k, den * h
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    return num
+
+
+def specht_module_budget(lam, budget: int | None = None):
+    """The budget check at the head of specht_module."""
+    r = lam.weight
+    cap = DEFAULT_BUDGET if budget is None else budget
+    unit = "standard Young tableaux times generators"
+    f = specht_dimension_up_to(lam, max(cap, 1))
+    if f is None:
+        raise SizeBudgetExceeded(None, cap, unit)
+    check_budget(f * max(r - 1, 0), cap, unit)
+
+
+def young_symmetrizer_terms_budget(lam, budget: int | None = None):
+    """The Young symmetrizer term loop at the head of
+    specht_character_traces."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    terms = 1
+    for part in lam.parts + transpose(lam).parts:
+        for k in range(2, part + 1):
+            if terms > cap:
+                raise SizeBudgetExceeded(None, cap, "Young symmetrizer terms")
+            terms *= k
+    check_budget(terms, cap, "Young symmetrizer terms")
+
+
+def _check_sym_algebra_budget(d: int, q: int, p: int, budget: int | None):
+    """Refuse when graded_sym_algebra_dimension(d, q, p), an ambient
+    dimension, passes the cap, and stop the product as soon as its degree-p
+    coefficient has passed it: each factor has constant term 1 and
+    nonnegative coefficients, so that coefficient never falls as factors are
+    multiplied in, and the refusal is exact."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    partial = [1] + [0] * p
+    for factor in _sym_algebra_factors(d, q, p):
+        if partial[p] > cap:
+            raise SizeBudgetExceeded(None, cap)
+        partial = series_mul(partial, factor, p)
+    check_budget(partial[p], cap)
+
+
+def _check_series_steps(p: int, linear: bool, budget: int | None):
+    """Refuse when step1_dimension_identity's two series, truncated at p,
+    would take more multiply-adds than the budget.  series_mul walks only
+    the nonzero entries of a factor (1 - u^i)^(-m), its multiples of i, so
+    the factor costs at most S(i) = sum over n <= p of (n // i + 1) steps,
+    which is p + 1 + i*k*(k-1)/2 + r*k with p + 1 = k*i + r.  Each series
+    has the factors i = 1..p, and the direct one also the linear summands'
+    i = 1 when q*d > 0.  Every S(i) is at least p + 1, so the sum stops
+    once it passes the cap, before it grows long."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    unit = "series steps"
+    steps = (p + 1) * (p + 2) // 2 if linear and p >= 0 else 0
+    for i in range(1, p + 1):
+        if steps > cap:
+            raise SizeBudgetExceeded(None, cap, unit)
+        k, r = divmod(p + 1, i)
+        steps += 2 * (p + 1 + i * k * (k - 1) // 2 + r * k)
+    check_budget(steps, cap, unit)
+
+
+def _check_lr_evaluations(lam: tuple[int, ...], budget: int | None):
+    """Refuse when split_extension_filtration_check would evaluate more LR
+    coefficients than the budget: one per mu ⊆ lam and nu ⊢ |lam| - |mu|,
+    so sum over k of N_k·p(|lam| - k), with N_k the subdiagrams of weight k
+    counted row by row without listing them.  The empty subdiagram alone
+    takes p(|lam|), which is counted first, only up to the cap."""
+    unit = "LR coefficient evaluations"
+    n = sum(lam)
+    check_class_budget(budget, n, what=unit)
+    # (last row, weight) -> subdiagrams of the rows so far
+    ends = {(lam[0] if lam else 0, 0): 1}
+    for part in lam:
+        step: dict[tuple[int, int], int] = {}
+        for (last, k), c in ends.items():
+            for v in range(min(last, part) + 1):
+                step[v, k + v] = step.get((v, k + v), 0) + c
+        ends = step
+    check_budget(sum(c * partition_count(n - k) for (_, k), c in ends.items()), budget, unit)

@@ -71,6 +71,10 @@ class TestEnumeration:
                 for sp in set_partitions_brute(p)
             }
             assert mine == brute
+        # Each is canonical: parts increasing and sorted by minimum.
+        for p in range(9):
+            for sp in set_partitions(p):
+                assert sp == tuple(sorted((tuple(sorted(b)) for b in sp), key=min))
 
     def test_general_counts(self):
         assert len(enumerate_general(2, LabelAlphabet(1))) == 5
@@ -273,10 +277,12 @@ class TestFWPiece:
                 fixed_weights(*args)
 
     def test_enumeration_checked_against_estimate(self, monkeypatch):
-        real = labeled.graded_sym_algebra_dimension
-        monkeypatch.setattr(
-            labeled, "graded_sym_algebra_dimension", lambda d, q, p: real(d, q, p) + 1
-        )
+        real = labeled.sym_algebra_partials
+
+        def shifted(d, q, p):
+            return [c + 1 for c in (yield from real(d, q, p))]
+
+        monkeypatch.setattr(labeled, "sym_algebra_partials", shifted)
         with pytest.raises(OracleDisagreement):
             build_fw_piece(2, 1, 2)
 

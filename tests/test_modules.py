@@ -256,11 +256,13 @@ def test_specht_traces_match_fixed_point_count():
 
 def test_constructors_raise_on_dimension_mismatch(monkeypatch):
     # specht_module checks its tableaux against the f^lam that its budget
-    # read off the hook product, so the shifted count sits there.
-    real_up_to = modules.specht_dimension_up_to
-    monkeypatch.setattr(
-        modules, "specht_dimension_up_to", lambda lam, cap: real_up_to(lam, cap) + 1
-    )
+    # read off the hook partials, so the shifted count sits there.
+    real_partials = modules.hook_partials
+
+    def shifted(lam):
+        return (yield from real_partials(lam)) + 1
+
+    monkeypatch.setattr(modules, "hook_partials", shifted)
     monkeypatch.setattr(
         modules, "schur_gl_dimension", lambda lam, d: schur_gl_dimension(lam, d) + 1
     )

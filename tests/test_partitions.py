@@ -1,16 +1,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from stablerep.errors import InvalidArgs
+from stablerep.errors import InvalidArgs, SizeBudgetExceeded, check_budget
 from stablerep.partitions import (
     Partition,
     SkewShape,
+    check_class_budget,
     enumerate_partitions,
     hook_lengths,
+    hook_partials,
     partition_count,
+    partition_counts,
     schur_gl_dimension,
     specht_dimension,
-    specht_dimension_up_to,
     transpose,
 )
 
@@ -92,21 +94,39 @@ def test_specht_dimension_vs_brute_force_syt():
             assert specht_dimension(lam) == syt_count_oracle(lam.parts)
 
 
+def _within(count, budget):
+    """What check_budget reads under the budget: the count, or the
+    refusal's needed, None for "more than"."""
+    try:
+        return count(budget)
+    except SizeBudgetExceeded as e:
+        return e.needed
+
+
 def test_specht_dimension_up_to_stops_past_the_cap():
     """The hook product in lowest terms equals the brute-force count when
     that fits the cap, and is None or exact past it; each shape is tried at
-    its own f^lam, one less, and a few fixed caps."""
+    its own f^lam, one less, and a few fixed caps.  A cap of 0 is a usage
+    error."""
+    def up_to(lam, cap):
+        return _within(lambda budget: check_budget(hook_partials(lam), budget), cap)
+
     for n in range(10):
         for lam in enumerate_partitions(n):
             f = syt_count_oracle(lam.parts)
             for cap in (0, 1, 5, 100, f - 1, f):
-                got = specht_dimension_up_to(lam, cap)
+                if cap < 1:
+                    with pytest.raises(InvalidArgs):
+                        up_to(lam, cap)
+                    continue
+                got = up_to(lam, cap)
                 assert got == f if f <= cap else got in (None, f), (lam, cap)
-    assert specht_dimension_up_to(Partition([19999, 1]), 20000) == 19999
-    assert specht_dimension_up_to(Partition([50000, 1]), 20000) is None
+    assert up_to(Partition([19999, 1]), 20000) == 19999
+    assert up_to(Partition([50000, 1]), 20000) is None
     # f = 14: the partial products of (4,4) run 1, 1, 3/2, 2, 10/3, 5, 35/4, 14.
-    assert specht_dimension_up_to(Partition([4, 4]), 5) is None
-    assert specht_dimension_up_to(Partition([4, 4]), 13) == 14
+    assert list(hook_partials(Partition([4, 4]))) == [1, 1, 1, 2, 2, 4, 5, 9]
+    assert up_to(Partition([4, 4]), 5) is None
+    assert up_to(Partition([4, 4]), 13) == 14
 
 
 def test_specht_dimensions_square_sum():
@@ -151,14 +171,22 @@ def test_partition_count_matches_enumeration():
 
 def test_partition_count_stops_past_the_cap():
     # p(36) = 17,977 and p(37) = 21,637: a capped count is p(n) up to the
-    # cap and None past it, however large n is.
-    assert partition_count(36, 17977) == 17977
-    assert partition_count(36, 17976) is None
-    assert partition_count(37, 21637) == 21637
-    assert partition_count(37, 20000) is None
-    assert partition_count(30000, 20000) is None
-    assert partition_count(0, 1) == 1 and partition_count(0, 0) is None
+    # cap and None past it, however large n is; a cap of 0 is a usage error.
+    def capped(n, cap):
+        return _within(lambda budget: check_class_budget(budget, n, what="partitions"), cap)
+
+    assert capped(36, 17977) == 17977
+    assert capped(36, 17976) is None
+    assert capped(37, 21637) == 21637
+    assert capped(37, 20000) is None
+    assert capped(30000, 20000) is None
+    assert capped(0, 1) == 1
     for n in range(20):
-        for cap in (0, 1, 5, 100):
+        assert list(partition_counts(n)) == [partition_count_oracle(m) for m in range(n + 1)]
+        with pytest.raises(InvalidArgs):
+            capped(n, 0)
+        for cap in (1, 5, 100):
             exact = partition_count_oracle(n)
-            assert partition_count(n, cap) == (exact if exact <= cap else None)
+            assert capped(n, cap) == (exact if exact <= cap else None)
+
+

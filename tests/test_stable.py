@@ -151,9 +151,12 @@ class TestPipeline:
             factors = [1] * (q * d > 0) + [i for i in range(1, p + 1) for _ in "ab"]
             steps = sum(n // i + 1 for i in factors for n in range(p + 1))
             made[0] = 0
-            assert step1_dimension_identity(p, q, d, budget=steps).passed
+            assert step1_dimension_identity(p, q, d, budget=max(steps, 1)).passed
             assert made[0] <= steps and (made[0] or p < 1), (p, q, d)
-            with pytest.raises(SizeBudgetExceeded, match="^series steps "):
+            # A budget below 1, one step fewer than p <= 0 takes, is a usage error.
+            refusal = (SizeBudgetExceeded, "^series steps ") if steps > 1 else (
+                InvalidArgs, "^budget must be at least 1, got ")
+            with pytest.raises(refusal[0], match=refusal[1]):
                 step1_dimension_identity(p, q, d, budget=steps - 1)
 
     def test_step1_refuses_before_building_a_series(self, monkeypatch):
