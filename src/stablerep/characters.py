@@ -12,9 +12,11 @@ what builds a rational (``inner_product``, a non-integral multiplicity).
 
 The closed forms of the labeled families live here too, so the stable answer
 needs no labeled-partition code: the Stirling count ``count_pq``, the
-cycle-index characters ``pq_bicharacter``, ``general_bicharacter`` and
-``pq_identity_counts``, and the characters induced from the injective family
-(``induced_pq_bicharacter``).
+injective family's character ``pq_bicharacter`` as an integer orbit count
+per class pair, the repeatable-label family's ``general_bicharacter`` off
+one cycle index per class of tau, the identity counts ``pq_identity_counts``
+off a two-variable recurrence, and the characters induced from the
+injective family (``induced_pq_bicharacter``).
 
 Characters are stored densely over all cycle types; with weights at desk
 scale the class lists are tiny.  Class functions keep the values they are
@@ -457,147 +459,118 @@ def restrict(f: ClassFunction, i: int, j: int) -> BiClassFunction:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms: the Stirling count and the cycle indices of the two labeled
-# families of labeled.py, which the stable answer and the verify characters
-# are read off; enumeration over those families is the tests' oracle.
+# Closed forms: the Stirling count and the fixed-point characters of the two
+# labeled families of labeled.py; enumeration is the tests' oracle.
 #
-# The injectively labeled family is the two-sort species
-# F(X, Y) = E(E+(X)) * E(Y * E+(X)): a set of unlabeled blocks and a set of
-# blocks each paired with one label.  Its cycle index is
-#     Z_F = exp(sum_k (1/k)(1 + y_k)(exp(sum_i x_{ik}/i) - 1)),
-# and (sigma, tau) of cycle types (rho, pi) fixes z_rho*z_pi*[x^rho y^pi] Z_F
-# objects.
+# Injective labels (q labels on distinct blocks): a partition fixed by sigma
+# groups sigma's cycles into orbits of k blocks, k dividing each cycle's
+# length; an orbit of m cycles is cut into blocks in k^(m-1) ways, and takes
+# a k-cycle of tau, if any, in k rotations.  So if each cycle of sigma picks
+# a divisor k of its length, N_k of them picking k, (sigma, tau) of cycle
+# types (rho, pi) fixes the sum over the picks of prod_k G_k(N_k, c_k(pi)),
+#     G_k(N, c) = k^c·sum_j S(N, j)·k^(N-j)·j!/(j-c)!,
+# with c_k(pi) the k-cycles of tau and S the Stirling numbers of the second
+# kind (the fixed points of E(E+) behind its cycle index; Bergeron, Labelle
+# and Leroux, Combinatorial Species and Tree-like Structures, 1998).
 #
-# The family with repeatable labels (labeled.LabelAlphabet(q)) is a set of blocks,
-# each unlabeled or a singleton with one of the q labels.  For tau fixing f_k
-# labels under tau^k, its one-sort cycle index is
-#     Z_tau = exp(sum_k (1/k)(exp(sum_i x_{ik}/i) - 1 + f_k x_k)),
-# and (sigma, tau) fixes z_rho*[x^rho] Z_tau objects.
-#
-# Both are computed in integers.  The coefficient c of x^rho y^pi is stored
-# scaled, as N = c·|rho|!·|pi|!, which is |class rho|·|class pi| times the
-# fixed-point count, so an integer.  The exponent's terms (1/(k·z_lam)) x_{k lam}
-# and (1/(k·z_lam)) x_{k lam} y_k, of weights j = k·|lam| and k, become
-# j!/(k·z_lam) and j!·(k-1)!/z_lam, and Z_tau's f_k/k at x_k becomes
-# (k-1)!·f_k.  Two monomials multiply with the binomials of their weights,
-# so n·Z_n = sum_j j·A_j·Z_{n-j} becomes
-#     N_n = sum_j C(n-1, j-1)·C(m, m_a)·A_j·N_{n-j},
-# with m and m_a the y-weights of the product and of A_j's term.  Each
-# character value is then one exact division by the class sizes, and a
-# remainder raises OracleDisagreement.
+# Repeatable labels (labeled.LabelAlphabet(q)): blocks, each unlabeled or a
+# singleton with one label.  With f_k the labels tau^k fixes, (sigma, tau)
+# fixes z_rho*[x^rho] Z_tau objects,
+#     Z_tau = exp(sum_k (1/k)(exp(sum_i x_{ik}/i) - 1 + f_k x_k)).
+# Its coefficients are stored scaled by |rho|!, as |class rho| times the
+# fixed-point count, an integer: the term (1/(k·z_lam)) x_{k lam} of weight
+# j = k·|lam| becomes j!/(k·z_lam), f_k/k at x_k becomes (k-1)!·f_k, and
+# n·Z_n = sum_j j·A_j·Z_{n-j} becomes N_n = sum_j C(n-1, j-1)·A_j·N_{n-j}.
+# A remainder in the division by the class size raises OracleDisagreement.
 
 
 def count_pq(p: int, q: int) -> int:
     """Number of injectively q-labeled partitions of {1..p}, without
-    enumerating: sum over the part count k of S(p, k)·k!/(k-q)!, with S the
-    Stirling numbers of the second kind."""
+    enumerating: G_1(p, q), the sum over the part count k of S(p, k)·k!/(k-q)!."""
     if q < 0 or p < 0:
         raise InvalidArgs("p, q must be non-negative")
-    stirling = [1]  # S(n, k) for k = 0..n, starting at n = 0
-    for n in range(1, p + 1):
+    return _orbit_ways(1, p, q)
+
+
+@lru_cache(maxsize=None)
+def _orbit_ways(k: int, n: int, c: int) -> int:
+    """G_k(n, c): the ways to group n cycles of sigma into orbits of k blocks
+    and to put the c k-cycles of tau on distinct orbits, k rotations each."""
+    stirling = [1]  # S(m, j) for j = 0..m, starting at m = 0
+    for m in range(1, n + 1):
         stirling = [0] + [
-            k * (stirling[k] if k < n else 0) + stirling[k - 1]
-            for k in range(1, n + 1)
+            j * (stirling[j] if j < m else 0) + stirling[j - 1] for j in range(1, m + 1)
         ]
-    return sum(s * perm(k, q) for k, s in enumerate(stirling))
+    return k**c * sum(s * k ** (n - j) * perm(j, c) for j, s in enumerate(stirling))
 
 
-# A scaled piece {rho.parts: {pi.parts: N}} of a cycle index.
-Piece = dict[tuple[int, ...], dict[tuple[int, ...], int]]
+def _orbit_states(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{picks: ways}: the ways the cycles of lengths rho, told apart, each
+    pick a divisor of their length, keyed by the picks sorted ascending."""
+    states = {(): 1}
+    for length in rho:
+        divisors = [k for k in range(1, length + 1) if length % k == 0]
+        grown: dict = {}
+        for state, ways in states.items():
+            for k in divisors:
+                key = tuple(sorted(state + (k,)))
+                grown[key] = grown.get(key, 0) + ways
+        states = grown
+    return states
 
 
-def _merge_parts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b, reverse=True)) if a else b
-
-
-def _cycle_index_log(j: int, q_max: int) -> Piece:
-    """Scaled x-weight j part of the exponent of Z_F, dropping y_k for k > q_max:
-    j!/(k·z_lam) at x_{k lam} and j!·(k-1)!/z_lam at x_{k lam} y_k."""
-    out: Piece = {}
+def _cycle_index_log(j: int) -> dict[tuple[int, ...], int]:
+    """Scaled x-weight j part of sum_k (1/k)(exp(sum_i x_{ik}/i) - 1):
+    j!/(k·z_lam) at x_{k lam}."""
+    out: dict = {}
     for k in range(1, j + 1):
         if j % k:
             continue
         for lam in enumerate_partitions(j // k):
-            n = factorial(j) // (k * centralizer_order(lam))
-            row = out.setdefault(tuple(k * s for s in lam), {})
-            row[()] = row.get((), 0) + n
-            if k <= q_max:
-                row[(k,)] = n * factorial(k)
+            x = tuple(k * s for s in lam)
+            out[x] = out.get(x, 0) + factorial(j) // (k * centralizer_order(lam))
     return out
 
 
-def _by_y_weight(piece: Piece) -> dict:
-    """{x: [(y, y-weight, N)]}, y-weights ascending."""
-    return {
-        x: sorted(((y, sum(y), v) for y, v in row.items()), key=lambda e: e[1])
-        for x, row in piece.items()
-    }
-
-
-def _exp_series(logs: list[Piece], q_max: int) -> list[Piece]:
+def _exp_series(logs: list[dict]) -> list[dict]:
     """Scaled pieces of x-weight 0..len(logs)-1 of Z = exp(A), given the
-    scaled x-weight pieces A_j = logs[j] (logs[0] is ignored), truncated at
-    y-weight q_max, by N_n = sum_j C(n-1, j-1)·C(m, m_a)·A_j·N_{n-j}.  Each x
-    merge serves every y pair, and each y merge is made once."""
-    binom = [[comb(m, i) for i in range(m + 1)] for m in range(q_max + 1)]
-    terms = [_by_y_weight(log) for log in logs]
-    z: list[Piece] = [{(): {(): 1}}]
-    grouped = [_by_y_weight(z[0])]
-    merged: dict = {}
+    scaled x-weight pieces A_j = logs[j] (logs[0] is ignored), by
+    N_n = sum_j C(n-1, j-1)·A_j·N_{n-j}."""
+    z: list[dict] = [{(): 1}]
     for n in range(1, len(logs)):
-        acc: Piece = {}
+        acc: dict = {}
         for j in range(1, n + 1):
             c = comb(n - 1, j - 1)
-            for ax, a_terms in terms[j].items():
-                for bx, b_terms in grouped[n - j].items():
-                    row = acc.setdefault(_merge_parts(ax, bx), {})
-                    for ay, ma, a in a_terms:
-                        a *= c
-                        for by, mb, b in b_terms:
-                            if ma + mb > q_max:
-                                break
-                            y = merged.get((ay, by))
-                            if y is None:
-                                y = merged[ay, by] = _merge_parts(ay, by)
-                            row[y] = row.get(y, 0) + a * b * binom[ma + mb][ma]
+            for ax, a in logs[j].items():
+                a *= c
+                for bx, b in z[n - j].items():
+                    x = tuple(sorted(ax + bx, reverse=True))
+                    acc[x] = acc.get(x, 0) + a * b
         z.append(acc)
-        grouped.append(_by_y_weight(acc))
     return z
-
-
-def _cycle_index(p_max: int, q_max: int) -> list[Piece]:
-    """Scaled pieces of x-weight 0..p_max of Z_F, truncated at y-weight q_max."""
-    return _exp_series([_cycle_index_log(j, q_max) for j in range(p_max + 1)], q_max)
-
-
-def _fixed_count(scaled: int, classes: int, where) -> int:
-    """The fixed-point count scaled / classes, which the scaling makes exact."""
-    count, rest = divmod(scaled, classes)
-    if rest:
-        raise OracleDisagreement(
-            f"scaled cycle-index coefficient {scaled} at {where} is not a "
-            f"multiple of the class size {classes}"
-        )
-    return count
 
 
 def pq_bicharacter(p: int, q: int) -> BiClassFunction:
     """Fixed-point character of Sigma_p x Sigma_q on the injectively labeled
-    family, read off the cycle index Z_F without enumerating (the tests
-    check it against fixed-point counts over enumerate_pq)."""
+    family, one integer orbit count per class pair (above), without
+    enumerating (the tests check it against counts over enumerate_pq)."""
     if q < 0 or p < 0:
         raise InvalidArgs("p, q must be non-negative")
     if q > p:
         raise InvalidArgs(f"q={q} exceeds p={p}; no partition has enough parts")
-    top = _cycle_index(p, q)[p]
-    q_sizes = {t: class_size(t) for t in cycle_types(q)}
+    taus = [(t, {k: t.parts.count(k) for k in set(t.parts)}) for t in cycle_types(q)]
     vals = {}
     for s in cycle_types(p):
-        size = class_size(s)
-        row = top.get(s.parts, {})
-        for t, t_size in q_sizes.items():
-            scaled = row.get(t.parts, 0)
-            vals[(s, t)] = _fixed_count(scaled, size * t_size, (s.parts, t.parts))
+        states = [({k: st.count(k) for k in set(st)}, ways)
+                  for st, ways in _orbit_states(s.parts).items()]
+        for t, cycles in taus:
+            total = 0
+            for picked, ways in states:
+                if cycles.keys() <= picked.keys():
+                    for k, n in picked.items():
+                        ways *= _orbit_ways(k, n, cycles.get(k, 0))
+                    total += ways
+            vals[(s, t)] = total
     return BiClassFunction((p, q), vals)
 
 
@@ -608,30 +581,37 @@ def general_bicharacter(p: int, q: int) -> BiClassFunction:
     Z_tau's extra term f_k/k at x_k is (k-1)!·f_k scaled."""
     if q < 0 or p < 0:
         raise InvalidArgs("p, q must be non-negative")
-    unlabeled = [_cycle_index_log(j, 0) for j in range(p + 1)]
+    unlabeled = [_cycle_index_log(j) for j in range(p + 1)]
     vals = {}
     for t in cycle_types(q):
         logs = [dict(a) for a in unlabeled]
         for k in range(1, p + 1):
-            f_k = sum(c for c in t.parts if k % c == 0)
-            logs[k][(k,)] = {(): logs[k][(k,)][()] + factorial(k - 1) * f_k}
-        top = _exp_series(logs, 0)[p]
+            logs[k][(k,)] += factorial(k - 1) * sum(c for c in t.parts if k % c == 0)
+        top = _exp_series(logs)[p]
         for s in cycle_types(p):
-            scaled = top.get(s.parts, {}).get((), 0)
-            vals[(s, t)] = _fixed_count(scaled, class_size(s), (s.parts, t.parts))
+            scaled, size = top.get(s.parts, 0), class_size(s)
+            vals[(s, t)], rest = divmod(scaled, size)
+            if rest:
+                raise OracleDisagreement(
+                    f"scaled cycle-index coefficient {scaled} at {(s.parts, t.parts)} "
+                    f"is not a multiple of the class size {size}"
+                )
     return BiClassFunction((p, q), vals)
 
 
 def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], int]:
     """|injectively q-labeled partitions of {1..p}| for q <= p <= p_max and
-    q <= q_max, as the identity-class coefficients of Z_F:
-    p!·q!·[x^p y^q] exp((1 + y)(e^x - 1)), which the scaling stores as is
-    (both identity classes have size 1)."""
+    q <= q_max, not by the Stirling sum but as
+    N(p, q) = p!·q!·[x^p y^q] exp((1 + y)(e^x - 1)), whose x-derivative gives
+    N(n, m) = sum_j C(n-1, j-1)·(N(n-j, m) + m·N(n-j, m-1))."""
     if p_max < 0 or q_max < 0:
         raise InvalidArgs("bounds must be non-negative")
-    z = _cycle_index(p_max, q_max)
-    return {
-        (p, q): z[p].get((1,) * p, {}).get((1,) * q, 0)
-        for p in range(p_max + 1)
-        for q in range(min(p, q_max) + 1)
-    }
+    rows = [[1] + [0] * q_max]
+    for n in range(1, p_max + 1):
+        # At m = 0 the second term is 0 times the row's last entry.
+        rows.append([
+            sum(comb(n - 1, j - 1) * (rows[n - j][m] + m * rows[n - j][m - 1])
+                for j in range(1, n + 1))
+            for m in range(q_max + 1)
+        ])
+    return {(p, q): rows[p][q] for p in range(p_max + 1) for q in range(min(p, q_max) + 1)}

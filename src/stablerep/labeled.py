@@ -2,8 +2,8 @@
 equivariant maps attached to each labeled partition, and exact checks that
 stacking those maps gives an isomorphism onto the GL-equivariant Hom space.
 
-The closed forms of both labeled families (the Stirling count ``count_pq``
-and the cycle-index characters ``pq_bicharacter`` and
+The closed forms of both labeled families (the Stirling count ``count_pq``,
+the orbit-count character ``pq_bicharacter`` and the cycle-index character
 ``general_bicharacter``) live in ``characters``, so the stable answer loads
 none of this module; enumeration here is their tests' oracle.
 

@@ -4,12 +4,12 @@ identities behind it, and a character-level replay of the induction that
 pins the answer down.
 
 The answer, the dimension table and the induction replay come from closed
-forms (the cycle indices of the labeled-partition species, the characters
-induced from them, and a Stirling count, all in ``characters``);
-enumeration is the test oracle.  So this module loads no labeled-partition
-or linear-algebra code.  The graded series of the step-1 identity are GL_d
-dimensions, which ``step1_dimension_identity`` imports from ``schur`` when
-it runs, so the stable answer loads no ``schur``.
+forms in ``characters`` (an orbit count for the injective family, a cycle
+index for repeatable labels, the induced characters, a Stirling count and
+an identity-count recurrence); enumeration is the test oracle.  So this
+module loads no labeled-partition or linear-algebra code.  The step-1
+identity's graded series are GL_d dimensions, which it imports from
+``schur`` when it runs, so the stable answer loads no ``schur``.
 
 The automorphism groups themselves are never represented; the coefficient
 system appears only as symbolic (p, q, n) bookkeeping, because the stable
@@ -30,6 +30,7 @@ from .characters import (
     pq_identity_counts,
 )
 from .partitions import FrozenRecord, IrredDecomposition, Record, Report, check_class_budget
+from .partitions import specht_dimension
 
 
 class SymbolicCoefficient(FrozenRecord):
@@ -118,13 +119,12 @@ def stable_cohomology(
     injectively labeled partitions in degree p-q, zero elsewhere.
 
     Closed form; enumeration is the test oracle.  The character comes from
-    the integer cycle index (``pq_bicharacter``), the dimension from the
-    Stirling count (``count_pq``), and the dimension must also equal the
-    character at the identity and the dimension of the decomposition.
-    Nothing grows with the dimension, but the cycle index, the character
-    and ``decompose`` grow with the class pairs, p(p)·p(q) of them, so the
-    budget bounds those, counted before any class is listed (zero cells
-    included: their character still lists every pair)."""
+    the integer orbit count (``pq_bicharacter``), the dimension from the
+    Stirling count (``count_pq``), and ``_check_decomposition`` checks the
+    decomposition against both.  Nothing grows with the dimension, but the
+    character and ``decompose`` grow with the class pairs, p(p)·p(q) of
+    them, so the budget bounds those, counted before any class is listed
+    (zero cells included: their character still lists every pair)."""
     if p < 0 or q < 0:
         raise InvalidArgs("p, q must be non-negative")
     check_class_budget(budget, p, q)
@@ -137,12 +137,32 @@ def stable_cohomology(
     chi = pq_bicharacter(p, q).sign_twist_first()
     dec = decompose(chi)
     dim = count_pq(p, q)
-    if not dim == chi.dimension == dec.total_dimension():
-        raise OracleDisagreement(
-            f"Stirling count {dim}, character at the identity {chi.dimension}, "
-            f"decomposition dimension {dec.total_dimension()}"
-        )
+    _check_decomposition(p, q, dim, chi.dimension, dec)
     return StableCohomologyResult(p, q, degree, chi, dec, dim, valid)
+
+
+def _check_decomposition(p: int, q: int, dim: int, at_identity: int, dec: IrredDecomposition):
+    """The decomposition's dimension must be the Stirling count and the
+    character at the identity.  Its values at transpositions, by Frobenius
+    f^lam·2c(lam)/(n(n-1)) with c the content sum, must be the fixed points:
+    (1 2) in Sigma_p fixes the objects with 1, 2 in one block or as two
+    unlabeled singletons (sign-twisted), and one in Sigma_q fixes none.  So
+    swapping components of equal dimension shows."""
+    shapes = {lam for pair in dec.mults for lam in pair}
+    fc = {lam: (specht_dimension(lam), sum(j - i for i, j in lam.cells())) for lam in shapes}
+    total = on_p = on_q = 0
+    for (lam, mu), m in dec.mults.items():
+        m *= fc[lam][0] * fc[mu][0]
+        total += m
+        on_p += m * 2 * fc[lam][1]
+        on_q += m * fc[mu][1]
+    want = -(count_pq(p - 1, q) + count_pq(p - 2, q)) * p * (p - 1) if p >= 2 else 0
+    if not dim == at_identity == total or on_p != want or on_q:
+        raise OracleDisagreement(
+            f"Stirling count {dim}, character at the identity {at_identity}, "
+            f"decomposition dimension {total}; at transpositions it gives "
+            f"{on_p} (want {want}) and {on_q} (want 0)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +219,7 @@ def theorem_a_induction_check(p: int, q: int, budget: int | None = None) -> Repo
     contributions of the already-known i < q layers from the full labeled
     partition character (``general_bicharacter``); the residue must be the
     injectively q-labeled character (``pq_bicharacter``).  The two come from
-    different cycle indices, and no labeled partition is built: the budget
+    different engines, and no labeled partition is built: the budget
     bounds the table of class pairs, counted before any is listed."""
     if not (0 <= q <= p):
         raise InvalidArgs(f"need 0 <= q <= p, got p={p}, q={q}")
@@ -233,11 +253,11 @@ def dimension_table(p_max: int, q_max: int, budget: int | None = None) -> list[d
     requested grid.
 
     Closed form; enumeration is the test oracle.  Each dimension is the
-    Stirling count ``count_pq``, checked against the identity-class
-    coefficient of the cycle index (``pq_identity_counts``).  That cycle
-    index is the one ``stable_cohomology(p_max, min(p_max, q_max))`` reads
-    its character off, so the budget bounds the class pairs of that top
-    cell, counted before any class is listed."""
+    Stirling count ``count_pq``, checked against a two-variable recurrence
+    (``pq_identity_counts``), which builds one (p_max+1)×(q_max+1) integer
+    table.  The budget still bounds the class pairs of the top cell
+    (p_max, min(p_max, q_max)), counted before anything is built, so the
+    table is refused exactly where that cell's ``stable_cohomology`` is."""
     if p_max < 0 or q_max < 0:
         raise InvalidArgs("bounds must be non-negative")
     check_class_budget(budget, p_max, min(p_max, q_max))
@@ -249,7 +269,7 @@ def dimension_table(p_max: int, q_max: int, budget: int | None = None) -> list[d
             if dim != by_series[(p, q)]:
                 raise OracleDisagreement(
                     f"p={p}, q={q}: Stirling count {dim}, "
-                    f"cycle index {by_series[(p, q)]}"
+                    f"identity-count recurrence {by_series[(p, q)]}"
                 )
             rows.append(
                 {

@@ -44,6 +44,7 @@ from stablerep.schur import (
     lr_tableaux_count,
     skew_schur_decompose,
 )
+from stablerep.stable import stable_cohomology
 
 from conftest import (
     decomposition_from_json,
@@ -388,41 +389,56 @@ def test_regular_character_decomposition(n):
 
 
 class TestIntegerCycleIndex:
-    """The scaled integer cycle index against the Fraction engine it
-    replaced (tests/conftest.py), on every cell p <= 8, q <= p; enumeration
-    reaches only p <= 6."""
+    """The integer closed forms against the Fraction two-sort cycle index
+    (tests/conftest.py): the orbit count and the identity-count recurrence
+    on every cell p <= 12, q <= p, the scaled Z_tau series on p <= 8;
+    enumeration reaches only p <= 6."""
 
     CELLS = [(p, q) for p in range(9) for q in range(p + 1)]
+    WIDE_CELLS = [(p, q) for p in range(13) for q in range(p + 1)]
 
     @pytest.mark.parametrize(
         "closed, oracle",
         [(pq_bicharacter, pq_bicharacter_oracle), (general_bicharacter, general_bicharacter_oracle)],
     )
     def test_bicharacters_match_the_fraction_engine(self, closed, oracle):
-        for p, q in self.CELLS:
+        for p, q in self.WIDE_CELLS if closed is pq_bicharacter else self.CELLS:
             got = closed(p, q)
             assert got == oracle(p, q), (p, q)
             assert {type(v) for v in got.values.values()} == {int}
 
     def test_identity_counts_match_the_fraction_engine(self):
-        got = pq_identity_counts(8, 8)
-        assert got == pq_identity_counts_oracle(8, 8)
-        assert set(got) == set(self.CELLS)
+        got = pq_identity_counts(12, 12)
+        assert got == pq_identity_counts_oracle(12, 12)
+        assert set(got) == set(self.WIDE_CELLS)
 
     @pytest.mark.parametrize("build, q", [(pq_bicharacter, 0), (general_bicharacter, 1)])
     def test_an_off_by_one_log_term_raises(self, monkeypatch, build, q):
-        """The scaled y-free log term at x_3 is 3!/3 + 3!/3 = 4 (from k = 1,
-        lam = (3) and k = 3, lam = (1)); at 5, the coefficient of x_3 is odd
-        in both families, and the class of 3-cycles in Sigma_3 has 2
-        elements."""
-        real = characters._cycle_index_log
+        """general_bicharacter: the scaled log term at x_3 is 3!/3 + 3!/3 = 4
+        (from k = 1, lam = (3) and k = 3, lam = (1)); at 5, the coefficient
+        of x_3 is odd, and the class of 3-cycles in Sigma_3 has 2 elements.
+        pq_bicharacter: G_2(1, 0) = 1 (one 2-cycle alone on an orbit of 2
+        blocks); at 2, every class of sigma with a 2-cycle gains fixed
+        points, and the stable answer must refuse them."""
+        if build is general_bicharacter:
+            real = characters._cycle_index_log
 
-        def shifted(j, q_max):
-            out = real(j, q_max)
-            if j == 3:
-                out[(3,)][()] += 1
-            return out
+            def shifted(j):
+                out = real(j)
+                if j == 3:
+                    out[(3,)] += 1
+                return out
 
-        monkeypatch.setattr(characters, "_cycle_index_log", shifted)
-        with pytest.raises(OracleDisagreement, match="not a multiple of the class size 2$"):
-            build(3, q)
+            monkeypatch.setattr(characters, "_cycle_index_log", shifted)
+            with pytest.raises(OracleDisagreement, match="not a multiple of the class size 2$"):
+                build(3, q)
+            return
+        real_ways = characters._orbit_ways
+        monkeypatch.setattr(
+            characters, "_orbit_ways", lambda k, n, c: real_ways(k, n, c) + ((k, n, c) == (2, 1, 0))
+        )
+        # A transposition fixes 3 set partitions of {1, 2, 3}; the shift counts 4.
+        assert build(3, q).values[(Partition([2, 1]), Partition([]))] == 4
+        for p in range(3, 7):
+            with pytest.raises((OracleDisagreement, NonIntegralMultiplicity)):
+                stable_cohomology(p, q, p - q)

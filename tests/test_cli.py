@@ -150,6 +150,14 @@ class TestStableCohomologyCommand:
              "e35ab6519ad2c6aa0aad20bbcc443412250adf4a8e3e20df9c3175f64811b7b1", 0),
             ("--json verify induction 7 3",
              "0a207ecd15c3d64f2ca3058bc458c3fd4afc037de27945063ebf354475804317", 0),
+            # Recorded with the two-sort cycle index; the orbit count and
+            # the identity-count recurrence must print the same bytes.
+            ("--json stable-cohomology 12 6",
+             "244166c18f29c02b9ff8059c30f345ca225a50c2560071987249fa84a8645f4b", 0),
+            ("--json verify induction 12 6",
+             "3af399138d2e00ff4e6a51591e02a8f30a3edbd170b8a3f96215773e2ffb4f49", 0),
+            ("--json stable-cohomology 18 9",
+             "edc050550e1b1aad14054a4c0852d0dc3a173981d4e2262ecdec3611870df369", 0),
         ],
     )
     def test_output_pinned(self, capsys, argv, digest, exit_code):
@@ -247,18 +255,19 @@ class TestExitCodes:
 
     def test_budget_bounds_stable_cohomology_class_pairs(self, capsys, monkeypatch):
         # 7 2 has p(7)·p(2) = 30 class pairs, and 20 10 has 627·42 = 26,334,
-        # refused by default before the cycle index is built; zero cells
-        # count their pairs too, and --table those of its top cell, p(7)^2
-        # at 7 9.  18 9 (11,550 pairs) fits the default cap.
-        from stablerep import characters
+        # refused by default before any orbit state or identity count is
+        # built; zero cells count their pairs too, and --table those of its
+        # top cell, p(7)^2 at 7 9.  18 9 (11,550 pairs) fits the default cap.
+        from stablerep import characters, stable
         from stablerep.partitions import check_class_budget
 
-        def refuse(p_max, q_max):
-            raise AssertionError(f"cycle index to ({p_max}, {q_max}) built")
+        def refuse(*args):
+            raise AssertionError(f"built at {args}")
 
         _, plain = run(capsys, "stable-cohomology", "7", "2")
         with monkeypatch.context() as m:
-            m.setattr(characters, "_cycle_index", refuse)
+            m.setattr(characters, "_orbit_states", refuse)
+            m.setattr(stable, "pq_identity_counts", refuse)
             assert main(["--budget", "29", "stable-cohomology", "7", "2"]) == 3
             assert main(["--budget", "29", "stable-cohomology", "7", "2", "--degree", "3"]) == 3
             assert main(["stable-cohomology", "20", "10"]) == 3

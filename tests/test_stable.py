@@ -7,7 +7,7 @@ from stablerep.characters import count_pq, cycle_types, decompose, identity_type
 from stablerep import labeled, stable
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.labeled import enumerate_pq
-from stablerep.partitions import Partition, transpose
+from stablerep.partitions import IrredDecomposition, Partition, specht_dimension, transpose
 from stablerep.stable import (
     SymbolicCoefficient,
     dimension_table,
@@ -84,6 +84,33 @@ class TestStableCohomology:
     def test_min_n(self):
         assert stable_cohomology(2, 1, 1).min_n == 8
         assert stable_cohomology(1, 1, 0).min_n == 5
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # Content sums 2 and -2 in lambda: the Sigma_p transposition check.
+            (((3, 1), (2,)), ((2, 1, 1), (2,))),
+            # Content sums 1 and -1 in mu: the Sigma_q transposition check.
+            (((3, 1), (2,)), ((3, 1), (1, 1))),
+        ],
+    )
+    def test_swapped_components_of_equal_dimension_raise(self, monkeypatch, a, b):
+        """Swapping the multiplicities of two components with equal
+        f^lam·f^mu keeps every dimension; the content sums still see it."""
+        a, b = (tuple(map(Partition, key)) for key in (a, b))
+        assert specht_dimension(a[0]) * specht_dimension(a[1]) == (
+            specht_dimension(b[0]) * specht_dimension(b[1])
+        )
+
+        def swapped(chi):
+            mults = dict(decompose(chi).mults)
+            assert 0 < mults[a] != mults[b] > 0
+            mults[a], mults[b] = mults[b], mults[a]
+            return IrredDecomposition(mults)
+
+        monkeypatch.setattr(stable, "decompose", swapped)
+        with pytest.raises(OracleDisagreement, match="at transpositions"):
+            stable_cohomology(4, 2, 2)
 
     def test_dimension_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(stable, "count_pq", lambda p, q: count_pq(p, q) + 1)
