@@ -34,20 +34,24 @@ _EXPORTS = {
         "ClassFunction",
         "cycle_types",
         "decompose",
+        "irreducible_character",
+    ),
+    "induction": (
         "external_product",
         "induce",
         "inner_product",
-        "irreducible_character",
         "restrict",
         "sign_character",
+        "theorem_a_induction_check",
         "trivial_character",
     ),
-    "schur": (
+    "schur": ("kostka",),
+    "functors": (
         "graded_sym_algebra_dimension",
-        "kostka",
         "lr_coefficient",
         "skew_schur_decompose",
         "split_extension_filtration_check",
+        "step1_dimension_identity",
         "verify_cauchy",
         "verify_schur_weyl",
     ),
@@ -75,15 +79,18 @@ _EXPORTS = {
         "SymbolicCoefficient",
         "dimension_table",
         "stable_cohomology",
-        "step1_dimension_identity",
-        "theorem_a_induction_check",
     ),
 }
 
-# Exported name -> defining submodule; the submodules themselves are exported
-# under their own names (cli, the entry point, is not).
+# Exported name -> defining submodule.  These submodules are exported under
+# their own names; cli, cache, induction and functors are not.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_MODULE_OF.update((module, module) for module in ("linalg", *_EXPORTS))
+_MODULE_OF.update(
+    (module, module)
+    for module in (
+        "characters", "errors", "labeled", "linalg", "modules", "partitions", "schur", "stable"
+    )
+)
 
 __version__ = "0.1.0"
 

@@ -6,17 +6,15 @@ the rim hooks of each (shape, hook length) are read off the beta-numbers
 once and cached with their signs (``_rim_hooks``), and ``_mn`` memoizes, per
 (shape, largest part r), the character on every class with parts <= r as an
 int tuple in ``cycle_types`` order, one signed vector sum per first part.
-Induction uses the classical cycle-type splitting formula.  Everything is
-exact and integer where the input is; ``fractions`` is imported only by
-what builds a rational (``inner_product``, a non-integral multiplicity).
+Everything is exact and integer where the input is; ``fractions`` is
+imported only to report a non-integral multiplicity.
 
-The closed forms of the labeled families live here too, so the stable answer
-needs no labeled-partition code: the Stirling count ``count_pq``, the
-injective family's character ``pq_bicharacter`` as an integer orbit count
-per class pair, the repeatable-label family's ``general_bicharacter`` off
-one cycle index per class of tau, the identity counts ``pq_identity_counts``
-off a two-variable recurrence, and the characters induced from the
-injective family (``induced_pq_bicharacter``).
+The injective family's closed forms live here too, so the stable answer
+needs no labeled-partition code: the Stirling count ``count_pq``, its
+character ``pq_bicharacter`` as an integer orbit count per class pair, and
+the identity counts ``pq_identity_counts`` off a two-variable recurrence.
+Induction, restriction and the repeatable-label family's character are in
+``induction``, which only the induction replay and the splitting check load.
 
 Characters are stored densely over all cycle types; with weights at desk
 scale the class lists are tiny.  Class functions keep the values they are
@@ -28,25 +26,20 @@ ints and ``decompose`` sums them in integers into a
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from math import comb, factorial, perm
 from operator import add, mul, neg, sub
-from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .errors import (
-    InvalidArgs,
-    NegativeMultiplicity,
-    NonIntegralMultiplicity,
-    OracleDisagreement,
-)
+from .errors import InvalidArgs, NegativeMultiplicity, NonIntegralMultiplicity
 from .partitions import (
     IrredDecomposition,
     Partition,
     _partitions_rec,
-    check_class_budget,
     enumerate_partitions,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -84,36 +77,6 @@ def sign_of_class(rho: Partition) -> int:
 
 def identity_type(r: int) -> Partition:
     return Partition([1] * r)
-
-
-def merge_types(a: Partition, b: Partition) -> Partition:
-    return Partition(sorted(tuple(a) + tuple(b), reverse=True))
-
-
-def splittings(rho: Partition, a: int) -> Iterator[tuple[Partition, Partition]]:
-    """All ways to split the multiset of parts of rho into a cycle type of
-    weight a and the complementary one."""
-    sizes = sorted(set(rho), reverse=True)
-    mults = [sum(1 for s in rho if s == x) for x in sizes]
-
-    def rec(i: int, left: int, chosen: list[int]):
-        if left < 0:
-            return
-        if i == len(sizes):
-            if left == 0:
-                first = []
-                second = []
-                for s, m, k in zip(sizes, mults, chosen):
-                    first += [s] * k
-                    second += [s] * (m - k)
-                yield Partition(sorted(first, reverse=True)), Partition(
-                    sorted(second, reverse=True)
-                )
-            return
-        for k in range(mults[i] + 1):
-            yield from rec(i + 1, left - k * sizes[i], chosen + [k])
-
-    yield from rec(0, a, [])
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +215,6 @@ class BiClassFunction:
         return f"BiClassFunction(S_{p} x S_{q})"
 
 
-def external_product(a: ClassFunction, b: ClassFunction) -> BiClassFunction:
-    return BiClassFunction(
-        (a.degree, b.degree),
-        {(s, t): x * y for s, x in a.values.items() for t, y in b.values.items()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Murnaghan-Nakayama
 
@@ -319,28 +275,8 @@ def irreducible_character(lam: Partition) -> ClassFunction:
     return ClassFunction._of_classes(r, dict(zip(cycle_types(r), _mn(lam.parts, r))))
 
 
-def trivial_character(r: int) -> ClassFunction:
-    return ClassFunction._of_classes(r, {ct: 1 for ct in cycle_types(r)})
-
-
-def sign_character(r: int) -> ClassFunction:
-    return ClassFunction._of_classes(r, {ct: sign_of_class(ct) for ct in cycle_types(r)})
-
-
 # ---------------------------------------------------------------------------
-# Inner products and decomposition
-
-
-def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
-    from fractions import Fraction
-
-    if a.degree != b.degree:
-        raise InvalidArgs(f"degree mismatch: {a.degree} vs {b.degree}")
-    r = a.degree
-    total = sum(
-        class_size(rho) * a.values[rho] * b.values[rho] for rho in cycle_types(r)
-    )
-    return Fraction(total, factorial(r))
+# Decomposition
 
 
 def decompose(
@@ -398,69 +334,8 @@ def _store(mults: dict, key, total, order: int, virtual: bool):
 
 
 # ---------------------------------------------------------------------------
-# Induction and restriction
-
-
-def induce(f: BiClassFunction, q: int) -> ClassFunction:
-    """Induce a class function on Sigma_i x Sigma_{q-i} up to Sigma_q,
-    by the cycle-type splitting formula, whose coefficient
-    z_rho / (z_r1·z_r2) is a product of binomials, so an int."""
-    i, j = f.degrees
-    if i + j != q:
-        raise InvalidArgs(f"degrees {f.degrees} do not sum to {q}")
-    vals = {}
-    for rho in cycle_types(q):
-        z = centralizer_order(rho)
-        vals[rho] = sum(
-            z // (centralizer_order(r1) * centralizer_order(r2)) * f.values[(r1, r2)]
-            for r1, r2 in splittings(rho, i)
-        )
-    return ClassFunction(q, vals)
-
-
-def induced_pq_bicharacter(
-    p: int, i: int, q: int, budget: int | None = None
-) -> BiClassFunction:
-    """Character of Ind over the label factor from Sigma_i x Sigma_{q-i}
-    up to Sigma_q of the injectively labeled family (its character from
-    pq_bicharacter), with Sigma_{q-i} acting trivially; a Sigma_p x Sigma_q
-    character.  The budget bounds its table of class pairs, counted before
-    any is listed."""
-    check_class_budget(budget, p, q)
-    base = pq_bicharacter(p, i)
-    vals = {}
-    for s in cycle_types(p):
-        f = BiClassFunction(
-            (i, q - i),
-            {
-                (r1, r2): base.values[(s, r1)]
-                for r1 in cycle_types(i)
-                for r2 in cycle_types(q - i)
-            },
-        )
-        ind = induce(f, q)
-        for t in cycle_types(q):
-            vals[(s, t)] = ind.values[t]
-    return BiClassFunction((p, q), vals)
-
-
-def restrict(f: ClassFunction, i: int, j: int) -> BiClassFunction:
-    """Restrict a class function on Sigma_{i+j} to Sigma_i x Sigma_j."""
-    if f.degree != i + j:
-        raise InvalidArgs(f"cannot restrict degree {f.degree} to ({i},{j})")
-    return BiClassFunction(
-        (i, j),
-        {
-            (a, b): f.values[merge_types(a, b)]
-            for a in cycle_types(i)
-            for b in cycle_types(j)
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Closed forms: the Stirling count and the fixed-point characters of the two
-# labeled families of labeled.py; enumeration is the tests' oracle.
+# Closed forms: the Stirling count and the fixed-point character of the
+# injectively labeled family of labeled.py; enumeration is the tests' oracle.
 #
 # Injective labels (q labels on distinct blocks): a partition fixed by sigma
 # groups sigma's cycles into orbits of k blocks, k dividing each cycle's
@@ -472,16 +347,6 @@ def restrict(f: ClassFunction, i: int, j: int) -> BiClassFunction:
 # with c_k(pi) the k-cycles of tau and S the Stirling numbers of the second
 # kind (the fixed points of E(E+) behind its cycle index; Bergeron, Labelle
 # and Leroux, Combinatorial Species and Tree-like Structures, 1998).
-#
-# Repeatable labels (labeled.LabelAlphabet(q)): blocks, each unlabeled or a
-# singleton with one label.  With f_k the labels tau^k fixes, (sigma, tau)
-# fixes z_rho*[x^rho] Z_tau objects,
-#     Z_tau = exp(sum_k (1/k)(exp(sum_i x_{ik}/i) - 1 + f_k x_k)).
-# Its coefficients are stored scaled by |rho|!, as |class rho| times the
-# fixed-point count, an integer: the term (1/(k·z_lam)) x_{k lam} of weight
-# j = k·|lam| becomes j!/(k·z_lam), f_k/k at x_k becomes (k-1)!·f_k, and
-# n·Z_n = sum_j j·A_j·Z_{n-j} becomes N_n = sum_j C(n-1, j-1)·A_j·N_{n-j}.
-# A remainder in the division by the class size raises OracleDisagreement.
 
 
 def count_pq(p: int, q: int) -> int:
@@ -519,37 +384,6 @@ def _orbit_states(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return states
 
 
-def _cycle_index_log(j: int) -> dict[tuple[int, ...], int]:
-    """Scaled x-weight j part of sum_k (1/k)(exp(sum_i x_{ik}/i) - 1):
-    j!/(k·z_lam) at x_{k lam}."""
-    out: dict = {}
-    for k in range(1, j + 1):
-        if j % k:
-            continue
-        for lam in enumerate_partitions(j // k):
-            x = tuple(k * s for s in lam)
-            out[x] = out.get(x, 0) + factorial(j) // (k * centralizer_order(lam))
-    return out
-
-
-def _exp_series(logs: list[dict]) -> list[dict]:
-    """Scaled pieces of x-weight 0..len(logs)-1 of Z = exp(A), given the
-    scaled x-weight pieces A_j = logs[j] (logs[0] is ignored), by
-    N_n = sum_j C(n-1, j-1)·A_j·N_{n-j}."""
-    z: list[dict] = [{(): 1}]
-    for n in range(1, len(logs)):
-        acc: dict = {}
-        for j in range(1, n + 1):
-            c = comb(n - 1, j - 1)
-            for ax, a in logs[j].items():
-                a *= c
-                for bx, b in z[n - j].items():
-                    x = tuple(sorted(ax + bx, reverse=True))
-                    acc[x] = acc.get(x, 0) + a * b
-        z.append(acc)
-    return z
-
-
 def pq_bicharacter(p: int, q: int) -> BiClassFunction:
     """Fixed-point character of Sigma_p x Sigma_q on the injectively labeled
     family, one integer orbit count per class pair (above), without
@@ -571,31 +405,6 @@ def pq_bicharacter(p: int, q: int) -> BiClassFunction:
                         ways *= _orbit_ways(k, n, cycles.get(k, 0))
                     total += ways
             vals[(s, t)] = total
-    return BiClassFunction((p, q), vals)
-
-
-def general_bicharacter(p: int, q: int) -> BiClassFunction:
-    """Fixed-point character of Sigma_p x Sigma_q on the labeled partitions
-    with repeatable labels, read off one Z_tau per class of tau without
-    enumerating (the tests check it against counts over enumerate_general).
-    Z_tau's extra term f_k/k at x_k is (k-1)!·f_k scaled."""
-    if q < 0 or p < 0:
-        raise InvalidArgs("p, q must be non-negative")
-    unlabeled = [_cycle_index_log(j) for j in range(p + 1)]
-    vals = {}
-    for t in cycle_types(q):
-        logs = [dict(a) for a in unlabeled]
-        for k in range(1, p + 1):
-            logs[k][(k,)] += factorial(k - 1) * sum(c for c in t.parts if k % c == 0)
-        top = _exp_series(logs)[p]
-        for s in cycle_types(p):
-            scaled, size = top.get(s.parts, 0), class_size(s)
-            vals[(s, t)], rest = divmod(scaled, size)
-            if rest:
-                raise OracleDisagreement(
-                    f"scaled cycle-index coefficient {scaled} at {(s.parts, t.parts)} "
-                    f"is not a multiple of the class size {size}"
-                )
     return BiClassFunction((p, q), vals)
 
 

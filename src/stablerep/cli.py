@@ -20,20 +20,22 @@ Each subcommand imports the modules it runs when it runs, and each module
 imports only what its callers run, so a command loads only those:
 
 - ``partitions`` loads ``partitions`` alone;
-- ``stable-cohomology`` and ``verify induction`` load ``characters`` (the
-  S_n half) and ``stable``, and no ``schur``, no labeled-partition or
-  linear-algebra code and no ``fractions``;
+- ``stable-cohomology`` loads ``characters`` (the S_n half) and ``stable``,
+  and no ``induction``, no ``schur``, no labeled-partition or linear-algebra
+  code and no ``fractions``;
+- ``verify induction`` loads ``characters`` and ``induction``, and no
+  ``stable``;
 - ``cauchy``, ``verify extension`` and ``lr`` load ``schur`` (the GL_d
-  half) alone, and ``schur-weyl`` also ``characters``;
+  half) and ``functors``, and ``schur-weyl`` also ``characters``;
+  ``verify step1`` loads ``schur`` and ``functors`` and no ``characters``;
 - ``hom-dim`` and ``verify rw-prop`` load ``schur`` and ``labeled``, and
-  ``verify splitting`` also ``characters``; at d >= p they load ``linalg``
-  and ``fractions`` only for an intertwiner system small enough to solve
-  (at most 900 unknowns, as at ``hom-dim 2 1 2``), and below d = p
-  ``rw-prop`` also loads them to eliminate its rows;
-- ``verify step1`` loads ``schur`` and ``stable``, whose module-level
-  imports bring ``characters``;
+  ``verify splitting`` also ``characters`` and ``induction``; at d >= p
+  they load ``linalg`` and ``fractions`` only for an intertwiner system
+  small enough to solve (at most 900 unknowns, as at ``hom-dim 2 1 2``),
+  and below d = p ``rw-prop`` also loads them to eliminate its rows;
 - text output loads no ``json``; only ``--json`` and ``--cache`` do;
-- a cache hit, ``-h`` and a malformed command line load no compute module.
+- only ``--cache`` loads ``cache``, and a cache hit, ``-h`` and a malformed
+  command line load no compute module.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ def _cmd_char(args, lam) -> tuple[str, int]:
 
 
 def _cmd_lr(args, *shapes) -> tuple[str, int]:
+    from .functors import lr_coefficient
     from .partitions import Partition
-    from .schur import lr_coefficient
 
     lam, mu, nu = (Partition.parse(x) for x in shapes)
     c = lr_coefficient(lam, mu, nu)
@@ -242,17 +244,17 @@ COMMANDS = (
     ("stable-cohomology", _cmd_stable_cohomology,
      "[P] [Q] [--degree K] [--table PMAX QMAX]",
      "stable answer for one cell (degree P - Q by default) or a table"),
-    ("cauchy", "schur.verify_cauchy", "R DV DW", "verify the Cauchy decomposition"),
-    ("schur-weyl", "schur.verify_schur_weyl", "R D", "verify Schur-Weyl duality"),
+    ("cauchy", "functors.verify_cauchy", "R DV DW", "verify the Cauchy decomposition"),
+    ("schur-weyl", "functors.verify_schur_weyl", "R D", "verify Schur-Weyl duality"),
     ("verify rw-prop", "labeled.verify_rw_prop", "P Q D",
      "the labeled-partition maps span the Hom space"),
     ("verify splitting", "labeled.verify_splitting_lemma", "P Q D",
      "classwise splitting of the labeled-partition character"),
-    ("verify extension", "schur.split_extension_filtration_check", "LAMBDA DA DC",
+    ("verify extension", "functors.split_extension_filtration_check", "LAMBDA DA DC",
      "Schur-functor filtration of a split extension"),
-    ("verify induction", "stable.theorem_a_induction_check", "P Q",
+    ("verify induction", "induction.theorem_a_induction_check", "P Q",
      "the induction step of the stable answer"),
-    ("verify step1", "stable.step1_dimension_identity", "P Q D",
+    ("verify step1", "functors.step1_dimension_identity", "P Q D",
      "graded-piece dimension identity"),
 )
 # The options every command takes, before or after its words.
@@ -403,56 +405,6 @@ def parse_args(argv: list[str]) -> Args | str:
 
 
 # ---------------------------------------------------------------------------
-# Cache
-
-
-def _cache_lookup(cache_dir: str, key: str) -> tuple[str, int] | None:
-    import json
-
-    path = os.path.join(cache_dir, key + ".json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return data["output"], data["exit"]
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def _cache_store(cache_dir: str, key: str, output: str, code: int) -> None:
-    import tempfile
-
-    os.makedirs(cache_dir, exist_ok=True)
-    payload = _dumps({"output": output, "exit": code})
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, os.path.join(cache_dir, key + ".json"))
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
-def _cache_key(args: Args) -> str:
-    """Hash of the package's .py sources and of every parsed field but the
-    cache directory, including the effective budget, so that a hit returns
-    only what this code would print for this command."""
-    import hashlib
-
-    h = hashlib.sha256()
-    pkg = os.path.dirname(os.path.abspath(__file__))
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name), "rb") as fh:
-                h.update(name.encode() + hashlib.sha256(fh.read()).digest())
-    params = {k: v for k, v in vars(args).items() if k != "cache"}
-    h.update(_dumps(params, sort_keys=True).encode())
-    return h.hexdigest()
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 
 
@@ -462,18 +414,25 @@ def _run(args: Args) -> tuple[str, int]:
     if args.budget is None and os.environ.get("STABLEREP_BUDGET"):
         args.budget = _value("STABLEREP_BUDGET", os.environ["STABLEREP_BUDGET"])
     budget_cap(args.budget)
-    key = _cache_key(args) if args.cache else None
-    hit = key and _cache_lookup(args.cache, key)
+    if not args.cache:
+        return _compute(args)
+    from .cache import _cache_key, _cache_lookup, _cache_store
+
+    key = _cache_key(args)
+    hit = _cache_lookup(args.cache, key)
     if hit:
         return hit
+    output, code = _compute(args)
+    _cache_store(args.cache, key, output, code)
+    return output, code
+
+
+def _compute(args: Args) -> tuple[str, int]:
+    """Run the command's row."""
     runner = _ROWS[args.command][1]
     if isinstance(runner, str):
-        output, code = _cmd_check(runner, args)
-    else:
-        output, code = runner(args, *args.values)
-    if key:
-        _cache_store(args.cache, key, output, code)
-    return output, code
+        return _cmd_check(runner, args)
+    return runner(args, *args.values)
 
 
 def main(argv: list[str] | None = None) -> int:

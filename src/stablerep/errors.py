@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the size-budget check."""
 
-from typing import Iterator
+from __future__ import annotations
+
+from collections.abc import Iterator
 
 
 class StableRepError(Exception):

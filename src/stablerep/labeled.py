@@ -2,10 +2,11 @@
 equivariant maps attached to each labeled partition, and exact checks that
 stacking those maps gives an isomorphism onto the GL-equivariant Hom space.
 
-The closed forms of both labeled families (the Stirling count ``count_pq``,
-the orbit-count character ``pq_bicharacter`` and the cycle-index character
-``general_bicharacter``) live in ``characters``, so the stable answer loads
-none of this module; enumeration here is their tests' oracle.
+The closed forms of both labeled families (the Stirling count ``count_pq``
+and the orbit-count character ``pq_bicharacter`` in ``characters``, the
+cycle-index character ``general_bicharacter`` in ``induction``) live
+outside it, so the stable answer loads none of this module; enumeration
+here is their tests' oracle.
 
 The Hom side is read off weight generating functions (fixed_weights): the
 torus weights of the FW monomials fixed by a label permutation, decomposed
@@ -13,11 +14,11 @@ into Schur-Weyl multiplicities by ``schur``'s Kostka subtraction.  The FW
 basis itself (FWGradedPiece) is built only for the direct intertwiner solve
 and as the tests' oracle.  Symmetric-group characters are imported from
 ``characters`` only by the functions that use them (enumerate_pq,
-hom_bicharacter and verify_splitting_lemma), so ``hom-dim`` and ``verify
-rw-prop`` load only the GL_d half.  ``linalg``, and with it ``fractions``,
-is imported only where rows are eliminated: the intertwiner solve of a
-system under SOLVE_UNKNOWN_CAP, and verify_rw_prop when J0 does not certify
-its rank (below d = p).
+hom_bicharacter and verify_splitting_lemma, which also imports
+``induction``), so ``hom-dim`` and ``verify rw-prop`` load only the GL_d
+half.  ``linalg``, and with it ``fractions``, is imported only where rows
+are eliminated: the intertwiner solve of a system under SOLVE_UNKNOWN_CAP,
+and verify_rw_prop when J0 does not certify its rank (below d = p).
 
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
 distinguishable labels.  Set partitions have parts sorted by minimum element,
@@ -31,7 +32,6 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add
-from typing import TYPE_CHECKING
 
 from .errors import InvalidArgs, OracleDisagreement, check_budget
 from .partitions import (
@@ -48,6 +48,7 @@ from .schur import (
     sym_algebra_partials,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .characters import BiClassFunction
 
@@ -500,9 +501,8 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     (hom_bicharacter, read off weight generating functions).  The budget
     bounds the class-pair and weight tables, and the FW piece that
     hom_space_dimension_gl builds only to solve a small intertwiner system."""
-    from .characters import (
-        BiClassFunction, cycle_types, general_bicharacter, induced_pq_bicharacter,
-    )
+    from .characters import BiClassFunction, cycle_types
+    from .induction import general_bicharacter, induced_pq_bicharacter
 
     check_class_budget(budget, p, q)
     lhs = general_bicharacter(p, q)

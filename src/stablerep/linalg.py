@@ -16,9 +16,9 @@ and traces them.  Every rank is exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator
 
 
 def _sparse(terms) -> dict:

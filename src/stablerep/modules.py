@@ -12,7 +12,7 @@ generator matrix is a sparse linalg.SparseMatrix.  The symmetrizer images
 that the closed forms replaced are the tests' oracles.
 
 No command of the CLI and no verification uses this layer: the
-Schur-functor checks read weights and dimensions in ``schur``.
+Schur-functor checks read weights and dimensions in ``functors``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
-from typing import TYPE_CHECKING
 
 from .errors import InvalidArgs, NonPolynomialAction, OracleDisagreement, check_budget
 from .linalg import SparseMatrix, _sparse
@@ -35,6 +34,7 @@ from .partitions import (
     transpose,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .characters import Perm
 
@@ -45,13 +45,6 @@ if TYPE_CHECKING:
 def perm_compose(a: Perm, b: Perm) -> Perm:
     """(a b)(x) = a(b(x))."""
     return tuple(a[b[x]] for x in range(len(a)))
-
-
-def perm_inverse(a: Perm) -> Perm:
-    inv = [0] * len(a)
-    for i, v in enumerate(a):
-        inv[v] = i
-    return tuple(inv)
 
 
 def perm_sign(a: Perm) -> int:
@@ -74,24 +67,10 @@ def perm_cycle_type(a: Perm) -> Partition:
     return Partition(sorted(lens, reverse=True))
 
 
-def class_representative(rho: Partition) -> Perm:
-    """A permutation with the given cycle type: consecutive cycles."""
-    img = []
-    start = 0
-    for ln in rho:
-        img += list(range(start + 1, start + ln)) + [start]
-        start += ln
-    return tuple(img)
-
-
 def _adjacent_transposition(i: int, r: int) -> Perm:
     g = list(range(r))
     g[i], g[i + 1] = g[i + 1], g[i]
     return tuple(g)
-
-
-def all_perms(r: int) -> list[Perm]:
-    return [tuple(p) for p in itertools.permutations(range(r))]
 
 
 def perms_of_blocks(blocks: list[list[int]], r: int) -> list[Perm]:

@@ -12,10 +12,10 @@ this package is reverse lexicographic, which is also the order in which
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from math import gcd, prod
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidArgs, check_budget, final_count
 
@@ -312,13 +312,6 @@ class IrredDecomposition:
             return tuple(tuple(-x for x in part.parts) for part in k)
 
         return sorted(self.mults.items(), key=lambda kv: sortkey(kv[0]))
-
-    def total_dimension(self) -> int:
-        f = lru_cache(maxsize=None)(specht_dimension)
-        return sum(
-            m * (f(k) if isinstance(k, Partition) else prod(map(f, k)))
-            for k, m in self.mults.items()
-        )
 
     def to_json(self) -> list[dict]:
         return [

@@ -1,15 +1,13 @@
 """Stable cohomology calculator: the sign-twisted labeled-partition answer
-in the single nonvanishing degree, the generating-function dimension
-identities behind it, and a character-level replay of the induction that
-pins the answer down.
+in the single nonvanishing degree and the table of its dimensions.
 
-The answer, the dimension table and the induction replay come from closed
-forms in ``characters`` (an orbit count for the injective family, a cycle
-index for repeatable labels, the induced characters, a Stirling count and
-an identity-count recurrence); enumeration is the test oracle.  So this
-module loads no labeled-partition or linear-algebra code.  The step-1
-identity's graded series are GL_d dimensions, which it imports from
-``schur`` when it runs, so the stable answer loads no ``schur``.
+The answer and the dimension table come from closed forms in
+``characters`` (an orbit count for the injective family, a Stirling count
+and an identity-count recurrence); enumeration is the test oracle.  So this
+module loads no labeled-partition or linear-algebra code, and no ``schur``.
+The identities behind the answer live elsewhere: the character-level replay
+of the induction that pins it down in ``induction``, and the step-1
+graded-series identity in ``functors``.
 
 The automorphism groups themselves are never represented; the coefficient
 system appears only as symbolic (p, q, n) bookkeeping, because the stable
@@ -18,18 +16,16 @@ answer is purely combinatorial.
 
 from __future__ import annotations
 
-from .errors import InvalidArgs, OracleDisagreement, check_budget
+from .errors import InvalidArgs, OracleDisagreement
 from .characters import (
     BiClassFunction,
     count_pq,
     cycle_types,
     decompose,
-    general_bicharacter,
-    induced_pq_bicharacter,
     pq_bicharacter,
     pq_identity_counts,
 )
-from .partitions import FrozenRecord, IrredDecomposition, Record, Report, check_class_budget
+from .partitions import FrozenRecord, IrredDecomposition, Record, check_class_budget
 from .partitions import specht_dimension
 
 
@@ -163,85 +159,6 @@ def _check_decomposition(p: int, q: int, dim: int, at_identity: int, dec: IrredD
             f"decomposition dimension {total}; at transpositions it gives "
             f"{on_p} (want {want}) and {on_q} (want 0)"
         )
-
-
-# ---------------------------------------------------------------------------
-# Generating-function side of the pipeline
-
-
-def step1_dimension_identity(p: int, q: int, d: int, budget: int | None = None) -> Report:
-    """Collapsing-spectral-sequence identity: the q-fold linear summands can
-    be split off, so the graded piece equals the convolution of the q=0
-    series with the symmetric powers of the q*d linear generators.  The
-    direct series and the q=0 one are built once each, within the budget's
-    series steps (_series_steps), counted before either is built.
-    Needs q >= 0 and d >= 1; p < 0 gives an empty piece on both sides."""
-    if q < 0 or d < 1:
-        raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
-    check_budget(_series_steps(p, q * d > 0), budget, "series steps")
-    from .schur import graded_sym_algebra_dimension, graded_sym_algebra_series, sym_dimension
-
-    direct = graded_sym_algebra_dimension(d, q, p)
-    base = graded_sym_algebra_series(d, 0, p) if p >= 0 else []
-    convolved = sum(base[p - k] * sym_dimension(q * d, k) for k in range(p + 1))
-    return Report(
-        claim=f"graded-piece dimension identity, p={p}, q={q}, d={d}",
-        left=direct,
-        right=convolved,
-        passed=direct == convolved,
-        witnesses={},
-    )
-
-
-def _series_steps(p: int, linear: bool):
-    """The bound sequence (see errors.check_budget) of the multiply-adds
-    that step1_dimension_identity's two series, truncated at p, take.
-    series_mul walks only the nonzero entries of a factor (1 - u^i)^(-m),
-    its multiples of i, so the factor costs at most S(i) = sum over n <= p
-    of (n // i + 1) steps, which is p + 1 + i*k*(k-1)/2 + r*k with
-    p + 1 = k*i + r.  Each series has the factors i = 1..p, and the direct
-    one also the linear summands' i = 1 when q*d > 0; the sum before each i
-    is a bound."""
-    steps = (p + 1) * (p + 2) // 2 if linear and p >= 0 else 0
-    for i in range(1, p + 1):
-        yield steps
-        k, r = divmod(p + 1, i)
-        steps += 2 * (p + 1 + i * k * (k - 1) // 2 + r * k)
-    return steps
-
-
-# ---------------------------------------------------------------------------
-# The induction that pins down the top representation
-
-
-def theorem_a_induction_check(p: int, q: int, budget: int | None = None) -> Report:
-    """Replay the inductive step at character level: subtract the induced
-    contributions of the already-known i < q layers from the full labeled
-    partition character (``general_bicharacter``); the residue must be the
-    injectively q-labeled character (``pq_bicharacter``).  The two come from
-    different engines, and no labeled partition is built: the budget
-    bounds the table of class pairs, counted before any is listed."""
-    if not (0 <= q <= p):
-        raise InvalidArgs(f"need 0 <= q <= p, got p={p}, q={q}")
-    check_class_budget(budget, p, q)
-    residue = general_bicharacter(p, q)
-    for i in range(q):
-        residue = residue - induced_pq_bicharacter(p, i, q, budget)
-    direct = pq_bicharacter(p, q)
-    mismatches = [
-        {"sigma_class": str(s), "tau_class": str(t),
-         "residue": int(residue.values[(s, t)]), "direct": int(direct.values[(s, t)])}
-        for s in cycle_types(p)
-        for t in cycle_types(q)
-        if residue.values[(s, t)] != direct.values[(s, t)]
-    ]
-    return Report(
-        claim=f"induction residue equals the injectively labeled character, p={p}, q={q}",
-        left=int(residue.dimension),
-        right=int(direct.dimension),
-        passed=not mismatches,
-        witnesses={"mismatches": mismatches},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ cell-by-cell Littlewood-Richardson counter that the row-array one replaced, the
 Fraction cycle-index engine that the integer one replaced, and the
 symmetrizer-image modules that the closed-form Specht and Schur bases
 replaced, and the fixed-tensor enumeration that the power-sum traces of
-``schur.verify_schur_weyl`` replaced, which the main implementations are
+``functors.verify_schur_weyl`` replaced, which the main implementations are
 checked against.  Helpers that only the tests call live here too:
-``inner_product_bi``, ``reconstruct`` and ``decomposition_from_json`` for
-class functions, and the labeled-partition action, the splitting map, the
+``inner_product_bi``, ``reconstruct``, ``decomposition_from_json`` and
+``total_dimension`` for class functions, the permutation helpers
+``perm_inverse``, ``class_representative`` and ``all_perms``, and the
+labeled-partition action, the splitting map, the
 phi equivariance check and the two dimension cross-checks
 (``hom_side_total``, ``three_way_dimension_agreement``).  ``build_parser`` is
 the argparse parser that the CLI's command-table parser replaced, kept as the
@@ -248,7 +250,6 @@ def permutation_bicharacter(p: int, q: int, source: str = "general", budget: int
     blocks) and the label of sigma(e) is tau of the label of e."""
     from stablerep.characters import BiClassFunction, cycle_types
     from stablerep.labeled import LabelAlphabet, enumerate_general, enumerate_pq
-    from stablerep.modules import class_representative
 
     if source == "general":
         objs = enumerate_general(p, LabelAlphabet(q), budget)
@@ -385,9 +386,8 @@ def inner_product_bi(a, b) -> Fraction:
 
 def reconstruct(dec, degrees):
     """Character with the given decomposition; inverse of ``decompose``."""
-    from stablerep.characters import (
-        BiClassFunction, ClassFunction, external_product, irreducible_character,
-    )
+    from stablerep.characters import BiClassFunction, ClassFunction, irreducible_character
+    from stablerep.induction import external_product
 
     if isinstance(degrees, int):
         out = ClassFunction(degrees, {})
@@ -411,6 +411,43 @@ def decomposition_from_json(data: list[dict]):
         else tuple(Partition.parse(x) for x in e["key"]): e["multiplicity"]
         for e in data
     })
+
+
+def total_dimension(dec) -> int:
+    """sum of m·f^k over an IrredDecomposition of S_n (k a partition) or of
+    a product of symmetric groups (k a tuple of partitions)."""
+    from stablerep.partitions import Partition, specht_dimension
+
+    f = lru_cache(maxsize=None)(specht_dimension)
+    return sum(
+        m * (f(k) if isinstance(k, Partition) else prod(map(f, k)))
+        for k, m in dec.mults.items()
+    )
+
+
+# ---------------------------------------------------------------------------
+# Permutations (tuples of images, 0-indexed) only the tests call
+
+
+def perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, v in enumerate(a):
+        inv[v] = i
+    return tuple(inv)
+
+
+def class_representative(rho) -> tuple[int, ...]:
+    """A permutation with the given cycle type: consecutive cycles."""
+    img = []
+    start = 0
+    for ln in rho:
+        img += list(range(start + 1, start + ln)) + [start]
+        start += ln
+    return tuple(img)
+
+
+def all_perms(r: int) -> list[tuple[int, ...]]:
+    return [tuple(p) for p in itertools.permutations(range(r))]
 
 
 def rw_prop_rank_oracle(p: int, q: int, d: int) -> tuple[int, dict | None]:
@@ -636,8 +673,8 @@ def hom_side_total(p: int, q: int, d: int, budget: int | None = None) -> int:
     torus-weight generating function (fixed_weights at the identity) and by
     direct basis enumeration."""
     from stablerep.errors import OracleDisagreement, SizeBudgetExceeded
+    from stablerep.functors import graded_sym_algebra_dimension
     from stablerep.labeled import _piece_weights, build_fw_piece
-    from stablerep.schur import graded_sym_algebra_dimension
 
     others = {}
     try:

@@ -8,28 +8,24 @@ from math import factorial
 
 import pytest
 
-from stablerep.characters import (
-    cycle_types,
+from stablerep.characters import cycle_types, irreducible_character
+from stablerep.functors import (
+    lr_tableaux_count,
+    split_extension_filtration_check,
+    step1_dimension_identity,
+    verify_cauchy,
+    verify_schur_weyl,
+)
+from stablerep.induction import (
     external_product,
     induce,
     inner_product,
-    irreducible_character,
+    theorem_a_induction_check,
 )
 from stablerep.labeled import verify_rw_prop, verify_splitting_lemma
 from stablerep.modules import specht_character_traces
 from stablerep.partitions import Partition, SkewShape, enumerate_partitions
-from stablerep.schur import (
-    lr_tableaux_count,
-    split_extension_filtration_check,
-    verify_cauchy,
-    verify_schur_weyl,
-)
-from stablerep.stable import (
-    dimension_table,
-    stable_cohomology,
-    step1_dimension_identity,
-    theorem_a_induction_check,
-)
+from stablerep.stable import dimension_table, stable_cohomology
 
 from conftest import bell_oracle, set_partitions_brute
 

@@ -15,6 +15,12 @@ from hypothesis import given, settings, strategies as st
 import stablerep
 from stablerep import cli
 from stablerep.errors import InvalidArgs, SizeBudgetExceeded, check_budget
+from stablerep.functors import (
+    _lr_evaluations,
+    _series_steps,
+    split_extension_filtration_check,
+    step1_dimension_identity,
+)
 from stablerep.labeled import LabelAlphabet, build_fw_piece
 from stablerep.modules import specht_character_traces, specht_module
 from stablerep.partitions import (
@@ -25,8 +31,7 @@ from stablerep.partitions import (
     partition_counts,
     transpose,
 )
-from stablerep.schur import _lr_evaluations, split_extension_filtration_check, sym_algebra_partials
-from stablerep.stable import _series_steps, step1_dimension_identity
+from stablerep.schur import sym_algebra_partials
 
 import conftest
 

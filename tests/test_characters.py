@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablerep import characters
+from stablerep import characters, induction
 from stablerep.characters import (
     BiClassFunction,
     _rim_hooks,
@@ -12,22 +12,30 @@ from stablerep.characters import (
     class_size,
     cycle_types,
     decompose,
-    external_product,
-    general_bicharacter,
-    induce,
-    inner_product,
     irreducible_character,
     pq_bicharacter,
     pq_identity_counts,
-    restrict,
-    sign_character,
-    trivial_character,
 )
 from stablerep.errors import (
     InvalidArgs,
     NegativeMultiplicity,
     NonIntegralMultiplicity,
     OracleDisagreement,
+)
+from stablerep.functors import (
+    graded_sym_algebra_dimension,
+    lr_coefficient,
+    lr_tableaux_count,
+    skew_schur_decompose,
+)
+from stablerep.induction import (
+    external_product,
+    general_bicharacter,
+    induce,
+    inner_product,
+    restrict,
+    sign_character,
+    trivial_character,
 )
 from stablerep.partitions import (
     IrredDecomposition,
@@ -37,13 +45,7 @@ from stablerep.partitions import (
     hook_lengths,
     specht_dimension,
 )
-from stablerep.schur import (
-    graded_sym_algebra_dimension,
-    kostka,
-    lr_coefficient,
-    lr_tableaux_count,
-    skew_schur_decompose,
-)
+from stablerep.schur import kostka
 from stablerep.stable import stable_cohomology
 
 from conftest import (
@@ -56,6 +58,7 @@ from conftest import (
     pq_identity_counts_oracle,
     reconstruct,
     series_coefficient_oracle,
+    total_dimension,
 )
 
 
@@ -305,7 +308,7 @@ def test_lr_counter_matches_the_cell_by_cell_oracle(case):
 def test_skew_schur_decompose_total_dimension():
     shape = SkewShape(Partition([3, 2, 1]), Partition([1, 1]))
     dec = skew_schur_decompose(shape)
-    assert dec.total_dimension() == sum(
+    assert total_dimension(dec) == sum(
         m * specht_dimension(k) for k, m in dec.mults.items()
     )
     assert all(m > 0 for m in dec.mults.values())
@@ -421,7 +424,7 @@ class TestIntegerCycleIndex:
         blocks); at 2, every class of sigma with a 2-cycle gains fixed
         points, and the stable answer must refuse them."""
         if build is general_bicharacter:
-            real = characters._cycle_index_log
+            real = induction._cycle_index_log
 
             def shifted(j):
                 out = real(j)
@@ -429,7 +432,7 @@ class TestIntegerCycleIndex:
                     out[(3,)] += 1
                 return out
 
-            monkeypatch.setattr(characters, "_cycle_index_log", shifted)
+            monkeypatch.setattr(induction, "_cycle_index_log", shifted)
             with pytest.raises(OracleDisagreement, match="not a multiple of the class size 2$"):
                 build(3, q)
             return

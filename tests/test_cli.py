@@ -3,7 +3,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,14 +228,14 @@ class TestExitCodes:
     def test_budget_bounds_split_extension_lr_evaluations(self, capsys, monkeypatch):
         # 4,3,2,1 asks for 324 LR coefficients and 6,5,4,3,2,1 for 20,461,
         # counted before any subdiagram is listed.
-        from stablerep import schur
+        from stablerep import functors
 
         def refuse(n):
             raise AssertionError(f"partitions of {n} listed")
 
         _, plain = run(capsys, "verify", "extension", "4,3,2,1", "3", "3")
         with monkeypatch.context() as m:
-            m.setattr(schur, "enumerate_partitions", refuse)
+            m.setattr(functors, "enumerate_partitions", refuse)
             assert main(["--budget", "323", "verify", "extension", "4,3,2,1", "3", "3"]) == 3
             assert main(["verify", "extension", "6,5,4,3,2,1", "3", "3"]) == 3
             assert main(["verify", "extension", "40", "1", "1"]) == 3
@@ -336,15 +338,16 @@ class TestExitCodes:
     def test_budget_below_one_is_a_usage_error(self, capsys, monkeypatch, argv, budget):
         """From the flag or the environment, before any work: no compute
         module is imported, and nothing is printed to stdout."""
-        monkeypatch.delitem(sys.modules, "stablerep.stable", raising=False)
-        monkeypatch.delitem(sys.modules, "stablerep.schur", raising=False)
+        computes = ("stablerep.stable", "stablerep.schur", "stablerep.functors")
+        for module in computes:
+            monkeypatch.delitem(sys.modules, module, raising=False)
         want = f"usage error: budget must be at least 1, got {budget}\n"
         assert main(["--budget", budget] + argv.split()) == 2
         assert capsys.readouterr() == ("", want)
         monkeypatch.setenv("STABLEREP_BUDGET", budget)
         assert main(argv.split()) == 2
         assert capsys.readouterr() == ("", want)
-        assert not {"stablerep.stable", "stablerep.schur"} & set(sys.modules)
+        assert not set(computes) & set(sys.modules)
         assert main(["--budget", "1", "partitions", "0"]) == 0
 
     @pytest.mark.parametrize(
@@ -362,7 +365,53 @@ class TestExitCodes:
         assert main(argv) == 2
 
 
+def small_command_lines():
+    """Cheap command lines of every row, some with --json, some with a
+    budget small enough to refuse them."""
+    n = st.integers(0, 3).map(str)
+    d = st.integers(1, 3).map(str)
+    shape = st.sampled_from(["1", "2", "1,1", "2,1", "3,1", "2,2", "1,1,1"])
+    rows = st.one_of(
+        st.tuples(st.just("partitions"), n),
+        st.tuples(st.just("char"), shape),
+        st.tuples(st.just("lr"), shape, shape, shape),
+        st.tuples(st.just("labeled-partitions"), n, n),
+        st.tuples(st.just("hom-dim"), n, n, d),
+        st.tuples(st.just("stable-cohomology"), n, n),
+        st.tuples(st.just("cauchy"), n, d, d),
+        st.tuples(st.just("schur-weyl"), n, d),
+        st.tuples(st.just("verify"), st.just("rw-prop"), n, n, d),
+        st.tuples(st.just("verify"), st.just("splitting"), n, n, d),
+        st.tuples(st.just("verify"), st.just("extension"), shape, d, d),
+        st.tuples(st.just("verify"), st.just("induction"), n, n),
+        st.tuples(st.just("verify"), st.just("step1"), n, n, d),
+    )
+    options = st.tuples(
+        st.sampled_from([(), ("--json",)]),
+        st.sampled_from([(), ("--budget", "2"), ("--budget", "30")]),
+    )
+    return st.builds(lambda row, opts: [*opts[0], *opts[1], *row], rows, options)
+
+
 class TestCache:
+    @settings(max_examples=80, deadline=None)
+    @given(small_command_lines())
+    def test_miss_and_hit_print_what_an_uncached_run_prints(self, argv):
+        """Stdout, stderr and exit code of a cache miss and then of a hit
+        are those of the run without a cache; only exit 0 and 1 are stored."""
+
+        def outcome(*cache):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*cache, *argv])
+            return out.getvalue(), err.getvalue(), code
+
+        with tempfile.TemporaryDirectory() as cache:
+            plain = outcome()
+            assert outcome("--cache", cache) == plain
+            assert len(os.listdir(cache)) == (plain[2] in (0, 1))
+            assert outcome("--cache", cache) == plain
+
     def test_byte_identical_with_and_without_cache(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
         _, plain = run(capsys, "stable-cohomology", "--table", "3", "3")

@@ -6,13 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablerep.characters import (
-    count_pq,
-    cycle_types,
-    general_bicharacter,
-    pq_bicharacter,
-    pq_identity_counts,
-)
+from stablerep.characters import count_pq, cycle_types, pq_bicharacter, pq_identity_counts
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.labeled import (
     FWGradedPiece,
@@ -33,22 +27,25 @@ from stablerep.labeled import (
     _intertwiner_solve_dimension,
     SOLVE_UNKNOWN_CAP,
 )
-from stablerep import characters, labeled, linalg, stable
-from stablerep.characters import BiClassFunction, induced_pq_bicharacter
-from stablerep.modules import all_perms, class_representative, perm_cycle_type
-from stablerep.partitions import specht_dimension
-from stablerep.schur import (
-    _tensor_weight,
-    decompose_weight_multiset,
-    graded_sym_algebra_dimension,
+from stablerep import characters, induction, labeled, linalg
+from stablerep.characters import BiClassFunction
+from stablerep.functors import graded_sym_algebra_dimension
+from stablerep.induction import (
+    general_bicharacter,
+    induced_pq_bicharacter,
+    theorem_a_induction_check,
 )
-from stablerep.stable import theorem_a_induction_check
+from stablerep.modules import perm_cycle_type
+from stablerep.partitions import specht_dimension
+from stablerep.schur import _tensor_weight, decompose_weight_multiset
 
 from conftest import (
     act,
+    all_perms,
     bell_number,
     bell_oracle,
     check_phi_equivariance,
+    class_representative,
     fixed_weights_oracle,
     permutation_bicharacter,
     rw_prop_rank_oracle,
@@ -133,7 +130,7 @@ class TestEnumeration:
         # p(50) * p(1) = 204,226 class pairs: refused from the partition
         # count, which stops once p(m) passes the cap (p(37) = 21,637),
         # before any class list of weight 50 is built.
-        from stablerep import cli, modules, partitions, schur
+        from stablerep import cli, modules, partitions, schur, stable
 
         def refuse_at_50(fn):
             def guarded(n):
@@ -141,7 +138,7 @@ class TestEnumeration:
                 return fn(n)
             return guarded
 
-        for mod in (partitions, characters, schur, modules, labeled, stable):
+        for mod in (partitions, characters, induction, schur, modules, labeled, stable):
             for name in ("cycle_types", "enumerate_partitions"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, refuse_at_50(getattr(mod, name)))
@@ -228,8 +225,7 @@ class TestActionsAndSplitting:
             values[(sigma, tau)] += 1
             return BiClassFunction((p_, q_), values)
 
-        monkeypatch.setattr(characters, "general_bicharacter", shifted)
-        monkeypatch.setattr(stable, "general_bicharacter", shifted)
+        monkeypatch.setattr(induction, "general_bicharacter", shifted)
         pair = (str(sigma), str(tau))
         for rep in (theorem_a_induction_check(p, q), verify_splitting_lemma(p, q, p)):
             assert not rep.passed

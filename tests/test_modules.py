@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    class_representative,
     dense_matrix_oracle,
     dense_product_oracle,
     dense_rank_oracle,
+    perm_inverse,
     schur_image_oracle,
     specht_spin_oracle,
     specht_trace_oracle,
@@ -18,18 +20,21 @@ from conftest import (
     standard_tableaux_bfs,
     tensor_trace_oracle,
 )
-from stablerep import modules, schur
+from stablerep import functors, modules, schur
 from stablerep.characters import cycle_types, irreducible_character
 from stablerep.errors import NonPolynomialAction, OracleDisagreement, SizeBudgetExceeded
+from stablerep.functors import (
+    split_extension_filtration_check,
+    verify_cauchy,
+    verify_schur_weyl,
+)
 from stablerep.linalg import MODULAR_PRIME as P, SparseMatrix, sparse_rank_and_witness
 from stablerep.modules import (
     ExplicitModule,
-    class_representative,
     gl_decompose,
     module_weight_multiset,
     perm_compose,
     perm_cycle_type,
-    perm_inverse,
     perm_sign,
     schur_apply,
     specht_character_traces,
@@ -43,12 +48,7 @@ from stablerep.partitions import (
     schur_gl_dimension,
     specht_dimension,
 )
-from stablerep.schur import (
-    _compositions,
-    split_extension_filtration_check,
-    verify_cauchy,
-    verify_schur_weyl,
-)
+from stablerep.schur import _compositions
 
 small_ints = st.integers(min_value=-3, max_value=3)
 # Entries shifted by a multiple of the modular prime, and fractions: they
@@ -553,7 +553,7 @@ def test_schur_weyl_traces_are_power_sum_products():
     for r in range(8):
         for rho in cycle_types(r):
             for d in range(1, 6):
-                got = schur._power_sum_product(rho.parts, d)
+                got = functors._power_sum_product(rho.parts, d)
                 assert got == tensor_trace_oracle(rho.parts, d), (rho, d)
                 assert sum(got.values()) == d**rho.length
 
@@ -597,13 +597,13 @@ def test_split_extension_budget_counts_its_lr_evaluations(monkeypatch, lam, coun
     the check asks for, so the check runs at exactly that budget and is
     refused at one less."""
     asked = set()
-    real = schur.lr_coefficient
+    real = functors.lr_coefficient
 
     def recorded(outer, inner, nu):
         asked.add((inner, nu))
         return real(outer, inner, nu)
 
-    monkeypatch.setattr(schur, "lr_coefficient", recorded)
+    monkeypatch.setattr(functors, "lr_coefficient", recorded)
     lam = Partition(lam)
     assert split_extension_filtration_check(lam, 2, 1, budget=count).passed
     assert len(asked) == count

@@ -69,22 +69,28 @@ def benchmark_text_ops() -> list[tuple[str, ...]]:
 
 
 SUBMODULES = {
-    "characters", "errors", "labeled", "linalg", "modules", "partitions", "schur", "stable",
+    "cache", "characters", "errors", "functors", "induction", "labeled", "linalg", "modules",
+    "partitions", "schur", "stable",
 }
 
 
-def loaded_after(code: str, prefix: str = "stablerep") -> set[str]:
+def op_env() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("STABLEREP_BUDGET", None)
+    return env
+
+
+def loaded_after(code: str, prefix: str = "stablerep", flags: tuple[str, ...] = ()) -> set[str]:
     """The modules named with prefix (by default the stablerep ones) that a
-    fresh interpreter holds after running code."""
+    fresh interpreter, started with flags, holds after running code."""
     script = (
         "import sys\n"
         + code
         + f"\nprint('LOADED ' + ' '.join(m for m in sys.modules if m.startswith({prefix!r})))"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("STABLEREP_BUDGET", None)
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", script],
+        env=op_env(), capture_output=True, text=True, check=True,
     ).stdout
     line = [x for x in out.splitlines() if x.startswith("LOADED ")][-1]
     return set(line.split()[1:])
@@ -109,7 +115,8 @@ class TestImportSets:
         "argv", [("stable-cohomology", "7", "2"), ("stable-cohomology", "--table", "6", "6")]
     )
     def test_stable_answer_loads_no_labeled_or_linear_algebra(self, argv):
-        # Nor schur: the stable answer is all S_n characters.
+        # Nor schur: the stable answer is all S_n characters.  Nor induction,
+        # functors or cache.
         assert loaded_by_command(*argv) == qualified(
             "cli", "errors", "partitions", "characters", "stable"
         )
@@ -149,10 +156,11 @@ class TestImportSets:
         """rw-prop certifies its rank from J0 from d = p on, and the
         intertwiner solve stops before it builds anything above 900
         unknowns, so neither loads linalg, nor fractions and decimal.  Only
-        splitting, which compares S_n characters, loads characters."""
+        splitting, which compares S_n characters, loads characters, and the
+        induced characters of induction."""
         code = f"from stablerep.cli import main\nmain({list(argv)!r})"
         loaded = loaded_after(code, prefix="")
-        s_n = ("characters",) if "splitting" in argv else ()
+        s_n = ("characters", "induction") if "splitting" in argv else ()
         assert {m for m in loaded if m.startswith("stablerep")} == qualified(
             "cli", "errors", "partitions", "schur", "labeled", *s_n
         )
@@ -167,7 +175,7 @@ class TestImportSets:
         code = f"from stablerep.cli import main\nmain({list(argv)!r})"
         loaded = loaded_after(code, prefix="")
         assert {m for m in loaded if m.startswith("stablerep")} == qualified(
-            "cli", "errors", "partitions", "schur"
+            "cli", "errors", "partitions", "schur", "functors"
         )
         assert not {"fractions", "decimal"} & loaded
 
@@ -188,8 +196,24 @@ class TestImportSets:
 
     def test_induction_loads_no_labeled(self):
         assert loaded_by_command("--json", "verify", "induction", "6", "2") == qualified(
-            "cli", "errors", "partitions", "characters", "stable"
+            "cli", "errors", "partitions", "characters", "induction"
         )
+
+    def test_step1_loads_no_characters(self):
+        assert loaded_by_command("verify", "step1", "4", "2", "2") == qualified(
+            "cli", "errors", "partitions", "schur", "functors"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [("partitions", "1"), ("stable-cohomology", "7", "2")]
+    )
+    def test_no_typing_at_run_time(self, argv):
+        """Under -S, which skips site and the modules its hooks import, the
+        package itself imports no typing, nor the re and enum it brought."""
+        code = f"from stablerep.cli import main\nmain({list(argv)!r})"
+        loaded = loaded_after(code, prefix="", flags=("-S",))
+        assert "stablerep.cli" in loaded
+        assert not {"typing", "re", "enum"} & loaded
 
     @pytest.mark.parametrize("argv", benchmark_text_ops(), ids=" ".join)
     def test_text_output_loads_no_json(self, argv):
@@ -223,7 +247,28 @@ class TestImportSets:
     def test_cache_hit_loads_no_compute_module(self, tmp_path):
         argv = ("--cache", str(tmp_path), "stable-cohomology", "4", "2")
         assert "stablerep.stable" in loaded_by_command(*argv)  # miss: computes
-        assert loaded_by_command(*argv) == qualified("cli", "errors")  # hit
+        assert loaded_by_command(*argv) == qualified("cli", "errors", "cache")  # hit
+
+    def test_cache_under_run_module_compiles_the_cli_once(self, tmp_path):
+        """Under python -m, the running CLI is __main__, so nothing may
+        import stablerep.cli, which would compile it a second time; -X
+        importtime lists every module the process imports."""
+        argv = ["--cache", str(tmp_path), "stable-cohomology", "4", "2"]
+        for run in ("miss", "hit"):
+            err = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "stablerep.cli", *argv],
+                env=op_env(), capture_output=True, text=True, check=True,
+            ).stderr
+            imported = {
+                line.rsplit("|", 1)[1].strip()
+                for line in err.splitlines()
+                if line.startswith("import time:")
+            }
+            assert "stablerep.cache" in imported, run
+            assert "stablerep.cli" not in imported, run
+        assert {m for m in imported if m.startswith("stablerep")} == qualified(
+            "errors", "cache"
+        )
 
 
 class TestLazyExports:

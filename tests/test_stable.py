@@ -6,15 +6,11 @@ import pytest
 from stablerep.characters import count_pq, cycle_types, decompose, identity_type
 from stablerep import labeled, stable
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
+from stablerep.functors import step1_dimension_identity
+from stablerep.induction import theorem_a_induction_check
 from stablerep.labeled import enumerate_pq
 from stablerep.partitions import IrredDecomposition, Partition, specht_dimension, transpose
-from stablerep.stable import (
-    SymbolicCoefficient,
-    dimension_table,
-    stable_cohomology,
-    step1_dimension_identity,
-    theorem_a_induction_check,
-)
+from stablerep.stable import SymbolicCoefficient, dimension_table, stable_cohomology
 
 from conftest import (
     bell_oracle,
@@ -192,10 +188,10 @@ class TestPipeline:
         def refuse(*args):
             raise AssertionError("series built")
 
-        from stablerep import schur
+        from stablerep import functors
 
-        monkeypatch.setattr(schur, "graded_sym_algebra_series", refuse)
-        monkeypatch.setattr(schur, "graded_sym_algebra_dimension", refuse)
+        monkeypatch.setattr(functors, "graded_sym_algebra_series", refuse)
+        monkeypatch.setattr(functors, "graded_sym_algebra_dimension", refuse)
         with pytest.raises(SizeBudgetExceeded, match="^series steps more than 20000 "):
             step1_dimension_identity(100000, 1, 1)
         with pytest.raises(SizeBudgetExceeded, match="^series steps more than 1 "):
