@@ -29,10 +29,9 @@ imports only what its callers run, so a command loads only those:
   half) and ``functors``, and ``schur-weyl`` also ``characters``;
   ``verify step1`` loads ``schur`` and ``functors`` and no ``characters``;
 - ``hom-dim`` and ``verify rw-prop`` load ``schur`` and ``labeled``, and
-  ``verify splitting`` also ``characters`` and ``induction``; at d >= p
-  they load ``linalg`` and ``fractions`` only for an intertwiner system
-  small enough to solve (at most 900 unknowns, as at ``hom-dim 2 1 2``),
-  and below d = p ``rw-prop`` also loads them to eliminate its rows;
+  ``verify splitting`` also ``characters`` and ``induction``; only
+  ``rw-prop`` below d = p loads ``linalg`` and ``fractions``, to eliminate
+  its rows;
 - text output loads no ``json``; only ``--json`` and ``--cache`` do;
 - only ``--cache`` loads ``cache``, and a cache hit, ``-h`` and a malformed
   command line load no compute module.

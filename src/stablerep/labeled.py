@@ -10,15 +10,16 @@ here is their tests' oracle.
 
 The Hom side is read off weight generating functions (fixed_weights): the
 torus weights of the FW monomials fixed by a label permutation, decomposed
-into Schur-Weyl multiplicities by ``schur``'s Kostka subtraction.  The FW
-basis itself (FWGradedPiece) is built only for the direct intertwiner solve
-and as the tests' oracle.  Symmetric-group characters are imported from
+into Schur-Weyl multiplicities by ``schur``'s Kostka subtraction and,
+independently, by Weyl's alternant, which must agree.  No command builds
+the FW basis itself (FWGradedPiece); it is the tests' oracle of
+fixed_weights.  Symmetric-group characters are imported from
 ``characters`` only by the functions that use them (enumerate_pq,
 hom_bicharacter and verify_splitting_lemma, which also imports
 ``induction``), so ``hom-dim`` and ``verify rw-prop`` load only the GL_d
 half.  ``linalg``, and with it ``fractions``, is imported only where rows
-are eliminated: the intertwiner solve of a system under SOLVE_UNKNOWN_CAP,
-and verify_rw_prop when J0 does not certify its rank (below d = p).
+are eliminated: verify_rw_prop when J0 does not certify its rank (below
+d = p).
 
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
 distinguishable labels.  Set partitions have parts sorted by minimum element,
@@ -28,14 +29,15 @@ each increasing, so enumeration is duplicate-free and values hash.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial
 from operator import add
 
 from .errors import InvalidArgs, OracleDisagreement, check_budget
 from .partitions import (
     FrozenRecord,
+    Partition,
     Report,
     check_class_budget,
     enumerate_partitions,
@@ -350,11 +352,7 @@ def _part_variables(
 # Hom-space dimension and character
 
 
-# Largest intertwiner system (unknown count) that is also solved directly.
-SOLVE_UNKNOWN_CAP = 900
-
-
-def _check_weight_table(p: int, q: int, d: int, budget: int | None):
+def _check_weight_table(p: int, q: int, d: int, budget: int | None) -> int:
     """The Hom side's arguments, and the steps of one fixed_weights call
     against the budget: its C(p+d, d) table plus one per orbit weight w and
     entry of total <= p - |w|.  That is C(p+2d, 2d) with the unlabeled orbits
@@ -362,91 +360,73 @@ def _check_weight_table(p: int, q: int, d: int, budget: int | None):
     if p < 0 or q < 0 or d < 1:
         raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
     steps = comb(p + 2 * d, 2 * d) + q * d * comb(p - 1 + d, d)
-    check_budget(steps, budget, "weight-table steps")
+    return check_budget(steps, budget, "weight-table steps")
 
 
-def _piece_weights(p: int, q: int, d: int, budget: int | None = None) -> Counter:
-    """Weights of the whole FW piece (fixed_weights at the identity), within
-    the budget; unit cycles are orbits only when p >= 1, so none at p = 0."""
-    _check_weight_table(p, q, d, budget)
-    return fixed_weights(p, d, (1,) * q if p else ())
+def _hom_multiplicities(p: int, d: int, cycles: tuple[int, ...]) -> dict:
+    """{Partition: multiplicity} of the weights of the FW monomials fixed by
+    a label permutation with the given cycle lengths (fixed_weights), read
+    two ways that must agree for every lam: the greedy Kostka subtraction,
+    and Weyl's alternant m_lam = sum over w in S_k of sgn(w) M[lam + delta
+    - w(delta)], delta = (k-1, ..., 0), on the weight counts M.  k = min(d, p)
+    rows suffice, since no lam of p has more than p, so lam runs over the
+    weakly decreasing compositions of p into k parts and the last d - k
+    entries of each weight read are 0.  Row i of that weight is
+    lam_i + w(i) - i, so w is chosen one row at a time where that is >= 0."""
+    weights = fixed_weights(p, d, cycles)
+    by_kostka = decompose_weight_multiset(weights, d).mults
+    k = min(d, p)
+    pad = (0,) * (d - k)
+    for lam in _compositions(p, k):
+        if any(a < b for a, b in zip(lam, lam[1:])):
+            continue
+        # (weight rows so far, values of w taken as bits, sgn so far): each
+        # value taken above v is one more inversion.
+        terms = [((), 0, 1)]
+        for i, part in enumerate(lam):
+            terms = [
+                (rows + (part + v - i,), taken | 1 << v,
+                 -sign if (taken >> v).bit_count() % 2 else sign)
+                for rows, taken, sign in terms
+                for v in range(max(0, i - part), k)
+                if not taken >> v & 1
+            ]
+        by_weyl = sum(sign * weights.get(rows + pad, 0) for rows, _, sign in terms)
+        shape = Partition(lam)
+        if by_weyl != by_kostka.get(shape, 0):
+            raise OracleDisagreement(
+                f"Weyl's alternant gives m_{shape} = {by_weyl}, Kostka "
+                f"subtraction gives {by_kostka.get(shape, 0)}"
+            )
+    return by_kostka
 
 
 def hom_space_dimension_gl(p: int, q: int, d: int, budget: int | None = None) -> int:
-    """dim Hom_GL((Q^d)^{⊗p}, FW piece), computed by the character method
-    (always: Schur-Weyl multiplicities of the weights from fixed_weights,
-    with no basis built) and by directly solving for intertwiners (when the
-    unknown count fits under SOLVE_UNKNOWN_CAP); the two must agree."""
-    weights = _piece_weights(p, q, d, budget)
-    dec = decompose_weight_multiset(weights, d)
-    char_dim = sum(m * specht_dimension(lam) for lam, m in dec.mults.items())
-    solve_dim = _intertwiner_solve_dimension(p, q, d, weights, budget)
-    if solve_dim is not None and solve_dim != char_dim:
-        raise OracleDisagreement(
-            f"intertwiner solve gives {solve_dim}, characters give {char_dim}"
-        )
-    return char_dim
-
-
-def _intertwiner_solve_dimension(
-    p: int, q: int, d: int, weights: Counter, budget: int | None = None
-) -> int | None:
-    """Kernel dimension of the 'commutes with every adjacent gl generator
-    and preserves torus weight' system; None if it has more unknowns (pairs
-    of a tensor J and an FW monomial of weight(J)) than SOLVE_UNKNOWN_CAP,
-    counted from the FW weights; only a system under the cap builds the FW
-    piece (under the budget).  Rank-deficient by design, so no rank mod a
-    prime certifies it: it runs over Fraction."""
-    count = sum(factorial(p) // prod(map(factorial, w)) * n for w, n in weights.items())
-    if count > SOLVE_UNKNOWN_CAP:
-        return None
-    from .linalg import _count_pivots
-
-    piece = build_fw_piece(p, q, d, budget)
-    src = list(itertools.product(range(d), repeat=p))
-    src_weight = {J: _tensor_weight(J, d) for J in src}
-    tgt_by_weight: dict[tuple[int, ...], list[int]] = {}
-    for i, mono in enumerate(piece.basis):
-        tgt_by_weight.setdefault(piece.weight(mono), []).append(i)
-
-    unknowns = [(J, t) for J in src for t in tgt_by_weight.get(src_weight[J], [])]
-    uindex = {u: i for i, u in enumerate(unknowns)}
-
-    gens = [(a, a + 1) for a in range(d - 1)] + [(a + 1, a) for a in range(d - 1)]
-    rows = []
-    for (a, b) in gens:
-        for J in src:
-            # T(E.J) - E.T(J) = 0, one equation per target coordinate.
-            eqs: dict[int, Counter] = defaultdict(Counter)
-            for t, v in enumerate(J):
-                if v == b:
-                    J2 = J[:t] + (a,) + J[t + 1 :]
-                    for tgt in tgt_by_weight.get(src_weight[J2], []):
-                        eqs[tgt][uindex[(J2, tgt)]] += 1
-            for tgt in tgt_by_weight.get(src_weight[J], []):
-                for m2, c in piece.gl_apply(a, b, piece.basis[tgt]).items():
-                    eqs[piece.index[m2]][uindex[(J, tgt)]] -= c
-            rows.extend(eqs.values())  # _count_pivots drops zero entries
-    return len(unknowns) - _count_pivots(rows)
+    """dim Hom_GL((Q^d)^{⊗p}, FW piece) = sum of m_lam f^lam over the
+    Schur-Weyl multiplicities of the whole piece's weights (_hom_multiplicities
+    at the identity of Sigma_q, whose unit cycles are orbits only when
+    p >= 1), with no basis built; the budget bounds the weight table."""
+    _check_weight_table(p, q, d, budget)
+    mults = _hom_multiplicities(p, d, (1,) * q if p else ())
+    return sum(m * specht_dimension(lam) for lam, m in mults.items())
 
 
 def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClassFunction:
     """Sigma_p x Sigma_q character of Hom_GL(V^{⊗p}, FW piece): for each
     class of tau the weights of the tau-fixed FW monomials (fixed_weights,
     no basis built) give the trace of tau, and Schur-Weyl multiplicities
-    carry it to the tensor-slot action.  The budget bounds the steps of
-    each fixed_weights call (_check_weight_table)."""
+    carry it to the tensor-slot action (_hom_multiplicities, checked by
+    Weyl's alternant at every class).  The budget bounds the steps of each
+    fixed_weights call (_check_weight_table)."""
     from .characters import BiClassFunction, cycle_types, irreducible_character
 
     _check_weight_table(p, q, d, budget)
     lam_chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(p)}
     vals = {}
     for t in cycle_types(q):
-        dec = decompose_weight_multiset(fixed_weights(p, d, t.parts), d)
+        mults = _hom_multiplicities(p, d, t.parts)
         for s in cycle_types(p):
-            vals[(s, t)] = sum(
-                m * lam_chars[lam].values[s] for lam, m in dec.mults.items()
-            )
+            vals[(s, t)] = sum(m * lam_chars[lam].values[s] for lam, m in mults.items())
     return BiClassFunction((p, q), vals)
 
 
@@ -498,9 +478,9 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     """Classwise equality of three Sigma_p x Sigma_q characters: the
     labeled-partition permutation module (general_bicharacter), the sum of
     induced injectively labeled modules, and the GL-equivariant Hom space
-    (hom_bicharacter, read off weight generating functions).  The budget
-    bounds the class-pair and weight tables, and the FW piece that
-    hom_space_dimension_gl builds only to solve a small intertwiner system."""
+    (hom_bicharacter, read off weight generating functions), whose value
+    at the identity is the Hom dimension.  The budget bounds the class-pair
+    and weight tables."""
     from .characters import BiClassFunction, cycle_types
     from .induction import general_bicharacter, induced_pq_bicharacter
 
@@ -512,8 +492,6 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     hom = hom_bicharacter(p, q, d, budget)
     chars_equal = lhs == rhs
     hom_equal = hom == rhs
-    hom_dim = hom_space_dimension_gl(p, q, d, budget)
-    dim_ok = lhs.dimension == hom_dim
     mismatches = [
         {"sigma_class": str(s), "tau_class": str(t), "left": int(lhs.values[(s, t)]),
          "right": int(rhs.values[(s, t)]), "hom": int(hom.values[(s, t)])}
@@ -524,8 +502,8 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     return Report(
         claim=f"induced labeled modules match the Hom space, p={p}, q={q}, d={d}",
         left=int(lhs.dimension),
-        right=hom_dim,
-        passed=chars_equal and hom_equal and dim_ok,
+        right=int(hom.dimension),
+        passed=chars_equal and hom_equal,
         witnesses={
             "classwise_table": {
                 f"{s}|{t}": int(lhs.values[(s, t)])

@@ -4,14 +4,14 @@ matrices that hold generator actions.
 No floating point anywhere.  ``_reduce_rows`` is the only elimination loop:
 forward elimination on {column_key: value} dicts, whose rows are short, over
 Fraction or over the integers mod the prime P = 2^61 - 1.  It decides the
-intertwiner systems and the stacked-map ranks that no certificate decides
-(from d = p on, labeled.verify_rw_prop certifies its rank from the generic
-tensor J0 and builds no rows).  ``sparse_rank_and_witness`` keeps a full
-row rank mod P, which certifies itself, and otherwise runs one elimination
-over Fraction with a tag column per row, which gives the rank and a
-dependency witness.  ``SparseMatrix`` holds the generator matrices of
-explicit modules as {(row, col): value} dicts, and multiplies, subtracts
-and traces them.  Every rank is exact.
+stacked-map ranks that no certificate decides (from d = p on,
+labeled.verify_rw_prop certifies its rank from the generic tensor J0 and
+builds no rows).  ``sparse_rank_and_witness`` keeps a full row rank mod P,
+which certifies itself, and otherwise runs one elimination over Fraction
+with a tag column per row, which gives the rank and a dependency witness.
+``SparseMatrix`` holds the generator matrices of explicit modules as
+{(row, col): value} dicts, and multiplies, subtracts and traces them.
+Every rank is exact.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class SparseMatrix(dict):
 MODULAR_PRIME = (1 << 61) - 1
 
 
-def _count_pivots(rows: Iterable[dict], prime: int | None = None) -> int:
-    return sum(1 for rest in _reduce_rows(rows, prime) if rest)
-
-
 def sparse_rank_and_witness(rows: list[dict]) -> tuple[int, list[Fraction] | None]:
     """Exact rank of sparse rows given as {column_key: value} dicts (keys
     mutually comparable, values exact rationals) and, if they are
@@ -66,12 +62,13 @@ def sparse_rank_and_witness(rows: list[dict]) -> tuple[int, list[Fraction] | Non
     Each row is scaled by the lcm of its denominators and reduced mod
     MODULAR_PRIME.  A rank mod the prime is a lower bound for the rank over
     Q (a nonzero minor mod the prime is a nonzero integer), so a full row
-    rank certifies itself.  Otherwise row i gets a tag column (1, i)
+    rank certifies itself; the first row left with no remainder mod the
+    prime ends that pass.  Otherwise row i gets a tag column (1, i)
     sorting after its real columns (0, k), and one pass over all rows
     decides: the rank is the number of remainders that lead with a real
     column, and the first remainder that leads with a tag has no real part
     left, so its tag entries are the combination."""
-    if _count_pivots(rows, MODULAR_PRIME) == len(rows):
+    if all(_reduce_rows(rows, MODULAR_PRIME)):
         return len(rows), None
     tagged = (
         {**{(0, k): v for k, v in row.items()}, (1, i): 1}

@@ -11,8 +11,9 @@ checked against.  Helpers that only the tests call live here too:
 ``inner_product_bi``, ``reconstruct``, ``decomposition_from_json`` and
 ``total_dimension`` for class functions, the permutation helpers
 ``perm_inverse``, ``class_representative`` and ``all_perms``, and the
-labeled-partition action, the splitting map, the
-phi equivariance check and the two dimension cross-checks
+labeled-partition action, the splitting map, the phi equivariance check,
+the intertwiner solve of the Hom dimension on the enumerated FW piece
+(``intertwiner_solve_dimension``) and the two dimension cross-checks
 (``hom_side_total``, ``three_way_dimension_agreement``).  ``build_parser`` is
 the argparse parser that the CLI's command-table parser replaced, kept as the
 reference for what a command line means.  The hand-written budget loops that
@@ -485,6 +486,48 @@ def fixed_weights_oracle(piece, tau: tuple[int, ...]):
     )
 
 
+def intertwiner_solve_dimension(p: int, q: int, d: int, budget: int | None = None) -> int:
+    """dim Hom_GL((Q^d)^{⊗p}, FW piece) as the kernel dimension of the
+    'commutes with every adjacent gl generator and preserves torus weight'
+    system, on the enumerated FW piece (built within the budget).  The
+    unknowns are the pairs of a tensor J and an FW monomial of weight(J).
+    Rank-deficient by design, so no rank mod a prime certifies it: it runs
+    over Fraction.  The Hom side's direct solve before Weyl's alternant
+    became its second path, now an oracle."""
+    from collections import Counter, defaultdict
+
+    from stablerep.labeled import build_fw_piece
+    from stablerep.linalg import _reduce_rows
+    from stablerep.schur import _tensor_weight
+
+    piece = build_fw_piece(p, q, d, budget)
+    src = list(itertools.product(range(d), repeat=p))
+    src_weight = {J: _tensor_weight(J, d) for J in src}
+    tgt_by_weight: dict[tuple[int, ...], list[int]] = {}
+    for i, mono in enumerate(piece.basis):
+        tgt_by_weight.setdefault(piece.weight(mono), []).append(i)
+
+    unknowns = [(J, t) for J in src for t in tgt_by_weight.get(src_weight[J], [])]
+    uindex = {u: i for i, u in enumerate(unknowns)}
+
+    gens = [(a, a + 1) for a in range(d - 1)] + [(a + 1, a) for a in range(d - 1)]
+    rows = []
+    for (a, b) in gens:
+        for J in src:
+            # T(E.J) - E.T(J) = 0, one equation per target coordinate.
+            eqs: dict[int, Counter] = defaultdict(Counter)
+            for t, v in enumerate(J):
+                if v == b:
+                    J2 = J[:t] + (a,) + J[t + 1 :]
+                    for tgt in tgt_by_weight.get(src_weight[J2], []):
+                        eqs[tgt][uindex[(J2, tgt)]] += 1
+            for tgt in tgt_by_weight.get(src_weight[J], []):
+                for m2, c in piece.gl_apply(a, b, piece.basis[tgt]).items():
+                    eqs[piece.index[m2]][uindex[(J, tgt)]] -= c
+            rows.extend(eqs.values())  # _reduce_rows drops zero entries
+    return len(unknowns) - sum(1 for rest in _reduce_rows(rows) if rest)
+
+
 def spin_oracle(vectors: list[dict], maps: list, spin: bool):
     """Pick a basis from sparse vectors, in order, and write each map's image
     of every basis vector in that basis, in one sparse elimination.
@@ -672,14 +715,17 @@ def hom_side_total(p: int, q: int, d: int, budget: int | None = None) -> int:
     admits their weight-table steps and basis, by the total of its
     torus-weight generating function (fixed_weights at the identity) and by
     direct basis enumeration."""
+    from stablerep import labeled
     from stablerep.errors import OracleDisagreement, SizeBudgetExceeded
     from stablerep.functors import graded_sym_algebra_dimension
-    from stablerep.labeled import _piece_weights, build_fw_piece
 
     others = {}
     try:
-        others["weight generating function"] = sum(_piece_weights(p, q, d, budget).values())
-        others["enumeration"] = build_fw_piece(p, q, d, budget).dimension
+        labeled._check_weight_table(p, q, d, budget)
+        # Unit cycles are orbits only when p >= 1.
+        weights = labeled.fixed_weights(p, d, (1,) * q if p else ())
+        others["weight generating function"] = sum(weights.values())
+        others["enumeration"] = labeled.build_fw_piece(p, q, d, budget).dimension
     except SizeBudgetExceeded:
         pass
     by_series = graded_sym_algebra_dimension(d, q, p)

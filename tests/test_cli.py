@@ -160,6 +160,16 @@ class TestStableCohomologyCommand:
              "3af399138d2e00ff4e6a51591e02a8f30a3edbd170b8a3f96215773e2ffb4f49", 0),
             ("--json stable-cohomology 18 9",
              "edc050550e1b1aad14054a4c0852d0dc3a173981d4e2262ecdec3611870df369", 0),
+            # Recorded while these cells also solved their intertwiner
+            # systems; Weyl's alternant must print the same bytes.
+            ("hom-dim 2 1 2",
+             "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06", 0),
+            ("hom-dim 3 1 3",
+             "238903180cc104ec2c5d8b3f20c5bc61b389ec0a967df8cc208cdc7cd454174f", 0),
+            ("hom-dim 3 3 1",
+             "64aeb9975f234becd55bb4635e6e2f2da7a6b7bf0a896f0c07763bdfbfb31420", 0),
+            ("--json verify splitting 3 2 3",
+             "7c85bad7a87848ab8453371461e572fe45935f444f44308f1f6f70792f393fb1", 0),
         ],
     )
     def test_output_pinned(self, capsys, argv, digest, exit_code):

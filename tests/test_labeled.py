@@ -24,8 +24,6 @@ from stablerep.labeled import (
     set_partitions,
     verify_rw_prop,
     verify_splitting_lemma,
-    _intertwiner_solve_dimension,
-    SOLVE_UNKNOWN_CAP,
 )
 from stablerep import characters, induction, labeled, linalg
 from stablerep.characters import BiClassFunction
@@ -36,7 +34,7 @@ from stablerep.induction import (
     theorem_a_induction_check,
 )
 from stablerep.modules import perm_cycle_type
-from stablerep.partitions import specht_dimension
+from stablerep.partitions import IrredDecomposition, Partition, specht_dimension
 from stablerep.schur import _tensor_weight, decompose_weight_multiset
 
 from conftest import (
@@ -47,6 +45,7 @@ from conftest import (
     check_phi_equivariance,
     class_representative,
     fixed_weights_oracle,
+    intertwiner_solve_dimension,
     permutation_bicharacter,
     rw_prop_rank_oracle,
     set_partitions_brute,
@@ -325,58 +324,118 @@ class TestHomSpace:
 
     def test_solve_path_agrees_with_characters(self):
         for p, q, d in [(1, 0, 1), (2, 0, 2), (2, 1, 2), (2, 2, 2), (3, 0, 2), (3, 1, 2)]:
-            weights = fixed_weights(p, d, (1,) * q)
-            solved = _intertwiner_solve_dimension(p, q, d, weights)
-            assert solved is not None
-            assert solved == hom_space_dimension_gl(p, q, d)
+            assert intertwiner_solve_dimension(p, q, d) == hom_space_dimension_gl(p, q, d)
 
     def test_solve_cap_decided_from_weight_counts(self):
-        # Cells on both sides of the cap: the unknowns are the pairs (J, m)
-        # of a tensor J and an FW monomial m of the same weight.
-        sides = set()
+        # The cells of at most 900 unknowns, where the Hom side once also
+        # solved for intertwiners: the unknowns are the pairs (J, m) of a
+        # tensor J and an FW monomial m of the same weight.
+        solved = 0
         for p, q, d in itertools.product((3, 4), range(4), (2, 3)):
             piece = build_fw_piece(p, q, d)
-            weights = fixed_weights(p, d, (1,) * q)
-            dec = decompose_weight_multiset(weights, d)
             by_weight = Counter(piece.weight(m) for m in piece.basis)
             unknowns = sum(
                 by_weight[_tensor_weight(J, d)]
                 for J in itertools.product(range(d), repeat=p)
             )
-            solved = _intertwiner_solve_dimension(p, q, d, weights)
-            sides.add(unknowns > SOLVE_UNKNOWN_CAP)
-            if unknowns > SOLVE_UNKNOWN_CAP:
-                assert solved is None, (p, q, d)
-            else:
-                char_dim = sum(
-                    m * specht_dimension(lam) for lam, m in dec.mults.items() if lam.weight == p
-                )
-                assert solved == char_dim, (p, q, d)
-        assert sides == {True, False}
+            if unknowns > 900:
+                continue
+            dec = decompose_weight_multiset(fixed_weights(p, d, (1,) * q), d)
+            char_dim = sum(m * specht_dimension(lam) for lam, m in dec.mults.items())
+            assert intertwiner_solve_dimension(p, q, d) == char_dim, (p, q, d)
+            solved += 1
+        assert solved == 11
 
     def test_hom_bicharacter_identity_value(self):
         chi = hom_bicharacter(2, 1, 2)
         assert chi.dimension == 5
 
     def test_hom_side_builds_no_piece_above_the_solve_cap(self, monkeypatch):
+        # Nor below it: no cell builds the FW piece, not even those whose
+        # intertwiner system the Hom side once solved.
+        cells = [(2, 1, 2), (3, 1, 3), (3, 3, 1), (4, 4, 4)]
+        expected = {cell: intertwiner_solve_dimension(*cell) for cell in cells[:3]}
+        expected[(4, 4, 4)] = count_general(4, LabelAlphabet(4))
+
         def refuse(*args, **kwargs):
             raise AssertionError("FW piece built")
 
         monkeypatch.setattr(labeled, "build_fw_piece", refuse)
-        assert hom_space_dimension_gl(4, 4, 4) == count_general(4, LabelAlphabet(4))
-        assert verify_rw_prop(4, 4, 4).passed
-        assert verify_splitting_lemma(4, 4, 4).passed
+        monkeypatch.setattr(labeled, "FWGradedPiece", refuse)
+        for p, q, d in cells:
+            assert hom_space_dimension_gl(p, q, d) == expected[(p, q, d)]
+            assert verify_rw_prop(p, q, d).passed == (d >= p)
+            assert verify_splitting_lemma(p, q, d).passed == (d >= p)
 
     def test_budget_bounds_weight_table_and_solve_piece(self):
-        # (4, 4, 4) takes C(12, 8) + 16 * C(7, 4) = 1055 weight-table steps
-        # and builds no piece; (3, 3, 1) takes 19 steps and builds its
-        # 25-monomial piece for the solve.
+        # (4, 4, 4) takes C(12, 8) + 16 * C(7, 4) = 1055 weight-table steps,
+        # and (3, 3, 1) takes C(5, 2) + 3 * C(3, 1) = 19; neither builds its
+        # FW piece, so (3, 3, 1) answers with its 25 monomials at budget 19.
         with pytest.raises(SizeBudgetExceeded, match="weight-table steps 1055"):
             hom_bicharacter(4, 4, 4, budget=1054)
         assert hom_space_dimension_gl(4, 4, 4, budget=1055) == 799
-        with pytest.raises(SizeBudgetExceeded, match="ambient dimension 25"):
-            hom_space_dimension_gl(3, 3, 1, budget=24)
-        assert hom_space_dimension_gl(3, 3, 1, budget=25) == 25
+        with pytest.raises(SizeBudgetExceeded, match="weight-table steps 19 exceeds budget 18"):
+            hom_space_dimension_gl(3, 3, 1, budget=18)
+        for budget in (19, 24, 25):
+            assert hom_space_dimension_gl(3, 3, 1, budget=budget) == 25
+
+    def test_swapped_multiplicities_of_equal_degree_raise(self, monkeypatch):
+        # At (4, 4, 4) m_(3,1) = 135 and m_(2,1,1) = 55, both with f^lam = 3,
+        # so swapping them keeps sum m f^lam = 799; Weyl's alternant sees it.
+        a, b = Partition((3, 1)), Partition((2, 1, 1))
+        dec = decompose_weight_multiset(fixed_weights(4, 4, (1,) * 4), 4)
+        assert (dec[a], dec[b], specht_dimension(a), specht_dimension(b)) == (135, 55, 3, 3)
+        real = labeled.decompose_weight_multiset
+
+        def swapped(cnt, d):
+            mults = dict(real(cnt, d).mults)
+            mults[a], mults[b] = mults.get(b, 0), mults.get(a, 0)
+            return IrredDecomposition(mults)
+
+        monkeypatch.setattr(labeled, "decompose_weight_multiset", swapped)
+        with pytest.raises(OracleDisagreement, match="m_2,1,1 = 55, Kostka subtraction gives 135"):
+            hom_space_dimension_gl(4, 4, 4)
+
+    @pytest.mark.parametrize("bad_class", range(len(cycle_types(2))))
+    def test_an_off_by_one_on_one_class_raises(self, monkeypatch, bad_class):
+        # hom_bicharacter(3, 2, 3) decomposes one weight table per class of
+        # Sigma_2; one multiplicity off by one at a single class is caught.
+        real = labeled.decompose_weight_multiset
+        calls = []
+
+        def shifted(cnt, d):
+            dec = real(cnt, d)
+            calls.append(cnt)
+            if len(calls) != bad_class + 1:
+                return dec
+            lam = max(dec.mults)
+            return IrredDecomposition({**dec.mults, lam: dec.mults[lam] + 1})
+
+        monkeypatch.setattr(labeled, "decompose_weight_multiset", shifted)
+        with pytest.raises(OracleDisagreement, match="Weyl's alternant"):
+            hom_bicharacter(3, 2, 3)
+        assert len(calls) == bad_class + 1
+
+    @pytest.mark.parametrize(
+        "cell, reads", [((6, 0, 6), 85), ((200, 0, 1), 1), ((10, 0, 3), 51), ((8, 0, 8), 399)]
+    )
+    def test_alternant_reads_no_more_weights_than_the_table_steps(self, monkeypatch, cell, reads):
+        # w is chosen row by row where the weight stays >= 0: 85 weights of
+        # 18,564 steps at (6, 0, 6) and 399 of 735,471 at (8, 0, 8), where
+        # the whole of S_8 would take 887,040 terms.  (200, 0, 1) and
+        # (8, 0, 8) run above the default budget.
+        real = labeled.fixed_weights
+        read = []
+
+        class Counted(Counter):
+            def get(self, key, default=None):
+                read.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(labeled, "fixed_weights", lambda *args: Counted(real(*args)))
+        steps = labeled._check_weight_table(*cell, budget=10**6)
+        hom_space_dimension_gl(*cell, budget=steps)
+        assert len(read) == reads <= steps
 
     def test_weight_table_steps_grow_with_q_and_the_fill(self):
         # Unit cycles cost steps only when p >= 1; at d = 1 the fill grows

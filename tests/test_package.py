@@ -122,14 +122,6 @@ class TestImportSets:
         )
 
     @pytest.mark.parametrize(
-        "argv", [("hom-dim", "2", "1", "2"), ("verify", "rw-prop", "2", "1", "2")]
-    )
-    def test_labeled_commands_load_no_explicit_modules(self, argv):
-        assert loaded_by_command(*argv) == qualified(
-            "cli", "errors", "partitions", "schur", "linalg", "labeled"
-        )
-
-    @pytest.mark.parametrize(
         "argv",
         [
             ("stable-cohomology", "7", "2"),
@@ -150,14 +142,16 @@ class TestImportSets:
             ("verify", "rw-prop", "4", "4", "4"),
             ("verify", "rw-prop", "4", "2", "4"),
             ("verify", "splitting", "4", "4", "4"),
+            ("hom-dim", "2", "1", "2"),
+            ("verify", "rw-prop", "2", "1", "2"),
         ],
     )
     def test_hom_side_at_d_ge_p_loads_no_linear_algebra(self, argv):
-        """rw-prop certifies its rank from J0 from d = p on, and the
-        intertwiner solve stops before it builds anything above 900
-        unknowns, so neither loads linalg, nor fractions and decimal.  Only
-        splitting, which compares S_n characters, loads characters, and the
-        induced characters of induction."""
+        """rw-prop certifies its rank from J0 from d = p on, and the Hom
+        dimension is read off torus weights at every cell, so no Hom-side
+        command loads linalg, nor fractions and decimal, nor the explicit
+        modules.  Only splitting, which compares S_n characters, loads
+        characters, and the induced characters of induction."""
         code = f"from stablerep.cli import main\nmain({list(argv)!r})"
         loaded = loaded_after(code, prefix="")
         s_n = ("characters", "induction") if "splitting" in argv else ()
