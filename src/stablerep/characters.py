@@ -1,11 +1,13 @@
 """Class functions on symmetric groups and products of two of them: the
 S_n half of the package, with no GL_d weight in it (those are in ``schur``).
 
-Irreducible characters are computed by the Murnaghan-Nakayama recursion:
-the rim hooks of each (shape, hook length) are read off the beta-numbers
-once and cached with their signs (``_rim_hooks``), and ``_mn`` memoizes, per
-(shape, largest part r), the character on every class with parts <= r as an
-int tuple in ``cycle_types`` order, one signed vector sum per first part.
+Irreducible characters are computed by the Murnaghan-Nakayama recursion on
+the beta-set of each shape held as one int bitmask (``_beta_mask``), where
+removing an f-hook moves one bead f places down the abacus
+(``_hook_removals``; James and Kerber, The Representation Theory of the
+Symmetric Group, 1981, 2.7), and ``_mn`` memoizes, per (mask, size, largest
+part r), the character on every class with parts <= r as an int tuple in
+``cycle_types`` order, one signed vector sum per first part.
 Everything is exact and integer where the input is; ``fractions`` is
 imported only to report a non-integral multiplicity.
 
@@ -20,8 +22,8 @@ Characters are stored densely over all cycle types; with weights at desk
 scale the class lists are tiny.  Class functions keep the values they are
 given, so integer characters (irreducible, permutation, closed-form) stay
 ints and ``decompose`` sums them in integers into a
-``partitions.IrredDecomposition``.  Both Murnaghan-Nakayama caches are plain
-``lru_cache``s on immutable arguments, safe for concurrent readers.
+``partitions.IrredDecomposition``.  The Murnaghan-Nakayama memo is a plain
+``lru_cache`` on ints, safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -219,60 +221,70 @@ class BiClassFunction:
 # Murnaghan-Nakayama
 
 
-@lru_cache(maxsize=None)
-def _rim_hooks(lam: tuple[int, ...], r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(sign, lam minus the hook) for every rim hook of length r of lam.
-
-    On the beta-numbers b_i = lam_i + (k-1-i), removing an r-hook moves some
-    b_i to the free value b_i - r >= 0.  If rows i+1..j-1 hold the
-    beta-numbers passed over, those rows lose one cell and shift up, row j-1
-    gets lam_i - r + (j-1-i), and the sign is (-1)^(j-1-i), the hook having
-    j-i rows."""
+def _beta_mask(lam: tuple[int, ...]) -> int:
+    """The beta-set of lam as a bitmask, bit lam_i + (k-1-i) for each of its
+    k rows: the beads of James and Kerber's one-runner abacus.  Zero rows
+    are trailing set bits, stripped, so each shape has one mask and the
+    empty shape has 0."""
     k = len(lam)
-    beta = [x + k - 1 - i for i, x in enumerate(lam)]
-    taken = set(beta)
+    mask = sum(1 << (x + k - 1 - i) for i, x in enumerate(lam))
+    return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
+
+
+def _hook_removals(mask: int, f: int) -> list[tuple[int, int]]:
+    """(sign, mask of lam minus the hook) for every f-hook of the shape with
+    beta mask ``mask``, lowest bead first.  Removing an f-hook moves a bead
+    at b to the free position b - f.  The beads strictly between are the
+    hook's rows less one, and their parity is the sign.  A bead landing at
+    0 makes zero rows, stripped as in _beta_mask."""
     out = []
-    for i, b in enumerate(beta):
-        if b < r or b - r in taken:
-            continue
-        j = i + 1
-        while j < k and beta[j] > b - r:
-            j += 1
-        nu = lam[:i] + tuple(x - 1 for x in lam[i + 1 : j])
-        nu += (lam[i] - r + j - 1 - i,) + lam[j:]
-        out.append(((-1) ** (j - 1 - i), tuple(x for x in nu if x)))
-    return tuple(out)
+    beads = (mask & ~(mask << f)) >> f << f
+    while beads:
+        bit = beads & -beads
+        beads ^= bit
+        nu = mask ^ bit ^ (bit >> f)
+        passed = (mask & (bit - 1) & -(bit >> (f - 1))).bit_count()
+        out.append((-1 if passed & 1 else 1, nu >> ((nu ^ (nu + 1)).bit_length() - 1)))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _mn(lam: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """chi^lam on the classes of cycle_types(|lam|) with parts <= r, in that
-    order: the classes of first part f = min(r, |lam|)..1 in turn, each block
-    the signed sum over the f-hooks of lam of chi^(lam - hook) on parts <= f,
-    and zeros where lam has no f-hook."""
-    n = sum(lam)
+def _mn(mask: int, n: int, r: int) -> tuple[int, ...]:
+    """chi^lam, lam of size n with beta mask ``mask`` (_beta_mask), on the
+    classes of cycle_types(n) with parts <= r, in that order: the classes of
+    first part f = min(r, n)..1 in turn, each block the signed sum over the
+    f-hooks of lam of chi^(lam - hook) on parts <= f, and zeros where lam
+    has no f-hook."""
     if not n:
         return (1,)
     row: list[int] = []
     for f in range(min(r, n), 0, -1):
-        hooks = _rim_hooks(lam, f)
+        hooks = _hook_removals(mask, f)
         if not hooks:
             row += [0] * len(_partitions_rec(n - f, f))
             continue
-        k = min(f, n - f)  # parts <= f of a class of n - f are parts <= k
+        m = n - f
+        k = min(f, m)  # parts <= f of a class of m are parts <= k
         (s, nu), *rest = hooks
-        block = _mn(nu, k) if s > 0 else map(neg, _mn(nu, k))
+        block = _mn(nu, m, k) if s > 0 else map(neg, _mn(nu, m, k))
         for s, nu in rest:
-            block = map(add if s > 0 else sub, block, _mn(nu, k))
+            block = map(add if s > 0 else sub, block, _mn(nu, m, k))
         row += block
     return tuple(row)
 
 
 def irreducible_character(lam: Partition) -> ClassFunction:
     """The character of the Specht module indexed by lam, with exact int
-    values: the memoized row _mn(lam, |lam|)."""
+    values: the memoized row _character_row(lam)."""
     r = lam.weight
-    return ClassFunction._of_classes(r, dict(zip(cycle_types(r), _mn(lam.parts, r))))
+    return ClassFunction._of_classes(r, dict(zip(cycle_types(r), _character_row(lam))))
+
+
+def _character_row(lam: Partition) -> tuple[int, ...]:
+    """chi^lam on every class of its size, in cycle_types order: _mn at the
+    beta mask of lam with no bound on the parts."""
+    n = lam.weight
+    return _mn(_beta_mask(lam.parts), n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +307,7 @@ def decompose(
         order = factorial(f.degree)
         weighted = [class_size(rho) * v for rho, v in f.values.items()]
         for lam in enumerate_partitions(f.degree):
-            chi = _mn(lam.parts, f.degree)
+            chi = _character_row(lam)
             _store(mults, lam, sum(map(mul, weighted, chi)), order, virtual)
     else:
         # <f, chi^lam x chi^mu> = sum over class pairs (s, t) of
@@ -310,9 +322,9 @@ def decompose(
             [size * class_size(t) * f.values[(s, t)] for s, size in zip(ps, p_sizes)]
             for t in qs
         ]
-        mu_chars = [(mu, _mn(mu.parts, q)) for mu in enumerate_partitions(q)]
+        mu_chars = [(mu, _character_row(mu)) for mu in enumerate_partitions(q)]
         for lam in enumerate_partitions(p):
-            chl = _mn(lam.parts, p)
+            chl = _character_row(lam)
             by_t = [sum(map(mul, chl, col)) for col in columns]
             for mu, chm in mu_chars:
                 _store(mults, (lam, mu), sum(map(mul, chm, by_t)), order, virtual)

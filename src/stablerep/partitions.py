@@ -5,8 +5,9 @@ that both the symmetric-group and the general-linear side return: the
 verification.
 
 Partitions are immutable values with structural equality; trailing zeros are
-normalized away at construction.  The canonical ordering used everywhere in
-this package is reverse lexicographic, which is also the order in which
+normalized away at construction, and an interior zero is rejected like any
+other increase.  The canonical ordering used everywhere in this package is
+reverse lexicographic, which is also the order in which
 ``enumerate_partitions`` produces its output.
 """
 
@@ -26,7 +27,10 @@ class Partition:
     __slots__ = ("parts", "_hash")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(x) for x in parts if int(x) != 0)
+        ps = list(map(int, parts))
+        while ps and ps[-1] == 0:
+            ps.pop()
+        ps = tuple(ps)
         for i in range(len(ps) - 1):
             if ps[i] < ps[i + 1]:
                 raise ValueError(f"parts not weakly decreasing: {ps}")

@@ -65,16 +65,17 @@ def _horizontal_strip_removals(
     return out
 
 
-def _compositions(n: int, d: int):
+@lru_cache(maxsize=None)
+def _compositions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The weights of total n in d variables (stars and bars), in
-    lexicographic order; one empty weight at d = 0 when n = 0."""
+    lexicographic order; one empty weight at d = 0 when n = 0.  Built once
+    per (n, d): decompose_weight_multiset reads them for every shape it
+    peels, and fixed_weights for every total up to p."""
     if d == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
+        return ((),) if n == 0 else ()
+    return tuple(
+        (first,) + rest for first in range(n + 1) for rest in _compositions(n - first, d - 1)
+    )
 
 
 def _schur_weight_counter(lam: Partition, d: int) -> dict[tuple[int, ...], int]:

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive and separate from the library code:
 recurrence counters, brute-force enumerations, product formulas, the
-cell-by-cell Littlewood-Richardson counter that the row-array one replaced, the
-Fraction cycle-index engine that the integer one replaced, and the
-symmetrizer-image modules that the closed-form Specht and Schur bases
-replaced, and the fixed-tensor enumeration that the power-sum traces of
+rim-hook removal on beta-number lists that the bead moves on a bitmask
+replaced, the cell-by-cell Littlewood-Richardson counter that the row-array
+one replaced, the Fraction cycle-index engine that the integer one replaced,
+and the symmetrizer-image modules that the closed-form Specht and Schur
+bases replaced, and the fixed-tensor enumeration that the power-sum traces of
 ``functors.verify_schur_weyl`` replaced, which the main implementations are
 checked against.  Helpers that only the tests call live here too:
 ``inner_product_bi``, ``reconstruct``, ``decomposition_from_json`` and
@@ -70,6 +71,32 @@ def mn_oracle(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
         new_lam = tuple(x for x in new_lam if x > 0)
         total += (-1) ** height * mn_oracle(new_lam, rest)
     return total
+
+
+def rim_hooks_oracle(lam: tuple[int, ...], r: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(sign, lam minus the hook) for every rim hook of length r of lam, on
+    beta-number lists: the library's rim-hook step before it moved beads on
+    a bitmask.
+
+    On the beta-numbers b_i = lam_i + (k-1-i), removing an r-hook moves some
+    b_i to the free value b_i - r >= 0.  If rows i+1..j-1 hold the
+    beta-numbers passed over, those rows lose one cell and shift up, row j-1
+    gets lam_i - r + (j-1-i), and the sign is (-1)^(j-1-i), the hook having
+    j-i rows."""
+    k = len(lam)
+    beta = [x + k - 1 - i for i, x in enumerate(lam)]
+    taken = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        if b < r or b - r in taken:
+            continue
+        j = i + 1
+        while j < k and beta[j] > b - r:
+            j += 1
+        nu = lam[:i] + tuple(x - 1 for x in lam[i + 1 : j])
+        nu += (lam[i] - r + j - 1 - i,) + lam[j:]
+        out.append(((-1) ** (j - 1 - i), tuple(x for x in nu if x)))
+    return out
 
 
 def lr_tableaux_count_oracle(shape, content) -> int:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from stablerep import characters, induction
 from stablerep.characters import (
     BiClassFunction,
-    _rim_hooks,
+    _beta_mask,
+    _hook_removals,
     centralizer_order,
     class_size,
     cycle_types,
@@ -57,6 +58,7 @@ from conftest import (
     pq_bicharacter_oracle,
     pq_identity_counts_oracle,
     reconstruct,
+    rim_hooks_oracle,
     series_coefficient_oracle,
     total_dimension,
 )
@@ -95,8 +97,11 @@ def test_characters_match_the_uncached_recursion():
     lambda n: st.tuples(st.sampled_from(enumerate_partitions(n)), st.integers(1, n + 1))
 ))
 def test_rim_hooks_are_the_r_hooks(case):
+    """Moving a bead r places down the beta mask removes the same r-hooks,
+    with the same signs, as the beta-number oracle, whose hooks are rim
+    hooks."""
     lam, r = case
-    hooks = _rim_hooks(lam.parts, r)
+    hooks = rim_hooks_oracle(lam.parts, r)
     for sign, nu in hooks:
         mu = Partition(nu)
         assert mu.parts == nu and lam.contains(mu)
@@ -109,6 +114,34 @@ def test_rim_hooks_are_the_r_hooks(case):
     # r-rim hooks are in bijection with the cells of hook length r.
     assert len({nu for _, nu in hooks}) == len(hooks)
     assert len(hooks) == sum(1 for h in hook_lengths(lam).values() if h == r)
+    moved = _hook_removals(_beta_mask(lam.parts), r)
+    assert len(moved) == len(hooks)
+    assert set(moved) == {(sign, _beta_mask(nu)) for sign, nu in hooks}
+
+
+def test_beta_masks_are_canonical():
+    """Zero rows do not change a shape's mask, the empty shape's mask is 0,
+    and distinct shapes have distinct masks, none with bit 0 set."""
+    assert _beta_mask(()) == _beta_mask((0, 0, 0)) == 0
+    assert _beta_mask((2, 1)) == _beta_mask((2, 1, 0)) == 0b1010
+    seen = set()
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            mask = _beta_mask(lam.parts)
+            assert mask == _beta_mask(lam.parts + (0,) * 3) and not mask & 1
+            seen.add(mask)
+    assert len(seen) == sum(len(enumerate_partitions(n)) for n in range(13))
+    # A bead landing at 0 leaves zero rows, stripped: removing a whole row
+    # or column leaves the empty shape.
+    for f in range(1, 8):
+        assert _hook_removals(_beta_mask((f,)), f) == [(1, 0)]
+        assert _hook_removals(_beta_mask((1,) * f), f) == [((-1) ** (f - 1), 0)]
+    # A vertical domino has sign -1, a horizontal one +1.
+    assert set(_hook_removals(_beta_mask((2, 2)), 2)) == {
+        (-1, _beta_mask((1, 1))), (1, _beta_mask((2,)))
+    }
+    assert _hook_removals(_beta_mask((2, 2)), 3) == [(-1, _beta_mask((1,)))]
+    assert _hook_removals(0, 1) == []
 
 
 # Classes of at most 12 parts keep the unmemoized oracle's paths few.
@@ -121,13 +154,13 @@ def test_rim_hooks_are_the_r_hooks(case):
     )
 ))
 def test_character_rows_match_the_oracle_in_cycle_types_order(case):
-    """The row memo _mn(lam, r) lists chi^lam on the classes with parts <= r
+    """The row memo _mn(mask, n, r) lists chi^lam on the classes with parts <= r
     in cycle_types order, and irreducible_character reads it at r = |lam|."""
     lam, rho, extra = case
     n = lam.weight
     r = min(n, (rho.parts[0] if rho.parts else 0) + extra)
     classes = [c for c in cycle_types(n) if not c.parts or c.parts[0] <= r]
-    row = characters._mn(lam.parts, r)
+    row = characters._mn(_beta_mask(lam.parts), n, r)
     assert len(row) == len(classes)
     want = mn_oracle(lam.parts, rho.parts)
     assert row[classes.index(rho)] == want == irreducible_character(lam).values[rho]

@@ -679,3 +679,14 @@ class TestGrammarFuzz:
     def test_negative_or_zero_sizes_are_usage_errors(self, capsys, argv):
         assert main(argv.split()) == 2
         assert capsys.readouterr().err.startswith("usage error: bad parameters")
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["char 3,0,2", "verify extension 1,0,1 2 2", "lr 2,0,1 1 2,1,1",
+         "lr 2,1 0,1 2,1,1"],
+    )
+    def test_interior_zeros_are_usage_errors(self, capsys, argv):
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: not a partition: ")
+        assert err.count("\n") == 1

@@ -3,9 +3,11 @@
 ``stablerep`` resolves its exports on first use (PEP 562) and the CLI imports
 each subcommand's modules when it runs, so a command loads only what it
 computes with.  The import sets are read in fresh interpreters, because this
-test process has long since imported everything.
+test process has long since imported everything.  The last test holds every
+module to the syntax of the oldest Python that pyproject.toml admits.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -320,3 +322,12 @@ class TestLazyExports:
             "    assert checker._api_ok(workloads.api(*args), json.loads(out.getvalue())), args\n"
         )
         assert "stablerep.modules" in loaded_after(code)
+
+
+def test_every_module_parses_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10: no module of the
+    package or its tests uses syntax newer than 3.10."""
+    files = sorted((SRC / "stablerep").glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

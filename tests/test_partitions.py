@@ -31,6 +31,14 @@ class TestPartitionBasics:
         with pytest.raises(ValueError):
             Partition([1, 2])
 
+    @pytest.mark.parametrize("parts", [(3, 0, 2), (1, 0, 1), (0, 1), (2, -1, 0)])
+    def test_only_trailing_zeros_are_dropped(self, parts):
+        # An interior zero is a malformed partition, not a shorter one.
+        with pytest.raises(ValueError):
+            Partition(parts)
+        with pytest.raises(InvalidArgs):
+            Partition.parse(",".join(map(str, parts)))
+
     def test_hash_is_cached_and_structural(self):
         built = [
             Partition.parse("3,1,1"),
