@@ -21,7 +21,6 @@ _EXPORTS = {
     "partitions": (
         "IrredDecomposition",
         "Partition",
-        "Report",
         "SkewShape",
         "enumerate_partitions",
         "hook_lengths",
@@ -45,6 +44,7 @@ _EXPORTS = {
         "theorem_a_induction_check",
         "trivial_character",
     ),
+    "report": ("Report",),
     "schur": ("kostka",),
     "functors": (
         "graded_sym_algebra_dimension",
@@ -83,7 +83,7 @@ _EXPORTS = {
 }
 
 # Exported name -> defining submodule.  These submodules are exported under
-# their own names; cli, cache, induction and functors are not.
+# their own names; cli, cache, counts, functors, induction, report, usage not.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULE_OF.update(
     (module, module)

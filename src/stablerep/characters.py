@@ -11,12 +11,13 @@ part r), the character on every class with parts <= r as an int tuple in
 Everything is exact and integer where the input is; ``fractions`` is
 imported only to report a non-integral multiplicity.
 
-The injective family's closed forms live here too, so the stable answer
-needs no labeled-partition code: the Stirling count ``count_pq``, its
-character ``pq_bicharacter`` as an integer orbit count per class pair, and
-the identity counts ``pq_identity_counts`` off a two-variable recurrence.
-Induction, restriction and the repeatable-label family's character are in
-``induction``, which only the induction replay and the splitting check load.
+The injective family's character ``pq_bicharacter`` lives here too, an
+integer orbit count per class pair, so the stable answer needs no
+labeled-partition code.  Its counts, which build no character, are in
+``counts``, loaded only when it is built, so the dimension table and the
+zero cells load no ``characters``.  Induction, restriction and the
+repeatable-label family's character are in ``induction``, which only the
+induction replay and the splitting check load.  ``_cmd_char`` runs ``char``.
 
 Characters are stored densely over all cycle types; with weights at desk
 scale the class lists are tiny.  Class functions keep the values they are
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import factorial
 from operator import add, mul, neg, sub
 
 from .errors import InvalidArgs, NegativeMultiplicity, NonIntegralMultiplicity
@@ -38,6 +39,7 @@ from .partitions import (
     IrredDecomposition,
     Partition,
     _partitions_rec,
+    check_class_budget,
     enumerate_partitions,
 )
 
@@ -280,6 +282,20 @@ def irreducible_character(lam: Partition) -> ClassFunction:
     return ClassFunction._of_classes(r, dict(zip(cycle_types(r), _character_row(lam))))
 
 
+def _cmd_char(args, lam: str) -> str | list:
+    """The char command: chi^lam, refused past the budget by its classes."""
+    lam = Partition.parse(lam)
+    check_class_budget(args.budget, lam.weight, what="classes")
+    chi = irreducible_character(lam)
+    rows = [[str(c), int(chi.values[c])] for c in cycle_types(lam.weight)]
+    if args.json:
+        import json
+
+        values = [{"class": c, "value": v} for c, v in rows]
+        return json.dumps({"lambda": str(lam), "values": values}, indent=2)
+    return [(["class", f"chi^({lam})"], rows)]
+
+
 def _character_row(lam: Partition) -> tuple[int, ...]:
     """chi^lam on every class of its size, in cycle_types order: _mn at the
     beta mask of lam with no bound on the parts."""
@@ -346,39 +362,9 @@ def _store(mults: dict, key, total, order: int, virtual: bool):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms: the Stirling count and the fixed-point character of the
-# injectively labeled family of labeled.py; enumeration is the tests' oracle.
-#
-# Injective labels (q labels on distinct blocks): a partition fixed by sigma
-# groups sigma's cycles into orbits of k blocks, k dividing each cycle's
-# length; an orbit of m cycles is cut into blocks in k^(m-1) ways, and takes
-# a k-cycle of tau, if any, in k rotations.  So if each cycle of sigma picks
-# a divisor k of its length, N_k of them picking k, (sigma, tau) of cycle
-# types (rho, pi) fixes the sum over the picks of prod_k G_k(N_k, c_k(pi)),
-#     G_k(N, c) = k^c·sum_j S(N, j)·k^(N-j)·j!/(j-c)!,
-# with c_k(pi) the k-cycles of tau and S the Stirling numbers of the second
-# kind (the fixed points of E(E+) behind its cycle index; Bergeron, Labelle
-# and Leroux, Combinatorial Species and Tree-like Structures, 1998).
-
-
-def count_pq(p: int, q: int) -> int:
-    """Number of injectively q-labeled partitions of {1..p}, without
-    enumerating: G_1(p, q), the sum over the part count k of S(p, k)·k!/(k-q)!."""
-    if q < 0 or p < 0:
-        raise InvalidArgs("p, q must be non-negative")
-    return _orbit_ways(1, p, q)
-
-
-@lru_cache(maxsize=None)
-def _orbit_ways(k: int, n: int, c: int) -> int:
-    """G_k(n, c): the ways to group n cycles of sigma into orbits of k blocks
-    and to put the c k-cycles of tau on distinct orbits, k rotations each."""
-    stirling = [1]  # S(m, j) for j = 0..m, starting at m = 0
-    for m in range(1, n + 1):
-        stirling = [0] + [
-            j * (stirling[j] if j < m else 0) + stirling[j - 1] for j in range(1, m + 1)
-        ]
-    return k**c * sum(s * k ** (n - j) * perm(j, c) for j, s in enumerate(stirling))
+# The fixed-point character of the injectively labeled family of labeled.py,
+# an orbit count per class pair of the G_k of counts; enumeration is the
+# tests' oracle.
 
 
 def _orbit_states(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -398,8 +384,10 @@ def _orbit_states(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 def pq_bicharacter(p: int, q: int) -> BiClassFunction:
     """Fixed-point character of Sigma_p x Sigma_q on the injectively labeled
-    family, one integer orbit count per class pair (above), without
+    family, one integer orbit count per class pair (see counts), without
     enumerating (the tests check it against counts over enumerate_pq)."""
+    from .counts import _orbit_ways
+
     if q < 0 or p < 0:
         raise InvalidArgs("p, q must be non-negative")
     if q > p:
@@ -418,21 +406,3 @@ def pq_bicharacter(p: int, q: int) -> BiClassFunction:
                     total += ways
             vals[(s, t)] = total
     return BiClassFunction((p, q), vals)
-
-
-def pq_identity_counts(p_max: int, q_max: int) -> dict[tuple[int, int], int]:
-    """|injectively q-labeled partitions of {1..p}| for q <= p <= p_max and
-    q <= q_max, not by the Stirling sum but as
-    N(p, q) = p!·q!·[x^p y^q] exp((1 + y)(e^x - 1)), whose x-derivative gives
-    N(n, m) = sum_j C(n-1, j-1)·(N(n-j, m) + m·N(n-j, m-1))."""
-    if p_max < 0 or q_max < 0:
-        raise InvalidArgs("bounds must be non-negative")
-    rows = [[1] + [0] * q_max]
-    for n in range(1, p_max + 1):
-        # At m = 0 the second term is 0 times the row's last entry.
-        rows.append([
-            sum(comb(n - 1, j - 1) * (rows[n - j][m] + m * rows[n - j][m - 1])
-                for j in range(1, n + 1))
-            for m in range(q_max + 1)
-        ])
-    return {(p, q): rows[p][q] for p in range(p_max + 1) for q in range(min(p, q_max) + 1)}

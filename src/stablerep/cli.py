@@ -1,11 +1,13 @@
-"""Command-line front end: text/JSON rendering over the library, a verify
-suite runner, and an optional on-disk result cache.
+"""Command-line front end: the parser, the dispatch and the
+``stable-cohomology`` runner.
 
 One parser reads every command from one table, ``COMMANDS``: a row per
-command with its words, its runner, its parameters and its help.  ``-h``
-prints a usage made from the rows.  ``cauchy``, ``schur-weyl`` and each
-``verify`` check name the module.function that returns their Report, and one
-runner renders it.
+command with its words, its runner, its parameters and its help.  The other
+runners live beside what they compute, and a check's row names the function
+that returns its ``report.Report``.  A runner returns a string or lines, a
+table among them as a (headers, rows) pair for ``_text``: nothing in the
+package imports this module, which under ``python -m`` runs as ``__main__``
+and would be compiled twice.  ``usage`` makes the ``-h`` text from the rows.
 
 Exit codes: 0 success or verification pass; 1 only for a failing report or
 an oracle disagreement (any other ``StableRepError`` a check raises also
@@ -16,25 +18,26 @@ malformed command line, each reported on one stderr line that begins
 ``usage error: ``; 3 size budget exceeded.  ``main`` catches only the
 package's own errors, so any other exception is a bug and is not hidden.
 
-Each subcommand imports the modules it runs when it runs, and each module
-imports only what its callers run, so a command loads only those:
+Each command imports only the modules it runs (``characters`` always with
+``counts``):
 
 - ``partitions`` loads ``partitions`` alone;
-- ``stable-cohomology`` loads ``characters`` (the S_n half) and ``stable``,
-  and no ``induction``, no ``schur``, no labeled-partition or linear-algebra
-  code and no ``fractions``;
-- ``verify induction`` loads ``characters`` and ``induction``, and no
-  ``stable``;
-- ``cauchy``, ``verify extension`` and ``lr`` load ``schur`` (the GL_d
-  half) and ``functors``, and ``schur-weyl`` also ``characters``;
-  ``verify step1`` loads ``schur`` and ``functors`` and no ``characters``;
-- ``hom-dim`` and ``verify rw-prop`` load ``schur`` and ``labeled``, and
-  ``verify splitting`` also ``characters`` and ``induction``; only
-  ``rw-prop`` below d = p loads ``linalg`` and ``fractions``, to eliminate
-  its rows;
+- ``stable-cohomology`` loads ``counts`` and ``stable``, and ``characters``
+  (the S_n half) only for a cell in its nonzero degree or a zero cell as
+  ``--json``; no ``report``, ``induction``, ``schur``, labeled-partition or
+  linear-algebra code, and no ``fractions``;
+- only the checks load ``report``; ``verify induction`` loads
+  ``characters`` and ``induction``, and no ``stable``;
+- ``cauchy``, ``lr`` and ``verify`` ``extension`` and ``step1`` load
+  ``schur`` (the GL_d half) and ``functors``, ``schur-weyl`` also
+  ``characters``;
+- ``hom-dim`` and ``verify rw-prop`` load ``schur`` and ``labeled``,
+  ``labeled-partitions`` also ``counts``, ``verify splitting`` also
+  ``characters`` and ``induction``; only ``rw-prop`` below d = p loads
+  ``linalg`` and ``fractions``, to eliminate its rows;
 - text output loads no ``json``; only ``--json`` and ``--cache`` do;
-- only ``--cache`` loads ``cache``, and a cache hit, ``-h`` and a malformed
-  command line load no compute module.
+- only ``--cache`` loads ``cache``, and only ``-h`` ``usage``; a cache hit,
+  ``-h`` and a malformed command line load no compute module.
 """
 
 from __future__ import annotations
@@ -70,176 +73,60 @@ def _table(headers: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
-def _render_report(rep, as_json: bool) -> tuple[str, int]:
-    code = EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
-    if as_json:
-        return _dumps(rep.to_json(), indent=2, sort_keys=True), code
-    status = "PASS" if rep.passed else "FAIL"
-    lines = [f"{status}: {rep.claim}", f"left  = {rep.left}", f"right = {rep.right}"]
-    for k, v in rep.witnesses.items():
-        if k == "classwise_table" and isinstance(v, dict):
-            lines.append("classwise values:")
-            lines.append(
-                _table(["class pair", "value"], [[kk, vv] for kk, vv in v.items()])
-            )
-        elif v not in ({}, [], None):
-            lines.append(f"{k}: {v}")
-    return "\n".join(lines), code
+def _text(doc: str | list) -> str:
+    """A runner's string as it is, or its lines, each a string or a table."""
+    if isinstance(doc, str):
+        return doc
+    return "\n".join(x if isinstance(x, str) else _table(*x) for x in doc)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations, each called with the parsed Args and the
-# command's parameter values and returning (output, exit_code)
+# Runners take the parsed Args and the parameter values; _text prints theirs.
 
 
-def _cmd_partitions(args, n) -> tuple[str, int]:
-    from .partitions import check_class_budget, enumerate_partitions, specht_dimension
-
-    check_class_budget(args.budget, n, what="partitions")
-    parts = enumerate_partitions(n)
-    if args.json:
-        return _dumps([str(p) for p in parts], indent=2), EXIT_OK
-    rows = [[str(p), specht_dimension(p)] for p in parts]
-    return _table(["partition", "specht_dim"], rows), EXIT_OK
-
-
-def _cmd_char(args, lam) -> tuple[str, int]:
-    from .characters import cycle_types, irreducible_character
-    from .partitions import Partition, check_class_budget
-
-    lam = Partition.parse(lam)
-    check_class_budget(args.budget, lam.weight, what="classes")
-    chi = irreducible_character(lam)
-    classes = cycle_types(lam.weight)
-    if args.json:
-        return (
-            _dumps(
-                {
-                    "lambda": str(lam),
-                    "values": [
-                        {"class": str(c), "value": int(chi.values[c])}
-                        for c in classes
-                    ],
-                },
-                indent=2,
-            ),
-            EXIT_OK,
-        )
-    rows = [[str(c), int(chi.values[c])] for c in classes]
-    return _table(["class", f"chi^({lam})"], rows), EXIT_OK
-
-
-def _cmd_lr(args, *shapes) -> tuple[str, int]:
-    from .functors import lr_coefficient
-    from .partitions import Partition
-
-    lam, mu, nu = (Partition.parse(x) for x in shapes)
-    c = lr_coefficient(lam, mu, nu)
-    if args.json:
-        return (
-            _dumps(
-                {"lambda": str(lam), "mu": str(mu), "nu": str(nu), "coefficient": c}
-            ),
-            EXIT_OK,
-        )
-    return str(c), EXIT_OK
-
-
-def _cmd_labeled_partitions(args, p, q) -> tuple[str, int]:
-    from .labeled import enumerate_pq
-
-    objs = enumerate_pq(p, q, args.budget)
-    if args.json:
-        return (
-            _dumps(
-                {"p": p, "q": q, "count": len(objs),
-                 "elements": [x.to_json() for x in objs]},
-                indent=2,
-            ),
-            EXIT_OK,
-        )
-    lines = [str(x) for x in objs] + [f"total: {len(objs)}"]
-    return "\n".join(lines), EXIT_OK
-
-
-def _cmd_hom_dim(args, p, q, d) -> tuple[str, int]:
-    from .labeled import hom_space_dimension_gl
-
-    dim = hom_space_dimension_gl(p, q, d, args.budget)
-    if args.json:
-        return _dumps({"p": p, "q": q, "d": d, "dimension": dim}), EXIT_OK
-    return str(dim), EXIT_OK
-
-
-def _cmd_stable_cohomology(args, p, q) -> tuple[str, int]:
+def _cmd_stable_cohomology(args, p, q) -> str | list:
     if args.table is not None and (p, q, args.degree) != (None, None, None):
         raise InvalidArgs("--table PMAX QMAX takes no P, Q or --degree")
     from .stable import dimension_table, stable_cohomology
 
     if args.table is not None:
-        pmax, qmax = args.table
-        rows = dimension_table(pmax, qmax, args.budget)
+        rows = dimension_table(*args.table, args.budget)
         if args.json:
-            return _dumps(rows, indent=2), EXIT_OK
-        return (
-            _table(
-                ["p", "q", "degree", "dimension", "min_n"],
-                [[r["p"], r["q"], r["degree"], r["dimension"], r["min_n"]] for r in rows],
-            ),
-            EXIT_OK,
-        )
+            return _dumps(rows, indent=2)
+        keys = ["p", "q", "degree", "dimension", "min_n"]
+        return [(keys, [[r[k] for k in keys] for r in rows])]
     if p is None or q is None:
         raise InvalidArgs("stable-cohomology requires P Q (or --table PMAX QMAX)")
     degree = args.degree if args.degree is not None else p - q
     res = stable_cohomology(p, q, degree, args.budget)
     if args.json:
-        return _dumps(res.to_json(), indent=2), EXIT_OK
+        return _dumps(res.to_json(), indent=2)
     lines = [
         f"p={res.p} q={res.q} degree={res.degree}",
         f"dimension: {res.dimension}",
         f"stable range: {res.valid_range} (n >= {res.min_n})",
     ]
-    if res.dimension:
-        lines.append("decomposition:")
-        lines.append(
-            _table(
-                ["lambda", "mu", "mult"],
-                [[str(a), str(b), m] for (a, b), m in res.decomposition.items()],
-            )
-        )
-    else:
-        lines.append("zero (nonvanishing only in degree p - q with q <= p)")
-    return "\n".join(lines), EXIT_OK
-
-
-def _cmd_check(check: str, args) -> tuple[str, int]:
-    """Run the check named module.function on the parameter values and the
-    budget, and render the Report it returns."""
-    import importlib
-
-    module, name = check.split(".")
-    values = list(args.values)
-    if isinstance(values[0], str):  # LAMBDA
-        from .partitions import Partition
-
-        values[0] = Partition.parse(values[0])
-    run = getattr(importlib.import_module(f".{module}", __package__), name)
-    return _render_report(run(*values, args.budget), args.json)
+    if not res.dimension:
+        return lines + ["zero (nonvanishing only in degree p - q with q <= p)"]
+    mults = [[str(a), str(b), m] for (a, b), m in res.decomposition.items()]
+    return lines + ["decomposition:", (["lambda", "mu", "mult"], mults)]
 
 
 # One row per command: its words, its runner, its parameters and its help.
-# The runner is a function of the parsed Args and the parameter values, or,
-# for a check that prints a Report, the module.function that returns it.  A
-# bracketed parameter is optional, and "[--name VALUE ...]" is an option of
-# that command alone.  LAMBDA, MU and NU stay strings, parsed by the runner
-# so that a cache hit imports no partitions; every other value is an integer.
+# The runner is a function of the parsed Args and the parameter values; one
+# in another module is named module._cmd_name, and for a check that prints
+# a Report, the module.function that returns it.  A bracketed parameter is
+# optional, and "[--name VALUE ...]" is an option of that command alone.
+# LAMBDA, MU and NU stay strings, parsed by the runner so that a cache hit
+# imports no partitions; every other value is an integer.
 COMMANDS = (
-    ("partitions", _cmd_partitions, "N", "list partitions of N with Specht dimensions"),
-    ("char", _cmd_char, "LAMBDA", "irreducible character table row"),
-    ("lr", _cmd_lr, "LAMBDA MU NU", "Littlewood-Richardson coefficient"),
-    ("labeled-partitions", _cmd_labeled_partitions, "P Q",
+    ("partitions", "partitions._cmd_partitions", "N",
+     "list partitions of N with Specht dimensions"),
+    ("char", "characters._cmd_char", "LAMBDA", "irreducible character table row"),
+    ("lr", "functors._cmd_lr", "LAMBDA MU NU", "Littlewood-Richardson coefficient"),
+    ("labeled-partitions", "labeled._cmd_labeled_partitions", "P Q",
      "enumerate injectively Q-labeled partitions of {1..P}"),
-    ("hom-dim", _cmd_hom_dim, "P Q D", "GL-equivariant Hom-space dimension"),
+    ("hom-dim", "labeled._cmd_hom_dim", "P Q D", "GL-equivariant Hom-space dimension"),
     ("stable-cohomology", _cmd_stable_cohomology,
      "[P] [Q] [--degree K] [--table PMAX QMAX]",
      "stable answer for one cell (degree P - Q by default) or a table"),
@@ -259,14 +146,6 @@ COMMANDS = (
 # The options every command takes, before or after its words.
 OPTIONS = "[--json] [--budget N] [--cache DIR]"
 _STRINGS = ("LAMBDA", "MU", "NU", "DIR")
-_HELP_OPTIONS = f"""\
-options, before or after the command words, also as --budget=N or a unique
-prefix such as --js:
-  --json        emit JSON
-  --budget N    size budget cap (default {budget_cap(None)}, or STABLEREP_BUDGET)
-  --cache DIR   result cache directory
-  -h, --help    show this help"""
-
 _ROWS = {row[0]: row for row in COMMANDS}
 
 
@@ -285,21 +164,6 @@ def _signature(spec: str) -> tuple[list[str], int, dict[str, list[str]]]:
         if word.endswith("]"):
             option = None
     return names, required, options
-
-
-def _help(words: str) -> str:
-    """Usage of the rows whose words begin with words (every row for "")."""
-    rows = [row for row in COMMANDS if f"{row[0]} ".startswith(f"{words} ".lstrip())]
-    if len(rows) == 1:
-        command, _, params, help_ = rows[0]
-        lines = [f"usage: stablerep {OPTIONS} {command} {params}", "", help_]
-    else:
-        lines = [f"usage: stablerep {OPTIONS} {words or 'COMMAND'} ...", "", "commands:"]
-        for command, _, params, help_ in rows:
-            usage = f"{command} {params}"
-            gap = "  " if len(usage) <= 30 else "\n" + " " * 34
-            lines.append(f"  {usage:<30}{gap}{help_}")
-    return "\n".join(lines + ["", _HELP_OPTIONS])
 
 
 def _is_number(token: str) -> bool:
@@ -388,7 +252,9 @@ def parse_args(argv: list[str]) -> Args | str:
         else:
             values = [value]
         if name in ("-h", "--help"):
-            return _help(words)
+            from .usage import help_text
+
+            return help_text(COMMANDS, OPTIONS, words)
         values = tuple(_value(n, v) for n, v in zip(wanted, values))
         # A flag is True, an option of one value that value, --table a pair.
         setattr(args, name[2:], values[0] if len(values) == 1 else values or True)
@@ -427,11 +293,20 @@ def _run(args: Args) -> tuple[str, int]:
 
 
 def _compute(args: Args) -> tuple[str, int]:
-    """Run the command's row."""
+    """Run the command's row: its runner, or the check it names, whose
+    Report gives the exit code."""
     runner = _ROWS[args.command][1]
     if isinstance(runner, str):
-        return _cmd_check(runner, args)
-    return runner(args, *args.values)
+        from importlib import import_module
+
+        module, name = runner.split(".")
+        runner = getattr(import_module(f".{module}", __package__), name)
+        if not name.startswith("_cmd_"):
+            from .report import run_check
+
+            rep = run_check(runner, args)
+            return _text(rep.render(args.json)), EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
+    return _text(runner(args, *args.values)), EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,7 +4,8 @@ Sym(V[2]^{⊕q} ⊕ Sym^{>0}(V[2])) with the step-1 identity on them, and the
 Cauchy, Schur-Weyl and split-extension checks, which compare ``schur``'s
 weight multisets and dimensions and build no explicit module.  Only
 ``verify_schur_weyl`` needs S_n characters, and it imports ``characters``
-itself."""
+itself; each check imports its ``Report`` itself, so ``lr``, whose runner
+``_cmd_lr`` is here, loads no ``report``."""
 
 from __future__ import annotations
 
@@ -16,10 +17,14 @@ from operator import gt
 
 from .errors import InvalidArgs, check_budget, final_count
 from .partitions import (
-    IrredDecomposition, Partition, Report, SkewShape, enumerate_partitions, partition_count,
+    IrredDecomposition, Partition, SkewShape, enumerate_partitions, partition_count,
     partition_counts, schur_gl_dimension, specht_dimension, transpose,
 )
 from .schur import _schur_weight_counter, sym_algebra_partials, sym_dimension
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .report import Report
 
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson rule and skew Schur decomposition
@@ -82,6 +87,17 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _lr(lam.parts, mu.parts, nu.parts)
 
 
+def _cmd_lr(args, *shapes: str) -> str:
+    """The lr command: the LR coefficient c^nu_{lambda mu}."""
+    lam, mu, nu = (Partition.parse(x) for x in shapes)
+    c = lr_coefficient(lam, mu, nu)
+    if args.json:
+        import json
+
+        return json.dumps({"lambda": str(lam), "mu": str(mu), "nu": str(nu), "coefficient": c})
+    return str(c)
+
+
 def skew_schur_decompose(shape: SkewShape) -> IrredDecomposition:
     """Decomposition of the skew Schur functor into Schur functors with
     Littlewood-Richardson multiplicities."""
@@ -125,6 +141,8 @@ def step1_dimension_identity(p: int, q: int, d: int, budget: int | None = None) 
     direct = graded_sym_algebra_dimension(d, q, p)
     base = graded_sym_algebra_series(d, 0, p) if p >= 0 else []
     convolved = sum(base[p - k] * sym_dimension(q * d, k) for k in range(p + 1))
+    from .report import Report
+
     return Report(
         claim=f"graded-piece dimension identity, p={p}, q={q}, d={d}",
         left=direct,
@@ -186,6 +204,8 @@ def verify_cauchy(r: int, dV: int, dW: int, budget: int | None = None) -> Report
                 right_weights[(wv, ww)] += cv * cw
 
     passed = left_dim == right_dim and left_weights == right_weights
+    from .report import Report
+
     return Report(
         claim=f"exterior power of tensor product splits, r={r}, dims=({dV},{dW})",
         left=left_dim,
@@ -224,6 +244,7 @@ def verify_schur_weyl(r: int, d: int, budget: int | None = None) -> Report:
         raise InvalidArgs(f"bad parameters r={r}, d={d}")
     check_budget(d**r, budget)
     from .characters import cycle_types, irreducible_character
+    from .report import Report
 
     chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(r)}
     weightgens = {lam: _schur_weight_counter(lam, d) for lam in chars}
@@ -301,6 +322,8 @@ def split_extension_filtration_check(
         for mu in subs
     )
     passed = lhs_i == rhs_i and lhs_ii == rhs_ii
+    from .report import Report
+
     return Report(
         claim=f"split extension filtration shadow, lam={lam}, dA={dA}, dC={dC}",
         left={"filtration": lhs_i, "euler": lhs_ii},

@@ -24,7 +24,8 @@ from .characters import (
     sign_of_class,
 )
 from .errors import InvalidArgs, OracleDisagreement
-from .partitions import Partition, Report, check_class_budget, enumerate_partitions
+from .partitions import Partition, check_class_budget, enumerate_partitions
+from .report import Report
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:

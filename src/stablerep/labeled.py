@@ -3,10 +3,10 @@ equivariant maps attached to each labeled partition, and exact checks that
 stacking those maps gives an isomorphism onto the GL-equivariant Hom space.
 
 The closed forms of both labeled families (the Stirling count ``count_pq``
-and the orbit-count character ``pq_bicharacter`` in ``characters``, the
-cycle-index character ``general_bicharacter`` in ``induction``) live
-outside it, so the stable answer loads none of this module; enumeration
-here is their tests' oracle.
+in ``counts``, the orbit-count character ``pq_bicharacter`` in
+``characters``, the cycle-index character ``general_bicharacter`` in
+``induction``) live outside it, so the stable answer loads none of this
+module; enumeration here is their tests' oracle.
 
 The Hom side is read off weight generating functions (fixed_weights): the
 torus weights of the FW monomials fixed by a label permutation, decomposed
@@ -14,12 +14,13 @@ into Schur-Weyl multiplicities by ``schur``'s Kostka subtraction and,
 independently, by Weyl's alternant, which must agree.  No command builds
 the FW basis itself (FWGradedPiece); it is the tests' oracle of
 fixed_weights.  Symmetric-group characters are imported from
-``characters`` only by the functions that use them (enumerate_pq,
-hom_bicharacter and verify_splitting_lemma, which also imports
-``induction``), so ``hom-dim`` and ``verify rw-prop`` load only the GL_d
-half.  ``linalg``, and with it ``fractions``, is imported only where rows
-are eliminated: verify_rw_prop when J0 does not certify its rank (below
-d = p).
+``characters`` only by the functions that use them (hom_bicharacter and
+verify_splitting_lemma, which also imports ``induction``), and each check
+imports its ``Report``, so ``hom-dim`` loads only the GL_d half and no
+``report``.  ``linalg``, and with it ``fractions``, is imported only where
+rows are eliminated: verify_rw_prop when J0 does not certify its rank
+(below d = p).  ``_cmd_labeled_partitions`` and ``_cmd_hom_dim`` are the
+runners of those two commands.
 
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
 distinguishable labels.  Set partitions have parts sorted by minimum element,
@@ -38,7 +39,6 @@ from .errors import InvalidArgs, OracleDisagreement, check_budget
 from .partitions import (
     FrozenRecord,
     Partition,
-    Report,
     check_class_budget,
     enumerate_partitions,
     specht_dimension,
@@ -53,6 +53,7 @@ from .schur import (
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .characters import BiClassFunction
+    from .report import Report
 
 UNLABELED = 0
 
@@ -178,7 +179,7 @@ def enumerate_pq(
 ) -> list[QLabeledPartition]:
     """All partitions of {1..p} with at least q parts, q of them labeled
     bijectively by 1..q."""
-    from .characters import count_pq
+    from .counts import count_pq
 
     if q < 0 or p < 0:
         raise InvalidArgs("p, q must be non-negative")
@@ -196,6 +197,17 @@ def enumerate_pq(
                 labs[pos] = lab
             out.append(QLabeledPartition(sp, tuple(labs)))
     return out
+
+
+def _cmd_labeled_partitions(args, p: int, q: int) -> str | list:
+    """The labeled-partitions command: enumerate_pq and its count."""
+    objs = enumerate_pq(p, q, args.budget)
+    if args.json:
+        import json
+
+        elements = [x.to_json() for x in objs]
+        return json.dumps({"p": p, "q": q, "count": len(objs), "elements": elements}, indent=2)
+    return [str(x) for x in objs] + [f"total: {len(objs)}"]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +423,16 @@ def hom_space_dimension_gl(p: int, q: int, d: int, budget: int | None = None) ->
     return sum(m * specht_dimension(lam) for lam, m in mults.items())
 
 
+def _cmd_hom_dim(args, p: int, q: int, d: int) -> str:
+    """The hom-dim command: the GL-equivariant Hom-space dimension."""
+    dim = hom_space_dimension_gl(p, q, d, args.budget)
+    if args.json:
+        import json
+
+        return json.dumps({"p": p, "q": q, "d": d, "dimension": dim})
+    return str(dim)
+
+
 def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClassFunction:
     """Sigma_p x Sigma_q character of Hom_GL(V^{⊗p}, FW piece): for each
     class of tau the weights of the tau-fixed FW monomials (fixed_weights,
@@ -465,6 +487,8 @@ def verify_rw_prop(p: int, q: int, d: int, budget: int | None = None) -> Report:
         witnesses["dependent_combination"] = {
             str(objs[i]): str(c) for i, c in enumerate(combo) if c
         }
+    from .report import Report
+
     return Report(
         claim=f"labeled-partition maps give an isomorphism, p={p}, q={q}, d={d}",
         left=rank,
@@ -483,6 +507,7 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     and weight tables."""
     from .characters import BiClassFunction, cycle_types
     from .induction import general_bicharacter, induced_pq_bicharacter
+    from .report import Report
 
     check_class_budget(budget, p, q)
     lhs = general_bicharacter(p, q)

@@ -1,8 +1,9 @@
 """Partitions, Young diagrams, skew shapes and closed-form dimension formulas,
-the Record base of the package's plain value classes, and the two values
-that both the symmetric-group and the general-linear side return: the
-``IrredDecomposition`` of a representation and the ``Report`` of a
-verification.
+the Record base of the package's plain value classes, and the
+``IrredDecomposition`` that both the symmetric-group and the general-linear
+side return.  Every command compiles this module, so the ``Report`` of a
+verification, which only the checks print, is in ``report``.
+``_cmd_partitions`` is the ``partitions`` command's runner.
 
 Partitions are immutable values with structural equality; trailing zeros are
 normalized away at construction, and an interior zero is rejected like any
@@ -233,6 +234,17 @@ def check_class_budget(budget: int | None, *degrees: int, what: str = "class pai
     return check_budget(bounds(), budget, what)
 
 
+def _cmd_partitions(args, n: int) -> str | list:
+    """The partitions command, refused past the budget by their count."""
+    check_class_budget(args.budget, n, what="partitions")
+    parts = enumerate_partitions(n)
+    if args.json:
+        import json
+
+        return json.dumps([str(p) for p in parts], indent=2)
+    return [(["partition", "specht_dim"], [[str(p), specht_dimension(p)] for p in parts])]
+
+
 def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     """Hook length of every cell of the diagram."""
     t = transpose(lam)
@@ -282,7 +294,7 @@ def schur_gl_dimension(lam: Partition, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Decompositions and verification reports
+# Decompositions
 
 
 class IrredDecomposition:
@@ -327,39 +339,3 @@ class IrredDecomposition:
         body = ", ".join(f"{k}: {m}" for k, m in self.items())
         return "{" + body + "}"
 
-
-class Report(Record):
-    """The outcome of one verification: the claim, its two sides, whether
-    they agree, and named witnesses."""
-
-    __slots__ = FIELDS = ("claim", "left", "right", "passed", "witnesses")
-
-    def __init__(self, claim: str, left, right, passed: bool, witnesses: dict | None = None):
-        self.claim = claim
-        self.left = left
-        self.right = right
-        self.passed = passed
-        self.witnesses = {} if witnesses is None else witnesses
-
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "left": _jsonable(self.left),
-            "right": _jsonable(self.right),
-            "pass": self.passed,
-            "witnesses": _jsonable(self.witnesses),
-        }
-
-
-def _jsonable(x):
-    if hasattr(x, "denominator") and not isinstance(x, int):  # a Fraction
-        return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, Partition):
-        return str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if hasattr(x, "to_json"):
-        return x.to_json()
-    return x

@@ -1,10 +1,14 @@
 """Stable cohomology calculator: the sign-twisted labeled-partition answer
 in the single nonvanishing degree and the table of its dimensions.
 
-The answer and the dimension table come from closed forms in
-``characters`` (an orbit count for the injective family, a Stirling count
-and an identity-count recurrence); enumeration is the test oracle.  So this
-module loads no labeled-partition or linear-algebra code, and no ``schur``.
+The answer and the dimension table come from closed forms: the integer
+Stirling count and identity-count recurrence of ``counts``, and the orbit
+count of the injective family's character in ``characters``; enumeration
+is the test oracle.  So this module loads no labeled-partition or
+linear-algebra code, and no ``schur``.  It imports ``characters`` only
+where a character is built: the dimension table builds none, and a zero
+cell builds its all-zero character only when it is read, so the table and
+a zero cell printed as text load no ``characters``.
 The identities behind the answer live elsewhere: the character-level replay
 of the induction that pins it down in ``induction``, and the step-1
 graded-series identity in ``functors``.
@@ -16,17 +20,14 @@ answer is purely combinatorial.
 
 from __future__ import annotations
 
+from .counts import count_pq, pq_identity_counts
 from .errors import InvalidArgs, OracleDisagreement
-from .characters import (
-    BiClassFunction,
-    count_pq,
-    cycle_types,
-    decompose,
-    pq_bicharacter,
-    pq_identity_counts,
-)
 from .partitions import FrozenRecord, IrredDecomposition, Record, check_class_budget
 from .partitions import specht_dimension
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .characters import BiClassFunction
 
 
 class SymbolicCoefficient(FrozenRecord):
@@ -47,29 +48,32 @@ class SymbolicCoefficient(FrozenRecord):
 
 
 class StableCohomologyResult(Record):
-    """The stable answer for one (p, q) cell in one degree."""
+    """The stable answer for one (p, q) cell in one degree.  Given None for
+    its character, as a zero cell is, it builds the all-zero one when
+    ``bicharacter`` is first read."""
 
-    __slots__ = FIELDS = (
-        "p", "q", "degree", "bicharacter", "decomposition", "dimension", "valid_range"
-    )
+    FIELDS = ("p", "q", "degree", "bicharacter", "decomposition", "dimension", "valid_range")
+    __slots__ = ("p", "q", "degree", "_bicharacter", "decomposition", "dimension", "valid_range")
 
     def __init__(
-        self,
-        p: int,
-        q: int,
-        degree: int,
-        bicharacter: BiClassFunction,
-        decomposition: IrredDecomposition,
-        dimension: int,
-        valid_range: str,
+        self, p: int, q: int, degree: int, bicharacter: BiClassFunction | None,
+        decomposition: IrredDecomposition, dimension: int, valid_range: str,
     ):
         self.p = p
         self.q = q
         self.degree = degree
-        self.bicharacter = bicharacter
+        self._bicharacter = bicharacter
         self.decomposition = decomposition
         self.dimension = dimension
         self.valid_range = valid_range
+
+    @property
+    def bicharacter(self) -> BiClassFunction:
+        if self._bicharacter is None:
+            from .characters import BiClassFunction
+
+            self._bicharacter = BiClassFunction((self.p, self.q), {})
+        return self._bicharacter
 
     @property
     def is_zero(self) -> bool:
@@ -80,6 +84,9 @@ class StableCohomologyResult(Record):
         return _min_n(self.p, self.q, self.degree)
 
     def to_json(self) -> dict:
+        from .characters import cycle_types
+
+        chi = self.bicharacter.values
         return {
             "p": self.p,
             "q": self.q,
@@ -91,11 +98,7 @@ class StableCohomologyResult(Record):
                 for (lam, mu), m in self.decomposition.items()
             ],
             "character": [
-                {
-                    "sigma_class": str(s),
-                    "tau_class": str(t),
-                    "value": int(self.bicharacter.values[(s, t)]),
-                }
+                {"sigma_class": str(s), "tau_class": str(t), "value": int(chi[(s, t)])}
                 for s in cycle_types(self.p)
                 for t in cycle_types(self.q)
             ],
@@ -120,16 +123,16 @@ def stable_cohomology(
     decomposition against both.  Nothing grows with the dimension, but the
     character and ``decompose`` grow with the class pairs, p(p)·p(q) of
     them, so the budget bounds those, counted before any class is listed
-    (zero cells included: their character still lists every pair)."""
+    (zero cells included: their all-zero character lists every pair once it
+    is read)."""
     if p < 0 or q < 0:
         raise InvalidArgs("p, q must be non-negative")
     check_class_budget(budget, p, q)
     valid = "2*degree <= n - p - q - 3"
     if degree != p - q or q > p:
-        zero = BiClassFunction((p, q), {})
-        return StableCohomologyResult(
-            p, q, degree, zero, IrredDecomposition({}), 0, valid
-        )
+        return StableCohomologyResult(p, q, degree, None, IrredDecomposition({}), 0, valid)
+    from .characters import decompose, pq_bicharacter
+
     chi = pq_bicharacter(p, q).sign_twist_first()
     dec = decompose(chi)
     dim = count_pq(p, q)
@@ -189,12 +192,6 @@ def dimension_table(p_max: int, q_max: int, budget: int | None = None) -> list[d
                     f"identity-count recurrence {by_series[(p, q)]}"
                 )
             rows.append(
-                {
-                    "p": p,
-                    "q": q,
-                    "degree": p - q,
-                    "dimension": dim,
-                    "min_n": _min_n(p, q, p - q),
-                }
+                {"p": p, "q": q, "degree": p - q, "dimension": dim, "min_n": _min_n(p, q, p - q)}
             )
     return rows

@@ -767,7 +767,7 @@ def three_way_dimension_agreement(p: int, q: int, budget: int | None = None):
     at d = p and the binomial-weighted sum of injectively labeled counts
     agree; a Report."""
     from stablerep.labeled import LabelAlphabet, count_general, enumerate_pq, hom_space_dimension_gl
-    from stablerep.partitions import Report
+    from stablerep.report import Report
 
     by_enum = count_general(p, LabelAlphabet(q))
     by_hom = hom_space_dimension_gl(p, q, p, budget)
@@ -799,19 +799,12 @@ def tensor_trace_oracle(cycles, d: int):
 
 
 # The argparse front end of stablerep.cli, verbatim, before COMMANDS replaced
-# it; its check rows are the COMMANDS rows that name a module.function.
-from stablerep.cli import (  # noqa: E402
-    COMMANDS,
-    _cmd_char,
-    _cmd_check,
-    _cmd_hom_dim,
-    _cmd_labeled_partitions,
-    _cmd_lr,
-    _cmd_partitions,
-    _cmd_stable_cohomology,
-)
+# it, with each func the runner its COMMANDS row names; its check rows are
+# the rows that name a module.function, not a runner.
+from stablerep.cli import COMMANDS  # noqa: E402
 
-CHECKS = tuple(row for row in COMMANDS if isinstance(row[1], str))
+RUNNERS = {row[0]: row[1] for row in COMMANDS}
+CHECKS = tuple(row for row in COMMANDS if isinstance(row[1], str) and "._cmd_" not in row[1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -837,35 +830,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("partitions", help="list partitions of N")
     p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_partitions)
+    p.set_defaults(func=RUNNERS["partitions"])
 
     p = add_parser("char", help="irreducible character table row")
     p.add_argument("lam", metavar="LAMBDA")
-    p.set_defaults(func=_cmd_char)
+    p.set_defaults(func=RUNNERS["char"])
 
     p = add_parser("lr", help="Littlewood-Richardson coefficient")
     p.add_argument("lam", metavar="LAMBDA")
     p.add_argument("mu", metavar="MU")
     p.add_argument("nu", metavar="NU")
-    p.set_defaults(func=_cmd_lr)
+    p.set_defaults(func=RUNNERS["lr"])
 
     p = add_parser("labeled-partitions", help="enumerate q-labeled partitions")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_labeled_partitions)
+    p.set_defaults(func=RUNNERS["labeled-partitions"])
 
     p = add_parser("hom-dim", help="equivariant Hom-space dimension")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("d", type=int)
-    p.set_defaults(func=_cmd_hom_dim)
+    p.set_defaults(func=RUNNERS["hom-dim"])
 
     p = add_parser("stable-cohomology", help="stable cohomology calculator")
     p.add_argument("p", type=int, nargs="?", default=None)
     p.add_argument("q", type=int, nargs="?", default=None)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--table", type=int, nargs=2, metavar=("PMAX", "QMAX"))
-    p.set_defaults(func=_cmd_stable_cohomology)
+    p.set_defaults(func=RUNNERS["stable-cohomology"])
 
     verify = add_parser("verify", help="run a structural verification")
     verify = verify.add_subparsers(dest="what", required=True)
@@ -875,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
         params = params.split()
         for param in params:
             p.add_argument(param, type=str if param == "LAMBDA" else int)
-        p.set_defaults(func=_cmd_check, check=check, params=params)
+        p.set_defaults(func=check, check=check, params=params)
     return ap
 
 

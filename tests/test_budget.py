@@ -308,6 +308,7 @@ def test_only_errors_resolves_the_cap_and_builds_a_refusal():
                     offenders.append((path.name, node.lineno, "SizeBudgetExceeded()"))
     assert offenders == []
     assert "20000" not in (SRC / "cli.py").read_text()
+    assert "20000" not in (SRC / "usage.py").read_text()
     from stablerep.errors import DEFAULT_BUDGET
 
-    assert f"(default {DEFAULT_BUDGET}," in cli._help("")
+    assert f"(default {DEFAULT_BUDGET}," in cli.parse_args(["-h"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablerep import characters, induction
+from stablerep import characters, counts, induction
 from stablerep.characters import (
     BiClassFunction,
     _beta_mask,
@@ -15,8 +15,8 @@ from stablerep.characters import (
     decompose,
     irreducible_character,
     pq_bicharacter,
-    pq_identity_counts,
 )
+from stablerep.counts import pq_identity_counts
 from stablerep.errors import (
     InvalidArgs,
     NegativeMultiplicity,
@@ -469,9 +469,9 @@ class TestIntegerCycleIndex:
             with pytest.raises(OracleDisagreement, match="not a multiple of the class size 2$"):
                 build(3, q)
             return
-        real_ways = characters._orbit_ways
+        real_ways = counts._orbit_ways
         monkeypatch.setattr(
-            characters, "_orbit_ways", lambda k, n, c: real_ways(k, n, c) + ((k, n, c) == (2, 1, 0))
+            counts, "_orbit_ways", lambda k, n, c: real_ways(k, n, c) + ((k, n, c) == (2, 1, 0))
         )
         # A transposition fixes 3 set partitions of {1, 2, 3}; the shift counts 4.
         assert build(3, q).values[(Partition([2, 1]), Partition([]))] == 4

@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,39 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# The benchmark's recorded outputs, read and never written here.
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "key", sorted(k for k in GOLDEN if k.startswith("cli: ")), ids=lambda k: k[5:]
+)
+def test_golden_outputs_pinned(capsys, key):
+    """Every CLI op of the benchmark exits and prints (stdout sha256) as
+    perfbench/golden.json recorded."""
+    code, out = run(capsys, *key.removeprefix("cli: ").split())
+    assert code == GOLDEN[key]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[key]["sha256"]
+
+
+# Recorded while cli.py built the help itself.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("-h", "e32e3752fd460fb5b8227ff9eb5f0f940dcf001e7f92c82f4ac1e6e7abe65a8a"),
+        ("verify -h", "29696ecdd970f931ae74ae8f1b18f1a9022535c9ffc2fcb4bd981ce02041da56"),
+        ("stable-cohomology -h",
+         "e9493bed09ac2e9f5c756d94c6fe8ab08e054e7ab362eb4d13d445416fcb5c59"),
+    ],
+)
+def test_help_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBasicCommands:
@@ -114,6 +148,31 @@ class TestStableCohomologyCommand:
     def test_missing_args_usage(self, capsys):
         code = main(["stable-cohomology"])
         assert code == 2
+
+    def test_zero_cell_json_pinned(self, capsys):
+        # Recorded while a zero cell built its all-zero character at once.
+        code, out = run(capsys, "--json", "stable-cohomology", "2", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b2dd205fb2c5379138d14760e2251681688a787e4af3af2544393e1c61ffd658"
+        )
+
+    def test_zero_cell_refused_before_anything_is_built(self, capsys, monkeypatch):
+        # p(8)·p(9) = 660 class pairs, counted before a zero cell lists any.
+        from stablerep import characters, counts
+
+        def refuse(*args):
+            raise AssertionError(f"built at {args}")
+
+        with monkeypatch.context() as m:
+            m.setattr(characters, "BiClassFunction", refuse)
+            m.setattr(characters, "cycle_types", refuse)
+            m.setattr(counts, "_orbit_ways", refuse)
+            assert main(["--budget", "10", "stable-cohomology", "8", "9", "--degree", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "budget exceeded: class pairs more than 10 exceeds budget 10\n"
+        )
 
     # Exit code and stdout sha256, equal to the entries of
     # perfbench/golden.json.  The stable-cohomology digests were recorded

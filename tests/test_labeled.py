@@ -6,7 +6,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablerep.characters import count_pq, cycle_types, pq_bicharacter, pq_identity_counts
+from stablerep.characters import cycle_types, pq_bicharacter
+from stablerep.counts import count_pq, pq_identity_counts
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.labeled import (
     FWGradedPiece,

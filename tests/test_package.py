@@ -71,8 +71,8 @@ def benchmark_text_ops() -> list[tuple[str, ...]]:
 
 
 SUBMODULES = {
-    "cache", "characters", "errors", "functors", "induction", "labeled", "linalg", "modules",
-    "partitions", "schur", "stable",
+    "cache", "characters", "counts", "errors", "functors", "induction", "labeled", "linalg",
+    "modules", "partitions", "report", "schur", "stable", "usage",
 }
 
 
@@ -118,10 +118,37 @@ class TestImportSets:
     )
     def test_stable_answer_loads_no_labeled_or_linear_algebra(self, argv):
         # Nor schur: the stable answer is all S_n characters.  Nor induction,
-        # functors or cache.
+        # functors, cache or the Report of the checks.  The table builds no
+        # character, so it loads no characters either.
+        s_n = () if "--table" in argv else ("characters",)
         assert loaded_by_command(*argv) == qualified(
-            "cli", "errors", "partitions", "characters", "stable"
+            "cli", "errors", "partitions", "counts", "stable", *s_n
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stable-cohomology", "--table", "6", "6"),
+            ("stable-cohomology", "7", "2", "--degree", "3"),
+            ("stable-cohomology", "6", "3", "--degree", "2"),
+            ("stable-cohomology", "5", "5", "--degree", "1"),
+            ("stable-cohomology", "2", "4"),
+        ],
+        ids=" ".join,
+    )
+    def test_table_and_text_zero_cells_load_no_characters(self, argv):
+        """The dimension table is integer counts, and a zero cell printed as
+        text never reads its all-zero character."""
+        assert loaded_by_command(*argv) == qualified(
+            "cli", "errors", "partitions", "counts", "stable"
+        )
+
+    def test_only_checks_load_the_report(self):
+        """Report lives apart from partitions, which every command compiles,
+        and only the checks load it."""
+        for argv in benchmark_cli_ops():
+            check = argv[argv[0] == "--json"] in ("verify", "cauchy", "schur-weyl")
+            assert ("stablerep.report" in loaded_by_command(*argv)) == check, argv
 
     @pytest.mark.parametrize(
         "argv",
@@ -156,9 +183,10 @@ class TestImportSets:
         characters, and the induced characters of induction."""
         code = f"from stablerep.cli import main\nmain({list(argv)!r})"
         loaded = loaded_after(code, prefix="")
-        s_n = ("characters", "induction") if "splitting" in argv else ()
+        s_n = ("characters", "counts", "induction") if "splitting" in argv else ()
+        checks = ("report",) if "verify" in argv else ()
         assert {m for m in loaded if m.startswith("stablerep")} == qualified(
-            "cli", "errors", "partitions", "schur", "labeled", *s_n
+            "cli", "errors", "partitions", "schur", "labeled", *s_n, *checks
         )
         assert not {"fractions", "decimal"} & loaded
 
@@ -171,7 +199,7 @@ class TestImportSets:
         code = f"from stablerep.cli import main\nmain({list(argv)!r})"
         loaded = loaded_after(code, prefix="")
         assert {m for m in loaded if m.startswith("stablerep")} == qualified(
-            "cli", "errors", "partitions", "schur", "functors"
+            "cli", "errors", "partitions", "schur", "functors", "report"
         )
         assert not {"fractions", "decimal"} & loaded
 
@@ -191,13 +219,14 @@ class TestImportSets:
         assert "stablerep.linalg" in loaded_by_command("--json", "verify", "rw-prop", "2", "1", "1")
 
     def test_induction_loads_no_labeled(self):
+        # Nor stable: the orbit counts the character reads are in counts.
         assert loaded_by_command("--json", "verify", "induction", "6", "2") == qualified(
-            "cli", "errors", "partitions", "characters", "induction"
+            "cli", "errors", "partitions", "characters", "counts", "induction", "report"
         )
 
     def test_step1_loads_no_characters(self):
         assert loaded_by_command("verify", "step1", "4", "2", "2") == qualified(
-            "cli", "errors", "partitions", "schur", "functors"
+            "cli", "errors", "partitions", "schur", "functors", "report"
         )
 
     @pytest.mark.parametrize(
@@ -227,12 +256,15 @@ class TestImportSets:
         "argv", [("-h",), ("verify", "rw-prop", "2", "1", "1", "-h"), ("partitions", "--bogus")]
     )
     def test_help_and_usage_errors_import_nothing(self, argv):
-        """Help is formatted, and a malformed command line refused, with
-        what importing the CLI already loaded: no compute module and no other
-        module."""
+        """A malformed command line is refused with what importing the CLI
+        already loaded, and help is formatted with that and usage alone: no
+        compute module and no other module."""
         code = f"from stablerep.cli import main\nmain({list(argv)!r})"
-        assert loaded_after(code, prefix="") == loaded_after("import stablerep.cli", prefix="")
-        assert loaded_by_command(*argv) == qualified("cli", "errors")
+        usage = {"stablerep.usage"} if "-h" in argv else set()
+        assert loaded_after(code, prefix="") == (
+            loaded_after("import stablerep.cli", prefix="") | usage
+        )
+        assert loaded_by_command(*argv) == qualified("cli", "errors") | usage
 
     def test_no_module_imports_dataclasses(self):
         code = "\n".join(f"import stablerep.{name}" for name in sorted(SUBMODULES | {"cli"}))
@@ -265,6 +297,26 @@ class TestImportSets:
         assert {m for m in imported if m.startswith("stablerep")} == qualified(
             "errors", "cache"
         )
+
+
+def test_no_module_imports_the_cli():
+    """Under python -m stablerep.cli the CLI runs as __main__, so a module
+    that imported it, say for _table or _dumps, would compile it a second
+    time: no module of the package imports it, relatively or absolutely."""
+    offenders = []
+    for path in sorted((SRC / "stablerep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                # Within the package, a relative import is from stablerep.
+                base = ".".join(filter(None, ["stablerep" if node.level else "", node.module]))
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "stablerep.cli" in names:
+                offenders.append((path.name, node.lineno))
+    assert offenders == []
 
 
 class TestLazyExports:

@@ -3,8 +3,9 @@ from math import factorial
 
 import pytest
 
-from stablerep.characters import count_pq, cycle_types, decompose, identity_type
-from stablerep import labeled, stable
+from stablerep.characters import BiClassFunction, cycle_types, decompose, identity_type
+from stablerep.counts import count_pq
+from stablerep import characters, labeled, stable
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.functors import step1_dimension_identity
 from stablerep.induction import theorem_a_induction_check
@@ -104,7 +105,7 @@ class TestStableCohomology:
             mults[a], mults[b] = mults[b], mults[a]
             return IrredDecomposition(mults)
 
-        monkeypatch.setattr(stable, "decompose", swapped)
+        monkeypatch.setattr(characters, "decompose", swapped)
         with pytest.raises(OracleDisagreement, match="at transpositions"):
             stable_cohomology(4, 2, 2)
 
@@ -114,6 +115,25 @@ class TestStableCohomology:
             stable_cohomology(3, 1, 2)
         with pytest.raises(OracleDisagreement):
             dimension_table(3, 1)
+
+
+class TestZeroCell:
+    """A zero cell is given no character and builds its all-zero one when
+    it is read; the value is the same as when it was built at once."""
+
+    def test_character_is_all_zero_when_read(self):
+        assert stable_cohomology(2, 4, -2).bicharacter == BiClassFunction((2, 4), {})
+        assert stable_cohomology(7, 2, 3).bicharacter.dimension == 0
+
+    def test_equal_results_and_repr(self):
+        a, b = stable_cohomology(2, 4, -2), stable_cohomology(2, 4, -2)
+        assert a == b and a != stable_cohomology(2, 4, -1)
+        # Recorded while the character was built at once.
+        assert repr(a) == (
+            "StableCohomologyResult(p=2, q=4, degree=-2, "
+            "bicharacter=BiClassFunction(S_2 x S_4), decomposition={}, dimension=0, "
+            "valid_range='2*degree <= n - p - q - 3')"
+        )
 
 
 class TestPipeline:
