@@ -21,7 +21,6 @@ _EXPORTS = {
     "partitions": (
         "IrredDecomposition",
         "Partition",
-        "SkewShape",
         "enumerate_partitions",
         "hook_lengths",
         "schur_gl_dimension",
@@ -36,20 +35,14 @@ _EXPORTS = {
         "irreducible_character",
     ),
     "induction": (
-        "external_product",
         "induce",
-        "inner_product",
-        "restrict",
-        "sign_character",
         "theorem_a_induction_check",
-        "trivial_character",
     ),
     "report": ("Report",),
     "schur": ("kostka",),
     "functors": (
         "graded_sym_algebra_dimension",
         "lr_coefficient",
-        "skew_schur_decompose",
         "split_extension_filtration_check",
         "step1_dimension_identity",
         "verify_cauchy",
@@ -59,14 +52,10 @@ _EXPORTS = {
         "gl_decompose",
         "schur_apply",
         "specht_module",
-        "tensor_power_module",
         "young_symmetrizer",
     ),
     "labeled": (
         "GeneralLabeledPartition",
-        "LabelAlphabet",
-        "QLabeledPartition",
-        "build_fw_piece",
         "enumerate_general",
         "enumerate_pq",
         "hom_bicharacter",
@@ -76,7 +65,6 @@ _EXPORTS = {
     ),
     "stable": (
         "StableCohomologyResult",
-        "SymbolicCoefficient",
         "dimension_table",
         "stable_cohomology",
     ),

@@ -15,9 +15,9 @@ The injective family's character ``pq_bicharacter`` lives here too, an
 integer orbit count per class pair, so the stable answer needs no
 labeled-partition code.  Its counts, which build no character, are in
 ``counts``, loaded only when it is built, so the dimension table and the
-zero cells load no ``characters``.  Induction, restriction and the
-repeatable-label family's character are in ``induction``, which only the
-induction replay and the splitting check load.  ``_cmd_char`` runs ``char``.
+zero cells load no ``characters``.  Induction and the repeatable-label
+family's character are in ``induction``, which only the induction replay
+and the splitting check load.  ``_cmd_char`` runs ``char``.
 
 Characters are stored densely over all cycle types; with weights at desk
 scale the class lists are tiny.  Class functions keep the values they are
@@ -146,9 +146,6 @@ class ClassFunction:
         return ClassFunction(
             self.degree, {ct: v * other.values[ct] for ct, v in self.values.items()}
         )
-
-    def scale(self, c) -> "ClassFunction":
-        return ClassFunction(self.degree, {ct: c * v for ct, v in self.values.items()})
 
     def _check(self, other: "ClassFunction"):
         if self.degree != other.degree:
@@ -307,24 +304,21 @@ def _character_row(lam: Partition) -> tuple[int, ...]:
 # Decomposition
 
 
-def decompose(
-    f: ClassFunction | BiClassFunction, virtual: bool = False
-) -> IrredDecomposition:
+def decompose(f: ClassFunction | BiClassFunction) -> IrredDecomposition:
     """Multiplicities of f against the irreducible characters.
 
-    With virtual=False (the default) f is asserted to be a genuine
-    character: any negative or non-integral multiplicity raises.  With
-    virtual=True, signed integer multiplicities are returned.  Each
-    multiplicity is a numerator, summed in the values' own type (int for
-    an integer f, so no Fraction is built), divided once by the group
-    order; the class sizes are computed once per class."""
+    f is asserted to be a genuine character: any negative or non-integral
+    multiplicity raises.  Each multiplicity is a numerator, summed in the
+    values' own type (int for an integer f, so no Fraction is built),
+    divided once by the group order; the class sizes are computed once per
+    class."""
     mults: dict = {}
     if isinstance(f, ClassFunction):
         order = factorial(f.degree)
         weighted = [class_size(rho) * v for rho, v in f.values.items()]
         for lam in enumerate_partitions(f.degree):
             chi = _character_row(lam)
-            _store(mults, lam, sum(map(mul, weighted, chi)), order, virtual)
+            _store(mults, lam, sum(map(mul, weighted, chi)), order)
     else:
         # <f, chi^lam x chi^mu> = sum over class pairs (s, t) of
         # |s|·|t|·f(s, t)·chi^lam(s)·chi^mu(t) / (p!·q!); the sum over s is
@@ -343,11 +337,11 @@ def decompose(
             chl = _character_row(lam)
             by_t = [sum(map(mul, chl, col)) for col in columns]
             for mu, chm in mu_chars:
-                _store(mults, (lam, mu), sum(map(mul, chm, by_t)), order, virtual)
+                _store(mults, (lam, mu), sum(map(mul, chm, by_t)), order)
     return IrredDecomposition(mults)
 
 
-def _store(mults: dict, key, total, order: int, virtual: bool):
+def _store(mults: dict, key, total, order: int):
     """Store the multiplicity total / order at key; an int total is divided
     in integers, a Fraction one by Fraction's own divmod."""
     m, rest = divmod(total, order)
@@ -355,7 +349,7 @@ def _store(mults: dict, key, total, order: int, virtual: bool):
         from fractions import Fraction
 
         raise NonIntegralMultiplicity(f"multiplicity {Fraction(total, order)} at {key}")
-    if m < 0 and not virtual:
+    if m < 0:
         raise NegativeMultiplicity(f"multiplicity {m} at {key}")
     if m:
         mults[key] = m

@@ -13,9 +13,9 @@ class SizeBudgetExceeded(StableRepError):
     """A construction would exceed the configured size budget, counted in
     what it would build or do: ambient dimensions, labeled partitions,
     partitions, classes or class pairs, series steps, weight-table steps, LR
-    coefficient evaluations, sparse matrix entries, standard Young tableaux
-    times generators, GT patterns times gl generators or Young symmetrizer
-    terms.  ``needed`` is None when a bound of the count passed the budget."""
+    coefficient evaluations, standard Young tableaux times generators, GT
+    patterns times gl generators or Young symmetrizer terms.  ``needed`` is
+    None when a bound of the count passed the budget."""
 
     def __init__(self, needed: int | None, budget: int, what: str = "ambient dimension"):
         self.needed = needed

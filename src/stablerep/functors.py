@@ -1,8 +1,8 @@
 """The Schur-functor identities: Littlewood-Richardson numbers (lattice
-skew tableaux), skew Schur decompositions, the graded dimensions of
-Sym(V[2]^{⊕q} ⊕ Sym^{>0}(V[2])) with the step-1 identity on them, and the
-Cauchy, Schur-Weyl and split-extension checks, which compare ``schur``'s
-weight multisets and dimensions and build no explicit module.  Only
+skew tableaux), the graded dimensions of Sym(V[2]^{⊕q} ⊕ Sym^{>0}(V[2]))
+with the step-1 identity on them, and the Cauchy, Schur-Weyl and
+split-extension checks, which compare ``schur``'s weight multisets and
+dimensions and build no explicit module.  Only
 ``verify_schur_weyl`` needs S_n characters, and it imports ``characters``
 itself; each check imports its ``Report`` itself, so ``lr``, whose runner
 ``_cmd_lr`` is here, loads no ``report``."""
@@ -17,8 +17,8 @@ from operator import gt
 
 from .errors import InvalidArgs, check_budget, final_count
 from .partitions import (
-    IrredDecomposition, Partition, SkewShape, enumerate_partitions, partition_count,
-    partition_counts, schur_gl_dimension, specht_dimension, transpose,
+    Partition, enumerate_partitions, partition_count, partition_counts,
+    schur_gl_dimension, specht_dimension, transpose,
 )
 from .schur import _schur_weight_counter, sym_algebra_partials, sym_dimension
 
@@ -27,24 +27,18 @@ if TYPE_CHECKING:
     from .report import Report
 
 # ---------------------------------------------------------------------------
-# Littlewood-Richardson rule and skew Schur decomposition
-
-
-def lr_tableaux_count(shape: SkewShape, content: Partition) -> int:
-    """Number of Littlewood-Richardson tableaux: semistandard fillings of
-    the skew shape with the given content whose reverse reading word is a
-    lattice word."""
-    if shape.size != content.weight:
-        return 0
-    return _lr_fillings(shape.outer.parts, shape.inner.parts, content.parts)
+# Littlewood-Richardson rule
 
 
 def _lr_fillings(outer: tuple, inner: tuple, content: tuple) -> int:
-    """lr_tableaux_count on part tuples, |outer/inner| = |content|.  Each row
-    of outer is an int array; cells are filled in the reverse reading order,
-    right to left within a row and rows top to bottom, so a cell's right
-    neighbour and the cell above it are already filled, and the lattice
-    condition is checked on the counts of the entries read so far."""
+    """Number of Littlewood-Richardson tableaux of the skew shape
+    outer/inner, part tuples with |outer/inner| = |content|: semistandard
+    fillings with the given content whose reverse reading word is a lattice
+    word.  Each row of outer is an int array; cells are filled in the
+    reverse reading order, right to left within a row and rows top to
+    bottom, so a cell's right neighbour and the cell above it are already
+    filled, and the lattice condition is checked on the counts of the
+    entries read so far."""
     n = len(content)
     inner = inner + (0,) * (len(outer) - len(inner))
     rows = [[0] * w for w in outer]
@@ -96,17 +90,6 @@ def _cmd_lr(args, *shapes: str) -> str:
 
         return json.dumps({"lambda": str(lam), "mu": str(mu), "nu": str(nu), "coefficient": c})
     return str(c)
-
-
-def skew_schur_decompose(shape: SkewShape) -> IrredDecomposition:
-    """Decomposition of the skew Schur functor into Schur functors with
-    Littlewood-Richardson multiplicities."""
-    mults = {}
-    for nu in enumerate_partitions(shape.size):
-        c = lr_coefficient(shape.outer, shape.inner, nu)
-        if c:
-            mults[nu] = c
-    return IrredDecomposition(mults)
 
 
 # ---------------------------------------------------------------------------

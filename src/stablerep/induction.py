@@ -1,9 +1,9 @@
 """The character-level replay of the induction behind the stable answer:
-induction and restriction between Sigma_i x Sigma_j and Sigma_{i+j}, the
-characters induced from the injectively labeled family, and the
-repeatable-label family's character, whose engine (a cycle index per class
-of tau) is kept apart from ``characters``' orbit count so that comparing
-the two families checks one engine against the other.
+induction from Sigma_i x Sigma_j to Sigma_{i+j}, the characters induced
+from the injectively labeled family, and the repeatable-label family's
+character, whose engine (a cycle index per class of tau) is kept apart from
+``characters``' orbit count so that comparing the two families checks one
+engine against the other.
 
 Only ``verify induction``, ``verify splitting`` and the library load this
 module; the stable answer itself needs none of it.
@@ -21,53 +21,13 @@ from .characters import (
     class_size,
     cycle_types,
     pq_bicharacter,
-    sign_of_class,
 )
 from .errors import InvalidArgs, OracleDisagreement
 from .partitions import Partition, check_class_budget, enumerate_partitions
 from .report import Report
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 # ---------------------------------------------------------------------------
-# Class functions built from others
-
-
-def trivial_character(r: int) -> ClassFunction:
-    return ClassFunction._of_classes(r, {ct: 1 for ct in cycle_types(r)})
-
-
-def sign_character(r: int) -> ClassFunction:
-    return ClassFunction._of_classes(r, {ct: sign_of_class(ct) for ct in cycle_types(r)})
-
-
-def external_product(a: ClassFunction, b: ClassFunction) -> BiClassFunction:
-    return BiClassFunction(
-        (a.degree, b.degree),
-        {(s, t): x * y for s, x in a.values.items() for t, y in b.values.items()},
-    )
-
-
-def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
-    from fractions import Fraction
-
-    if a.degree != b.degree:
-        raise InvalidArgs(f"degree mismatch: {a.degree} vs {b.degree}")
-    r = a.degree
-    total = sum(
-        class_size(rho) * a.values[rho] * b.values[rho] for rho in cycle_types(r)
-    )
-    return Fraction(total, factorial(r))
-
-
-# ---------------------------------------------------------------------------
-# Induction and restriction
-
-
-def merge_types(a: Partition, b: Partition) -> Partition:
-    return Partition(sorted(tuple(a) + tuple(b), reverse=True))
+# Induction
 
 
 def splittings(rho: Partition, a: int) -> Iterator[tuple[Partition, Partition]]:
@@ -139,24 +99,10 @@ def induced_pq_bicharacter(
     return BiClassFunction((p, q), vals)
 
 
-def restrict(f: ClassFunction, i: int, j: int) -> BiClassFunction:
-    """Restrict a class function on Sigma_{i+j} to Sigma_i x Sigma_j."""
-    if f.degree != i + j:
-        raise InvalidArgs(f"cannot restrict degree {f.degree} to ({i},{j})")
-    return BiClassFunction(
-        (i, j),
-        {
-            (a, b): f.values[merge_types(a, b)]
-            for a in cycle_types(i)
-            for b in cycle_types(j)
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
-# Repeatable labels (labeled.LabelAlphabet(q)): blocks, each unlabeled or a
-# singleton with one label; enumeration is the tests' oracle.  With f_k the
-# labels tau^k fixes, (sigma, tau) fixes z_rho*[x^rho] Z_tau objects,
+# Repeatable labels (labeled.enumerate_general): blocks, each unlabeled or
+# a singleton with one of q labels; enumeration is the tests' oracle.  With
+# f_k the labels tau^k fixes, (sigma, tau) fixes z_rho*[x^rho] Z_tau objects,
 #     Z_tau = exp(sum_k (1/k)(exp(sum_i x_{ik}/i) - 1 + f_k x_k)).
 # Its coefficients are stored scaled by |rho|!, as |class rho| times the
 # fixed-point count, an integer: the term (1/(k·z_lam)) x_{k lam} of weight

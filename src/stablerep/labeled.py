@@ -1,6 +1,7 @@
-"""Labeled set partitions, the receiving symmetric algebra F_W(V), the
-equivariant maps attached to each labeled partition, and exact checks that
-stacking those maps gives an isomorphism onto the GL-equivariant Hom space.
+"""Labeled set partitions, the torus weights of the receiving symmetric
+algebra F_W(V), the equivariant maps attached to each labeled partition, and
+exact checks that stacking those maps gives an isomorphism onto the
+GL-equivariant Hom space.
 
 The closed forms of both labeled families (the Stirling count ``count_pq``
 in ``counts``, the orbit-count character ``pq_bicharacter`` in
@@ -11,8 +12,8 @@ module; enumeration here is their tests' oracle.
 The Hom side is read off weight generating functions (fixed_weights): the
 torus weights of the FW monomials fixed by a label permutation, decomposed
 into Schur-Weyl multiplicities by ``schur``'s Kostka subtraction and,
-independently, by Weyl's alternant, which must agree.  No command builds
-the FW basis itself (FWGradedPiece); it is the tests' oracle of
+independently, by Weyl's alternant, which must agree.  Nothing here
+builds the FW basis itself; the tests enumerate it as the oracle of
 fixed_weights.  Symmetric-group characters are imported from
 ``characters`` only by the functions that use them (hom_bicharacter and
 verify_splitting_lemma, which also imports ``induction``), and each check
@@ -23,8 +24,11 @@ rows are eliminated: verify_rw_prop when J0 does not certify its rank
 runners of those two commands.
 
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
-distinguishable labels.  Set partitions have parts sorted by minimum element,
-each increasing, so enumeration is duplicate-free and values hash.
+distinguishable labels.  Both families are GeneralLabeledPartition values:
+with repeatable labels only a singleton part carries one
+(enumerate_general), and in the injective family q parts of any size carry
+1..q once each (enumerate_pq).  Set partitions have parts sorted by minimum
+element, each increasing, so enumeration is duplicate-free and values hash.
 """
 
 from __future__ import annotations
@@ -43,12 +47,7 @@ from .partitions import (
     enumerate_partitions,
     specht_dimension,
 )
-from .schur import (
-    _compositions,
-    _tensor_weight,
-    decompose_weight_multiset,
-    sym_algebra_partials,
-)
+from .schur import _compositions, decompose_weight_multiset
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -76,24 +75,9 @@ def set_partitions(p: int) -> tuple[SetPartition, ...]:
     return tuple(out)
 
 
-class LabelAlphabet:
-    """Per-part-size label alphabets: size-1 parts draw from the unlabeled
-    marker plus q distinguishable labels; larger parts are always unlabeled."""
-
-    def __init__(self, q: int):
-        if q < 0:
-            raise InvalidArgs(f"q must be non-negative, got {q}")
-        self.q = q
-
-    def labels_for_size(self, i: int) -> tuple[int, ...]:
-        if i == 1:
-            return tuple(range(self.q + 1))
-        return (UNLABELED,)
-
-
 class GeneralLabeledPartition(FrozenRecord):
-    """A set partition with every part carrying a label from the alphabet
-    matched to the part's size; labels may repeat across parts."""
+    """A set partition with one label per part, 0 for an unlabeled part;
+    which labels a part may carry is the enumerating family's rule."""
 
     __slots__ = FIELDS = ("parts", "labels")
 
@@ -121,30 +105,16 @@ class GeneralLabeledPartition(FrozenRecord):
         }
 
 
-class QLabeledPartition(GeneralLabeledPartition):
-    """A set partition with at least q parts, of which q carry the labels
-    1..q injectively; the rest are unlabeled (label 0)."""
-
-    __slots__ = ()
-
-    def __init__(self, parts: SetPartition, labels: tuple[int, ...]):
-        super().__init__(parts, labels)
-        used = [l for l in self.labels if l > 0]
-        if sorted(used) != list(range(1, len(used) + 1)):
-            raise InvalidArgs(f"labels must be exactly 1..q, got {self.labels}")
-
-    @property
-    def q(self) -> int:
-        return sum(1 for l in self.labels if l > 0)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
 
-def count_general(p: int, alphabet: LabelAlphabet) -> int:
-    """Number of labeled set partitions, without enumerating: sum over
-    part-size profiles of the multinomial count times label choices."""
+def count_general(p: int, q: int) -> int:
+    """Number of labeled set partitions over q repeatable labels, without
+    enumerating: sum over part-size profiles of the multinomial count times
+    label choices, q + 1 for a singleton and 1 for a larger part."""
+    if q < 0:
+        raise InvalidArgs(f"q must be non-negative, got {q}")
     total = 0
     for lam in enumerate_partitions(p):
         mult: dict[int, int] = {}
@@ -153,22 +123,24 @@ def count_general(p: int, alphabet: LabelAlphabet) -> int:
         ways = factorial(p)
         for s, m in mult.items():
             ways //= factorial(s) ** m * factorial(m)
-        for s, m in mult.items():
-            ways *= len(alphabet.labels_for_size(s)) ** m
-        total += ways
+        total += ways * (q + 1) ** mult.get(1, 0)
     return total
 
 
 def enumerate_general(
-    p: int, alphabet: LabelAlphabet, budget: int | None = None
+    p: int, q: int, budget: int | None = None
 ) -> list[GeneralLabeledPartition]:
-    """All labeled set partitions of {1..p} over the given alphabet."""
+    """All set partitions of {1..p} with each singleton unlabeled or labeled
+    by one of 1..q, labels repeatable; larger parts are unlabeled."""
+    if q < 0:
+        raise InvalidArgs(f"q must be non-negative, got {q}")
     if p < 0:
         raise InvalidArgs("p must be non-negative")
-    check_budget(count_general(p, alphabet), budget, "labeled partitions")
+    check_budget(count_general(p, q), budget, "labeled partitions")
+    singleton = tuple(range(q + 1))
     out = []
     for sp in set_partitions(p):
-        choices = [alphabet.labels_for_size(len(part)) for part in sp]
+        choices = [singleton if len(part) == 1 else (UNLABELED,) for part in sp]
         for labs in itertools.product(*choices):
             out.append(GeneralLabeledPartition(sp, labs))
     return out
@@ -176,7 +148,7 @@ def enumerate_general(
 
 def enumerate_pq(
     p: int, q: int, budget: int | None = None
-) -> list[QLabeledPartition]:
+) -> list[GeneralLabeledPartition]:
     """All partitions of {1..p} with at least q parts, q of them labeled
     bijectively by 1..q."""
     from .counts import count_pq
@@ -195,7 +167,7 @@ def enumerate_pq(
             labs = [0] * k
             for lab, pos in enumerate(positions, start=1):
                 labs[pos] = lab
-            out.append(QLabeledPartition(sp, tuple(labs)))
+            out.append(GeneralLabeledPartition(sp, tuple(labs)))
     return out
 
 
@@ -211,86 +183,10 @@ def _cmd_labeled_partitions(args, p: int, q: int) -> str | list:
 
 
 # ---------------------------------------------------------------------------
-# The receiving algebra F_W(V), materialized in V-degree p
+# The receiving algebra F_W(V) in V-degree p, by its torus weights
 
 Symbol = tuple[int, tuple[int, ...]]  # (label, weakly increasing var tuple)
 Monomial = tuple[Symbol, ...]  # sorted tuple of symbols
-
-
-class FWGradedPiece:
-    """Degree-p part (in V) of Sym(⊕_i W_i ⊗ Sym^i V) for the standard
-    alphabet with q repeatable singleton labels, over V = Q^d.
-
-    Basis elements are commutative monomials in symbols (label, m) with m a
-    monomial in the d variables; the gl_d action is by derivations."""
-
-    def __init__(self, p: int, q: int, d: int, budget: int | None = None):
-        if p < 0 or q < 0 or d < 1:
-            raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
-        self.p, self.q, self.d = p, q, d
-
-        def bounds():
-            return (yield from sym_algebra_partials(d, q, p))[p]
-
-        # Refused once a running product passes the cap, before any weight
-        # table is filled; the series, formed once, checks the enumeration.
-        est = check_budget(bounds(), budget)
-        self.basis: list[Monomial] = self._enumerate()
-        if len(self.basis) != est:
-            raise OracleDisagreement(
-                f"enumerated {len(self.basis)} FW monomials, series gives {est}"
-            )
-        self.index = {m: i for i, m in enumerate(self.basis)}
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def _enumerate(self) -> list[Monomial]:
-        p, q, d = self.p, self.q, self.d
-        symbols_by_size: dict[int, list[Symbol]] = {}
-        for i in range(1, p + 1):
-            monos = list(itertools.combinations_with_replacement(range(d), i))
-            if i == 1:
-                symbols_by_size[i] = [
-                    (lab, m) for lab in range(q + 1) for m in monos
-                ]
-            else:
-                symbols_by_size[i] = [(UNLABELED, m) for m in monos]
-        out: list[Monomial] = []
-        for lam in enumerate_partitions(p):
-            mult: dict[int, int] = {}
-            for s in lam:
-                mult[s] = mult.get(s, 0) + 1
-            pools = [
-                list(
-                    itertools.combinations_with_replacement(
-                        symbols_by_size[s], m
-                    )
-                )
-                for s, m in sorted(mult.items())
-            ]
-            for combo in itertools.product(*pools):
-                mono = tuple(sorted(sym for group in combo for sym in group))
-                out.append(mono)
-        return sorted(out)
-
-    def weight(self, mono: Monomial) -> tuple[int, ...]:
-        return _tensor_weight([v for _, vars_ in mono for v in vars_], self.d)
-
-    def gl_apply(self, a: int, b: int, mono: Monomial) -> dict[Monomial, int]:
-        """E_{ab} acting by derivation across symbol factors."""
-        out: dict[Monomial, int] = {}
-        for pos, (lab, vars_) in enumerate(mono):
-            nb = vars_.count(b)
-            if nb == 0:
-                continue
-            i = vars_.index(b)
-            newvars = tuple(sorted(vars_[:i] + (a,) + vars_[i + 1 :]))
-            newsym = (lab, newvars)
-            newmono = tuple(sorted(mono[:pos] + (newsym,) + mono[pos + 1 :]))
-            out[newmono] = out.get(newmono, 0) + nb
-        return {m: c for m, c in out.items() if c}
 
 
 def fixed_weights(p: int, d: int, cycles: tuple[int, ...]) -> Counter:
@@ -320,10 +216,6 @@ def fixed_weights(p: int, d: int, cycles: tuple[int, ...]) -> Counter:
         for u in weights[: start[p - sum(w) + 1]]:
             series[tuple(map(add, u, w))] += series[u]
     return Counter({w: series[w] for w in weights[start[p] :] if series[w]})
-
-
-def build_fw_piece(p: int, q: int, d: int, budget: int | None = None) -> FWGradedPiece:
-    return FWGradedPiece(p, q, d, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +355,7 @@ def verify_rw_prop(p: int, q: int, d: int, budget: int | None = None) -> Report:
     the columns (J0, .), at phi_x(J0), and distinct images make that minor
     a permutation matrix.  Otherwise the rows are eliminated, which also
     gives a dependency witness.  Surjectivity compares rank and Hom dim."""
-    objs = enumerate_general(p, LabelAlphabet(q), budget)
+    objs = enumerate_general(p, q, budget)
     n = len(objs)
     if d >= p and len({_phi_image(x) for x in objs}) == n:
         rank, combo = n, None

@@ -4,15 +4,16 @@ Specht modules are built in Young's seminormal form on standard Young
 tableaux, and Schur functors S_lam(Q^d) in the Gelfand-Tsetlin basis of
 interlacing patterns: every generator entry is a closed-form rational,
 written once per basis vector, and no r!-term or d^r-term object is built.
-Also here: tensor powers with both actions; Specht characters from the
-Young symmetrizer's coefficients by a centralizer count; and the
-weight-space decomposition of polynomial gl_d actions, whose Kostka
-subtraction ``gl_decompose`` imports from ``schur`` when it runs.  Every
-generator matrix is a sparse linalg.SparseMatrix.  The symmetrizer images
-that the closed forms replaced are the tests' oracles.
+Also here: Specht characters from the Young symmetrizer's coefficients by
+a centralizer count, and the weight-space decomposition of polynomial gl_d
+actions, whose Kostka subtraction ``gl_decompose`` imports from ``schur``
+when it runs.  Every generator matrix is a sparse linalg.SparseMatrix.  The
+symmetrizer images that the closed forms replaced, the tensor powers and
+the relation checks on generators are the tests' oracles.
 
-No command of the CLI and no verification uses this layer: the
-Schur-functor checks read weights and dimensions in ``functors``.
+No command of the CLI and no verification uses this layer, only the
+benchmark's explicit-module ops: the Schur-functor checks read weights and
+dimensions in ``functors``.
 """
 
 from __future__ import annotations
@@ -65,12 +66,6 @@ def perm_cycle_type(a: Perm) -> Partition:
             ln += 1
         lens.append(ln)
     return Partition(sorted(lens, reverse=True))
-
-
-def _adjacent_transposition(i: int, r: int) -> Perm:
-    g = list(range(r))
-    g[i], g[i + 1] = g[i + 1], g[i]
-    return tuple(g)
 
 
 def perms_of_blocks(blocks: list[list[int]], r: int) -> list[Perm]:
@@ -133,81 +128,6 @@ class ExplicitModule(Record):
         self.sym_generators = [] if sym_generators is None else sym_generators
         self.gl_generators = {} if gl_generators is None else gl_generators
         self.grading = grading
-
-    def check_coxeter_relations(self) -> bool:
-        gens = self.sym_generators
-        eye = SparseMatrix({(i, i): 1 for i in range(self.dimension)})
-        for i, s in enumerate(gens):
-            if s @ s != eye:
-                return False
-            if i + 1 < len(gens):
-                lhs = s @ gens[i + 1] @ s
-                rhs = gens[i + 1] @ s @ gens[i + 1]
-                if lhs != rhs:
-                    return False
-            for j in range(i + 2, len(gens)):
-                if s @ gens[j] != gens[j] @ s:
-                    return False
-        return True
-
-    def check_gl_relations(self) -> bool:
-        """[E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
-        E = self.gl_generators
-        keys = sorted(E)
-        zero = SparseMatrix()
-        for (a, b) in keys:
-            for (c, d) in keys:
-                comm = E[(a, b)] @ E[(c, d)] - E[(c, d)] @ E[(a, b)]
-                want = (E[(a, d)] if b == c else zero) - (E[(c, b)] if d == a else zero)
-                if comm != want:
-                    return False
-        return True
-
-
-# ---------------------------------------------------------------------------
-# Tensor powers
-
-
-def _tensor_basis(d: int, r: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(d), repeat=r))
-
-
-def perm_on_index(g: Perm, J: tuple[int, ...]) -> tuple[int, ...]:
-    """g moves the tensor factor in slot i to slot g(i)."""
-    out = [0] * len(J)
-    for i, v in enumerate(J):
-        out[g[i]] = v
-    return tuple(out)
-
-
-def tensor_power_module(d: int, r: int, budget: int | None = None) -> ExplicitModule:
-    """V^{⊗r} for V = Q^d, with Sigma_r permuting factors and gl_d acting
-    by derivations, on sparse generator matrices.  The budget counts the
-    entries written: d^r for each of the max(r-1, 0) transpositions and
-    r d^(r-1) for each of the d^2 elementary matrices, 64 at d = 2, r = 3;
-    E_aa stores fewer, as its entries merge on the diagonal."""
-    if d < 1 or r < 0:
-        raise InvalidArgs(f"bad tensor power parameters d={d}, r={r}")
-    check_budget(max(r - 1, 0) * d**r + r * d ** (r + 1), budget, "sparse matrix entries")
-    index = {J: i for i, J in enumerate(_tensor_basis(d, r))}
-    transpositions = [_adjacent_transposition(i, r) for i in range(r - 1)]
-    sym = [
-        SparseMatrix({(index[perm_on_index(g, J)], col): 1 for J, col in index.items()})
-        for g in transpositions
-    ]
-    gl = {
-        (a, b): SparseMatrix(
-            _sparse(
-                ((index[J[:t] + (a,) + J[t + 1 :]], col), 1)
-                for J, col in index.items()
-                for t, v in enumerate(J)
-                if v == b
-            )
-        )
-        for a in range(d)
-        for b in range(d)
-    }
-    return ExplicitModule(dimension=d**r, sym_generators=sym, gl_generators=gl, grading=r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Partitions, Young diagrams, skew shapes and closed-form dimension formulas,
+"""Partitions, Young diagrams and closed-form dimension formulas,
 the Record base of the package's plain value classes, and the
 ``IrredDecomposition`` that both the symmetric-group and the general-linear
 side return.  Every command compiles this module, so the ``Report`` of a
@@ -148,32 +148,6 @@ def transpose(lam: Partition) -> Partition:
     return Partition(
         sum(1 for p in lam.parts if p >= j + 1) for j in range(lam.parts[0])
     )
-
-
-class SkewShape(FrozenRecord):
-    """A skew Young diagram outer/inner with inner ⊆ outer."""
-
-    __slots__ = FIELDS = ("outer", "inner")
-
-    def __init__(self, outer: Partition, inner: Partition):
-        if not outer.contains(inner):
-            raise ValueError(f"inner {inner} not contained in outer {outer}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-
-    @property
-    def size(self) -> int:
-        return self.outer.weight - self.inner.weight
-
-    def cells(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(len(self.outer))
-            for j in range(self.inner[i], self.outer[i])
-        ]
-
-    def __str__(self) -> str:
-        return f"{self.outer}/{self.inner}"
 
 
 @lru_cache(maxsize=None)

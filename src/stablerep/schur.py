@@ -91,15 +91,6 @@ def _schur_weight_counter(lam: Partition, d: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def _tensor_weight(J, d: int) -> tuple[int, ...]:
-    """Torus weight of the basis tensor with indices J: how often each of
-    the d indices occurs."""
-    w = [0] * d
-    for v in J:
-        w[v] += 1
-    return tuple(w)
-
-
 def decompose_weight_multiset(cnt: Mapping, d: int) -> IrredDecomposition:
     """Greedy subtraction of Schur weight multisets (Kostka vectors) from a
     symmetric weight multiset; returns {Partition: multiplicity} with signed

@@ -7,44 +7,27 @@ count of the injective family's character in ``characters``; enumeration
 is the test oracle.  So this module loads no labeled-partition or
 linear-algebra code, and no ``schur``.  It imports ``characters`` only
 where a character is built: the dimension table builds none, and a zero
-cell builds its all-zero character only when it is read, so the table and
-a zero cell printed as text load no ``characters``.
+cell builds its all-zero character only when ``bicharacter`` is read, so
+the table and a zero cell, as text or as JSON, load no ``characters``.
 The identities behind the answer live elsewhere: the character-level replay
 of the induction that pins it down in ``induction``, and the step-1
 graded-series identity in ``functors``.
 
-The automorphism groups themselves are never represented; the coefficient
-system appears only as symbolic (p, q, n) bookkeeping, because the stable
-answer is purely combinatorial.
+The automorphism groups and the coefficient system are never represented:
+a cell is its (p, q, degree), because the stable answer is purely
+combinatorial.
 """
 
 from __future__ import annotations
 
 from .counts import count_pq, pq_identity_counts
 from .errors import InvalidArgs, OracleDisagreement
-from .partitions import FrozenRecord, IrredDecomposition, Record, check_class_budget
-from .partitions import specht_dimension
+from .partitions import IrredDecomposition, Record, check_class_budget
+from .partitions import enumerate_partitions, specht_dimension
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .characters import BiClassFunction
-
-
-class SymbolicCoefficient(FrozenRecord):
-    """The coefficient system H(n)^{⊗p} ⊗ (H(n)^*)^{⊗q}, kept symbolic."""
-
-    __slots__ = FIELDS = ("p", "q", "n")
-
-    def __init__(self, p: int, q: int, n: int | None = None):
-        if p < 0 or q < 0:
-            raise InvalidArgs("p, q must be non-negative")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-
-    def __str__(self) -> str:
-        n = "n" if self.n is None else str(self.n)
-        return f"H({n})^⊗{self.p} ⊗ H({n})*^⊗{self.q}"
 
 
 class StableCohomologyResult(Record):
@@ -76,17 +59,15 @@ class StableCohomologyResult(Record):
         return self._bicharacter
 
     @property
-    def is_zero(self) -> bool:
-        return self.dimension == 0
-
-    @property
     def min_n(self) -> int:
         return _min_n(self.p, self.q, self.degree)
 
     def to_json(self) -> dict:
-        from .characters import cycle_types
-
-        chi = self.bicharacter.values
+        """The cell as JSON, its character over the class pairs in
+        ``cycle_types`` order; a zero cell lists its 0 values without
+        building a character."""
+        chi = {} if self._bicharacter is None else self._bicharacter.values
+        sigmas, taus = enumerate_partitions(self.p), enumerate_partitions(self.q)
         return {
             "p": self.p,
             "q": self.q,
@@ -98,9 +79,9 @@ class StableCohomologyResult(Record):
                 for (lam, mu), m in self.decomposition.items()
             ],
             "character": [
-                {"sigma_class": str(s), "tau_class": str(t), "value": int(chi[(s, t)])}
-                for s in cycle_types(self.p)
-                for t in cycle_types(self.q)
+                {"sigma_class": str(s), "tau_class": str(t), "value": int(chi.get((s, t), 0))}
+                for s in sigmas
+                for t in taus
             ],
         }
 

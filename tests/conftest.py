@@ -9,13 +9,17 @@ and the symmetrizer-image modules that the closed-form Specht and Schur
 bases replaced, and the fixed-tensor enumeration that the power-sum traces of
 ``functors.verify_schur_weyl`` replaced, which the main implementations are
 checked against.  Helpers that only the tests call live here too:
-``inner_product_bi``, ``reconstruct``, ``decomposition_from_json`` and
-``total_dimension`` for class functions, the permutation helpers
-``perm_inverse``, ``class_representative`` and ``all_perms``, and the
-labeled-partition action, the splitting map, the phi equivariance check,
-the intertwiner solve of the Hom dimension on the enumerated FW piece
-(``intertwiner_solve_dimension``) and the two dimension cross-checks
-(``hom_side_total``, ``three_way_dimension_agreement``).  ``build_parser`` is
+``inner_product``, ``scale``, ``external_product``, ``restrict``,
+``reconstruct`` and ``decomposition_from_json`` for class functions, the
+permutation helpers ``perm_inverse``, ``class_representative``,
+``all_perms`` and ``perm_on_index``, the tensor powers
+(``tensor_power_module``) and the Coxeter and gl relation checks on
+generators, and the labeled-partition action, the splitting map, the
+enumerated FW piece (``FWGradedPiece``, the oracle of
+``labeled.fixed_weights``), the phi equivariance check, the intertwiner
+solve of the Hom dimension on that piece (``intertwiner_solve_dimension``)
+and the two dimension cross-checks (``hom_side_total``,
+``three_way_dimension_agreement``).  ``build_parser`` is
 the argparse parser that the CLI's command-table parser replaced, kept as the
 reference for what a command line means.  The hand-written budget loops that
 ``errors.check_budget``'s bound sequences replaced are kept as the
@@ -99,13 +103,13 @@ def rim_hooks_oracle(lam: tuple[int, ...], r: int) -> list[tuple[int, tuple[int,
     return out
 
 
-def lr_tableaux_count_oracle(shape, content) -> int:
-    """Littlewood-Richardson tableaux of a SkewShape with a Partition
-    content, filled cell by cell through an (i, j) dict: the library's
-    counter before it filled row arrays."""
-    cells = sorted(shape.cells(), key=lambda c: (c[0], -c[1]))
+def lr_tableaux_count_oracle(outer, inner, content) -> int:
+    """Littlewood-Richardson tableaux of the skew shape outer/inner, inner
+    inside outer, with a Partition content, filled cell by cell through an
+    (i, j) dict: the library's counter before it filled row arrays."""
+    cells = [(i, j) for i in range(len(outer)) for j in range(outer[i] - 1, inner[i] - 1, -1)]
     n = len(content)
-    if shape.size != content.weight:
+    if outer.weight - inner.weight != content.weight:
         return 0
 
     filling: dict[tuple[int, int], int] = {}
@@ -277,10 +281,10 @@ def permutation_bicharacter(p: int, q: int, source: str = "general", budget: int
     to blocks (the pairs (block of e, block of sigma(e)) are as many as the
     blocks) and the label of sigma(e) is tau of the label of e."""
     from stablerep.characters import BiClassFunction, cycle_types
-    from stablerep.labeled import LabelAlphabet, enumerate_general, enumerate_pq
+    from stablerep.labeled import enumerate_general, enumerate_pq
 
     if source == "general":
-        objs = enumerate_general(p, LabelAlphabet(q), budget)
+        objs = enumerate_general(p, q, budget)
     elif source == "pq":
         objs = enumerate_pq(p, q, budget)
     else:
@@ -396,36 +400,77 @@ def pq_identity_counts_oracle(p_max: int, q_max: int) -> dict:
 # Class-function helpers only the tests call
 
 
-def inner_product_bi(a, b) -> Fraction:
-    """<a, b> on Sigma_p x Sigma_q: sum of |s|·|t|·a·b over p!·q!."""
-    from stablerep.characters import class_size, cycle_types
+def inner_product(a, b) -> Fraction:
+    """<a, b> of two class functions on Sigma_r, or of two on Sigma_p x
+    Sigma_q: the sum over the classes of class size times a·b, over the
+    group order."""
+    from stablerep.characters import ClassFunction, class_size
     from stablerep.errors import InvalidArgs
 
-    if a.degrees != b.degrees:
-        raise InvalidArgs(f"degrees mismatch: {a.degrees} vs {b.degrees}")
-    p, q = a.degrees
+    degrees = [(f.degree,) if isinstance(f, ClassFunction) else f.degrees for f in (a, b)]
+    if degrees[0] != degrees[1]:
+        raise InvalidArgs(f"degree mismatch: {degrees[0]} vs {degrees[1]}")
+    # A class of Sigma_p x Sigma_q is a pair of cycle types.
     total = sum(
-        class_size(s) * class_size(t) * a.values[(s, t)] * b.values[(s, t)]
-        for s in cycle_types(p)
-        for t in cycle_types(q)
+        (prod(map(class_size, key)) if isinstance(key, tuple) else class_size(key))
+        * v * b.values[key]
+        for key, v in a.values.items()
     )
-    return Fraction(total, factorial(p) * factorial(q))
+    return Fraction(total, prod(map(factorial, degrees[0])))
+
+
+def scale(f, c):
+    """The class function c·f on Sigma_r."""
+    from stablerep.characters import ClassFunction
+
+    return ClassFunction(f.degree, {ct: c * v for ct, v in f.values.items()})
+
+
+def external_product(a, b):
+    from stablerep.characters import BiClassFunction
+
+    return BiClassFunction(
+        (a.degree, b.degree),
+        {(s, t): x * y for s, x in a.values.items() for t, y in b.values.items()},
+    )
+
+
+def merge_types(a, b):
+    from stablerep.partitions import Partition
+
+    return Partition(sorted(tuple(a) + tuple(b), reverse=True))
+
+
+def restrict(f, i: int, j: int):
+    """Restrict a class function on Sigma_{i+j} to Sigma_i x Sigma_j."""
+    from stablerep.characters import BiClassFunction, cycle_types
+    from stablerep.errors import InvalidArgs
+
+    if f.degree != i + j:
+        raise InvalidArgs(f"cannot restrict degree {f.degree} to ({i},{j})")
+    return BiClassFunction(
+        (i, j),
+        {
+            (a, b): f.values[merge_types(a, b)]
+            for a in cycle_types(i)
+            for b in cycle_types(j)
+        },
+    )
 
 
 def reconstruct(dec, degrees):
     """Character with the given decomposition; inverse of ``decompose``."""
     from stablerep.characters import BiClassFunction, ClassFunction, irreducible_character
-    from stablerep.induction import external_product
 
     if isinstance(degrees, int):
         out = ClassFunction(degrees, {})
         for k, m in dec.mults.items():
-            out = out + irreducible_character(k).scale(m)
+            out = out + scale(irreducible_character(k), m)
         return out
     out = BiClassFunction(degrees, {})
     for (lam, mu), m in dec.mults.items():
         out = out + external_product(
-            irreducible_character(lam).scale(m), irreducible_character(mu)
+            scale(irreducible_character(lam), m), irreducible_character(mu)
         )
     return out
 
@@ -439,18 +484,6 @@ def decomposition_from_json(data: list[dict]):
         else tuple(Partition.parse(x) for x in e["key"]): e["multiplicity"]
         for e in data
     })
-
-
-def total_dimension(dec) -> int:
-    """sum of m·f^k over an IrredDecomposition of S_n (k a partition) or of
-    a product of symmetric groups (k a tuple of partitions)."""
-    from stablerep.partitions import Partition, specht_dimension
-
-    f = lru_cache(maxsize=None)(specht_dimension)
-    return sum(
-        m * (f(k) if isinstance(k, Partition) else prod(map(f, k)))
-        for k, m in dec.mults.items()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +511,206 @@ def all_perms(r: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in itertools.permutations(range(r))]
 
 
+def _adjacent_transposition(i: int, r: int) -> tuple[int, ...]:
+    g = list(range(r))
+    g[i], g[i + 1] = g[i + 1], g[i]
+    return tuple(g)
+
+
+def perm_on_index(g: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, ...]:
+    """g moves the tensor factor in slot i to slot g(i)."""
+    out = [0] * len(J)
+    for i, v in enumerate(J):
+        out[g[i]] = v
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Tensor powers and the generator relations, only the tests build or check
+
+
+def _tensor_basis(d: int, r: int) -> list[tuple[int, ...]]:
+    return list(itertools.product(range(d), repeat=r))
+
+
+def _tensor_weight(J, d: int) -> tuple[int, ...]:
+    """Torus weight of the basis tensor with indices J: how often each of
+    the d indices occurs."""
+    w = [0] * d
+    for v in J:
+        w[v] += 1
+    return tuple(w)
+
+
+def tensor_power_module(d: int, r: int, budget: int | None = None):
+    """V^{⊗r} for V = Q^d, with Sigma_r permuting factors and gl_d acting
+    by derivations, on sparse generator matrices.  The budget counts the
+    entries written: d^r for each of the max(r-1, 0) transpositions and
+    r d^(r-1) for each of the d^2 elementary matrices, 64 at d = 2, r = 3;
+    E_aa stores fewer, as its entries merge on the diagonal."""
+    from stablerep.errors import InvalidArgs, check_budget
+    from stablerep.linalg import SparseMatrix, _sparse
+    from stablerep.modules import ExplicitModule
+
+    if d < 1 or r < 0:
+        raise InvalidArgs(f"bad tensor power parameters d={d}, r={r}")
+    check_budget(max(r - 1, 0) * d**r + r * d ** (r + 1), budget, "sparse matrix entries")
+    index = {J: i for i, J in enumerate(_tensor_basis(d, r))}
+    transpositions = [_adjacent_transposition(i, r) for i in range(r - 1)]
+    sym = [
+        SparseMatrix({(index[perm_on_index(g, J)], col): 1 for J, col in index.items()})
+        for g in transpositions
+    ]
+    gl = {
+        (a, b): SparseMatrix(
+            _sparse(
+                ((index[J[:t] + (a,) + J[t + 1 :]], col), 1)
+                for J, col in index.items()
+                for t, v in enumerate(J)
+                if v == b
+            )
+        )
+        for a in range(d)
+        for b in range(d)
+    }
+    return ExplicitModule(dimension=d**r, sym_generators=sym, gl_generators=gl, grading=r)
+
+
+def check_coxeter_relations(m) -> bool:
+    """The sym_generators of an ExplicitModule satisfy the Coxeter relations."""
+    from stablerep.linalg import SparseMatrix
+
+    gens = m.sym_generators
+    eye = SparseMatrix({(i, i): 1 for i in range(m.dimension)})
+    for i, s in enumerate(gens):
+        if s @ s != eye:
+            return False
+        if i + 1 < len(gens):
+            lhs = s @ gens[i + 1] @ s
+            rhs = gens[i + 1] @ s @ gens[i + 1]
+            if lhs != rhs:
+                return False
+        for j in range(i + 2, len(gens)):
+            if s @ gens[j] != gens[j] @ s:
+                return False
+    return True
+
+
+def check_gl_relations(m) -> bool:
+    """[E_ab, E_cd] = delta_bc E_ad - delta_da E_cb on the gl_generators of
+    an ExplicitModule."""
+    from stablerep.linalg import SparseMatrix
+
+    E = m.gl_generators
+    keys = sorted(E)
+    zero = SparseMatrix()
+    for (a, b) in keys:
+        for (c, d) in keys:
+            comm = E[(a, b)] @ E[(c, d)] - E[(c, d)] @ E[(a, b)]
+            want = (E[(a, d)] if b == c else zero) - (E[(c, b)] if d == a else zero)
+            if comm != want:
+                return False
+    return True
+
+
 def rw_prop_rank_oracle(p: int, q: int, d: int) -> tuple[int, dict | None]:
     """Rank of the stacked maps phi_x of the labeled partitions of {1..p}
     over q repeatable labels, by building one sparse row per x, keyed by
     the (tensor, monomial) pairs themselves, and eliminating; with the
     dependency witness keyed as verify_rw_prop prints it (None if the rows
     are independent)."""
-    from stablerep.labeled import LabelAlphabet, enumerate_general, phi_columns
+    from stablerep.labeled import enumerate_general, phi_columns
     from stablerep.linalg import sparse_rank_and_witness
 
-    objs = enumerate_general(p, LabelAlphabet(q))
+    objs = enumerate_general(p, q)
     rows = [{col: 1 for col in phi_columns(x, d).items()} for x in objs]
     rank, combo = sparse_rank_and_witness(rows)
     if combo is None:
         return rank, None
     return rank, {str(objs[i]): str(c) for i, c in enumerate(combo) if c}
+
+
+class FWGradedPiece:
+    """Degree-p part (in V) of Sym(⊕_i W_i ⊗ Sym^i V) for the standard
+    alphabet with q repeatable singleton labels, over V = Q^d.
+
+    Basis elements are commutative monomials in symbols (label, m) with m a
+    monomial in the d variables; the gl_d action is by derivations.  The
+    basis that labeled.fixed_weights counts by weight without building."""
+
+    def __init__(self, p: int, q: int, d: int, budget: int | None = None):
+        from stablerep.errors import InvalidArgs, OracleDisagreement, check_budget
+        from stablerep.schur import sym_algebra_partials
+
+        if p < 0 or q < 0 or d < 1:
+            raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
+        self.p, self.q, self.d = p, q, d
+
+        def bounds():
+            return (yield from sym_algebra_partials(d, q, p))[p]
+
+        # Refused once a running product passes the cap, before any weight
+        # table is filled; the series, formed once, checks the enumeration.
+        est = check_budget(bounds(), budget)
+        self.basis = self._enumerate()
+        if len(self.basis) != est:
+            raise OracleDisagreement(
+                f"enumerated {len(self.basis)} FW monomials, series gives {est}"
+            )
+        self.index = {m: i for i, m in enumerate(self.basis)}
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
+
+    def _enumerate(self) -> list:
+        from stablerep.labeled import UNLABELED
+        from stablerep.partitions import enumerate_partitions
+
+        p, q, d = self.p, self.q, self.d
+        symbols_by_size: dict[int, list] = {}
+        for i in range(1, p + 1):
+            monos = list(itertools.combinations_with_replacement(range(d), i))
+            if i == 1:
+                symbols_by_size[i] = [
+                    (lab, m) for lab in range(q + 1) for m in monos
+                ]
+            else:
+                symbols_by_size[i] = [(UNLABELED, m) for m in monos]
+        out = []
+        for lam in enumerate_partitions(p):
+            mult: dict[int, int] = {}
+            for s in lam:
+                mult[s] = mult.get(s, 0) + 1
+            pools = [
+                list(
+                    itertools.combinations_with_replacement(
+                        symbols_by_size[s], m
+                    )
+                )
+                for s, m in sorted(mult.items())
+            ]
+            for combo in itertools.product(*pools):
+                mono = tuple(sorted(sym for group in combo for sym in group))
+                out.append(mono)
+        return sorted(out)
+
+    def weight(self, mono) -> tuple[int, ...]:
+        return _tensor_weight([v for _, vars_ in mono for v in vars_], self.d)
+
+    def gl_apply(self, a: int, b: int, mono) -> dict:
+        """E_{ab} acting by derivation across symbol factors."""
+        out: dict = {}
+        for pos, (lab, vars_) in enumerate(mono):
+            nb = vars_.count(b)
+            if nb == 0:
+                continue
+            i = vars_.index(b)
+            newvars = tuple(sorted(vars_[:i] + (a,) + vars_[i + 1 :]))
+            newsym = (lab, newvars)
+            newmono = tuple(sorted(mono[:pos] + (newsym,) + mono[pos + 1 :]))
+            out[newmono] = out.get(newmono, 0) + nb
+        return {m: c for m, c in out.items() if c}
 
 
 def label_action(tau: tuple[int, ...], mono):
@@ -523,11 +741,9 @@ def intertwiner_solve_dimension(p: int, q: int, d: int, budget: int | None = Non
     became its second path, now an oracle."""
     from collections import Counter, defaultdict
 
-    from stablerep.labeled import build_fw_piece
     from stablerep.linalg import _reduce_rows
-    from stablerep.schur import _tensor_weight
 
-    piece = build_fw_piece(p, q, d, budget)
+    piece = FWGradedPiece(p, q, d, budget)
     src = list(itertools.product(range(d), repeat=p))
     src_weight = {J: _tensor_weight(J, d) for J in src}
     tgt_by_weight: dict[tuple[int, ...], list[int]] = {}
@@ -611,12 +827,7 @@ def specht_spin_oracle(lam):
     s_1..s_{r-1}: the smallest subspace containing c_lam and stable under
     them is the ideal.  Exponential in r; the oracle for the seminormal
     specht_module."""
-    from stablerep.modules import (
-        ExplicitModule,
-        _adjacent_transposition,
-        perm_compose,
-        young_symmetrizer,
-    )
+    from stablerep.modules import ExplicitModule, perm_compose, young_symmetrizer
 
     r = lam.weight
     maps = [
@@ -633,7 +844,7 @@ def schur_image_oracle(lam, d: int):
     the order of J, independent of the earlier ones.  Builds d^r images of
     r! terms each; the oracle for the Gelfand-Tsetlin schur_apply."""
     from stablerep.linalg import _sparse
-    from stablerep.modules import ExplicitModule, perm_on_index, young_symmetrizer
+    from stablerep.modules import ExplicitModule, young_symmetrizer
 
     def gl_generator(a: int, b: int):
         """E_ab on sparse tensors: each index b in turn becomes a."""
@@ -671,12 +882,6 @@ def standard_tableaux_bfs(lam) -> list[tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # Labeled-partition helpers only the tests call
-
-
-def bell_number(p: int) -> int:
-    from stablerep.labeled import set_partitions
-
-    return len(set_partitions(p))
 
 
 def act(x, sigma: tuple[int, ...], tau: tuple[int, ...] | None = None):
@@ -752,7 +957,7 @@ def hom_side_total(p: int, q: int, d: int, budget: int | None = None) -> int:
         # Unit cycles are orbits only when p >= 1.
         weights = labeled.fixed_weights(p, d, (1,) * q if p else ())
         others["weight generating function"] = sum(weights.values())
-        others["enumeration"] = labeled.build_fw_piece(p, q, d, budget).dimension
+        others["enumeration"] = FWGradedPiece(p, q, d, budget).dimension
     except SizeBudgetExceeded:
         pass
     by_series = graded_sym_algebra_dimension(d, q, p)
@@ -766,10 +971,10 @@ def three_way_dimension_agreement(p: int, q: int, budget: int | None = None):
     """The labeled-partition count (count_general), the Hom-space dimension
     at d = p and the binomial-weighted sum of injectively labeled counts
     agree; a Report."""
-    from stablerep.labeled import LabelAlphabet, count_general, enumerate_pq, hom_space_dimension_gl
+    from stablerep.labeled import count_general, enumerate_pq, hom_space_dimension_gl
     from stablerep.report import Report
 
-    by_enum = count_general(p, LabelAlphabet(q))
+    by_enum = count_general(p, q)
     by_hom = hom_space_dimension_gl(p, q, p, budget)
     by_induction = sum(comb(q, i) * len(enumerate_pq(p, i, budget)) for i in range(q + 1))
     return Report(

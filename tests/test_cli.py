@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_parser
 from stablerep.cli import COMMANDS, main, parse_args
 from stablerep.errors import InvalidArgs
-from stablerep.labeled import LabelAlphabet, count_general
+from stablerep.labeled import count_general
 
 
 def run(capsys, *argv):
@@ -91,7 +91,7 @@ class TestBasicCommands:
         # The FW piece of (5, 5, 5) has 375,282 monomials; the Hom side reads
         # 252 weights instead and fits the default budget.
         code, out = run(capsys, "hom-dim", "5", "5", "5")
-        assert code == 0 and out.strip() == str(count_general(5, LabelAlphabet(5)))
+        assert code == 0 and out.strip() == str(count_general(5, 5))
 
 
 class TestVerify:
@@ -428,10 +428,16 @@ class TestExitCodes:
             ["verify", "rw-prop", "a", "1", "1"],
             ["verify", "extension", "2,x", "1", "1"],
             ["verify", "extension", "2,1", "1", "b"],
+            ["verify", "rw-prop", "2", "-1", "1"],
         ],
     )
     def test_malformed_input_usage_error(self, capsys, argv):
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        if "-1" in argv:
+            # A negative q reaches enumerate_general, which refuses it.
+            assert err == "usage error: q must be non-negative, got -1\n"
 
 
 def small_command_lines():

@@ -10,11 +10,7 @@ from stablerep.characters import cycle_types, pq_bicharacter
 from stablerep.counts import count_pq, pq_identity_counts
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.labeled import (
-    FWGradedPiece,
     GeneralLabeledPartition,
-    LabelAlphabet,
-    QLabeledPartition,
-    build_fw_piece,
     count_general,
     enumerate_general,
     enumerate_pq,
@@ -26,7 +22,7 @@ from stablerep.labeled import (
     verify_rw_prop,
     verify_splitting_lemma,
 )
-from stablerep import characters, induction, labeled, linalg
+from stablerep import characters, induction, labeled, linalg, schur
 from stablerep.characters import BiClassFunction
 from stablerep.functors import graded_sym_algebra_dimension
 from stablerep.induction import (
@@ -36,12 +32,14 @@ from stablerep.induction import (
 )
 from stablerep.modules import perm_cycle_type
 from stablerep.partitions import IrredDecomposition, Partition, specht_dimension
-from stablerep.schur import _tensor_weight, decompose_weight_multiset
+from stablerep.schur import decompose_weight_multiset
 
+import conftest
 from conftest import (
+    FWGradedPiece,
+    _tensor_weight,
     act,
     all_perms,
-    bell_number,
     bell_oracle,
     check_phi_equivariance,
     class_representative,
@@ -58,7 +56,6 @@ class TestEnumeration:
     def test_set_partition_counts_are_bell(self):
         for p in range(8):
             assert len(set_partitions(p)) == bell_oracle(p)
-        assert bell_number(3) == 5 and bell_number(4) == 15
 
     def test_set_partitions_match_brute_force(self):
         for p in range(6):
@@ -74,18 +71,18 @@ class TestEnumeration:
                 assert sp == tuple(sorted((tuple(sorted(b)) for b in sp), key=min))
 
     def test_general_counts(self):
-        assert len(enumerate_general(2, LabelAlphabet(1))) == 5
-        assert len(enumerate_general(1, LabelAlphabet(0))) == 1
-        assert len(enumerate_general(3, LabelAlphabet(0))) == bell_oracle(3)
-        assert len(enumerate_general(4, LabelAlphabet(4))) == 799
+        assert len(enumerate_general(2, 1)) == 5
+        assert len(enumerate_general(1, 0)) == 1
+        assert len(enumerate_general(3, 0)) == bell_oracle(3)
+        assert len(enumerate_general(4, 4)) == 799
+        for call in (enumerate_general, count_general):
+            with pytest.raises(InvalidArgs, match="^q must be non-negative, got -1$"):
+                call(1, -1)
 
     def test_count_general_closed_form(self):
         for p in range(6):
             for q in range(4):
-                alphabet = LabelAlphabet(q)
-                assert count_general(p, alphabet) == len(
-                    enumerate_general(p, alphabet)
-                )
+                assert count_general(p, q) == len(enumerate_general(p, q))
 
     def test_pq_counts(self):
         assert len(enumerate_pq(2, 1)) == 3
@@ -113,7 +110,7 @@ class TestEnumeration:
 
     def test_budget(self):
         with pytest.raises(SizeBudgetExceeded):
-            enumerate_general(4, LabelAlphabet(4), budget=10)
+            enumerate_general(4, 4, budget=10)
         # count_pq(5, 2) = 320
         with pytest.raises(SizeBudgetExceeded):
             enumerate_pq(5, 2, budget=319)
@@ -159,12 +156,12 @@ class TestEnumeration:
                 total = sum(
                     comb(q, i) * len(enumerate_pq(p, i)) for i in range(q + 1)
                 )
-                assert count_general(p, LabelAlphabet(q)) == total
+                assert count_general(p, q) == total
 
 
 class TestActionsAndSplitting:
     def test_action_is_a_group_action(self):
-        objs = enumerate_general(3, LabelAlphabet(2))
+        objs = enumerate_general(3, 2)
         perms3 = all_perms(3)
         perms2 = all_perms(2)
         rng = random.Random(7)
@@ -185,11 +182,11 @@ class TestActionsAndSplitting:
                         (tuple(sorted(sigma[e] for e in part)), tau[l - 1] + 1 if l else 0)
                         for part, l in zip(x.parts, x.labels)
                     )
-                    built = QLabeledPartition(
+                    built = GeneralLabeledPartition(
                         tuple(part for part, _ in moved), tuple(l for _, l in moved)
                     )
                     image = act(x, sigma, tau)
-                    assert type(image) is QLabeledPartition
+                    assert type(image) is GeneralLabeledPartition
                     assert image == built and hash(image) == hash(built)
 
     def test_splitting_map_injective_and_label_multiset(self):
@@ -234,7 +231,7 @@ class TestActionsAndSplitting:
 
     def test_bicharacter_values_class_independent(self):
         p, q = 3, 2
-        objs = enumerate_general(p, LabelAlphabet(q))
+        objs = enumerate_general(p, q)
         chi = permutation_bicharacter(p, q, source="general")
         rng = random.Random(11)
         for s in cycle_types(p):
@@ -254,7 +251,7 @@ class TestFWPiece:
         for p in range(5):
             for q in range(3):
                 for d in (1, 2):
-                    piece = build_fw_piece(p, q, d)
+                    piece = FWGradedPiece(p, q, d)
                     assert piece.dimension == graded_sym_algebra_dimension(d, q, p)
                     assert piece.dimension == sum(fixed_weights(p, d, (1,) * q).values())
 
@@ -262,7 +259,7 @@ class TestFWPiece:
         # 250 (cell, tau-class) pairs; (5, 2, 5) has 29,529 monomials.
         cells = [(p, q, d) for p in range(5) for q in range(5) for d in range(1, 5)]
         for p, q, d in cells + [(5, 3, 3), (5, 2, 5), (5, 4, 2)]:
-            piece = build_fw_piece(p, q, d, budget=10**5)
+            piece = FWGradedPiece(p, q, d, budget=10**5)
             for t in cycle_types(q):
                 oracle = fixed_weights_oracle(piece, class_representative(t))
                 assert fixed_weights(p, d, t.parts) == oracle, (p, q, d, t)
@@ -273,20 +270,20 @@ class TestFWPiece:
                 fixed_weights(*args)
 
     def test_enumeration_checked_against_estimate(self, monkeypatch):
-        real = labeled.sym_algebra_partials
+        real = schur.sym_algebra_partials
 
         def shifted(d, q, p):
             return [c + 1 for c in (yield from real(d, q, p))]
 
-        monkeypatch.setattr(labeled, "sym_algebra_partials", shifted)
+        monkeypatch.setattr(schur, "sym_algebra_partials", shifted)
         with pytest.raises(OracleDisagreement):
-            build_fw_piece(2, 1, 2)
+            FWGradedPiece(2, 1, 2)
 
     def test_known_dimension(self):
-        assert build_fw_piece(2, 1, 2).dimension == 13
+        assert FWGradedPiece(2, 1, 2).dimension == 13
 
     def test_gl_action_preserves_weight_shift(self):
-        piece = build_fw_piece(3, 1, 2)
+        piece = FWGradedPiece(3, 1, 2)
         for mono in piece.basis:
             w = piece.weight(mono)
             for tgt, c in piece.gl_apply(0, 1, mono).items():
@@ -296,14 +293,14 @@ class TestFWPiece:
 
     def test_budget(self):
         with pytest.raises(SizeBudgetExceeded):
-            build_fw_piece(4, 4, 4, budget=100)
+            FWGradedPiece(4, 4, 4, budget=100)
 
 
 class TestPhi:
     def test_equivariance_exact(self):
         for p, q, d in [(2, 0, 2), (2, 1, 2), (3, 0, 3), (3, 2, 2), (4, 1, 3)]:
-            piece = build_fw_piece(p, q, d)
-            for x in enumerate_general(p, LabelAlphabet(q)):
+            piece = FWGradedPiece(p, q, d)
+            for x in enumerate_general(p, q):
                 # Each basis tensor goes to one basis monomial of the piece.
                 assert all(m in piece.index for m in phi_columns(x, d).values())
                 assert check_phi_equivariance(x, d, piece)
@@ -313,9 +310,7 @@ class TestHomSpace:
     def test_dimension_equals_count_when_d_large(self):
         for p in range(1, 4):
             for q in range(p + 1):
-                assert hom_space_dimension_gl(p, q, p) == count_general(
-                    p, LabelAlphabet(q)
-                )
+                assert hom_space_dimension_gl(p, q, p) == count_general(p, q)
 
     def test_large_cells_pinned(self):
         # Values of the eager Kostka lookup, before weights were looked up
@@ -333,7 +328,7 @@ class TestHomSpace:
         # tensor J and an FW monomial m of the same weight.
         solved = 0
         for p, q, d in itertools.product((3, 4), range(4), (2, 3)):
-            piece = build_fw_piece(p, q, d)
+            piece = FWGradedPiece(p, q, d)
             by_weight = Counter(piece.weight(m) for m in piece.basis)
             unknowns = sum(
                 by_weight[_tensor_weight(J, d)]
@@ -356,13 +351,12 @@ class TestHomSpace:
         # intertwiner system the Hom side once solved.
         cells = [(2, 1, 2), (3, 1, 3), (3, 3, 1), (4, 4, 4)]
         expected = {cell: intertwiner_solve_dimension(*cell) for cell in cells[:3]}
-        expected[(4, 4, 4)] = count_general(4, LabelAlphabet(4))
+        expected[(4, 4, 4)] = count_general(4, 4)
 
         def refuse(*args, **kwargs):
             raise AssertionError("FW piece built")
 
-        monkeypatch.setattr(labeled, "build_fw_piece", refuse)
-        monkeypatch.setattr(labeled, "FWGradedPiece", refuse)
+        monkeypatch.setattr(conftest, "FWGradedPiece", refuse)
         for p, q, d in cells:
             assert hom_space_dimension_gl(p, q, d) == expected[(p, q, d)]
             assert verify_rw_prop(p, q, d).passed == (d >= p)
@@ -487,7 +481,7 @@ class TestRWProp:
 
     def test_generic_image_is_phi_at_j0(self):
         for p, q in [(3, 2), (4, 2)]:
-            objs = enumerate_general(p, LabelAlphabet(q))
+            objs = enumerate_general(p, q)
             images = [labeled._phi_image(x) for x in objs]
             assert images == [phi_columns(x, p)[tuple(range(p))] for x in objs]
             assert len(set(images)) == len(objs)
@@ -504,7 +498,7 @@ class TestRWProp:
         )
         plain = verify_rw_prop(3, 2, 3)
         assert eliminated == []
-        objs = enumerate_general(3, LabelAlphabet(2))
+        objs = enumerate_general(3, 2)
         real_image = labeled._phi_image
 
         def collide_at_j0(x, part_vars=None):  # phi_columns passes part_vars

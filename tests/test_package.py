@@ -24,27 +24,28 @@ PERFBENCH = SRC.parent / "perfbench"
 
 # The exports of the eagerly importing package this replaced, submodules
 # included, less hom_side_total, splitting_map and
-# three_way_dimension_agreement, which only tests call (now in conftest);
-# the lazy package must keep exactly these.
+# three_way_dimension_agreement, which only tests call (now in conftest),
+# and less the names that no command and no benchmark op runs: the FW piece
+# (build_fw_piece), the second labeled-partition type and the label
+# alphabet, the symbolic coefficient, skew shapes and their Schur
+# decomposition, tensor powers, and the class-function helpers of the
+# tests (external_product, inner_product, restrict, sign_character,
+# trivial_character).  The lazy package must keep exactly these.
 EXPORTS = [
     "BiClassFunction", "ClassFunction", "GeneralLabeledPartition", "InvalidArgs",
-    "IrredDecomposition", "LabelAlphabet", "NegativeMultiplicity",
-    "NonIntegralMultiplicity", "NonPolynomialAction", "OracleDisagreement",
-    "Partition", "QLabeledPartition", "Report", "SizeBudgetExceeded", "SkewShape",
-    "StableCohomologyResult", "StableRepError", "SymbolicCoefficient",
-    "build_fw_piece", "characters", "cycle_types", "decompose", "dimension_table",
-    "enumerate_general", "enumerate_partitions", "enumerate_pq", "errors",
-    "external_product", "gl_decompose", "graded_sym_algebra_dimension",
-    "hom_bicharacter", "hom_space_dimension_gl", "hook_lengths",
-    "induce", "inner_product", "irreducible_character", "kostka", "labeled",
-    "linalg", "lr_coefficient", "modules", "partitions", "restrict", "schur", "schur_apply",
-    "schur_gl_dimension", "sign_character", "skew_schur_decompose",
-    "specht_dimension", "specht_module", "split_extension_filtration_check",
-    "stable", "stable_cohomology", "step1_dimension_identity",
-    "tensor_power_module", "theorem_a_induction_check",
-    "transpose", "trivial_character",
-    "verify_cauchy", "verify_rw_prop", "verify_schur_weyl",
-    "verify_splitting_lemma", "young_symmetrizer",
+    "IrredDecomposition", "NegativeMultiplicity", "NonIntegralMultiplicity",
+    "NonPolynomialAction", "OracleDisagreement", "Partition", "Report",
+    "SizeBudgetExceeded", "StableCohomologyResult", "StableRepError", "characters",
+    "cycle_types", "decompose", "dimension_table", "enumerate_general",
+    "enumerate_partitions", "enumerate_pq", "errors", "gl_decompose",
+    "graded_sym_algebra_dimension", "hom_bicharacter", "hom_space_dimension_gl",
+    "hook_lengths", "induce", "irreducible_character", "kostka", "labeled", "linalg",
+    "lr_coefficient", "modules", "partitions", "schur", "schur_apply",
+    "schur_gl_dimension", "specht_dimension", "specht_module",
+    "split_extension_filtration_check", "stable", "stable_cohomology",
+    "step1_dimension_identity", "theorem_a_induction_check", "transpose",
+    "verify_cauchy", "verify_rw_prop", "verify_schur_weyl", "verify_splitting_lemma",
+    "young_symmetrizer",
 ]
 
 
@@ -133,12 +134,13 @@ class TestImportSets:
             ("stable-cohomology", "6", "3", "--degree", "2"),
             ("stable-cohomology", "5", "5", "--degree", "1"),
             ("stable-cohomology", "2", "4"),
+            ("--json", "stable-cohomology", "2", "4"),
         ],
         ids=" ".join,
     )
     def test_table_and_text_zero_cells_load_no_characters(self, argv):
-        """The dimension table is integer counts, and a zero cell printed as
-        text never reads its all-zero character."""
+        """The dimension table is integer counts, and a zero cell, printed
+        as text or as JSON, never builds its all-zero character."""
         assert loaded_by_command(*argv) == qualified(
             "cli", "errors", "partitions", "counts", "stable"
         )
@@ -317,6 +319,82 @@ def test_no_module_imports_the_cli():
             if "stablerep.cli" in names:
                 offenders.append((path.name, node.lineno))
     assert offenders == []
+
+
+def _names_read(*nodes: ast.AST) -> set[str]:
+    """Every name and attribute name that code under nodes reads; a string,
+    such as a docstring, reads none."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for node in nodes
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_src_definition_is_reached():
+    """Each top-level function, class and constant of the package, and each
+    method, is reached by name from what the commands and the benchmark
+    run: cli.main, the runner of every COMMANDS row, the benchmark's API
+    ops (perfbench/child.py) and their checks (run.Checker._api_ok).  A
+    reached function reaches every name its code reads, whichever module
+    defines it; a reached class its bases, its class body and its dunder
+    methods, which the interpreter calls.  Module-level code outside a
+    definition runs on import, and module dunders are called by the
+    interpreter, so both are roots.  Code that only the tests run belongs
+    in tests/conftest.py."""
+    from stablerep.cli import COMMANDS
+
+    defs: dict[str, list[tuple[str, list[ast.AST]]]] = {}
+    roots = {"main"} | {
+        row[1].split(".")[-1] if isinstance(row[1], str) else row[1].__name__
+        for row in COMMANDS
+    }
+    for path in sorted((SRC / "stablerep").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                found = [(node.name, [node])]
+            elif isinstance(node, ast.ClassDef):
+                body = []
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not _is_dunder(m.name):
+                        where = f"{path.stem}.{node.name}.{m.name}"
+                        defs.setdefault(m.name, []).append((where, [m]))
+                    else:
+                        body.append(m)
+                found = [(node.name, [*node.bases, *node.decorator_list, *body])]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found = [(t.id, [node]) for t in targets if isinstance(t, ast.Name)]
+            else:
+                roots |= _names_read(node)
+                continue
+            for name, code in found:
+                if _is_dunder(name):
+                    roots |= _names_read(*code)
+                else:
+                    defs.setdefault(name, []).append((f"{path.stem}.{name}", code))
+    child = ast.parse((PERFBENCH / "child.py").read_text(encoding="utf-8"))
+    api = next(
+        n.value for n in child.body if isinstance(n, ast.Assign) and n.targets[0].id == "API"
+    )
+    ops = {v.id for v in api.values}
+    roots |= _names_read(*(n for n in child.body if getattr(n, "name", None) in ops))
+    run = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    checker = next(n for n in run.body if getattr(n, "name", None) == "Checker")
+    roots |= _names_read(next(n for n in checker.body if getattr(n, "name", None) == "_api_ok"))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += _names_read(*(node for _, code in defs.get(name, []) for node in code))
+    unreached = sorted(w for name, found in defs.items() if name not in reached for w, _ in found)
+    assert unreached == []
 
 
 class TestLazyExports:

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from stablerep.errors import InvalidArgs, SizeBudgetExceeded, check_budget
 from stablerep.partitions import (
     Partition,
-    SkewShape,
     check_class_budget,
     enumerate_partitions,
     hook_lengths,
@@ -158,14 +157,6 @@ def test_schur_gl_dimension_vanishing_is_sharp():
     assert schur_gl_dimension(lam, 3) > 0
     # weight exceeding d alone does not force vanishing
     assert schur_gl_dimension(Partition([5]), 1) == 1
-
-
-def test_skew_shape_cells():
-    shape = SkewShape(Partition([3, 2]), Partition([1]))
-    assert shape.size == 4
-    assert set(shape.cells()) == {(0, 1), (0, 2), (1, 0), (1, 1)}
-    with pytest.raises(ValueError):
-        SkewShape(Partition([1]), Partition([2]))
 
 
 def test_partition_count_matches_enumeration():

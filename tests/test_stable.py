@@ -11,7 +11,7 @@ from stablerep.functors import step1_dimension_identity
 from stablerep.induction import theorem_a_induction_check
 from stablerep.labeled import enumerate_pq
 from stablerep.partitions import IrredDecomposition, Partition, specht_dimension, transpose
-from stablerep.stable import SymbolicCoefficient, dimension_table, stable_cohomology
+from stablerep.stable import dimension_table, stable_cohomology
 
 from conftest import (
     bell_oracle,
@@ -39,11 +39,11 @@ class TestStableCohomology:
             for q in range(p + 1):
                 for deg in range(-1, p + q + 2):
                     res = stable_cohomology(p, q, deg)
-                    assert res.is_zero == (deg != p - q)
+                    assert (res.dimension == 0) == (deg != p - q)
 
     def test_q_above_p_is_zero(self):
         for deg in range(-1, 4):
-            assert stable_cohomology(1, 2, deg).is_zero
+            assert stable_cohomology(1, 2, deg).dimension == 0
 
     def test_dimension_survives_sign_twist(self):
         for p, q in [(2, 1), (3, 2), (4, 2)]:
@@ -263,10 +263,3 @@ class TestTable:
         rows = dimension_table(4, 2)
         assert all(r["q"] <= min(r["p"], 2) for r in rows)
         assert len(rows) == sum(min(p, 2) + 1 for p in range(5))
-
-
-def test_symbolic_coefficient():
-    c = SymbolicCoefficient(2, 1)
-    assert "⊗2" in str(c) and "n" in str(c)
-    with pytest.raises(InvalidArgs):
-        SymbolicCoefficient(-1, 0)
