@@ -111,9 +111,6 @@ class ClassFunction:
         f.values = values
         return f
 
-    def __call__(self, rho: Partition) -> Fraction | int:
-        return self.values[rho]
-
     @property
     def dimension(self) -> Fraction | int:
         return self.values[identity_type(self.degree)]
@@ -124,9 +121,6 @@ class ClassFunction:
             and self.degree == other.degree
             and self.values == other.values
         )
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.values.items()))))
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._check(other)
@@ -172,9 +166,6 @@ class BiClassFunction:
         extra = set(values) - set(pairs)
         if extra:
             raise InvalidArgs(f"class pairs of wrong weight: {extra}")
-
-    def __call__(self, sigma: Partition, tau: Partition) -> Fraction | int:
-        return self.values[(sigma, tau)]
 
     @property
     def dimension(self) -> Fraction | int:

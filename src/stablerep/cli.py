@@ -1,10 +1,10 @@
-"""Command-line front end: the parser, the dispatch and the
-``stable-cohomology`` runner.
+"""Command-line front end: the parser and the dispatch.
 
 One parser reads every command from one table, ``COMMANDS``: a row per
-command with its words, its runner, its parameters and its help.  The other
-runners live beside what they compute, and a check's row names the function
-that returns its ``report.Report``.  A runner returns a string or lines, a
+command with its words, its runner, its parameters and its help.  Every
+runner lives beside what it computes and is named by its row as
+``"module.name"``, and a check's row names the function that returns its
+``report.Report``.  A runner returns a string or lines, a
 table among them as a (headers, rows) pair for ``_text``: nothing in the
 package imports this module, which under ``python -m`` runs as ``__main__``
 and would be compiled twice.  ``usage`` makes the ``-h`` text from the rows.
@@ -53,13 +53,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _dumps(obj, **kw) -> str:
-    """json.dumps, importing json only when something is written as JSON."""
-    import json
-
-    return json.dumps(obj, **kw)
-
-
 def _table(headers: list[str], rows: list[list]) -> str:
     """Fixed-width ASCII table."""
     cells = [[str(x) for x in row] for row in rows]
@@ -80,43 +73,12 @@ def _text(doc: str | list) -> str:
     return "\n".join(x if isinstance(x, str) else _table(*x) for x in doc)
 
 
-# ---------------------------------------------------------------------------
-# Runners take the parsed Args and the parameter values; _text prints theirs.
-
-
-def _cmd_stable_cohomology(args, p, q) -> str | list:
-    if args.table is not None and (p, q, args.degree) != (None, None, None):
-        raise InvalidArgs("--table PMAX QMAX takes no P, Q or --degree")
-    from .stable import dimension_table, stable_cohomology
-
-    if args.table is not None:
-        rows = dimension_table(*args.table, args.budget)
-        if args.json:
-            return _dumps(rows, indent=2)
-        keys = ["p", "q", "degree", "dimension", "min_n"]
-        return [(keys, [[r[k] for k in keys] for r in rows])]
-    if p is None or q is None:
-        raise InvalidArgs("stable-cohomology requires P Q (or --table PMAX QMAX)")
-    degree = args.degree if args.degree is not None else p - q
-    res = stable_cohomology(p, q, degree, args.budget)
-    if args.json:
-        return _dumps(res.to_json(), indent=2)
-    lines = [
-        f"p={res.p} q={res.q} degree={res.degree}",
-        f"dimension: {res.dimension}",
-        f"stable range: {res.valid_range} (n >= {res.min_n})",
-    ]
-    if not res.dimension:
-        return lines + ["zero (nonvanishing only in degree p - q with q <= p)"]
-    mults = [[str(a), str(b), m] for (a, b), m in res.decomposition.items()]
-    return lines + ["decomposition:", (["lambda", "mu", "mult"], mults)]
-
-
 # One row per command: its words, its runner, its parameters and its help.
-# The runner is a function of the parsed Args and the parameter values; one
-# in another module is named module._cmd_name, and for a check that prints
-# a Report, the module.function that returns it.  A bracketed parameter is
-# optional, and "[--name VALUE ...]" is an option of that command alone.
+# The runner is named module._cmd_name, a function of the parsed Args and
+# the parameter values whose result _text prints, or for a check that
+# prints a Report, module.function, the function that returns it.  A
+# bracketed parameter is optional, and "[--name VALUE ...]" is an option of
+# that command alone.
 # LAMBDA, MU and NU stay strings, parsed by the runner so that a cache hit
 # imports no partitions; every other value is an integer.
 COMMANDS = (
@@ -127,7 +89,7 @@ COMMANDS = (
     ("labeled-partitions", "labeled._cmd_labeled_partitions", "P Q",
      "enumerate injectively Q-labeled partitions of {1..P}"),
     ("hom-dim", "labeled._cmd_hom_dim", "P Q D", "GL-equivariant Hom-space dimension"),
-    ("stable-cohomology", _cmd_stable_cohomology,
+    ("stable-cohomology", "stable._cmd_stable_cohomology",
      "[P] [Q] [--degree K] [--table PMAX QMAX]",
      "stable answer for one cell (degree P - Q by default) or a table"),
     ("cauchy", "functors.verify_cauchy", "R DV DW", "verify the Cauchy decomposition"),
@@ -295,17 +257,15 @@ def _run(args: Args) -> tuple[str, int]:
 def _compute(args: Args) -> tuple[str, int]:
     """Run the command's row: its runner, or the check it names, whose
     Report gives the exit code."""
-    runner = _ROWS[args.command][1]
-    if isinstance(runner, str):
-        from importlib import import_module
+    from importlib import import_module
 
-        module, name = runner.split(".")
-        runner = getattr(import_module(f".{module}", __package__), name)
-        if not name.startswith("_cmd_"):
-            from .report import run_check
+    module, name = _ROWS[args.command][1].split(".")
+    runner = getattr(import_module(f".{module}", __package__), name)
+    if not name.startswith("_cmd_"):
+        from .report import run_check
 
-            rep = run_check(runner, args)
-            return _text(rep.render(args.json)), EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
+        rep = run_check(runner, args)
+        return _text(rep.render(args.json)), EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
     return _text(runner(args, *args.values)), EXIT_OK
 
 

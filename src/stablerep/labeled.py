@@ -24,11 +24,12 @@ rows are eliminated: verify_rw_prop when J0 does not certify its rank
 runners of those two commands.
 
 Label encoding: 0 is the unlabeled marker (rendered as *), 1..q are the
-distinguishable labels.  Both families are GeneralLabeledPartition values:
-with repeatable labels only a singleton part carries one
-(enumerate_general), and in the injective family q parts of any size carry
-1..q once each (enumerate_pq).  Set partitions have parts sorted by minimum
-element, each increasing, so enumeration is duplicate-free and values hash.
+distinguishable labels.  Both families are GeneralLabeledPartition values,
+each the tuple (parts, labels): with repeatable labels only a singleton part
+carries one (enumerate_general), and in the injective family q parts of any
+size carry 1..q once each (enumerate_pq).  Set partitions have parts sorted
+by minimum element, each increasing, so enumeration is duplicate-free and
+values hash.
 """
 
 from __future__ import annotations
@@ -37,16 +38,10 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial
-from operator import add
+from operator import add, itemgetter
 
 from .errors import InvalidArgs, OracleDisagreement, check_budget
-from .partitions import (
-    FrozenRecord,
-    Partition,
-    check_class_budget,
-    enumerate_partitions,
-    specht_dimension,
-)
+from .partitions import Partition, check_class_budget, enumerate_partitions, specht_dimension
 from .schur import _compositions, decompose_weight_multiset
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -75,17 +70,23 @@ def set_partitions(p: int) -> tuple[SetPartition, ...]:
     return tuple(out)
 
 
-class GeneralLabeledPartition(FrozenRecord):
+class GeneralLabeledPartition(tuple):
     """A set partition with one label per part, 0 for an unlabeled part;
-    which labels a part may carry is the enumerating family's rule."""
+    which labels a part may carry is the enumerating family's rule.  It is
+    the pair (parts, labels), equal to the plain tuple of the two."""
 
-    __slots__ = FIELDS = ("parts", "labels")
+    __slots__ = ()
 
-    def __init__(self, parts: SetPartition, labels: tuple[int, ...]):
+    def __new__(cls, parts: SetPartition, labels: tuple[int, ...]):
         if len(parts) != len(labels):
             raise InvalidArgs("one label per part required")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "labels", labels)
+        return tuple.__new__(cls, (parts, labels))
+
+    parts = property(itemgetter(0))
+    labels = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"GeneralLabeledPartition(parts={self.parts!r}, labels={self.labels!r})"
 
     @property
     def p(self) -> int:
@@ -278,7 +279,7 @@ def _hom_multiplicities(p: int, d: int, cycles: tuple[int, ...]) -> dict:
     entries of each weight read are 0.  Row i of that weight is
     lam_i + w(i) - i, so w is chosen one row at a time where that is >= 0."""
     weights = fixed_weights(p, d, cycles)
-    by_kostka = decompose_weight_multiset(weights, d).mults
+    by_kostka = decompose_weight_multiset(weights, d)
     k = min(d, p)
     pad = (0,) * (d - k)
     for lam in _compositions(p, k):
@@ -297,10 +298,10 @@ def _hom_multiplicities(p: int, d: int, cycles: tuple[int, ...]) -> dict:
             ]
         by_weyl = sum(sign * weights.get(rows + pad, 0) for rows, _, sign in terms)
         shape = Partition(lam)
-        if by_weyl != by_kostka.get(shape, 0):
+        if by_weyl != by_kostka[shape]:
             raise OracleDisagreement(
                 f"Weyl's alternant gives m_{shape} = {by_weyl}, Kostka "
-                f"subtraction gives {by_kostka.get(shape, 0)}"
+                f"subtraction gives {by_kostka[shape]}"
             )
     return by_kostka
 

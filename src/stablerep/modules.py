@@ -383,7 +383,7 @@ def gl_decompose(m: ExplicitModule):
     cnt = module_weight_multiset(m)
     dec = decompose_weight_multiset(cnt, d)
     # Consistency: dimensions and reconstructed weights must match exactly.
-    dim = sum(mult * schur_gl_dimension(lam, d) for lam, mult in dec.mults.items())
+    dim = sum(mult * schur_gl_dimension(lam, d) for lam, mult in dec.items())
     if dim != m.dimension:
         raise OracleDisagreement(f"dimension mismatch {dim} != {m.dimension}")
     return dec

@@ -1,11 +1,12 @@
 """Partitions, Young diagrams and closed-form dimension formulas,
-the Record base of the package's plain value classes, and the
+the Record base of the package's result classes, and the
 ``IrredDecomposition`` that both the symmetric-group and the general-linear
 side return.  Every command compiles this module, so the ``Report`` of a
 verification, which only the checks print, is in ``report``.
 ``_cmd_partitions`` is the ``partitions`` command's runner.
 
-Partitions are immutable values with structural equality; trailing zeros are
+A Partition is a tuple of its parts and an IrredDecomposition a dict, each
+equal to the plain container with the same contents.  Trailing zeros are
 normalized away at construction, and an interior zero is rejected like any
 other increase.  The canonical ordering used everywhere in this package is
 reverse lexicographic, which is also the order in which
@@ -17,70 +18,48 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from math import gcd, prod
-from operator import attrgetter
+from operator import le, lt
 
 from .errors import InvalidArgs, check_budget, final_count
 
 
-class Partition:
-    """A weakly decreasing sequence of positive integers."""
+class Partition(tuple):
+    """A weakly decreasing sequence of positive integers: the tuple of its
+    parts, equal to the plain tuple of them and hashing as it does.
+    Indexing past the last row reads 0, and the order is reverse
+    lexicographic."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         ps = list(map(int, parts))
         while ps and ps[-1] == 0:
             ps.pop()
         ps = tuple(ps)
-        for i in range(len(ps) - 1):
-            if ps[i] < ps[i + 1]:
-                raise ValueError(f"parts not weakly decreasing: {ps}")
+        if any(map(lt, ps, ps[1:])):
+            raise ValueError(f"parts not weakly decreasing: {ps}")
         if ps and ps[-1] < 0:
             raise ValueError(f"negative part in {ps}")
-        object.__setattr__(self, "parts", ps)
-        object.__setattr__(self, "_hash", hash(("Partition", ps)))
+        return tuple.__new__(cls, ps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
+    parts = property(tuple)
+    weight = property(sum)
+    length = property(len)
 
     def __getitem__(self, i: int) -> int:
         """Row length, with implicit zeros past the last row."""
-        if isinstance(i, slice):
-            return self.parts[i]
-        return self.parts[i] if 0 <= i < len(self.parts) else 0
+        if isinstance(i, slice) or 0 <= i < len(self):
+            return tuple.__getitem__(self, i)
+        return 0
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Partition") -> bool:
-        # Reverse lexicographic: (3) < (2,1) < (1,1,1).
-        return self.parts > other.parts
-
-    def __le__(self, other: "Partition") -> bool:
-        return self == other or self < other
+    # Reverse lexicographic, tuple's order turned round: (3) < (2,1) < (1,1,1).
+    __lt__, __le__, __gt__, __ge__ = tuple.__gt__, tuple.__ge__, tuple.__lt__, tuple.__le__
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.parts) if self.parts else "0"
+        return ",".join(map(str, self)) if self else "0"
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -95,59 +74,35 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         """Cell-wise containment: other ⊆ self."""
-        return all(other[i] <= self[i] for i in range(len(other)))
+        return len(other) <= len(self) and all(map(le, other, self))
 
     def cells(self) -> list[tuple[int, int]]:
         """All (row, col) cells of the Young diagram, 0-indexed."""
-        return [(i, j) for i, r in enumerate(self.parts) for j in range(r)]
+        return [(i, j) for i, r in enumerate(self) for j in range(r)]
 
 
 class Record:
-    """Base of the package's plain value classes.  A subclass names its
-    fields in FIELDS, which are also its __slots__ (a subclass adding none
-    declares __slots__ = ()); two instances are equal when they are of the
-    same class with equal fields, and the repr lists the fields."""
+    """Base of the package's result classes.  A subclass names its fields
+    in FIELDS; two instances are equal when they are of the same class with
+    equal fields, and the repr lists the fields."""
 
     __slots__ = ()
     FIELDS: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "FIELDS" in vars(cls):
-            # The field tuple, read by one C call: labeled partitions are
-            # compared and hashed once per fixed-point test.
-            cls._values = property(attrgetter(*cls.FIELDS))
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values == other._values
+        return all(getattr(self, f) == getattr(other, f) for f in self.FIELDS)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS)
         return f"{type(self).__name__}({body})"
 
 
-class FrozenRecord(Record):
-    """A Record that is immutable and hashable: __init__ sets the fields
-    with object.__setattr__, and any later assignment raises."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-
 def transpose(lam: Partition) -> Partition:
     """Transpose of the Young diagram: column lengths become row lengths."""
-    if not lam.parts:
-        return Partition(())
-    return Partition(
-        sum(1 for p in lam.parts if p >= j + 1) for j in range(lam.parts[0])
-    )
+    # Column lengths never increase, so the result skips validation.
+    return tuple.__new__(Partition, [sum(p > j for p in lam) for j in range(lam[0])])
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +120,8 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of weight n in reverse lexicographic order."""
     if n < 0:
         raise InvalidArgs(f"n must be non-negative, got {n}")
-    return [Partition(ps) for ps in _partitions_rec(n, n if n else 1)]
+    # Each is built weakly decreasing, so it skips validation.
+    return [tuple.__new__(Partition, ps) for ps in _partitions_rec(n, n if n else 1)]
 
 
 def partition_counts(n: int) -> Iterator[int]:
@@ -222,10 +178,7 @@ def _cmd_partitions(args, n: int) -> str | list:
 def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     """Hook length of every cell of the diagram."""
     t = transpose(lam)
-    return {
-        (i, j): (lam[i] - j) + (t[j] - i) - 1
-        for (i, j) in lam.cells()
-    }
+    return {(i, j): r - j + c - i - 1 for i, r in enumerate(lam) for j, c in zip(range(r), t)}
 
 
 def hook_partials(lam: Partition) -> Iterator[int]:
@@ -271,37 +224,22 @@ def schur_gl_dimension(lam: Partition, d: int) -> int:
 # Decompositions
 
 
-class IrredDecomposition:
-    """Multiset of irreducible constituents with multiplicities.
+class IrredDecomposition(dict):
+    """Multiset of irreducible constituents: the dict from each constituent
+    to its multiplicity, equal to the plain dict with the same items.  Zero
+    multiplicities are dropped, and a missing key reads 0.
 
     Keys are either Partition (single symmetric group) or pairs of
-    Partitions (a product group).  Keys are reported in canonical order
-    (reverse lexicographic, componentwise for pairs)."""
+    Partitions (a product group), held in canonical order: sorted at
+    construction, so reverse lexicographic, componentwise for pairs."""
 
-    __slots__ = ("mults",)
+    __slots__ = ()
 
     def __init__(self, mults: Mapping):
-        self.mults = {k: v for k, v in mults.items() if v != 0}
+        super().__init__((k, mults[k]) for k in sorted(mults) if mults[k] != 0)
 
-    def __getitem__(self, key):
-        return self.mults.get(key, 0)
-
-    def __len__(self):
-        return len(self.mults)
-
-    def __eq__(self, other):
-        return isinstance(other, IrredDecomposition) and self.mults == other.mults
-
-    def __iter__(self):
-        return iter(self.items())
-
-    def items(self) -> list:
-        def sortkey(k):
-            if isinstance(k, Partition):
-                return (tuple(-x for x in k.parts),)
-            return tuple(tuple(-x for x in part.parts) for part in k)
-
-        return sorted(self.mults.items(), key=lambda kv: sortkey(kv[0]))
+    def __missing__(self, key) -> int:
+        return 0
 
     def to_json(self) -> list[dict]:
         return [
@@ -312,4 +250,3 @@ class IrredDecomposition:
     def __repr__(self):
         body = ", ".join(f"{k}: {m}" for k, m in self.items())
         return "{" + body + "}"
-

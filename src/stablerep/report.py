@@ -49,16 +49,19 @@ class Report(Record):
 
 
 def _jsonable(x):
+    """x as JSON data.  A Partition, a tuple, is its string, and a value with
+    its own to_json, such as a labeled partition or a decomposition, takes
+    it before the dict and sequence branches can."""
     if hasattr(x, "denominator") and not isinstance(x, int):  # a Fraction
         return str(x) if x.denominator != 1 else int(x)
     if isinstance(x, Partition):
         return str(x)
+    if hasattr(x, "to_json"):
+        return x.to_json()
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if hasattr(x, "to_json"):
-        return x.to_json()
     return x
 
 

@@ -11,7 +11,9 @@ cell builds its all-zero character only when ``bicharacter`` is read, so
 the table and a zero cell, as text or as JSON, load no ``characters``.
 The identities behind the answer live elsewhere: the character-level replay
 of the induction that pins it down in ``induction``, and the step-1
-graded-series identity in ``functors``.
+graded-series identity in ``functors``.  ``_cmd_stable_cohomology`` is the
+``stable-cohomology`` command's runner, and only its ``--json`` loads
+``json``.
 
 The automorphism groups and the coefficient system are never represented:
 a cell is its (p, q, degree), because the stable answer is purely
@@ -128,10 +130,10 @@ def _check_decomposition(p: int, q: int, dim: int, at_identity: int, dec: IrredD
     (1 2) in Sigma_p fixes the objects with 1, 2 in one block or as two
     unlabeled singletons (sign-twisted), and one in Sigma_q fixes none.  So
     swapping components of equal dimension shows."""
-    shapes = {lam for pair in dec.mults for lam in pair}
+    shapes = {lam for pair in dec for lam in pair}
     fc = {lam: (specht_dimension(lam), sum(j - i for i, j in lam.cells())) for lam in shapes}
     total = on_p = on_q = 0
-    for (lam, mu), m in dec.mults.items():
+    for (lam, mu), m in dec.items():
         m *= fc[lam][0] * fc[mu][0]
         total += m
         on_p += m * 2 * fc[lam][1]
@@ -176,3 +178,35 @@ def dimension_table(p_max: int, q_max: int, budget: int | None = None) -> list[d
                 {"p": p, "q": q, "degree": p - q, "dimension": dim, "min_n": _min_n(p, q, p - q)}
             )
     return rows
+
+
+def _cmd_stable_cohomology(args, p, q) -> str | list:
+    """The stable-cohomology command: one cell, in degree p - q unless
+    --degree names another, or with --table the dimension table."""
+    if args.table is not None and (p, q, args.degree) != (None, None, None):
+        raise InvalidArgs("--table PMAX QMAX takes no P, Q or --degree")
+    if args.table is not None:
+        rows = dimension_table(*args.table, args.budget)
+        if args.json:
+            import json
+
+            return json.dumps(rows, indent=2)
+        keys = ["p", "q", "degree", "dimension", "min_n"]
+        return [(keys, [[r[k] for k in keys] for r in rows])]
+    if p is None or q is None:
+        raise InvalidArgs("stable-cohomology requires P Q (or --table PMAX QMAX)")
+    degree = args.degree if args.degree is not None else p - q
+    res = stable_cohomology(p, q, degree, args.budget)
+    if args.json:
+        import json
+
+        return json.dumps(res.to_json(), indent=2)
+    lines = [
+        f"p={res.p} q={res.q} degree={res.degree}",
+        f"dimension: {res.dimension}",
+        f"stable range: {res.valid_range} (n >= {res.min_n})",
+    ]
+    if not res.dimension:
+        return lines + ["zero (nonvanishing only in degree p - q with q <= p)"]
+    mults = [[str(a), str(b), m] for (a, b), m in res.decomposition.items()]
+    return lines + ["decomposition:", (["lambda", "mu", "mult"], mults)]

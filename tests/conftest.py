@@ -406,13 +406,15 @@ def inner_product(a, b) -> Fraction:
     group order."""
     from stablerep.characters import ClassFunction, class_size
     from stablerep.errors import InvalidArgs
+    from stablerep.partitions import Partition
 
     degrees = [(f.degree,) if isinstance(f, ClassFunction) else f.degrees for f in (a, b)]
     if degrees[0] != degrees[1]:
         raise InvalidArgs(f"degree mismatch: {degrees[0]} vs {degrees[1]}")
-    # A class of Sigma_p x Sigma_q is a pair of cycle types.
+    # A class of Sigma_p x Sigma_q is a pair of cycle types; a cycle type,
+    # a Partition, is a tuple too.
     total = sum(
-        (prod(map(class_size, key)) if isinstance(key, tuple) else class_size(key))
+        (class_size(key) if isinstance(key, Partition) else prod(map(class_size, key)))
         * v * b.values[key]
         for key, v in a.values.items()
     )
@@ -464,11 +466,11 @@ def reconstruct(dec, degrees):
 
     if isinstance(degrees, int):
         out = ClassFunction(degrees, {})
-        for k, m in dec.mults.items():
+        for k, m in dec.items():
             out = out + scale(irreducible_character(k), m)
         return out
     out = BiClassFunction(degrees, {})
-    for (lam, mu), m in dec.mults.items():
+    for (lam, mu), m in dec.items():
         out = out + external_product(
             scale(irreducible_character(lam), m), irreducible_character(mu)
         )
@@ -893,11 +895,9 @@ def act(x, sigma: tuple[int, ...], tau: tuple[int, ...] | None = None):
         labs = [(tau[l - 1] + 1) if l > 0 else 0 for l in labs]
     order = sorted(range(len(moved)), key=lambda i: moved[i][0])
     # A permutation action keeps one label per part and keeps the labels
-    # injective, so the image skips the validating __init__.
-    image = object.__new__(type(x))
-    object.__setattr__(image, "parts", tuple(moved[i] for i in order))
-    object.__setattr__(image, "labels", tuple(labs[i] for i in order))
-    return image
+    # injective, so the image skips the validating __new__.
+    parts, labels = tuple(moved[i] for i in order), tuple(labs[i] for i in order)
+    return tuple.__new__(type(x), (parts, labels))
 
 
 def splitting_map(x):

@@ -190,7 +190,7 @@ def test_sign_twist_transposes():
         sgn = ClassFunction(n, {ct: sign_of_class(ct) for ct in cycle_types(n)})
         for lam in enumerate_partitions(n):
             twisted = irreducible_character(lam) * sgn
-            assert decompose(twisted).mults == {transpose(lam): 1}
+            assert decompose(twisted) == {transpose(lam): 1}
 
 
 def test_decompose_reconstruct_roundtrip():
@@ -243,7 +243,7 @@ def test_bi_decompose_matches_external_product_inner_products(data):
         with pytest.raises(error):
             decompose(f)
     else:
-        assert decompose(f).mults == {k: int(m) for k, m in expected.items() if m}
+        assert decompose(f) == {k: int(m) for k, m in expected.items() if m}
 
 
 def test_bi_class_function_sum_needs_equal_degrees():
@@ -359,6 +359,20 @@ def test_kostka_row_sums_give_tensor_dimension():
                 if sum(w) == n
             )
             assert total == schur_gl_dimension(Partition(lam), d)
+
+
+def test_irred_decomposition_is_the_dict_in_canonical_order():
+    shapes = enumerate_partitions(4)
+    # Inserted last shape first, with a zero multiplicity for (4).
+    dec = IrredDecomposition({lam: i for i, lam in reversed(list(enumerate(shapes)))})
+    assert list(dec) == shapes[1:] and dec == {lam: i for i, lam in enumerate(shapes) if i}
+    assert dec[shapes[0]] == 0 and shapes[0] not in dec
+    assert repr(dec) == "{3,1: 1, 2,2: 2, 2,1,1: 3, 1,1,1,1: 4}"
+    pairs = [(a, b) for a in enumerate_partitions(3) for b in enumerate_partitions(2)]
+    bi = IrredDecomposition({pair: 1 for pair in reversed(pairs)})
+    assert list(bi) == pairs and bi[(shapes[0], Partition([2]))] == 0
+    with pytest.raises(AttributeError):
+        dec.mults = {}
 
 
 def test_irred_decomposition_json_roundtrip():

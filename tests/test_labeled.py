@@ -337,7 +337,7 @@ class TestHomSpace:
             if unknowns > 900:
                 continue
             dec = decompose_weight_multiset(fixed_weights(p, d, (1,) * q), d)
-            char_dim = sum(m * specht_dimension(lam) for lam, m in dec.mults.items())
+            char_dim = sum(m * specht_dimension(lam) for lam, m in dec.items())
             assert intertwiner_solve_dimension(p, q, d) == char_dim, (p, q, d)
             solved += 1
         assert solved == 11
@@ -383,7 +383,7 @@ class TestHomSpace:
         real = labeled.decompose_weight_multiset
 
         def swapped(cnt, d):
-            mults = dict(real(cnt, d).mults)
+            mults = dict(real(cnt, d))
             mults[a], mults[b] = mults.get(b, 0), mults.get(a, 0)
             return IrredDecomposition(mults)
 
@@ -403,8 +403,8 @@ class TestHomSpace:
             calls.append(cnt)
             if len(calls) != bad_class + 1:
                 return dec
-            lam = max(dec.mults)
-            return IrredDecomposition({**dec.mults, lam: dec.mults[lam] + 1})
+            lam = max(dec)
+            return IrredDecomposition({**dec, lam: dec[lam] + 1})
 
         monkeypatch.setattr(labeled, "decompose_weight_multiset", shifted)
         with pytest.raises(OracleDisagreement, match="Weyl's alternant"):
@@ -524,6 +524,20 @@ class TestSplittingLemma:
         assert rep.left == 5 and rep.right == 5
         # 2 unlabeled-layer + 3 injective-layer elements
         assert len(enumerate_pq(2, 0)) + len(enumerate_pq(2, 1)) == 5
+
+
+def test_a_labeled_partition_is_the_pair_of_parts_and_labels():
+    x = enumerate_pq(3, 2)[-1]
+    assert x == (x.parts, x.labels) and hash(x) == hash((x.parts, x.labels))
+    assert GeneralLabeledPartition(*x) == x and act(x, (0, 1, 2)) == x
+    assert repr(x) == f"GeneralLabeledPartition(parts={x.parts!r}, labels={x.labels!r})"
+    for name in ("parts", "labels", "p", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, ())
+    with pytest.raises(InvalidArgs, match="^one label per part required$"):
+        GeneralLabeledPartition(((0,), (1,)), (1,))
+    with pytest.raises(InvalidArgs):
+        GeneralLabeledPartition(((0, 1),), (0, 1))
 
 
 def test_text_rendering():

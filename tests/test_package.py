@@ -3,11 +3,14 @@
 ``stablerep`` resolves its exports on first use (PEP 562) and the CLI imports
 each subcommand's modules when it runs, so a command loads only what it
 computes with.  The import sets are read in fresh interpreters, because this
-test process has long since imported everything.  The last test holds every
-module to the syntax of the oldest Python that pyproject.toml admits.
+test process has long since imported everything.  The last two tests hold
+the package to the oldest Python that pyproject.toml admits: every module to
+its syntax, and every CLI op of the benchmark to its recorded output when
+run by that interpreter.
 """
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -350,10 +353,7 @@ def test_every_src_definition_is_reached():
     from stablerep.cli import COMMANDS
 
     defs: dict[str, list[tuple[str, list[ast.AST]]]] = {}
-    roots = {"main"} | {
-        row[1].split(".")[-1] if isinstance(row[1], str) else row[1].__name__
-        for row in COMMANDS
-    }
+    roots = {"main"} | {row[1].split(".")[-1] for row in COMMANDS}
     for path in sorted((SRC / "stablerep").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
@@ -461,3 +461,26 @@ def test_every_module_parses_as_python_3_10():
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# CPython 3.10, the requires-python floor, among the version directories
+# beside this interpreter's installation (as pyenv lays them out), if any.
+FLOOR_PYTHON = min(Path(sys.base_prefix).parent.glob("3.10*/bin/python3.10"), default=None)
+
+
+@pytest.mark.skipif(FLOOR_PYTHON is None, reason="no CPython 3.10 beside this interpreter")
+def test_golden_outputs_under_python_3_10():
+    """Every CLI op of perfbench/golden.json exits and prints (stdout sha256)
+    as recorded when CPython 3.10 runs it.  Parsing as 3.10 checks syntax
+    only: it cannot see a call to a method newer than the floor, nor how the
+    package's tuple and dict subclasses behave on 3.10."""
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    for key, recorded in sorted(golden.items()):
+        if not key.startswith("cli: "):
+            continue
+        argv = key.removeprefix("cli: ").split()
+        proc = subprocess.run(
+            [str(FLOOR_PYTHON), "-m", "stablerep.cli", *argv], env=op_env(), capture_output=True
+        )
+        got = {"exit": proc.returncode, "sha256": hashlib.sha256(proc.stdout).hexdigest()}
+        assert got == recorded, (key, proc.stderr.decode()[-2000:])

@@ -38,7 +38,7 @@ class TestPartitionBasics:
         with pytest.raises(InvalidArgs):
             Partition.parse(",".join(map(str, parts)))
 
-    def test_hash_is_cached_and_structural(self):
+    def test_hash_is_structural(self):
         built = [
             Partition.parse("3,1,1"),
             Partition([3, 1, 1]),
@@ -49,14 +49,21 @@ class TestPartitionBasics:
         table = {built[0]: "found"}
         assert all(table[p] == "found" for p in built)
         assert {Partition.parse("0"): 1}[Partition([0, 0])] == 1
-        for name in ("parts", "_hash"):
+        for name in ("parts", "weight", "length", "_hash"):
             with pytest.raises(AttributeError):
                 setattr(built[1], name, (4,))
         assert built[1].parts == (3, 1, 1) and hash(built[1]) == hash(built[2])
+        # A Partition is the tuple of its parts: equal to it, hashing as it.
+        for lam in [Partition()] + enumerate_partitions(5):
+            assert lam == tuple(lam) == lam.parts and hash(lam) == hash(tuple(lam))
+            assert {tuple(lam): "found"}[lam] == "found"
+            assert (lam.weight, lam.length) == (sum(lam), len(lam))
+        assert Partition([3, 1]) != (3, 1, 0) and Partition([3, 1]) != [3, 1]
 
     def test_implicit_zero_indexing(self):
         lam = Partition([4, 2])
         assert lam[0] == 4 and lam[1] == 2 and lam[5] == 0
+        assert lam[:1] == (4,) and lam[1:5] == (2,) and Partition()[0] == 0
 
     def test_str_and_parse_roundtrip(self):
         for lam in enumerate_partitions(6):
@@ -69,6 +76,13 @@ class TestPartitionBasics:
             (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)
         ]
         assert sorted(reversed(ps)) == ps
+        # Every comparison is reverse lexicographic, not only the < that
+        # sorted reads: a tuple's own > would be lexicographic.
+        for i, a in enumerate(ps):
+            for j, b in enumerate(ps):
+                assert (a < b, a <= b, a > b, a >= b) == (i < j, i <= j, i > j, i >= j)
+        assert min(ps) == Partition([4]) and max(ps) == Partition([1, 1, 1, 1])
+        assert sorted(ps, reverse=True) == ps[::-1]
 
 
 def test_enumeration_count_matches_recurrence():
