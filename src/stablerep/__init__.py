@@ -28,7 +28,6 @@ _EXPORTS = {
         "transpose",
     ),
     "characters": (
-        "BiClassFunction",
         "ClassFunction",
         "cycle_types",
         "decompose",

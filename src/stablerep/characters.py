@@ -19,7 +19,8 @@ zero cells load no ``characters``.  Induction and the repeatable-label
 family's character are in ``induction``, which only the induction replay
 and the splitting check load.  ``_cmd_char`` runs ``char``.
 
-Characters are stored densely over all cycle types; with weights at desk
+One type, ``ClassFunction``, holds the class functions of Sigma_r and of
+Sigma_p x Sigma_q alike, densely over all classes; with weights at desk
 scale the class lists are tiny.  Class functions keep the values they are
 given, so integer characters (irreducible, permutation, closed-form) stay
 ints and ``decompose`` sums them in integers into a
@@ -79,33 +80,44 @@ def sign_of_class(rho: Partition) -> int:
     return (-1) ** (rho.weight - rho.length)
 
 
-def identity_type(r: int) -> Partition:
-    return Partition([1] * r)
-
-
 # ---------------------------------------------------------------------------
 # Class functions
 
 
+@lru_cache(maxsize=None)
+def _classes(degree: int | tuple[int, int]) -> tuple:
+    """The classes of Sigma_r for degree r, its cycle types, or of
+    Sigma_p x Sigma_q for degree (p, q), the pairs (sigma class, tau class)
+    with tau's varying fastest.  Either way the identity's class is last."""
+    if isinstance(degree, int):
+        return cycle_types(degree)
+    p, q = degree
+    return tuple((s, t) for s in cycle_types(p) for t in cycle_types(q))
+
+
 class ClassFunction:
     """An exact (int or Fraction) function on the conjugacy classes of
-    Sigma_r, holding the values it is given, 0 where none is."""
+    Sigma_r (degree r, keyed by cycle type) or of Sigma_p x Sigma_q (degree
+    (p, q), keyed by pairs of cycle types), holding the values it is given,
+    0 where none is."""
 
     __slots__ = ("degree", "values")
 
-    def __init__(self, degree: int, values: Mapping[Partition, Fraction | int]):
+    def __init__(
+        self, degree: int | tuple[int, int],
+        values: Mapping[Partition | tuple[Partition, Partition], Fraction | int],
+    ):
         self.degree = degree
-        cts = cycle_types(degree)
-        self.values = {ct: values.get(ct, 0) for ct in cts}
-        extra = set(values) - set(cts)
+        self.values = {c: values.get(c, 0) for c in _classes(degree)}
+        extra = values.keys() - self.values.keys()
         if extra:
-            raise InvalidArgs(f"cycle types of wrong weight: {extra}")
+            raise InvalidArgs(f"classes not of degree {degree}: {extra}")
 
     @classmethod
-    def _of_classes(cls, degree: int, values: dict[Partition, int]) -> "ClassFunction":
+    def _of_classes(cls, degree, values: dict) -> "ClassFunction":
         """The class function with these values, taken as they are: the keys
-        must be exactly cycle_types(degree), in that order, so the key
-        check of __init__ does not run."""
+        must be exactly _classes(degree), in that order, so the key check of
+        __init__ does not run."""
         f = object.__new__(cls)
         f.degree = degree
         f.values = values
@@ -113,7 +125,8 @@ class ClassFunction:
 
     @property
     def dimension(self) -> Fraction | int:
-        return self.values[identity_type(self.degree)]
+        """The value at the identity, the last class."""
+        return self.values[_classes(self.degree)[-1]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -124,21 +137,14 @@ class ClassFunction:
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._check(other)
-        return ClassFunction(
-            self.degree, {ct: v + other.values[ct] for ct, v in self.values.items()}
+        return self._of_classes(
+            self.degree, {c: v + other.values[c] for c, v in self.values.items()}
         )
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         self._check(other)
-        return ClassFunction(
-            self.degree, {ct: v - other.values[ct] for ct, v in self.values.items()}
-        )
-
-    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        """Pointwise product = character of the (inner) tensor product."""
-        self._check(other)
-        return ClassFunction(
-            self.degree, {ct: v * other.values[ct] for ct, v in self.values.items()}
+        return self._of_classes(
+            self.degree, {c: v - other.values[c] for c, v in self.values.items()}
         )
 
     def _check(self, other: "ClassFunction"):
@@ -146,65 +152,7 @@ class ClassFunction:
             raise InvalidArgs(f"degree mismatch: {self.degree} vs {other.degree}")
 
     def __repr__(self) -> str:
-        vals = ", ".join(f"{ct}:{v}" for ct, v in self.values.items())
-        return f"ClassFunction(S_{self.degree}; {vals})"
-
-
-class BiClassFunction:
-    """An exact (int or Fraction) function on conjugacy classes of
-    Sigma_p x Sigma_q, holding the values it is given, 0 where none is."""
-
-    __slots__ = ("degrees", "values")
-
-    def __init__(
-        self, degrees: tuple[int, int], values: Mapping[tuple[Partition, Partition], Fraction | int]
-    ):
-        self.degrees = degrees
-        p, q = degrees
-        pairs = [(a, b) for a in cycle_types(p) for b in cycle_types(q)]
-        self.values = {pr: values.get(pr, 0) for pr in pairs}
-        extra = set(values) - set(pairs)
-        if extra:
-            raise InvalidArgs(f"class pairs of wrong weight: {extra}")
-
-    @property
-    def dimension(self) -> Fraction | int:
-        p, q = self.degrees
-        return self.values[(identity_type(p), identity_type(q))]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiClassFunction)
-            and self.degrees == other.degrees
-            and self.values == other.values
-        )
-
-    def __add__(self, other: "BiClassFunction") -> "BiClassFunction":
-        self._check(other)
-        return BiClassFunction(
-            self.degrees, {k: v + other.values[k] for k, v in self.values.items()}
-        )
-
-    def __sub__(self, other: "BiClassFunction") -> "BiClassFunction":
-        self._check(other)
-        return BiClassFunction(
-            self.degrees, {k: v - other.values[k] for k, v in self.values.items()}
-        )
-
-    def _check(self, other: "BiClassFunction"):
-        if self.degrees != other.degrees:
-            raise InvalidArgs(f"degree mismatch: {self.degrees} vs {other.degrees}")
-
-    def sign_twist_first(self) -> "BiClassFunction":
-        """Multiply by the sign of the Sigma_p component."""
-        signs = {s: sign_of_class(s) for s in cycle_types(self.degrees[0])}
-        return BiClassFunction(
-            self.degrees, {(s, t): signs[s] * v for (s, t), v in self.values.items()}
-        )
-
-    def __repr__(self) -> str:
-        p, q = self.degrees
-        return f"BiClassFunction(S_{p} x S_{q})"
+        return f"ClassFunction({self.degree!r}, {self.values!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +243,7 @@ def _character_row(lam: Partition) -> tuple[int, ...]:
 # Decomposition
 
 
-def decompose(f: ClassFunction | BiClassFunction) -> IrredDecomposition:
+def decompose(f: ClassFunction) -> IrredDecomposition:
     """Multiplicities of f against the irreducible characters.
 
     f is asserted to be a genuine character: any negative or non-integral
@@ -304,7 +252,7 @@ def decompose(f: ClassFunction | BiClassFunction) -> IrredDecomposition:
     divided once by the group order; the class sizes are computed once per
     class."""
     mults: dict = {}
-    if isinstance(f, ClassFunction):
+    if isinstance(f.degree, int):
         order = factorial(f.degree)
         weighted = [class_size(rho) * v for rho, v in f.values.items()]
         for lam in enumerate_partitions(f.degree):
@@ -315,7 +263,7 @@ def decompose(f: ClassFunction | BiClassFunction) -> IrredDecomposition:
         # |s|·|t|·f(s, t)·chi^lam(s)·chi^mu(t) / (p!·q!); the sum over s is
         # taken once per lam, not once per (lam, mu).  Values are listed in
         # cycle_types order, the order of every character row.
-        p, q = f.degrees
+        p, q = f.degree
         ps, qs = cycle_types(p), cycle_types(q)
         order = factorial(p) * factorial(q)
         p_sizes = [class_size(s) for s in ps]
@@ -367,7 +315,7 @@ def _orbit_states(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return states
 
 
-def pq_bicharacter(p: int, q: int) -> BiClassFunction:
+def pq_bicharacter(p: int, q: int) -> ClassFunction:
     """Fixed-point character of Sigma_p x Sigma_q on the injectively labeled
     family, one integer orbit count per class pair (see counts), without
     enumerating (the tests check it against counts over enumerate_pq)."""
@@ -390,4 +338,4 @@ def pq_bicharacter(p: int, q: int) -> BiClassFunction:
                         ways *= _orbit_ways(k, n, cycles.get(k, 0))
                     total += ways
             vals[(s, t)] = total
-    return BiClassFunction((p, q), vals)
+    return ClassFunction._of_classes((p, q), vals)

@@ -20,7 +20,7 @@ from .partitions import (
     Partition, enumerate_partitions, partition_count, partition_counts,
     schur_gl_dimension, specht_dimension, transpose,
 )
-from .schur import _schur_weight_counter, sym_algebra_partials, sym_dimension
+from .schur import _schur_weight_counter
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -94,6 +94,58 @@ def _cmd_lr(args, *shapes: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Graded symmetric-algebra dimensions and the step-1 identity
+
+
+def sym_dimension(d: int, i: int) -> int:
+    """dim Sym^i(Q^d)."""
+    if d == 0:
+        return 1 if i == 0 else 0
+    return comb(d + i - 1, i)
+
+
+def series_mul(a: list[int], b: list[int], trunc: int) -> list[int]:
+    """The product of two series truncated at trunc, walking only the
+    nonzero entries of both: a factor (1 - u^step)^(-mult) is nonzero at
+    the multiples of step alone."""
+    out = [0] * (trunc + 1)
+    terms = [(j, y) for j, y in enumerate(b[: trunc + 1]) if y]
+    for i, x in enumerate(a[: trunc + 1]):
+        if x:
+            for j, y in terms:
+                if i + j > trunc:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def series_geom_power(step: int, mult: int, trunc: int) -> list[int]:
+    """Truncated series of (1 - u^step)^(-mult)."""
+    out = [0] * (trunc + 1)
+    for k in range(0, trunc // step + 1):
+        out[k * step] = comb(mult + k - 1, k)
+    return out
+
+
+def _sym_algebra_factors(d: int, q: int, trunc: int):
+    """The factors (1 - u^i)^(-m) of the truncated series (in u = t^2) of
+    Sym(q linear d-dim summands + Sym^{i>=1}(Q^d) summands), each built
+    when it is asked for: the q*d linear generators, then Sym^i(Q^d)."""
+    if q * d:
+        yield series_geom_power(1, q * d, trunc)
+    for i in range(1, trunc + 1):
+        yield series_geom_power(i, sym_dimension(d, i), trunc)
+
+
+def sym_algebra_partials(d: int, q: int, trunc: int):
+    """The running products of _sym_algebra_factors, a bound sequence (see
+    errors.check_budget) of the series' degree-trunc coefficient, returning
+    the whole series: each factor has constant term 1 and nonnegative
+    coefficients, so that coefficient never falls as factors come in."""
+    out = [1] + [0] * trunc
+    for factor in _sym_algebra_factors(d, q, trunc):
+        yield out[trunc]
+        out = series_mul(out, factor, trunc)
+    return out
 
 
 def graded_sym_algebra_series(d: int, q: int, trunc: int) -> list[int]:

@@ -14,14 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import comb, factorial
 
-from .characters import (
-    BiClassFunction,
-    ClassFunction,
-    centralizer_order,
-    class_size,
-    cycle_types,
-    pq_bicharacter,
-)
+from .characters import ClassFunction, centralizer_order, class_size, cycle_types, pq_bicharacter
 from .errors import InvalidArgs, OracleDisagreement
 from .partitions import Partition, check_class_budget, enumerate_partitions
 from .report import Report
@@ -56,13 +49,13 @@ def splittings(rho: Partition, a: int) -> Iterator[tuple[Partition, Partition]]:
     yield from rec(0, a, [])
 
 
-def induce(f: BiClassFunction, q: int) -> ClassFunction:
+def induce(f: ClassFunction, q: int) -> ClassFunction:
     """Induce a class function on Sigma_i x Sigma_{q-i} up to Sigma_q,
     by the cycle-type splitting formula, whose coefficient
     z_rho / (z_r1·z_r2) is a product of binomials, so an int."""
-    i, j = f.degrees
+    i, j = f.degree
     if i + j != q:
-        raise InvalidArgs(f"degrees {f.degrees} do not sum to {q}")
+        raise InvalidArgs(f"degrees {f.degree} do not sum to {q}")
     vals = {}
     for rho in cycle_types(q):
         z = centralizer_order(rho)
@@ -75,7 +68,7 @@ def induce(f: BiClassFunction, q: int) -> ClassFunction:
 
 def induced_pq_bicharacter(
     p: int, i: int, q: int, budget: int | None = None
-) -> BiClassFunction:
+) -> ClassFunction:
     """Character of Ind over the label factor from Sigma_i x Sigma_{q-i}
     up to Sigma_q of the injectively labeled family (its character from
     pq_bicharacter), with Sigma_{q-i} acting trivially; a Sigma_p x Sigma_q
@@ -85,7 +78,7 @@ def induced_pq_bicharacter(
     base = pq_bicharacter(p, i)
     vals = {}
     for s in cycle_types(p):
-        f = BiClassFunction(
+        f = ClassFunction(
             (i, q - i),
             {
                 (r1, r2): base.values[(s, r1)]
@@ -96,7 +89,7 @@ def induced_pq_bicharacter(
         ind = induce(f, q)
         for t in cycle_types(q):
             vals[(s, t)] = ind.values[t]
-    return BiClassFunction((p, q), vals)
+    return ClassFunction((p, q), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +135,7 @@ def _exp_series(logs: list[dict]) -> list[dict]:
     return z
 
 
-def general_bicharacter(p: int, q: int) -> BiClassFunction:
+def general_bicharacter(p: int, q: int) -> ClassFunction:
     """Fixed-point character of Sigma_p x Sigma_q on the labeled partitions
     with repeatable labels, read off one Z_tau per class of tau without
     enumerating (the tests check it against counts over enumerate_general).
@@ -164,7 +157,7 @@ def general_bicharacter(p: int, q: int) -> BiClassFunction:
                     f"scaled cycle-index coefficient {scaled} at {(s.parts, t.parts)} "
                     f"is not a multiple of the class size {size}"
                 )
-    return BiClassFunction((p, q), vals)
+    return ClassFunction((p, q), vals)
 
 
 # ---------------------------------------------------------------------------

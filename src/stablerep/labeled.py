@@ -46,7 +46,7 @@ from .schur import _compositions, decompose_weight_multiset
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
-    from .characters import BiClassFunction
+    from .characters import ClassFunction
     from .report import Report
 
 UNLABELED = 0
@@ -326,14 +326,14 @@ def _cmd_hom_dim(args, p: int, q: int, d: int) -> str:
     return str(dim)
 
 
-def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClassFunction:
+def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> ClassFunction:
     """Sigma_p x Sigma_q character of Hom_GL(V^{⊗p}, FW piece): for each
     class of tau the weights of the tau-fixed FW monomials (fixed_weights,
     no basis built) give the trace of tau, and Schur-Weyl multiplicities
     carry it to the tensor-slot action (_hom_multiplicities, checked by
     Weyl's alternant at every class).  The budget bounds the steps of each
     fixed_weights call (_check_weight_table)."""
-    from .characters import BiClassFunction, cycle_types, irreducible_character
+    from .characters import ClassFunction, cycle_types, irreducible_character
 
     _check_weight_table(p, q, d, budget)
     lam_chars = {lam: irreducible_character(lam) for lam in enumerate_partitions(p)}
@@ -342,7 +342,7 @@ def hom_bicharacter(p: int, q: int, d: int, budget: int | None = None) -> BiClas
         mults = _hom_multiplicities(p, d, t.parts)
         for s in cycle_types(p):
             vals[(s, t)] = sum(m * lam_chars[lam].values[s] for lam, m in mults.items())
-    return BiClassFunction((p, q), vals)
+    return ClassFunction((p, q), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +398,13 @@ def verify_splitting_lemma(p: int, q: int, d: int, budget: int | None = None) ->
     (hom_bicharacter, read off weight generating functions), whose value
     at the identity is the Hom dimension.  The budget bounds the class-pair
     and weight tables."""
-    from .characters import BiClassFunction, cycle_types
+    from .characters import ClassFunction, cycle_types
     from .induction import general_bicharacter, induced_pq_bicharacter
     from .report import Report
 
     check_class_budget(budget, p, q)
     lhs = general_bicharacter(p, q)
-    rhs = BiClassFunction((p, q), {})
+    rhs = ClassFunction((p, q), {})
     for i in range(q + 1):
         rhs = rhs + induced_pq_bicharacter(p, i, q, budget)
     hom = hom_bicharacter(p, q, d, budget)

@@ -115,19 +115,17 @@ class ExplicitModule(Record):
     action is present.  Each generator is a SparseMatrix on basis indices
     0..dimension-1."""
 
-    __slots__ = FIELDS = ("dimension", "sym_generators", "gl_generators", "grading")
+    __slots__ = FIELDS = ("dimension", "sym_generators", "gl_generators")
 
     def __init__(
         self,
         dimension: int,
         sym_generators: list[SparseMatrix] | None = None,
         gl_generators: dict[tuple[int, int], SparseMatrix] | None = None,
-        grading: int | None = None,
     ):
         self.dimension = dimension
         self.sym_generators = [] if sym_generators is None else sym_generators
         self.gl_generators = {} if gl_generators is None else gl_generators
-        self.grading = grading
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +295,10 @@ def schur_apply(lam: Partition, d: int, budget: int | None = None) -> ExplicitMo
     Each other E_ab is a commutator, [E_{a,b-1}, E_{b-1,b}] above the
     diagonal and [E_{b,b-1}, E_{b-1,a}] below it.  The budget counts the
     patterns times the d^2 generators."""
-    r = lam.weight
     dim = schur_gl_dimension(lam, d)
     check_budget(dim * d * d, budget, "GT patterns times gl generators")
     if lam.length > d:
-        return ExplicitModule(0, grading=r)
+        return ExplicitModule(0)
     patterns = _gt_patterns(lam, d)
     if len(patterns) != dim:
         raise OracleDisagreement(
@@ -336,7 +333,7 @@ def schur_apply(lam: Partition, d: int, budget: int | None = None) -> ExplicitMo
             gl[a, b] = up @ step_up - step_up @ up
             down, step_down = gl[b - 1, a], gl[b, b - 1]
             gl[b, a] = step_down @ down - down @ step_down
-    return ExplicitModule(dim, gl_generators=gl, grading=r)
+    return ExplicitModule(dim, gl_generators=gl)
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +367,14 @@ def module_weight_multiset(m: ExplicitModule) -> Counter:
 
 def gl_decompose(m: ExplicitModule):
     """Decompose a polynomial gl_d module into Schur functors by torus
-    weight enumeration and greedy Kostka subtraction."""
+    weight enumeration and greedy Kostka subtraction.  A nonzero module
+    with no gl action, a Specht module say, raises InvalidArgs."""
+    cnt = module_weight_multiset(m)
     if m.dimension == 0:
         return IrredDecomposition({})
-    if not m.gl_generators:
-        if m.grading in (None, 0):
-            return IrredDecomposition({Partition(()): m.dimension})
-        raise InvalidArgs("module carries no gl action")
     from .schur import decompose_weight_multiset
 
     d = max(k[0] for k in m.gl_generators) + 1
-    cnt = module_weight_multiset(m)
     dec = decompose_weight_multiset(cnt, d)
     # Consistency: dimensions and reconstructed weights must match exactly.
     dim = sum(mult * schur_gl_dimension(lam, d) for lam, mult in dec.items())

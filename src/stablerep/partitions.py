@@ -47,8 +47,9 @@ class Partition(tuple):
     length = property(len)
 
     def __getitem__(self, i: int) -> int:
-        """Row length, with implicit zeros past the last row."""
-        if isinstance(i, slice) or 0 <= i < len(self):
+        """Row length, with implicit zeros past the last row; a negative
+        index or a slice reads as on the tuple."""
+        if isinstance(i, slice) or i < len(self):
             return tuple.__getitem__(self, i)
         return 0
 

@@ -1,15 +1,13 @@
 """The GL_d half of the package: Kostka numbers (horizontal strips), torus
 weights and their greedy Kostka decomposition, which ``labeled``'s Hom side
-and ``modules.gl_decompose`` share, and the graded series of
-Sym(V[2]^{⊕q} ⊕ Sym^{>0}(V[2])) that sizes the FW piece.  The Schur-functor
-identities built on them are in ``functors``, which the Hom side never loads.
+and ``modules.gl_decompose`` share.  The Schur-functor identities built on
+them are in ``functors``, which the Hom side never loads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from math import comb
 
 from .errors import OracleDisagreement
 from .partitions import IrredDecomposition, Partition
@@ -114,59 +112,3 @@ def decompose_weight_multiset(cnt: Mapping, d: int) -> IrredDecomposition:
             else:
                 rem.pop(w, None)
     return IrredDecomposition(mults)
-
-
-# ---------------------------------------------------------------------------
-# Graded symmetric-algebra dimensions
-
-
-def sym_dimension(d: int, i: int) -> int:
-    """dim Sym^i(Q^d)."""
-    if d == 0:
-        return 1 if i == 0 else 0
-    return comb(d + i - 1, i)
-
-
-def series_mul(a: list[int], b: list[int], trunc: int) -> list[int]:
-    """The product of two series truncated at trunc, walking only the
-    nonzero entries of both: a factor (1 - u^step)^(-mult) is nonzero at
-    the multiples of step alone."""
-    out = [0] * (trunc + 1)
-    terms = [(j, y) for j, y in enumerate(b[: trunc + 1]) if y]
-    for i, x in enumerate(a[: trunc + 1]):
-        if x:
-            for j, y in terms:
-                if i + j > trunc:
-                    break
-                out[i + j] += x * y
-    return out
-
-
-def series_geom_power(step: int, mult: int, trunc: int) -> list[int]:
-    """Truncated series of (1 - u^step)^(-mult)."""
-    out = [0] * (trunc + 1)
-    for k in range(0, trunc // step + 1):
-        out[k * step] = comb(mult + k - 1, k)
-    return out
-
-
-def _sym_algebra_factors(d: int, q: int, trunc: int):
-    """The factors (1 - u^i)^(-m) of the truncated series (in u = t^2) of
-    Sym(q linear d-dim summands + Sym^{i>=1}(Q^d) summands), each built
-    when it is asked for: the q*d linear generators, then Sym^i(Q^d)."""
-    if q * d:
-        yield series_geom_power(1, q * d, trunc)
-    for i in range(1, trunc + 1):
-        yield series_geom_power(i, sym_dimension(d, i), trunc)
-
-
-def sym_algebra_partials(d: int, q: int, trunc: int):
-    """The running products of _sym_algebra_factors, a bound sequence (see
-    errors.check_budget) of the series' degree-trunc coefficient, returning
-    the whole series: each factor has constant term 1 and nonnegative
-    coefficients, so that coefficient never falls as factors come in."""
-    out = [1] + [0] * trunc
-    for factor in _sym_algebra_factors(d, q, trunc):
-        yield out[trunc]
-        out = series_mul(out, factor, trunc)
-    return out

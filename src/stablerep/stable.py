@@ -29,20 +29,21 @@ from .partitions import enumerate_partitions, specht_dimension
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
-    from .characters import BiClassFunction
+    from .characters import ClassFunction
 
 
 class StableCohomologyResult(Record):
     """The stable answer for one (p, q) cell in one degree.  Given None for
     its character, as a zero cell is, it builds the all-zero one when
-    ``bicharacter`` is first read."""
+    ``bicharacter`` is first read.  Every cell has the same stable range."""
 
-    FIELDS = ("p", "q", "degree", "bicharacter", "decomposition", "dimension", "valid_range")
-    __slots__ = ("p", "q", "degree", "_bicharacter", "decomposition", "dimension", "valid_range")
+    FIELDS = ("p", "q", "degree", "bicharacter", "decomposition", "dimension")
+    __slots__ = ("p", "q", "degree", "_bicharacter", "decomposition", "dimension")
+    valid_range = "2*degree <= n - p - q - 3"
 
     def __init__(
-        self, p: int, q: int, degree: int, bicharacter: BiClassFunction | None,
-        decomposition: IrredDecomposition, dimension: int, valid_range: str,
+        self, p: int, q: int, degree: int, bicharacter: ClassFunction | None,
+        decomposition: IrredDecomposition, dimension: int,
     ):
         self.p = p
         self.q = q
@@ -50,14 +51,13 @@ class StableCohomologyResult(Record):
         self._bicharacter = bicharacter
         self.decomposition = decomposition
         self.dimension = dimension
-        self.valid_range = valid_range
 
     @property
-    def bicharacter(self) -> BiClassFunction:
+    def bicharacter(self) -> ClassFunction:
         if self._bicharacter is None:
-            from .characters import BiClassFunction
+            from .characters import ClassFunction
 
-            self._bicharacter = BiClassFunction((self.p, self.q), {})
+            self._bicharacter = ClassFunction((self.p, self.q), {})
         return self._bicharacter
 
     @property
@@ -111,16 +111,17 @@ def stable_cohomology(
     if p < 0 or q < 0:
         raise InvalidArgs("p, q must be non-negative")
     check_class_budget(budget, p, q)
-    valid = "2*degree <= n - p - q - 3"
     if degree != p - q or q > p:
-        return StableCohomologyResult(p, q, degree, None, IrredDecomposition({}), 0, valid)
-    from .characters import decompose, pq_bicharacter
+        return StableCohomologyResult(p, q, degree, None, IrredDecomposition({}), 0)
+    from .characters import ClassFunction, decompose, pq_bicharacter, sign_of_class
 
-    chi = pq_bicharacter(p, q).sign_twist_first()
+    # The sign twist: the character times the sign of its Sigma_p class.
+    twisted = {(s, t): sign_of_class(s) * v for (s, t), v in pq_bicharacter(p, q).values.items()}
+    chi = ClassFunction((p, q), twisted)
     dec = decompose(chi)
     dim = count_pq(p, q)
     _check_decomposition(p, q, dim, chi.dimension, dec)
-    return StableCohomologyResult(p, q, degree, chi, dec, dim, valid)
+    return StableCohomologyResult(p, q, degree, chi, dec, dim)
 
 
 def _check_decomposition(p: int, q: int, dim: int, at_identity: int, dec: IrredDecomposition):

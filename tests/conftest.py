@@ -280,7 +280,7 @@ def permutation_bicharacter(p: int, q: int, source: str = "general", budget: int
     class pair.  (sigma, tau) fixes an object when e -> sigma(e) maps blocks
     to blocks (the pairs (block of e, block of sigma(e)) are as many as the
     blocks) and the label of sigma(e) is tau of the label of e."""
-    from stablerep.characters import BiClassFunction, cycle_types
+    from stablerep.characters import ClassFunction, cycle_types
     from stablerep.labeled import enumerate_general, enumerate_pq
 
     if source == "general":
@@ -307,7 +307,7 @@ def permutation_bicharacter(p: int, q: int, source: str = "general", budget: int
                 if tuple(map(label.__getitem__, sig)) == tuple(map(relabel.__getitem__, label))
                 and len(set(zip(block, map(block.__getitem__, sig)))) == blocks
             )
-    return BiClassFunction((p, q), vals)
+    return ClassFunction((p, q), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +357,11 @@ def _fraction_exp_series(logs: list[dict], q_max: int) -> list[dict]:
 
 def pq_bicharacter_oracle(p: int, q: int):
     """pq_bicharacter in Fraction arithmetic: z_rho·z_pi·[x^rho y^pi] Z_F."""
-    from stablerep.characters import BiClassFunction, centralizer_order, cycle_types
+    from stablerep.characters import ClassFunction, centralizer_order, cycle_types
 
     logs = [_fraction_cycle_index_log(j, q) for j in range(p + 1)]
     top = _fraction_exp_series(logs, q)[p]
-    return BiClassFunction((p, q), {
+    return ClassFunction((p, q), {
         (s, t): top.get((s.parts, t.parts), 0) * centralizer_order(s) * centralizer_order(t)
         for s in cycle_types(p)
         for t in cycle_types(q)
@@ -371,7 +371,7 @@ def pq_bicharacter_oracle(p: int, q: int):
 def general_bicharacter_oracle(p: int, q: int):
     """general_bicharacter in Fraction arithmetic: z_rho·[x^rho] Z_tau, with
     f_k/k added at x_k for the f_k labels that tau^k fixes."""
-    from stablerep.characters import BiClassFunction, centralizer_order, cycle_types
+    from stablerep.characters import ClassFunction, centralizer_order, cycle_types
 
     vals = {}
     for t in cycle_types(q):
@@ -382,7 +382,7 @@ def general_bicharacter_oracle(p: int, q: int):
         top = _fraction_exp_series(logs, 0)[p]
         for s in cycle_types(p):
             vals[(s, t)] = top.get((s.parts, ()), 0) * centralizer_order(s)
-    return BiClassFunction((p, q), vals)
+    return ClassFunction((p, q), vals)
 
 
 def pq_identity_counts_oracle(p_max: int, q_max: int) -> dict:
@@ -403,35 +403,32 @@ def pq_identity_counts_oracle(p_max: int, q_max: int) -> dict:
 def inner_product(a, b) -> Fraction:
     """<a, b> of two class functions on Sigma_r, or of two on Sigma_p x
     Sigma_q: the sum over the classes of class size times a·b, over the
-    group order."""
-    from stablerep.characters import ClassFunction, class_size
+    group order, the sum of the class sizes."""
+    from stablerep.characters import class_size
     from stablerep.errors import InvalidArgs
-    from stablerep.partitions import Partition
 
-    degrees = [(f.degree,) if isinstance(f, ClassFunction) else f.degrees for f in (a, b)]
-    if degrees[0] != degrees[1]:
-        raise InvalidArgs(f"degree mismatch: {degrees[0]} vs {degrees[1]}")
-    # A class of Sigma_p x Sigma_q is a pair of cycle types; a cycle type,
-    # a Partition, is a tuple too.
-    total = sum(
-        (class_size(key) if isinstance(key, Partition) else prod(map(class_size, key)))
-        * v * b.values[key]
-        for key, v in a.values.items()
-    )
-    return Fraction(total, prod(map(factorial, degrees[0])))
+    if a.degree != b.degree:
+        raise InvalidArgs(f"degree mismatch: {a.degree} vs {b.degree}")
+    # A class of Sigma_p x Sigma_q is a pair of cycle types.
+    sizes = {
+        key: class_size(key) if isinstance(a.degree, int) else prod(map(class_size, key))
+        for key in a.values
+    }
+    total = sum(sizes[key] * v * b.values[key] for key, v in a.values.items())
+    return Fraction(total, sum(sizes.values()))
 
 
 def scale(f, c):
-    """The class function c·f on Sigma_r."""
+    """The class function c·f."""
     from stablerep.characters import ClassFunction
 
     return ClassFunction(f.degree, {ct: c * v for ct, v in f.values.items()})
 
 
 def external_product(a, b):
-    from stablerep.characters import BiClassFunction
+    from stablerep.characters import ClassFunction
 
-    return BiClassFunction(
+    return ClassFunction(
         (a.degree, b.degree),
         {(s, t): x * y for s, x in a.values.items() for t, y in b.values.items()},
     )
@@ -445,12 +442,12 @@ def merge_types(a, b):
 
 def restrict(f, i: int, j: int):
     """Restrict a class function on Sigma_{i+j} to Sigma_i x Sigma_j."""
-    from stablerep.characters import BiClassFunction, cycle_types
+    from stablerep.characters import ClassFunction, cycle_types
     from stablerep.errors import InvalidArgs
 
     if f.degree != i + j:
         raise InvalidArgs(f"cannot restrict degree {f.degree} to ({i},{j})")
-    return BiClassFunction(
+    return ClassFunction(
         (i, j),
         {
             (a, b): f.values[merge_types(a, b)]
@@ -460,20 +457,17 @@ def restrict(f, i: int, j: int):
     )
 
 
-def reconstruct(dec, degrees):
+def reconstruct(dec, degree):
     """Character with the given decomposition; inverse of ``decompose``."""
-    from stablerep.characters import BiClassFunction, ClassFunction, irreducible_character
+    from stablerep.characters import ClassFunction, irreducible_character
 
-    if isinstance(degrees, int):
-        out = ClassFunction(degrees, {})
-        for k, m in dec.items():
-            out = out + scale(irreducible_character(k), m)
-        return out
-    out = BiClassFunction(degrees, {})
-    for (lam, mu), m in dec.items():
-        out = out + external_product(
-            scale(irreducible_character(lam), m), irreducible_character(mu)
-        )
+    out = ClassFunction(degree, {})
+    for key, m in dec.items():
+        if isinstance(degree, int):
+            chi = irreducible_character(key)
+        else:
+            chi = external_product(*map(irreducible_character, key))
+        out = out + scale(chi, m)
     return out
 
 
@@ -575,7 +569,7 @@ def tensor_power_module(d: int, r: int, budget: int | None = None):
         for a in range(d)
         for b in range(d)
     }
-    return ExplicitModule(dimension=d**r, sym_generators=sym, gl_generators=gl, grading=r)
+    return ExplicitModule(dimension=d**r, sym_generators=sym, gl_generators=gl)
 
 
 def check_coxeter_relations(m) -> bool:
@@ -642,7 +636,7 @@ class FWGradedPiece:
 
     def __init__(self, p: int, q: int, d: int, budget: int | None = None):
         from stablerep.errors import InvalidArgs, OracleDisagreement, check_budget
-        from stablerep.schur import sym_algebra_partials
+        from stablerep.functors import sym_algebra_partials
 
         if p < 0 or q < 0 or d < 1:
             raise InvalidArgs(f"bad parameters p={p}, q={q}, d={d}")
@@ -863,7 +857,7 @@ def schur_image_oracle(lam, d: int):
     pairs = [(a, b) for a in range(d) for b in range(d)]
     picked, mats = spin_oracle(images, [gl_generator(a, b) for a, b in pairs], spin=False)
     gl = dict(zip(pairs, mats)) if picked else {}
-    return ExplicitModule(len(picked), gl_generators=gl, grading=r)
+    return ExplicitModule(len(picked), gl_generators=gl)
 
 
 def standard_tableaux_bfs(lam) -> list[tuple[int, ...]]:
@@ -1083,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
 # package's errors but none of its budget code.
 from stablerep.errors import DEFAULT_BUDGET, InvalidArgs, SizeBudgetExceeded  # noqa: E402
 from stablerep.partitions import hook_lengths, transpose  # noqa: E402
-from stablerep.schur import _sym_algebra_factors, series_mul  # noqa: E402
+from stablerep.functors import _sym_algebra_factors, series_mul  # noqa: E402
 
 
 def check_budget(needed: int, budget: int | None, what: str = "ambient dimension"):

@@ -30,7 +30,7 @@ from stablerep.partitions import (
     partition_counts,
     transpose,
 )
-from stablerep.schur import sym_algebra_partials
+from stablerep.functors import sym_algebra_partials
 
 import conftest
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from stablerep import characters, counts, induction
 from stablerep.characters import (
-    BiClassFunction,
     ClassFunction,
     _beta_mask,
     _hook_removals,
@@ -189,7 +188,8 @@ def test_sign_twist_transposes():
     for n in range(1, 6):
         sgn = ClassFunction(n, {ct: sign_of_class(ct) for ct in cycle_types(n)})
         for lam in enumerate_partitions(n):
-            twisted = irreducible_character(lam) * sgn
+            chi = irreducible_character(lam)
+            twisted = ClassFunction(n, {ct: v * sgn.values[ct] for ct, v in chi.values.items()})
             assert decompose(twisted) == {transpose(lam): 1}
 
 
@@ -224,7 +224,7 @@ def test_bi_decompose_matches_external_product_inner_products(data):
     )
     factor = data.draw(st.sampled_from([1, Fraction(1), Fraction(1, 2)]))
     base = reconstruct(IrredDecomposition(dict(zip(irreps, mults))), (p, q))
-    f = BiClassFunction((p, q), {k: factor * v for k, v in base.values.items()})
+    f = ClassFunction((p, q), {k: factor * v for k, v in base.values.items()})
     expected = {
         key: inner_product(
             f, external_product(irreducible_character(key[0]), irreducible_character(key[1]))
@@ -246,14 +246,50 @@ def test_bi_decompose_matches_external_product_inner_products(data):
         assert decompose(f) == {k: int(m) for k, m in expected.items() if m}
 
 
-def test_bi_class_function_sum_needs_equal_degrees():
-    f = BiClassFunction((2, 1), {})
-    g = BiClassFunction((2, 2), {})
-    assert (f + f).degrees == (f - f).degrees == (2, 1)
-    with pytest.raises(InvalidArgs):
-        f + g
-    with pytest.raises(InvalidArgs):
-        f - g
+def test_class_function_sum_needs_equal_degrees():
+    f = ClassFunction((2, 1), {})
+    g = ClassFunction((2, 2), {})
+    assert (f + f).degree == (f - f).degree == (2, 1)
+    # Sigma_2 and Sigma_2 x Sigma_0 have the same classes in different
+    # keys: their functions do not add.
+    for a, b in [(f, g), (ClassFunction(2, {}), ClassFunction((2, 0), {}))]:
+        with pytest.raises(InvalidArgs):
+            a + b
+        with pytest.raises(InvalidArgs):
+            a - b
+
+
+def test_class_function_rejects_classes_of_another_degree():
+    for degree, values in [
+        (2, {Partition([3]): 1}),
+        (2, {(Partition([2]), Partition([])): 1}),
+        ((2, 1), {((3,), (1,)): 1}),
+        ((2, 1), {Partition([2]): 1}),
+        ((2, 1), {Partition([1, 1]): 1}),
+    ]:
+        with pytest.raises(InvalidArgs):
+            ClassFunction(degree, values)
+
+
+def test_dimension_is_the_value_at_the_identity():
+    ones = [Partition([1] * n) for n in range(4)]
+    for n in range(4):
+        f = ClassFunction(n, {ct: 10 + i for i, ct in enumerate(cycle_types(n))})
+        assert f.dimension == f.values[ones[n]] == 9 + len(cycle_types(n))
+    for p, q in [(0, 0), (2, 1), (3, 2)]:
+        pairs = [(s, t) for s in cycle_types(p) for t in cycle_types(q)]
+        f = ClassFunction((p, q), {k: 10 + i for i, k in enumerate(pairs)})
+        assert f.dimension == f.values[(ones[p], ones[q])] == 9 + len(pairs)
+    assert pq_bicharacter(4, 2).dimension == counts.count_pq(4, 2)
+
+
+def test_repr_lists_degree_and_values():
+    assert repr(ClassFunction(2, {Partition([1, 1]): 2})) == (
+        "ClassFunction(2, {Partition([2]): 0, Partition([1, 1]): 2})"
+    )
+    assert repr(ClassFunction((1, 0), {})) == (
+        "ClassFunction((1, 0), {(Partition([1]), Partition([])): 0})"
+    )
 
 
 def test_induction_frobenius_reciprocity():
@@ -383,7 +419,7 @@ def test_irred_decomposition_json_roundtrip():
 
 
 def test_graded_sym_algebra_dimension_vs_series_oracle():
-    from stablerep.schur import sym_dimension
+    from stablerep.functors import sym_dimension
     for d in (1, 2, 3):
         for q in (0, 1, 2):
             for p in range(0, 6):
@@ -408,9 +444,8 @@ def test_graded_sym_algebra_known_coefficients():
 def test_regular_character_decomposition(n):
     """Regular character decomposes with multiplicity = dimension."""
     from math import factorial
-    from stablerep.characters import ClassFunction, identity_type
 
-    reg = ClassFunction(n, {identity_type(n): factorial(n)})
+    reg = ClassFunction(n, {Partition([1] * n): factorial(n)})
     dec = decompose(reg)
     for lam in enumerate_partitions(n):
         assert dec[lam] == specht_dimension(lam)

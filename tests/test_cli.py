@@ -186,7 +186,7 @@ class TestStableCohomologyCommand:
             raise AssertionError(f"built at {args}")
 
         with monkeypatch.context() as m:
-            m.setattr(characters, "BiClassFunction", refuse)
+            m.setattr(characters, "ClassFunction", refuse)
             m.setattr(characters, "cycle_types", refuse)
             m.setattr(counts, "_orbit_ways", refuse)
             assert main(["--budget", "10", "stable-cohomology", "8", "9", "--degree", "0"]) == 3

@@ -22,8 +22,8 @@ from stablerep.labeled import (
     verify_rw_prop,
     verify_splitting_lemma,
 )
-from stablerep import characters, induction, labeled, linalg, schur
-from stablerep.characters import BiClassFunction
+from stablerep import characters, functors, induction, labeled, linalg
+from stablerep.characters import ClassFunction
 from stablerep.functors import graded_sym_algebra_dimension
 from stablerep.induction import (
     general_bicharacter,
@@ -220,7 +220,7 @@ class TestActionsAndSplitting:
             chi = general_bicharacter(p_, q_)
             values = dict(chi.values)
             values[(sigma, tau)] += 1
-            return BiClassFunction((p_, q_), values)
+            return ClassFunction((p_, q_), values)
 
         monkeypatch.setattr(induction, "general_bicharacter", shifted)
         pair = (str(sigma), str(tau))
@@ -270,12 +270,12 @@ class TestFWPiece:
                 fixed_weights(*args)
 
     def test_enumeration_checked_against_estimate(self, monkeypatch):
-        real = schur.sym_algebra_partials
+        real = functors.sym_algebra_partials
 
         def shifted(d, q, p):
             return [c + 1 for c in (yield from real(d, q, p))]
 
-        monkeypatch.setattr(schur, "sym_algebra_partials", shifted)
+        monkeypatch.setattr(functors, "sym_algebra_partials", shifted)
         with pytest.raises(OracleDisagreement):
             FWGradedPiece(2, 1, 2)
 

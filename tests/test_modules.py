@@ -26,7 +26,9 @@ from conftest import (
 )
 from stablerep import functors, modules, schur
 from stablerep.characters import cycle_types, irreducible_character
-from stablerep.errors import NonPolynomialAction, OracleDisagreement, SizeBudgetExceeded
+from stablerep.errors import (
+    InvalidArgs, NonPolynomialAction, OracleDisagreement, SizeBudgetExceeded,
+)
 from stablerep.functors import (
     split_extension_filtration_check,
     verify_cauchy,
@@ -524,9 +526,18 @@ def test_relation_checks_catch_a_perturbed_entry():
 
 def test_gl_decompose_rejects_non_diagonal_torus():
     swap = SparseMatrix({(0, 1): 1, (1, 0): 1})
-    mod = ExplicitModule(dimension=2, gl_generators={(0, 0): swap}, grading=1)
+    mod = ExplicitModule(dimension=2, gl_generators={(0, 0): swap})
     with pytest.raises(NonPolynomialAction):
         gl_decompose(mod)
+
+
+def test_gl_decompose_rejects_a_module_with_no_gl_action():
+    """A Specht module, of any shape, has no gl action to decompose; the
+    zero module decomposes as nothing."""
+    for lam in ([2, 1], [2], []):
+        with pytest.raises(InvalidArgs, match="no gl action"):
+            gl_decompose(specht_module(Partition(lam)))
+    assert gl_decompose(ExplicitModule(0)) == {}
 
 
 def test_compositions_are_the_filtered_product():

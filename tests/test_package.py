@@ -35,7 +35,7 @@ PERFBENCH = SRC.parent / "perfbench"
 # tests (external_product, inner_product, restrict, sign_character,
 # trivial_character).  The lazy package must keep exactly these.
 EXPORTS = [
-    "BiClassFunction", "ClassFunction", "GeneralLabeledPartition", "InvalidArgs",
+    "ClassFunction", "GeneralLabeledPartition", "InvalidArgs",
     "IrredDecomposition", "NegativeMultiplicity", "NonIntegralMultiplicity",
     "NonPolynomialAction", "OracleDisagreement", "Partition", "Report",
     "SizeBudgetExceeded", "StableCohomologyResult", "StableRepError", "characters",

@@ -64,6 +64,14 @@ class TestPartitionBasics:
         lam = Partition([4, 2])
         assert lam[0] == 4 and lam[1] == 2 and lam[5] == 0
         assert lam[:1] == (4,) and lam[1:5] == (2,) and Partition()[0] == 0
+        # Only a row past the last reads 0; a negative index reads as on
+        # the tuple.
+        assert lam[-1] == 2 and lam[-2] == 4
+        for i in (-3, -10):
+            with pytest.raises(IndexError):
+                lam[i]
+        with pytest.raises(IndexError):
+            Partition()[-1]
 
     def test_str_and_parse_roundtrip(self):
         for lam in enumerate_partitions(6):

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from stablerep.characters import BiClassFunction, cycle_types, decompose, identity_type
+from stablerep.characters import ClassFunction, cycle_types, decompose
 from stablerep.counts import count_pq
 from stablerep import characters, labeled, stable
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
@@ -122,17 +122,20 @@ class TestZeroCell:
     it is read; the value is the same as when it was built at once."""
 
     def test_character_is_all_zero_when_read(self):
-        assert stable_cohomology(2, 4, -2).bicharacter == BiClassFunction((2, 4), {})
+        assert stable_cohomology(2, 4, -2).bicharacter == ClassFunction((2, 4), {})
         assert stable_cohomology(7, 2, 3).bicharacter.dimension == 0
 
     def test_equal_results_and_repr(self):
         a, b = stable_cohomology(2, 4, -2), stable_cohomology(2, 4, -2)
         assert a == b and a != stable_cohomology(2, 4, -1)
-        # Recorded while the character was built at once.
+        # The lazily built character reads as one built at once.
         assert repr(a) == (
             "StableCohomologyResult(p=2, q=4, degree=-2, "
-            "bicharacter=BiClassFunction(S_2 x S_4), decomposition={}, dimension=0, "
-            "valid_range='2*degree <= n - p - q - 3')"
+            f"bicharacter={ClassFunction((2, 4), {})!r}, decomposition={{}}, dimension=0)"
+        )
+        # The stable range is the class's, the same for every cell.
+        assert a.valid_range == stable.StableCohomologyResult.valid_range == (
+            "2*degree <= n - p - q - 3"
         )
 
 
@@ -142,7 +145,7 @@ class TestPipeline:
         assert hom_side_total(1, 0, 1) == 1
 
     def test_hom_side_total_vs_independent_series(self):
-        from stablerep.schur import sym_dimension
+        from stablerep.functors import sym_dimension
         for p in range(5):
             for q in range(3):
                 for d in (1, 2, 3):
@@ -175,7 +178,7 @@ class TestPipeline:
         term by term) bounds the multiplications series_mul makes by an
         entry of a factor, counted on the entries themselves, and the
         budget refuses at one step fewer."""
-        from stablerep import schur
+        from stablerep import functors
 
         made = [0]
 
@@ -184,9 +187,9 @@ class TestPipeline:
                 made[0] += 1
                 return int(other) * int(self)
 
-        real_geom = schur.series_geom_power
+        real_geom = functors.series_geom_power
         monkeypatch.setattr(
-            schur,
+            functors,
             "series_geom_power",
             lambda step, mult, trunc: [Counted(v) for v in real_geom(step, mult, trunc)],
         )
