@@ -51,9 +51,6 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # Cycle-type combinatorics
 
-# A permutation of {0..r-1} as the tuple of its images.
-Perm = tuple[int, ...]
-
 
 @lru_cache(maxsize=None)
 def cycle_types(r: int) -> tuple[Partition, ...]:

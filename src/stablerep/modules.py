@@ -35,12 +35,11 @@ from .partitions import (
     transpose,
 )
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from .characters import Perm
-
 # ---------------------------------------------------------------------------
 # Permutations (tuples of images, 0-indexed)
+
+# A permutation of {0..r-1} as the tuple of its images.
+Perm = tuple[int, ...]
 
 
 def perm_compose(a: Perm, b: Perm) -> Perm:

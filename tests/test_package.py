@@ -3,13 +3,15 @@
 ``stablerep`` resolves its exports on first use (PEP 562) and the CLI imports
 each subcommand's modules when it runs, so a command loads only what it
 computes with.  The import sets are read in fresh interpreters, because this
-test process has long since imported everything.  The last two tests hold
-the package to the oldest Python that pyproject.toml admits: every module to
-its syntax, and every CLI op of the benchmark to its recorded output when
-run by that interpreter.
+test process has long since imported everything.  The last tests hold every
+module to the syntax of the oldest Python that pyproject.toml admits, run
+every CLI op of the benchmark as a program, under this interpreter and that
+one, against its recorded output, and check that only the program route
+freezes the heap.
 """
 
 import ast
+import gc
 import hashlib
 import importlib.util
 import json
@@ -306,7 +308,7 @@ class TestImportSets:
 
 def test_no_module_imports_the_cli():
     """Under python -m stablerep.cli the CLI runs as __main__, so a module
-    that imported it, say for _table or _dumps, would compile it a second
+    that imported it, say for _table or _text, would compile it a second
     time: no module of the package imports it, relatively or absolutely."""
     offenders = []
     for path in sorted((SRC / "stablerep").glob("*.py")):
@@ -467,20 +469,84 @@ def test_every_module_parses_as_python_3_10():
 # beside this interpreter's installation (as pyenv lays them out), if any.
 FLOOR_PYTHON = min(Path(sys.base_prefix).parent.glob("3.10*/bin/python3.10"), default=None)
 
+# Command lines that fail, with the exit code and the stderr they give.
+PROGRAM_FAILURES = [
+    ("verify rw-prop 2", 2, "usage error: expected verify rw-prop P Q D, got 1 values\n"),
+    ("--budget 2 verify rw-prop 4 4 4", 3,
+     "budget exceeded: labeled partitions 799 exceeds budget 2\n"),
+    ("--json verify rw-prop 2 1 1", 1, ""),
+]
 
-@pytest.mark.skipif(FLOOR_PYTHON is None, reason="no CPython 3.10 beside this interpreter")
-def test_golden_outputs_under_python_3_10():
-    """Every CLI op of perfbench/golden.json exits and prints (stdout sha256)
-    as recorded when CPython 3.10 runs it.  Parsing as 3.10 checks syntax
-    only: it cannot see a call to a method newer than the floor, nor how the
-    package's tuple and dict subclasses behave on 3.10."""
+
+@pytest.mark.parametrize("python", [
+    pytest.param(sys.executable, id="sys.executable"),
+    pytest.param(FLOOR_PYTHON, id="python3.10", marks=pytest.mark.skipif(
+        FLOOR_PYTHON is None, reason="no CPython 3.10 beside this interpreter")),
+])
+def test_program_route_outputs(python):
+    """Run as a program (``python -m stablerep.cli``), where main freezes
+    the start-up heap, every CLI op of perfbench/golden.json exits and
+    prints (stdout sha256) as recorded, and a usage error, a budget refusal
+    and a failing check give their exit code and stderr.  Under CPython 3.10
+    this also checks what parsing as 3.10 cannot: a call to a method newer
+    than the floor, and how the package's tuple and dict subclasses behave
+    there."""
+
+    def program(argv):
+        return subprocess.run(
+            [str(python), "-m", "stablerep.cli", *argv], env=op_env(), capture_output=True
+        )
+
     golden = json.loads((PERFBENCH / "golden.json").read_text())
     for key, recorded in sorted(golden.items()):
         if not key.startswith("cli: "):
             continue
-        argv = key.removeprefix("cli: ").split()
-        proc = subprocess.run(
-            [str(FLOOR_PYTHON), "-m", "stablerep.cli", *argv], env=op_env(), capture_output=True
-        )
+        proc = program(key.removeprefix("cli: ").split())
         got = {"exit": proc.returncode, "sha256": hashlib.sha256(proc.stdout).hexdigest()}
         assert got == recorded, (key, proc.stderr.decode()[-2000:])
+    for argv, code, stderr in PROGRAM_FAILURES:
+        proc = program(argv.split())
+        assert (proc.returncode, proc.stderr.decode()) == (code, stderr), argv
+
+
+def freeze_count_after(code: str) -> int:
+    """gc.get_freeze_count() as a fresh interpreter's code prints it on its
+    last stdout line, after "FROZEN "."""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=op_env(), capture_output=True, text=True
+    ).stdout
+    line = out.splitlines()[-1]
+    assert line.startswith("FROZEN "), out
+    return int(line.split()[1])
+
+
+class TestHeapFreeze:
+    """main() freezes the heap on the program route only, so pytest's heap
+    and the benchmark's traced runs, which pass argv, keep a normal
+    collector."""
+
+    def test_console_script_freezes(self):
+        code = (
+            "import gc, sys\n"
+            "from stablerep.cli import main\n"
+            "sys.argv = ['stablerep', 'partitions', '1']\n"
+            "main()\n"
+            "print('FROZEN', gc.get_freeze_count())"
+        )
+        assert freeze_count_after(code) > 0
+
+    def test_run_module_freezes(self):
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('FROZEN', gc.get_freeze_count()))\n"
+            "sys.argv = ['stablerep', 'partitions', '1']\n"
+            "runpy.run_module('stablerep.cli', run_name='__main__')"
+        )
+        assert freeze_count_after(code) > 0
+
+    def test_main_with_argv_does_not_freeze(self, capsys):
+        from stablerep.cli import main
+
+        frozen = gc.get_freeze_count()
+        assert main(["partitions", "1"]) == 0
+        assert gc.get_freeze_count() == frozen
