@@ -15,23 +15,32 @@ gives 1); 2 usage error, including a malformed partition or integer, a
 negative or zero size, a ``--budget`` or ``STABLEREP_BUDGET`` below 1,
 ``stable-cohomology --table`` given with P, Q or ``--degree`` and any other
 malformed command line, each reported on one stderr line that begins
-``usage error: ``; 3 size budget exceeded.  ``main`` catches only the
-package's own errors, so any other exception is a bug and is not hidden.
+``usage error: ``; 3 size budget exceeded; 120, run as a program, when
+the reader of stdout closed it before the output was written, as
+CPython exits when it cannot flush stdout (no traceback).  ``main``
+catches only the package's own errors, so any other exception is a bug and
+is not hidden.
 
 Run as a program (``python -m stablerep.cli`` or the ``stablerep``
 script), ``main()`` first freezes the heap that start-up built
-(``gc.freeze()``): the interpreter's final collection then frees none of
-it, a saving that grows with what ``site`` imported.  ``main(argv)`` with
-a list leaves the collector alone.
+(``gc.freeze()``), so no collection during the command scans it.  Once
+the output is written it flushes stdout and stderr, runs the ``atexit``
+handlers, flushes again and ends the process with ``os._exit``: that keeps
+the handlers and the flushed output and skips module teardown, the final
+collection and C-level exit hooks, which no command needs.  It relies on
+no command starting a thread, which ``os._exit`` would not wait for.  An
+exception that escapes the command takes the normal interpreter exit.
+``main(argv)`` with a list leaves the collector alone and returns.
 
 Each command imports only the modules it runs (``characters`` always with
 ``counts``):
 
 - ``partitions`` loads ``partitions`` alone;
-- ``stable-cohomology`` loads ``counts`` and ``stable``, and ``characters``
-  (the S_n half) only for a cell in its nonzero degree or a zero cell as
-  ``--json``; no ``report``, ``induction``, ``schur``, labeled-partition or
-  linear-algebra code, and no ``fractions``;
+- ``stable-cohomology`` loads ``stable``, ``counts`` only for ``--table``
+  and a cell in its nonzero degree, and ``characters`` (the S_n half) only
+  for the latter: a zero cell, as text or as ``--json``, loads neither; no
+  ``report``, ``induction``, ``schur``, labeled-partition or linear-algebra
+  code, and no ``fractions``;
 - only the checks load ``report``; ``verify induction`` loads
   ``characters`` and ``induction``, and no ``stable``;
 - ``cauchy``, ``lr`` and ``verify`` ``extension`` and ``step1`` load
@@ -48,6 +57,7 @@ Each command imports only the modules it runs (``characters`` always with
 
 from __future__ import annotations
 
+import atexit
 import gc
 import os
 import sys
@@ -281,14 +291,48 @@ def main(argv: list[str] | None = None) -> int:
 
     Without ``argv`` this is the program route (``python -m stablerep.cli``
     and the ``stablerep`` console script), which reads ``sys.argv`` and
-    whose process ends when ``main`` returns.  There ``gc.freeze()`` comes
-    first: what start-up built would live until exit anyway, so no
-    collection scans it during the command and the final one does not free
-    it.  A caller that passes ``argv`` (a test, a library) keeps a normal
-    collector."""
-    if argv is None:
-        gc.freeze()
-        argv = sys.argv[1:]
+    does not return.  There ``gc.freeze()`` comes first: what start-up
+    built lives until exit anyway, so no collection scans it during the
+    command.  When the command has printed, stdout and stderr are flushed,
+    the ``atexit`` handlers run once, both are flushed again, and
+    ``os._exit`` ends the process with the exit code: module teardown, the
+    final collection and C-level exit hooks are skipped, which is safe
+    because no command starts a thread.  If the reader of stdout has
+    closed it, fd 1 is pointed at /dev/null so that no later flush fails,
+    and the exit code is 120, with no traceback.  An exception that
+    escapes the command (a bug, ``KeyboardInterrupt``) takes the normal
+    interpreter exit.  A caller that passes ``argv`` (a test, a library)
+    keeps a normal collector and gets the exit code back."""
+    if argv is not None:
+        return _main(argv)
+    gc.freeze()
+    try:
+        code = _main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.stderr.flush()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.stderr.flush()
+    os._exit(code)
+
+
+def _stdout_closed() -> int:
+    """Point fd 1 at /dev/null, so that no later flush of what stdout still
+    buffers fails, and give CPython's exit code for an unflushable stdout."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 120
+
+
+def _main(argv: list[str]) -> int:
+    """Parse and run one command line, print its output or its error, and
+    return its exit code."""
     try:
         args = parse_args(list(argv))
         output, code = (args, EXIT_OK) if isinstance(args, str) else _run(args)
@@ -308,4 +352,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -9,6 +9,8 @@ linear-algebra code, and no ``schur``.  It imports ``characters`` only
 where a character is built: the dimension table builds none, and a zero
 cell builds its all-zero character only when ``bicharacter`` is read, so
 the table and a zero cell, as text or as JSON, load no ``characters``.
+It imports ``counts`` only for the table and a nonzero cell, so a zero
+cell loads neither.
 The identities behind the answer live elsewhere: the character-level replay
 of the induction that pins it down in ``induction``, and the step-1
 graded-series identity in ``functors``.  ``_cmd_stable_cohomology`` is the
@@ -22,7 +24,6 @@ combinatorial.
 
 from __future__ import annotations
 
-from .counts import count_pq, pq_identity_counts
 from .errors import InvalidArgs, OracleDisagreement
 from .partitions import IrredDecomposition, Record, check_class_budget
 from .partitions import enumerate_partitions, specht_dimension
@@ -114,6 +115,7 @@ def stable_cohomology(
     if degree != p - q or q > p:
         return StableCohomologyResult(p, q, degree, None, IrredDecomposition({}), 0)
     from .characters import ClassFunction, decompose, pq_bicharacter, sign_of_class
+    from .counts import count_pq
 
     # The sign twist: the character times the sign of its Sigma_p class.
     twisted = {(s, t): sign_of_class(s) * v for (s, t), v in pq_bicharacter(p, q).values.items()}
@@ -131,6 +133,8 @@ def _check_decomposition(p: int, q: int, dim: int, at_identity: int, dec: IrredD
     (1 2) in Sigma_p fixes the objects with 1, 2 in one block or as two
     unlabeled singletons (sign-twisted), and one in Sigma_q fixes none.  So
     swapping components of equal dimension shows."""
+    from .counts import count_pq
+
     shapes = {lam for pair in dec for lam in pair}
     fc = {lam: (specht_dimension(lam), sum(j - i for i, j in lam.cells())) for lam in shapes}
     total = on_p = on_q = 0
@@ -165,6 +169,8 @@ def dimension_table(p_max: int, q_max: int, budget: int | None = None) -> list[d
     if p_max < 0 or q_max < 0:
         raise InvalidArgs("bounds must be non-negative")
     check_class_budget(budget, p_max, min(p_max, q_max))
+    from .counts import count_pq, pq_identity_counts
+
     by_series = pq_identity_counts(p_max, q_max)
     rows = []
     for p in range(p_max + 1):

@@ -350,7 +350,7 @@ class TestExitCodes:
         # refused by default before any orbit state or identity count is
         # built; zero cells count their pairs too, and --table those of its
         # top cell, p(7)^2 at 7 9.  18 9 (11,550 pairs) fits the default cap.
-        from stablerep import characters, stable
+        from stablerep import characters, counts
         from stablerep.partitions import check_class_budget
 
         def refuse(*args):
@@ -359,7 +359,7 @@ class TestExitCodes:
         _, plain = run(capsys, "stable-cohomology", "7", "2")
         with monkeypatch.context() as m:
             m.setattr(characters, "_orbit_states", refuse)
-            m.setattr(stable, "pq_identity_counts", refuse)
+            m.setattr(counts, "pq_identity_counts", refuse)
             assert main(["--budget", "29", "stable-cohomology", "7", "2"]) == 3
             assert main(["--budget", "29", "stable-cohomology", "7", "2", "--degree", "3"]) == 3
             assert main(["stable-cohomology", "20", "10"]) == 3

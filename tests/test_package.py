@@ -6,8 +6,9 @@ computes with.  The import sets are read in fresh interpreters, because this
 test process has long since imported everything.  The last tests hold every
 module to the syntax of the oldest Python that pyproject.toml admits, run
 every CLI op of the benchmark as a program, under this interpreter and that
-one, against its recorded output, and check that only the program route
-freezes the heap.
+one, against its recorded output, check that only the program route
+freezes the heap, and that the program route, which ends the process
+itself, still runs the atexit handlers and exits 120 on a closed stdout.
 """
 
 import ast
@@ -145,9 +146,11 @@ class TestImportSets:
     )
     def test_table_and_text_zero_cells_load_no_characters(self, argv):
         """The dimension table is integer counts, and a zero cell, printed
-        as text or as JSON, never builds its all-zero character."""
+        as text or as JSON, never builds its all-zero character, nor counts
+        anything."""
+        counts = ("counts",) if "--table" in argv else ()
         assert loaded_by_command(*argv) == qualified(
-            "cli", "errors", "partitions", "counts", "stable"
+            "cli", "errors", "partitions", "stable", *counts
         )
 
     def test_only_checks_load_the_report(self):
@@ -289,18 +292,24 @@ class TestImportSets:
         import stablerep.cli, which would compile it a second time; -X
         importtime lists every module the process imports."""
         argv = ["--cache", str(tmp_path), "stable-cohomology", "4", "2"]
+        answers = []
         for run in ("miss", "hit"):
-            err = subprocess.run(
+            proc = subprocess.run(
                 [sys.executable, "-X", "importtime", "-m", "stablerep.cli", *argv],
-                env=op_env(), capture_output=True, text=True, check=True,
-            ).stderr
+                env=op_env(), capture_output=True, text=True,
+            )
+            # The process ends with os._exit: the miss's entry must be whole
+            # by then, so the hit prints and exits as the miss did.
+            answers.append((proc.returncode, proc.stdout))
             imported = {
                 line.rsplit("|", 1)[1].strip()
-                for line in err.splitlines()
+                for line in proc.stderr.splitlines()
                 if line.startswith("import time:")
             }
             assert "stablerep.cache" in imported, run
             assert "stablerep.cli" not in imported, run
+        assert answers[0][0] == 0 and "dimension: " in answers[0][1]
+        assert answers[1] == answers[0]
         assert {m for m in imported if m.startswith("stablerep")} == qualified(
             "errors", "cache"
         )
@@ -526,12 +535,13 @@ class TestHeapFreeze:
     collector."""
 
     def test_console_script_freezes(self):
+        # main() does not return on the program route; atexit handlers run.
         code = (
-            "import gc, sys\n"
+            "import atexit, gc, sys\n"
             "from stablerep.cli import main\n"
+            "atexit.register(lambda: print('FROZEN', gc.get_freeze_count()))\n"
             "sys.argv = ['stablerep', 'partitions', '1']\n"
-            "main()\n"
-            "print('FROZEN', gc.get_freeze_count())"
+            "main()"
         )
         assert freeze_count_after(code) > 0
 
@@ -550,3 +560,71 @@ class TestHeapFreeze:
         frozen = gc.get_freeze_count()
         assert main(["partitions", "1"]) == 0
         assert gc.get_freeze_count() == frozen
+
+
+class TestProgramExit:
+    """On the program route main() flushes, runs the atexit handlers and
+    ends the process itself, skipping interpreter teardown."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("partitions", "30"), *(failure[0].split() for failure in PROGRAM_FAILURES)],
+        ids=" ".join,
+    )
+    def test_atexit_handlers_run_once_after_the_whole_output(self, argv, capsys, monkeypatch):
+        """For exit 0 (about 70 KB of stdout, more than a pipe holds), 1, 2
+        and 3, a handler registered before main() runs exactly once, after
+        everything main(argv) prints in process, and what it prints is
+        flushed too."""
+        from stablerep.cli import main
+
+        monkeypatch.delenv("STABLEREP_BUDGET", raising=False)  # as op_env does
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        handler = "lambda: print('ATEXIT') or print('ATEXIT', file=sys.stderr)"
+        env = op_env()
+        env.pop("PYTHONUNBUFFERED", None)  # so only the flushes write stdout
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import atexit, sys\n"
+             "from stablerep.cli import main\n"
+             f"atexit.register({handler})\n"
+             f"sys.argv = ['stablerep', *{list(argv)!r}]\n"
+             "main()\n"
+             "print('RETURNED')"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        assert proc.stdout == out + "ATEXIT\n"
+        assert proc.stderr == err + "ATEXIT\n"
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", ["partitions 30", "partitions 1"])
+    def test_closed_stdout_exits_120_without_traceback(self, argv, buffered):
+        """A reader that closed stdout before the output (about 70 KB for
+        partitions 30, written while printing; a few bytes for partitions
+        1, written by the flush) gets exit 120, CPython's code for an
+        unflushable stdout, and no traceback.  The atexit handlers still
+        run, and since fd 1 then points at /dev/null, a handler's own flush
+        of stdout does not fail either."""
+        env = op_env()
+        if buffered:
+            env.pop("PYTHONUNBUFFERED", None)
+        else:
+            env["PYTHONUNBUFFERED"] = "1"
+        handler = "lambda: print('ATEXIT', flush=True) or print('ATEXIT', file=sys.stderr)"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import atexit, sys\n"
+                 "from stablerep.cli import main\n"
+                 f"atexit.register({handler})\n"
+                 f"sys.argv = ['stablerep', *{argv.split()!r}]\n"
+                 "main()"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (120, "ATEXIT\n")

@@ -5,7 +5,7 @@ import pytest
 
 from stablerep.characters import ClassFunction, cycle_types, decompose
 from stablerep.counts import count_pq
-from stablerep import characters, labeled, stable
+from stablerep import characters, counts, labeled, stable
 from stablerep.errors import InvalidArgs, OracleDisagreement, SizeBudgetExceeded
 from stablerep.functors import step1_dimension_identity
 from stablerep.induction import theorem_a_induction_check
@@ -110,7 +110,7 @@ class TestStableCohomology:
             stable_cohomology(4, 2, 2)
 
     def test_dimension_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(stable, "count_pq", lambda p, q: count_pq(p, q) + 1)
+        monkeypatch.setattr(counts, "count_pq", lambda p, q: count_pq(p, q) + 1)
         with pytest.raises(OracleDisagreement):
             stable_cohomology(3, 1, 2)
         with pytest.raises(OracleDisagreement):
